@@ -1,117 +1,34 @@
 """Pseudo-spectral simulator for a coupled occupied-area / population-density
 cross-diffusion system on a periodic interval, with runtime diagnostics for
-positivity, density sup bounds, curvature blow-up, and support dynamics."""
+positivity, density sup bounds, curvature blow-up, and support dynamics.
+
+The package root holds the entry points; everything else is imported from
+its submodule.
+"""
 
 from .config import (
     ConfigError,
-    Constant,
-    Cosine,
-    CsvData,
-    PolyBump,
     RunConfig,
     parse_config,
     preset,
     preset_with_overrides,
     render_config,
 )
-from .diagnostics import (
-    DiagnosticRecord,
-    EnvelopeCheck,
-    SupportReport,
-    blowup_comparison_ode,
-    min_area_envelope_check,
-    second_derivative_at_center,
-    support,
-    support_invariance_report,
-    symmetry_defect,
-    t_star,
-)
-from .grid import Field, Grid, GridMismatchError, Norms, dealias, deriv, integrate, make_grid, norms
-from .integrator import (
-    HaltReason,
-    Snapshot,
-    RunMode,
-    RunOutcome,
-    StepControl,
-    cfl_dt,
-    run,
-    step,
-)
-from .kernel import (
-    BoxKernel,
-    SampledKernel,
-    convolve,
-    kernel_l1_norm,
-    load_sampled_kernel,
-    mollify,
-)
-from .model import (
-    EnergyReport,
-    ModelParams,
-    NumericalFault,
-    State,
-    blowup_threshold,
-    energy,
-    linf_density_bound,
-    rhs,
-    rhs_regularized,
-    rhs_sqrt,
-)
+from .diagnostics import t_star
+from .integrator import HaltReason, run
+from .model import blowup_threshold
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxKernel",
     "ConfigError",
-    "Constant",
-    "Cosine",
-    "CsvData",
-    "DiagnosticRecord",
-    "EnergyReport",
-    "EnvelopeCheck",
-    "Field",
-    "Grid",
-    "GridMismatchError",
     "HaltReason",
-    "ModelParams",
-    "Norms",
-    "NumericalFault",
-    "PolyBump",
     "RunConfig",
-    "RunMode",
-    "RunOutcome",
-    "SampledKernel",
-    "Snapshot",
-    "State",
-    "SupportReport",
-    "StepControl",
-    "blowup_comparison_ode",
     "blowup_threshold",
-    "cfl_dt",
-    "convolve",
-    "dealias",
-    "deriv",
-    "energy",
-    "integrate",
-    "kernel_l1_norm",
-    "linf_density_bound",
-    "load_sampled_kernel",
-    "make_grid",
-    "min_area_envelope_check",
-    "mollify",
-    "norms",
     "parse_config",
     "preset",
     "preset_with_overrides",
     "render_config",
-    "rhs",
-    "rhs_regularized",
-    "rhs_sqrt",
     "run",
-    "second_derivative_at_center",
-    "step",
-    "support",
-    "support_invariance_report",
-    "symmetry_defect",
     "t_star",
 ]

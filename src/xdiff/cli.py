@@ -116,6 +116,15 @@ def _run_config_file(path: str) -> int:
     return code
 
 
+def _sweep_one(path: str) -> int:
+    """One sweep entry; a bad file is reported against its path and stops no other run."""
+    try:
+        return _run_config_file(path)
+    except (ValueError, OSError) as exc:
+        print(f"{path}: error: {exc}", file=sys.stderr)
+        return 1
+
+
 # ---------------------------------------------------------------------------
 # series.csv invariant re-checks
 # ---------------------------------------------------------------------------
@@ -262,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         workers = os.environ.get("XDIFF_THREADS")
         max_workers = max(1, int(workers)) if workers else min(len(args.configs), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            codes = list(pool.map(_run_config_file, args.configs))
+            codes = list(pool.map(_sweep_one, args.configs))
         bad = [c for c in codes if c not in (0, 3)]
         return max(bad) if bad else 0
 

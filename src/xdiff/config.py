@@ -1,21 +1,22 @@
 """Run configuration: flat ``section.key = value`` parsing, rendering, presets,
-and initial-data sampling."""
+and initial-data sampling.  One key table, read off the dataclass fields,
+drives parse, render and overrides; the objects own every value check."""
 
 from __future__ import annotations
 
-import csv
+import dataclasses
+import functools
 import os
+import typing
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .grid import Field, Grid, make_grid
+from .grid import Field, Grid, InvalidValue, make_grid, read_node_csv
 from .integrator import RunMode, StepControl
-from .kernel import BoxKernel, load_sampled_kernel
+from .kernel import BoxKernel, SampledKernel, load_sampled_kernel
 from .model import ModelParams
-
-_REQUIRED = object()
 
 
 class ConfigError(ValueError):
@@ -44,11 +45,11 @@ class PolyBump:
 
     def __post_init__(self) -> None:
         if not self.a < self.b:
-            raise ValueError(f"poly_bump needs a < b, got a={self.a}, b={self.b}")
+            raise InvalidValue("b", f"must exceed a = {self.a}, got {self.b}")
         for name in ("p", "q", "r"):
             v = getattr(self, name)
             if not (isinstance(v, (int, np.integer)) and v >= 0):
-                raise ValueError(f"poly_bump exponent {name} must be a nonnegative integer")
+                raise InvalidValue(name, f"must be a nonnegative integer, got {v!r}")
 
     def sample(self, grid: Grid) -> Field:
         x = grid.x
@@ -74,7 +75,7 @@ class Cosine:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.mode, (int, np.integer)) and self.mode >= 0):
-            raise ValueError("cosine mode must be a nonnegative integer")
+            raise InvalidValue("mode", f"must be a nonnegative integer, got {self.mode!r}")
 
     def sample(self, grid: Grid) -> Field:
         return Field(
@@ -90,23 +91,7 @@ class CsvData:
     path: str
 
     def sample(self, grid: Grid) -> Field:
-        xs, vs = [], []
-        with open(self.path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].strip().startswith("#"):
-                    continue
-                if row[0].strip().lower() == "x":
-                    continue
-                if len(row) != 2:
-                    raise ValueError(f"{self.path}: expected two columns 'x,value', got {row!r}")
-                xs.append(float(row[0]))
-                vs.append(float(row[1]))
-        xs_arr = np.asarray(xs)
-        if xs_arr.size != grid.n_points or not np.allclose(
-            xs_arr, grid.x, rtol=0.0, atol=1e-9 * grid.half_length
-        ):
-            raise ValueError(f"{self.path}: x column does not match the {grid.n_points}-node grid")
-        return Field(grid, np.asarray(vs))
+        return Field(grid, read_node_csv(self.path, grid))
 
 
 InitialDataSpec = Union[PolyBump, Constant, Cosine, CsvData]
@@ -127,31 +112,71 @@ class RunConfig:
     mode: RunMode
     ctrl: StepControl
     t_end: float
-    record_every: int
-    snapshot_times: tuple[float, ...]
-    output_dir: str
+    record_every: int = 10
+    snapshot_times: tuple[float, ...] = ()
+    output_dir: str = "xdiff-out"
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.t_end) and self.t_end >= 0):
-            raise ValueError(f"t_end must be a nonnegative finite time, got {self.t_end}")
+            raise InvalidValue("t_end", f"must be a nonnegative finite time, got {self.t_end}")
         if not (isinstance(self.record_every, (int, np.integer)) and self.record_every >= 1):
-            raise ValueError(f"record_every must be a positive integer, got {self.record_every}")
+            raise InvalidValue(
+                "record_every", f"must be a positive integer, got {self.record_every}"
+            )
         for ts in self.snapshot_times:
             if not (0.0 <= ts <= self.t_end):
-                raise ValueError(f"snapshot time {ts} outside [0, {self.t_end}]")
+                raise InvalidValue(
+                    "snapshot_times", f"holds snapshot time {ts} outside [0, {self.t_end}]"
+                )
         object.__setattr__(self, "snapshot_times", tuple(sorted(self.snapshot_times)))
 
 
 # ---------------------------------------------------------------------------
-# flat key = value format
+# the key table and the flat key = value format
 # ---------------------------------------------------------------------------
 
-_INITIAL_KIND_KEYS = {
-    "poly_bump": ("amp", "a", "b", "p", "q", "r"),
-    "constant": ("c",),
-    "cosine": ("mean", "amp", "mode"),
-    "csv": ("path",),
+# name of each class a ``<section>.kind`` key can select
+_KIND_NAMES = {
+    BoxKernel: "box",
+    SampledKernel: "sampled",
+    PolyBump: "poly_bump",
+    Constant: "constant",
+    Cosine: "cosine",
+    CsvData: "csv",
 }
+
+# scalar field type -> (parse, render, what the text must be)
+_SCALARS = {
+    float: (float, repr, "a number"),
+    int: (int, str, "an integer"),
+    str: (str, str, "text"),
+    tuple[float, ...]: (
+        lambda text: tuple(float(part) for part in text.split(",")) if text else (),
+        lambda ts: ", ".join(repr(t) for t in ts),
+        "a comma-separated list of numbers",
+    ),
+}
+
+
+@functools.cache
+def _key_table(cls: type) -> tuple[tuple[str, str, object, object], ...]:
+    """``(field, key, type, default)`` for each field of ``cls``.
+
+    Keys are relative to the section the object sits in.  A dataclass field
+    opens a section named after its key; a Union field adds a ``kind`` key
+    that picks the class.  RunConfig's own scalars sit under ``run.``, except
+    ``grid.L`` and ``grid.N``.  A field without a default is a required key.
+    """
+    if cls is SampledKernel:  # the one special key: samples come from the file it names
+        return (("source_path", "csv", str, dataclasses.MISSING),)
+    hints = typing.get_type_hints(cls)
+    rows = []
+    for f in dataclasses.fields(cls):
+        key, typ = f.name, hints[f.name]
+        if cls is RunConfig and typ in _SCALARS:
+            key = key.replace("grid_", "grid.") if key.startswith("grid_") else f"run.{key}"
+        rows.append((f.name, key, typ, f.default))
+    return tuple(rows)
 
 
 def _split_entries(text: str) -> dict[str, tuple[str, int]]:
@@ -163,196 +188,91 @@ def _split_entries(text: str) -> dict[str, tuple[str, int]]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = (value, lineno)
     return entries
 
 
-class _EntryReader:
-    """Pops typed values out of the raw entry table, tracking line numbers."""
+class _Reader:
+    """Builds configuration objects from raw ``key -> (text, line)`` entries.
 
-    def __init__(self, entries: dict[str, tuple[str, int]]):
+    Entries are consumed as the key table reads them, so whatever is left once
+    every object is built is an unknown key.  Line 0 marks an entry with no
+    source line.
+    """
+
+    def __init__(self, entries: dict[str, tuple[str, int]], base_dir: str):
         self.entries = dict(entries)
+        self.lines = {key: line for key, (_, line) in entries.items()}
+        self.base_dir = base_dir
+        self.values: dict[str, object] = {}
 
-    def _raw(self, key: str, default):
-        if key in self.entries:
-            return self.entries.pop(key)
-        if default is _REQUIRED:
+    def error(self, key: str, problem: str) -> ConfigError:
+        line = self.lines.get(key, 0)
+        return ConfigError(f"{f'line {line}: ' if line else ''}{key} {problem}")
+
+    def take(self, key: str, typ) -> object:
+        if key not in self.entries:
             raise ConfigError(f"missing required key {key!r}")
-        return None
-
-    def take_float(self, key: str, default=_REQUIRED) -> float:
-        item = self._raw(key, default)
-        if item is None:
-            return default
-        value, lineno = item
+        text, _ = self.entries.pop(key)
+        parse, _, what = _SCALARS[typ]
         try:
-            return float(value)
+            self.values[key] = parse(text)
         except ValueError:
-            raise ConfigError(f"line {lineno}: {key} must be a number, got {value!r}") from None
+            raise self.error(key, f"must be {what}, got {text!r}") from None
+        return self.values[key]
 
-    def take_int(self, key: str, default=_REQUIRED) -> int:
-        item = self._raw(key, default)
-        if item is None:
-            return default
-        value, lineno = item
+    def kind(self, key: str, union) -> type:
+        kinds = {_KIND_NAMES[cls]: cls for cls in typing.get_args(union)}
+        name = self.take(f"{key}.kind", str)
+        if name not in kinds:
+            raise self.error(f"{key}.kind", f"must be one of {', '.join(kinds)}, got {name!r}")
+        return kinds[name]
+
+    def path(self, path: str) -> str:
+        """Resolve a relative file path against the config file's directory."""
+        return path if os.path.isabs(path) else os.path.normpath(os.path.join(self.base_dir, path))
+
+    def grid(self) -> Grid:
+        """The run's mesh; Grid owns its checks, reported here against grid.L/grid.N."""
         try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: {key} must be an integer, got {value!r}") from None
+            return make_grid(self.values["grid.L"], self.values["grid.N"])
+        except InvalidValue as exc:
+            key = {"half_length": "grid.L", "n_points": "grid.N"}[exc.field]
+            raise self.error(key, exc.problem) from None
 
-    def take_str(self, key: str, default=_REQUIRED, choices=None) -> str:
-        item = self._raw(key, default)
-        if item is None:
-            return default
-        value, lineno = item
-        if choices is not None and value not in choices:
-            raise ConfigError(
-                f"line {lineno}: {key} must be one of {', '.join(choices)}, got {value!r}"
-            )
-        return value
+    def read(self, cls: type, prefix: str = ""):
+        """Build ``cls`` from the keys of its table under ``prefix``."""
+        rows = _key_table(cls)
+        kwargs = {}
+        for field, key, typ, default in rows:
+            key = prefix + key
+            if dataclasses.is_dataclass(typ):
+                kwargs[field] = self.read(typ, f"{key}.")
+            elif typing.get_origin(typ) is Union:
+                kwargs[field] = self.read(self.kind(key, typ), f"{key}.")
+            elif key in self.entries or default is dataclasses.MISSING:
+                kwargs[field] = self.take(key, typ)
 
-    def take_float_list(self, key: str, default=_REQUIRED) -> tuple[float, ...]:
-        item = self._raw(key, default)
-        if item is None:
-            return default
-        value, lineno = item
-        if not value:
-            return ()
+        if cls is SampledKernel:
+            grid = self.grid()
+            try:
+                return load_sampled_kernel(self.path(kwargs["source_path"]), grid)
+            except (ValueError, OSError) as exc:
+                raise self.error(f"{prefix}csv", f"cannot be loaded: {exc}") from None
+        if cls is CsvData:
+            kwargs["path"] = self.path(kwargs["path"])
+        if cls is RunConfig:
+            self.grid()
+            if self.entries:
+                key = min(self.entries, key=lambda k: self.lines[k])
+                raise ConfigError(f"line {self.lines[key]}: unknown key {key!r}")
         try:
-            return tuple(float(part.strip()) for part in value.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: {key} must be a comma-separated list of numbers"
-            ) from None
-
-    def line_of(self, key: str) -> int:
-        return self.entries[key][1] if key in self.entries else 0
-
-    def reject_leftovers(self) -> None:
-        if self.entries:
-            key = min(self.entries, key=lambda k: self.entries[k][1])
-            raise ConfigError(f"line {self.entries[key][1]}: unknown key {key!r}")
-
-
-def _read_initial(reader: _EntryReader, prefix: str) -> InitialDataSpec:
-    kind = reader.take_str(f"{prefix}.kind", choices=tuple(_INITIAL_KIND_KEYS))
-    try:
-        if kind == "poly_bump":
-            return PolyBump(
-                amp=reader.take_float(f"{prefix}.amp"),
-                a=reader.take_float(f"{prefix}.a"),
-                b=reader.take_float(f"{prefix}.b"),
-                p=reader.take_int(f"{prefix}.p"),
-                q=reader.take_int(f"{prefix}.q"),
-                r=reader.take_int(f"{prefix}.r"),
-            )
-        if kind == "constant":
-            return Constant(c=reader.take_float(f"{prefix}.c"))
-        if kind == "cosine":
-            return Cosine(
-                mean=reader.take_float(f"{prefix}.mean"),
-                amp=reader.take_float(f"{prefix}.amp"),
-                mode=reader.take_int(f"{prefix}.mode"),
-            )
-        return CsvData(path=reader.take_str(f"{prefix}.path"))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid {prefix} specification: {exc}") from exc
-
-
-def _build_config(entries: dict[str, tuple[str, int]], base_dir: str = ".") -> RunConfig:
-    reader = _EntryReader(entries)
-
-    grid_l = reader.take_float("grid.L")
-    n_line = reader.line_of("grid.N")
-    grid_n = reader.take_int("grid.N")
-    if grid_n % 2 != 0:
-        raise ConfigError(f"line {n_line}: grid.N must be even, got {grid_n}")
-
-    mu_line = reader.line_of("params.mu")
-    mu = reader.take_float("params.mu")
-    if not (0.0 <= mu < 1.0):
-        raise ConfigError(f"line {mu_line}: params.mu must satisfy 0 <= mu < 1, got {mu}")
-
-    kernel_kind = reader.take_str("params.kernel.kind", choices=("box", "sampled"))
-    try:
-        if kernel_kind == "box":
-            kernel = BoxKernel(half_width=reader.take_float("params.kernel.half_width"))
-        else:
-            path = reader.take_str("params.kernel.csv")
-            path = path if os.path.isabs(path) else os.path.normpath(os.path.join(base_dir, path))
-            kernel = load_sampled_kernel(path, make_grid(grid_l, grid_n))
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid kernel: {exc}") from exc
-
-    try:
-        params = ModelParams(
-            alpha=reader.take_float("params.alpha"),
-            mu=mu,
-            beta=reader.take_float("params.beta"),
-            beta_tilde=reader.take_float("params.beta_tilde"),
-            K=reader.take_float("params.K"),
-            K_tilde=reader.take_float("params.K_tilde"),
-            kernel=kernel,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid params: {exc}") from exc
-
-    def resolve(spec: InitialDataSpec) -> InitialDataSpec:
-        if isinstance(spec, CsvData) and not os.path.isabs(spec.path):
-            return CsvData(os.path.normpath(os.path.join(base_dir, spec.path)))
-        return spec
-
-    rho0 = resolve(_read_initial(reader, "rho0"))
-    a0 = resolve(_read_initial(reader, "A0"))
-
-    mode_kind = reader.take_str("mode.kind", "original", choices=("original", "regularized", "sqrt"))
-    try:
-        mode = RunMode(
-            kind=mode_kind,
-            eps=reader.take_float("mode.eps", 0.0),
-            delta=reader.take_float("mode.delta", 0.0),
-        )
-        ctrl = StepControl(
-            cfl_safety=reader.take_float("ctrl.cfl_safety", StepControl.cfl_safety),
-            dt_min=reader.take_float("ctrl.dt_min", StepControl.dt_min),
-            dt_max=reader.take_float("ctrl.dt_max", StepControl.dt_max),
-            positivity_tol=reader.take_float("ctrl.positivity_tol", StepControl.positivity_tol),
-            clip_policy=reader.take_str(
-                "ctrl.clip_policy", StepControl.clip_policy, choices=("clip_to_zero", "reject")
-            ),
-            blowup_cap=reader.take_float("ctrl.blowup_cap", StepControl.blowup_cap),
-            curvature_growth_factor=reader.take_float(
-                "ctrl.curvature_growth_factor", StepControl.curvature_growth_factor
-            ),
-        )
-        config = RunConfig(
-            grid_L=grid_l,
-            grid_N=grid_n,
-            params=params,
-            rho0=rho0,
-            A0=a0,
-            mode=mode,
-            ctrl=ctrl,
-            t_end=reader.take_float("run.t_end"),
-            record_every=reader.take_int("run.record_every", 10),
-            snapshot_times=reader.take_float_list("run.snapshot_times", ()),
-            output_dir=reader.take_str("run.output_dir", "xdiff-out"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-
-    reader.reject_leftovers()
-    return config
+            return cls(**kwargs)
+        except InvalidValue as exc:
+            key = next(key for field, key, _, _ in rows if field == exc.field)
+            raise self.error(prefix + key, exc.problem) from None
 
 
 def parse_config(text: str, base_dir: str = ".") -> RunConfig:
@@ -361,87 +281,50 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     Unknown keys are rejected with their line number; relative csv paths are
     resolved against ``base_dir``.
     """
-    return _build_config(_split_entries(text), base_dir=base_dir)
+    return _Reader(_split_entries(text), base_dir).read(RunConfig)
 
 
-def _initial_entries(prefix: str, spec: InitialDataSpec) -> list[tuple[str, str]]:
-    if isinstance(spec, PolyBump):
-        return [
-            (f"{prefix}.kind", "poly_bump"),
-            (f"{prefix}.amp", repr(spec.amp)),
-            (f"{prefix}.a", repr(spec.a)),
-            (f"{prefix}.b", repr(spec.b)),
-            (f"{prefix}.p", str(spec.p)),
-            (f"{prefix}.q", str(spec.q)),
-            (f"{prefix}.r", str(spec.r)),
-        ]
-    if isinstance(spec, Constant):
-        return [(f"{prefix}.kind", "constant"), (f"{prefix}.c", repr(spec.c))]
-    if isinstance(spec, Cosine):
-        return [
-            (f"{prefix}.kind", "cosine"),
-            (f"{prefix}.mean", repr(spec.mean)),
-            (f"{prefix}.amp", repr(spec.amp)),
-            (f"{prefix}.mode", str(spec.mode)),
-        ]
-    return [(f"{prefix}.kind", "csv"), (f"{prefix}.path", spec.path)]
+def _render(obj, prefix: str = "") -> list[tuple[str, str]]:
+    """``(key, text)`` for every key of ``obj``, in key table order."""
+    pairs = []
+    for field, key, typ, _ in _key_table(type(obj)):
+        key, value = prefix + key, getattr(obj, field)
+        if typing.get_origin(typ) is Union:
+            pairs.append((f"{key}.kind", _KIND_NAMES[type(value)]))
+        if dataclasses.is_dataclass(value):
+            pairs += _render(value, f"{key}.")
+        else:
+            pairs.append((key, _SCALARS[typ][1](value)))
+    return pairs
 
 
 def render_config(config: RunConfig) -> str:
     """Serialize a configuration to the flat format (parse round-trips exactly)."""
     kernel = config.params.kernel
-    if isinstance(kernel, BoxKernel):
-        kernel_entries = [
-            ("params.kernel.kind", "box"),
-            ("params.kernel.half_width", repr(kernel.half_width)),
-        ]
-    else:
-        if not kernel.source_path:
-            raise ValueError("sampled kernel without a source path cannot be rendered")
-        kernel_entries = [
-            ("params.kernel.kind", "sampled"),
-            ("params.kernel.csv", kernel.source_path),
-        ]
-
-    pairs: list[tuple[str, str]] = [
-        ("grid.L", repr(config.grid_L)),
-        ("grid.N", str(config.grid_N)),
-        ("params.alpha", repr(config.params.alpha)),
-        ("params.mu", repr(config.params.mu)),
-        ("params.beta", repr(config.params.beta)),
-        ("params.beta_tilde", repr(config.params.beta_tilde)),
-        ("params.K", repr(config.params.K)),
-        ("params.K_tilde", repr(config.params.K_tilde)),
-        *kernel_entries,
-        *_initial_entries("rho0", config.rho0),
-        *_initial_entries("A0", config.A0),
-        ("mode.kind", config.mode.kind),
-        ("mode.eps", repr(config.mode.eps)),
-        ("mode.delta", repr(config.mode.delta)),
-        ("ctrl.cfl_safety", repr(config.ctrl.cfl_safety)),
-        ("ctrl.dt_min", repr(config.ctrl.dt_min)),
-        ("ctrl.dt_max", repr(config.ctrl.dt_max)),
-        ("ctrl.positivity_tol", repr(config.ctrl.positivity_tol)),
-        ("ctrl.clip_policy", config.ctrl.clip_policy),
-        ("ctrl.blowup_cap", repr(config.ctrl.blowup_cap)),
-        ("ctrl.curvature_growth_factor", repr(config.ctrl.curvature_growth_factor)),
-        ("run.t_end", repr(config.t_end)),
-        ("run.record_every", str(config.record_every)),
-        ("run.snapshot_times", ", ".join(repr(t) for t in config.snapshot_times)),
-        ("run.output_dir", config.output_dir),
-    ]
-    return "".join(f"{key} = {value}\n" for key, value in pairs)
+    if isinstance(kernel, SampledKernel) and not kernel.source_path:
+        raise ValueError("sampled kernel without a source path cannot be rendered")
+    return "".join(f"{key} = {text}\n" for key, text in _render(config))
 
 
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
 
-PRESET_NAMES = ("fig1-blowup", "fig2-support")
-
-_SHARED_PARAMS = dict(
-    alpha=1.0, mu=0.5, beta=0.75, beta_tilde=0.5, K=1.0, K_tilde=0.5, kernel=BoxKernel(0.05)
-)
+# what differs between the presets; both share the grid, parameters and controls
+_PRESETS = {
+    "fig1-blowup": dict(
+        rho0=PolyBump(amp=-2000.0, a=-0.5, b=0.5, p=3, q=2, r=3),
+        A0=PolyBump(amp=-6000.0, a=-0.3, b=0.3, p=3, q=2, r=3),
+        t_end=0.05,
+        snapshot_times=(0.0, 0.0015, 0.003, 0.0045),
+    ),
+    "fig2-support": dict(
+        rho0=PolyBump(amp=-140.0, a=-0.5, b=0.5, p=3, q=0, r=3),
+        A0=PolyBump(amp=-2000.0, a=-0.3, b=0.3, p=3, q=0, r=3),
+        t_end=0.00035,
+        snapshot_times=(0.0, 0.0001, 0.0002, 0.00035),
+    ),
+}
 
 
 def preset(name: str) -> RunConfig:
@@ -453,42 +336,25 @@ def preset(name: str) -> RunConfig:
     positive-at-center density bump with the area supported strictly inside
     it, exercising support invariance and area-support expansion.
     """
-    if name == "fig1-blowup":
-        return RunConfig(
-            grid_L=1.0,
-            grid_N=1024,
-            params=ModelParams(**_SHARED_PARAMS),
-            rho0=PolyBump(amp=-2000.0, a=-0.5, b=0.5, p=3, q=2, r=3),
-            A0=PolyBump(amp=-6000.0, a=-0.3, b=0.3, p=3, q=2, r=3),
-            mode=RunMode(),
-            ctrl=StepControl(),
-            t_end=0.05,
-            record_every=10,
-            snapshot_times=(0.0, 0.0015, 0.003, 0.0045),
-            output_dir="fig1-blowup-out",
-        )
-    if name == "fig2-support":
-        return RunConfig(
-            grid_L=1.0,
-            grid_N=1024,
-            params=ModelParams(**_SHARED_PARAMS),
-            rho0=PolyBump(amp=-140.0, a=-0.5, b=0.5, p=3, q=0, r=3),
-            A0=PolyBump(amp=-2000.0, a=-0.3, b=0.3, p=3, q=0, r=3),
-            mode=RunMode(),
-            ctrl=StepControl(),
-            t_end=0.00035,
-            record_every=10,
-            snapshot_times=(0.0, 0.0001, 0.0002, 0.00035),
-            output_dir="fig2-support-out",
-        )
-    raise ValueError(f"unknown preset {name!r} (available: {', '.join(PRESET_NAMES)})")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r} (available: {', '.join(_PRESETS)})")
+    return RunConfig(
+        grid_L=1.0,
+        grid_N=1024,
+        params=ModelParams(alpha=1.0, mu=0.5, beta=0.75, beta_tilde=0.5, K=1.0, K_tilde=0.5,
+                           kernel=BoxKernel(0.05)),
+        mode=RunMode(),
+        ctrl=StepControl(),
+        output_dir=f"{name}-out",
+        **_PRESETS[name],
+    )
 
 
 def preset_with_overrides(name: str, overrides: dict[str, str]) -> RunConfig:
     """Preset with ``key = value`` overrides applied through the config format."""
-    entries = _split_entries(render_config(preset(name)))
+    entries = {key: (text, 0) for key, text in _render(preset(name))}
     for key, value in overrides.items():
         if key not in entries:
             raise ConfigError(f"override targets unknown key {key!r}")
         entries[key] = (value, 0)
-    return _build_config(entries)
+    return _Reader(entries, ".").read(RunConfig)

@@ -1,11 +1,11 @@
-"""Trajectory diagnostics: central curvature, supports, envelopes, symmetry,
-and the scalar comparison equation that brackets the blow-up time."""
+"""Trajectory diagnostics: central curvature, supports, symmetry, and the
+blow-up time of the scalar comparison equation."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from .grid import Field
 from .model import State
 
 SUPPORT_THRESHOLD_SCALE = 1e-9
-ENVELOPE_SLACK = 1e-10
 
 Interval = tuple[float, float]
 
@@ -23,10 +22,9 @@ class DiagnosticRecord:
     """One recorded instant of a run.
 
     Supports are interval lists in physical coordinates.  Energies may be
-    +inf; everything else is finite.  ``max_A`` and ``zero_set_max_rho`` are
-    bookkeeping extras used by the envelope and support checks (the latter is
-    the largest density value over the nodes where the initial density
-    vanished, one boundary cell excluded on each side).
+    +inf; everything else is finite.  ``zero_set_max_rho`` is the largest
+    density value over the nodes where the initial density vanished, one
+    boundary cell excluded on each side.
     """
 
     t: float
@@ -41,26 +39,7 @@ class DiagnosticRecord:
     e_tilde: float
     e_sqrt: float
     symmetry_defect_rho: float
-    max_A: float = math.nan
     zero_set_max_rho: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class SupportReport:
-    """Endpoint-drift summary of a recorded trajectory (drift in dx multiples)."""
-
-    max_endpoint_drift_rho: Optional[float]
-    time_A_reaches_rho: Optional[float]
-    post_expansion_drift_A: Optional[float]
-    unsupported_topology: bool = False
-
-
-@dataclass(frozen=True)
-class EnvelopeCheck:
-    """Outcome of the exponential lower-envelope test for the area minimum."""
-
-    passed: bool
-    vacuous: bool
 
 
 def second_derivative_at_center(s: State) -> float:
@@ -115,80 +94,6 @@ def symmetry_defect(f: Field) -> float:
     n = f.grid.n_points
     reflected = f.values[(-np.arange(n)) % n]
     return float(np.max(np.abs(f.values - reflected)))
-
-
-def support_invariance_report(
-    series: Sequence[DiagnosticRecord], tol_dx_multiple: float, dx: float
-) -> SupportReport:
-    """Endpoint drift of the density support and expansion timing of the area.
-
-    Reports, in multiples of ``dx``: the worst drift of the density support
-    endpoints from their initial positions, the first recorded time at which
-    the area support endpoints sit within ``tol_dx_multiple * dx`` of the
-    density's, and the worst drift of the area endpoints after that time.
-    Records with anything other than a single support interval per field set
-    the unsupported-topology flag instead of producing numbers.
-    """
-    if not series:
-        raise ValueError("series must be nonempty")
-    if any(len(r.supp_rho) != 1 or len(r.supp_A) != 1 for r in series):
-        return SupportReport(None, None, None, unsupported_topology=True)
-
-    tol = tol_dx_multiple * dx
-    rho_lo0, rho_hi0 = series[0].supp_rho[0]
-
-    drift_rho = 0.0
-    reach_time = None
-    reach_a = None
-    drift_a_after = None
-    for rec in series:
-        rho_lo, rho_hi = rec.supp_rho[0]
-        a_lo, a_hi = rec.supp_A[0]
-        drift_rho = max(drift_rho, abs(rho_lo - rho_lo0), abs(rho_hi - rho_hi0))
-        if reach_time is None:
-            if abs(a_lo - rho_lo) <= tol and abs(a_hi - rho_hi) <= tol:
-                reach_time = rec.t
-                reach_a = (a_lo, a_hi)
-                drift_a_after = 0.0
-        else:
-            drift_a_after = max(
-                drift_a_after, abs(a_lo - reach_a[0]), abs(a_hi - reach_a[1])
-            )
-    return SupportReport(
-        max_endpoint_drift_rho=drift_rho / dx,
-        time_A_reaches_rho=reach_time,
-        post_expansion_drift_A=None if drift_a_after is None else drift_a_after / dx,
-    )
-
-
-def min_area_envelope_check(series: Sequence[DiagnosticRecord], C: float) -> EnvelopeCheck:
-    """Check min A(t) >= min A(0) * exp(-C t) at every record.
-
-    ``C`` is the caller-supplied decay constant built from the area logistic
-    rate over its capacity times the running suprema of both fields.  The
-    test is vacuous (reported true with a flag) when the initial minimum is
-    not strictly positive.
-    """
-    if not series:
-        raise ValueError("series must be nonempty")
-    if C < 0:
-        raise ValueError(f"decay constant must be nonnegative, got {C}")
-    m0 = series[0].min_A
-    if m0 <= 0.0:
-        return EnvelopeCheck(passed=True, vacuous=True)
-    ok = all(rec.min_A >= m0 * math.exp(-C * rec.t) - ENVELOPE_SLACK for rec in series)
-    return EnvelopeCheck(passed=ok, vacuous=False)
-
-
-def blowup_comparison_ode(y0: float, theta: float, t: float) -> float:
-    """Closed-form solution of y' = y^2 - theta*y at time t (t before blow-up)."""
-    if theta < 0:
-        raise ValueError(f"theta must be nonnegative, got {theta}")
-    if t >= t_star(y0, theta):
-        raise ValueError("t is at or beyond the blow-up time of the comparison equation")
-    if theta == 0.0:
-        return y0 / (1.0 - y0 * t)
-    return theta / (1.0 - (1.0 - theta / y0) * math.exp(theta * t))
 
 
 def t_star(y0: float, theta: float) -> float:

@@ -1,7 +1,9 @@
-"""Uniform periodic mesh with Fourier pseudo-spectral differentiation and quadrature."""
+"""Uniform periodic mesh with Fourier pseudo-spectral differentiation, quadrature,
+and the reader for node-sampled CSV files."""
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -12,6 +14,19 @@ MIN_POINTS = 16
 
 class GridMismatchError(ValueError):
     """Raised when two fields (or a kernel and a field) live on different grids."""
+
+
+class InvalidValue(ValueError):
+    """A constructor argument outside its domain; ``field`` names the argument.
+
+    The message reads ``"<field> <problem>"``, so a caller that knows where the
+    argument came from (a config key and line) can report ``problem`` there.
+    """
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field} {problem}")
+        self.field = field
+        self.problem = problem
 
 
 @dataclass(frozen=True)
@@ -29,13 +44,13 @@ class Grid:
     def __post_init__(self) -> None:
         L, n = self.half_length, self.n_points
         if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool)):
-            raise ValueError(f"n_points must be an integer, got {n!r}")
-        if n < MIN_POINTS:
-            raise ValueError(f"n_points must be >= {MIN_POINTS}, got {n}")
+            raise InvalidValue("n_points", f"must be an integer, got {n!r}")
         if n % 2 != 0:
-            raise ValueError(f"n_points must be even, got {n}")
+            raise InvalidValue("n_points", f"must be even, got {n}")
+        if n < MIN_POINTS:
+            raise InvalidValue("n_points", f"must be >= {MIN_POINTS}, got {n}")
         if not (np.isfinite(L) and L > 0):
-            raise ValueError(f"half_length must be positive and finite, got {L}")
+            raise InvalidValue("half_length", f"must be positive and finite, got {L}")
         object.__setattr__(self, "half_length", float(L))
         object.__setattr__(self, "n_points", int(n))
 
@@ -45,8 +60,6 @@ class Grid:
         k = (np.pi / self.half_length) * np.arange(self.n_points // 2 + 1, dtype=np.float64)
         ik = 1j * k
         ik[-1] = 0.0  # Nyquist mode dropped for odd-order derivatives on even N
-        dealias = np.ones(k.shape, dtype=np.float64)
-        dealias[np.arange(k.size) > self.n_points // 3] = 0.0
         # High-order exponential roll-off (~1 below 3/4 of the band, ~2e-16 at
         # the Nyquist mode): tames aliased top-octave content of pointwise
         # products without the ringing a sharp cutoff adds at steep fronts.
@@ -57,7 +70,6 @@ class Grid:
             ("x", x),
             ("k", k),
             ("_ik", ik),
-            ("_dealias", dealias),
             ("_flux_filter", flux_filter),
         ):
             arr.setflags(write=False)
@@ -73,10 +85,6 @@ class Grid:
         mult = {1: self._ik, 2: -self.k**2, 3: -self._ik * self.k**2, 4: self.k**4}[order]
         return np.fft.irfft(fh * mult, n=self.n_points)
 
-    def dealias_values(self, values: np.ndarray) -> np.ndarray:
-        fh = np.fft.rfft(values)
-        return np.fft.irfft(fh * self._dealias, n=self.n_points)
-
     def index_of_zero(self) -> int:
         """Node index of x = 0 (always n_points // 2 with this layout)."""
         return self.n_points // 2
@@ -86,8 +94,7 @@ class Grid:
 class Field:
     """Real samples of a function at the nodes of a :class:`Grid`.
 
-    The value array is copied and locked at construction; fields combine
-    arithmetically only when their grids compare equal.
+    The value array is copied and locked at construction.
     """
 
     grid: Grid
@@ -104,35 +111,6 @@ class Field:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def _check_same_grid(self, other: "Field") -> None:
-        if self.grid != other.grid:
-            raise GridMismatchError("fields live on different grids")
-
-    def __add__(self, other):
-        if isinstance(other, Field):
-            self._check_same_grid(other)
-            return Field(self.grid, self.values + other.values)
-        return Field(self.grid, self.values + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Field):
-            self._check_same_grid(other)
-            return Field(self.grid, self.values - other.values)
-        return Field(self.grid, self.values - other)
-
-    def __mul__(self, other):
-        if isinstance(other, Field):
-            self._check_same_grid(other)
-            return Field(self.grid, self.values * other.values)
-        return Field(self.grid, self.values * other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Field(self.grid, -self.values)
-
 
 class Norms(NamedTuple):
     l2: float
@@ -145,11 +123,6 @@ def make_grid(half_length: float, n_points: int) -> Grid:
     return Grid(half_length, n_points)
 
 
-def field_from_function(grid: Grid, fn) -> Field:
-    """Sample ``fn`` at the grid nodes."""
-    return Field(grid, fn(grid.x))
-
-
 def deriv(f: Field, order: int) -> Field:
     """Fourier pseudo-spectral derivative of the given order (1..4).
 
@@ -157,11 +130,6 @@ def deriv(f: Field, order: int) -> Field:
     for odd orders so the result of a real input stays real-symmetric.
     """
     return Field(f.grid, f.grid.deriv_values(f.values, order))
-
-
-def dealias(f: Field) -> Field:
-    """Truncate the upper third of the spectrum (2/3-rule product guard)."""
-    return Field(f.grid, f.grid.dealias_values(f.values))
 
 
 def integrate(f: Field) -> float:
@@ -173,3 +141,25 @@ def norms(f: Field) -> Norms:
     """L2 norm (via the grid quadrature), max-abs and pointwise minimum."""
     l2 = float(np.sqrt(np.sum(f.values**2) * f.grid.dx))
     return Norms(l2=l2, linf=float(np.max(np.abs(f.values))), min=float(np.min(f.values)))
+
+
+def read_node_csv(path: str, grid: Grid) -> np.ndarray:
+    """Value column of a two-column ``x,value`` CSV of node samples.
+
+    Blank lines, ``#`` comments and a header row starting with ``x`` are
+    skipped; the x column must match the grid nodes.
+    """
+    xs, vs = [], []
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            if not row or row[0].strip().startswith("#") or row[0].strip().lower() == "x":
+                continue
+            if len(row) != 2:
+                raise ValueError(f"{path}: expected two columns 'x,value', got {row!r}")
+            xs.append(float(row[0]))
+            vs.append(float(row[1]))
+    if len(xs) != grid.n_points or not np.allclose(
+        xs, grid.x, rtol=0.0, atol=1e-9 * grid.half_length
+    ):
+        raise ValueError(f"{path}: x column does not match the {grid.n_points}-node grid")
+    return np.asarray(vs)

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diagnostics import DiagnosticRecord, second_derivative_at_center, support, symmetry_defect
-from .grid import Field, Grid, make_grid
+from .grid import Field, Grid, InvalidValue, make_grid
 from .kernel import mollify
 from .model import (
     ModelParams,
@@ -34,6 +34,7 @@ CLIP_BUDGET_FRACTION = 1e-8  # clipped mass allowed per run, relative to initial
 
 CLIP_TO_ZERO = "clip_to_zero"
 REJECT = "reject"
+RUN_MODES = ("original", "regularized", "sqrt")
 
 
 class HaltReason(str, enum.Enum):
@@ -56,12 +57,14 @@ class RunMode:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("original", "regularized", "sqrt"):
-            raise ValueError(f"unknown run mode {self.kind!r}")
-        if self.eps < 0 or self.delta < 0:
-            raise ValueError("mode eps and delta must be nonnegative")
-        if self.kind != "regularized" and (self.eps != 0.0 or self.delta != 0.0):
-            raise ValueError("eps/delta only apply to the regularized mode")
+        if self.kind not in RUN_MODES:
+            raise InvalidValue("kind", f"must be one of {', '.join(RUN_MODES)}, got {self.kind!r}")
+        for name in ("eps", "delta"):
+            value = getattr(self, name)
+            if value < 0:
+                raise InvalidValue(name, f"must be nonnegative, got {value}")
+            if self.kind != "regularized" and value != 0.0:
+                raise InvalidValue(name, "only applies to the regularized mode")
 
 
 @dataclass(frozen=True)
@@ -78,15 +81,23 @@ class StepControl:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.cfl_safety <= 1.0):
-            raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
-        if not (0.0 < self.dt_min < self.dt_max):
-            raise ValueError("dt bounds must satisfy 0 < dt_min < dt_max")
+            raise InvalidValue("cfl_safety", f"must be in (0, 1], got {self.cfl_safety}")
+        if not self.dt_min > 0.0:
+            raise InvalidValue("dt_min", f"must be positive, got {self.dt_min}")
+        if not self.dt_max > self.dt_min:
+            raise InvalidValue("dt_max", f"must exceed dt_min = {self.dt_min}, got {self.dt_max}")
         if self.positivity_tol < 0:
-            raise ValueError("positivity_tol must be nonnegative")
+            raise InvalidValue("positivity_tol", f"must be nonnegative, got {self.positivity_tol}")
         if self.clip_policy not in (CLIP_TO_ZERO, REJECT):
-            raise ValueError(f"unknown clip policy {self.clip_policy!r}")
-        if self.blowup_cap <= 0 or self.curvature_growth_factor <= 1.0:
-            raise ValueError("blowup_cap must be positive and growth factor above 1")
+            raise InvalidValue(
+                "clip_policy", f"must be one of {CLIP_TO_ZERO}, {REJECT}, got {self.clip_policy!r}"
+            )
+        if not self.blowup_cap > 0:
+            raise InvalidValue("blowup_cap", f"must be positive, got {self.blowup_cap}")
+        if not self.curvature_growth_factor > 1.0:
+            raise InvalidValue(
+                "curvature_growth_factor", f"must exceed 1, got {self.curvature_growth_factor}"
+            )
 
 
 @dataclass(frozen=True)
@@ -234,7 +245,6 @@ def _record(
         e_tilde=report.e_tilde,
         e_sqrt=report.e_sqrt,
         symmetry_defect_rho=symmetry_defect(r_field),
-        max_A=float(np.max(a)),
         zero_set_max_rho=zero_max,
     )
 
@@ -286,8 +296,8 @@ def run(config) -> RunOutcome:
     rho0 = config.rho0.sample(grid)
     a0 = config.A0.sample(grid)
     if mode.kind == "regularized":
-        rho0 = mollify(rho0 + mode.delta, mode.eps)
-        a0 = mollify(a0 + mode.delta, mode.eps)
+        rho0 = mollify(Field(grid, rho0.values + mode.delta), mode.eps)
+        a0 = mollify(Field(grid, a0.values + mode.delta), mode.eps)
 
     for name, f in (("rho0", rho0), ("A0", a0)):
         if float(np.min(f.values)) < -ctrl.positivity_tol:

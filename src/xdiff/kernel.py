@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .grid import Field, Grid, GridMismatchError
+from .grid import Field, Grid, GridMismatchError, InvalidValue, read_node_csv
 
 EVENNESS_TOL = 1e-12
 
@@ -26,7 +25,7 @@ class BoxKernel:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.half_width) and self.half_width > 0):
-            raise ValueError(f"box kernel half_width must be positive, got {self.half_width}")
+            raise InvalidValue("half_width", f"must be positive, got {self.half_width}")
 
     def l1_norm(self) -> float:
         return 2.0 * self.half_width
@@ -112,22 +111,6 @@ def load_sampled_kernel(path: str, grid: Grid) -> SampledKernel:
     The x column must match the grid nodes; loaded values are replaced by
     their even part (g(x) + g(-x))/2 to absorb asymmetric rounding in the file.
     """
-    xs, gs = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if row[0].strip().lower() == "x":
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: expected two columns 'x,gamma', got {row!r}")
-            xs.append(float(row[0]))
-            gs.append(float(row[1]))
-    xs_arr = np.asarray(xs)
-    gs_arr = np.asarray(gs)
-    if xs_arr.size != grid.n_points or not np.allclose(
-        xs_arr, grid.x, rtol=0.0, atol=1e-9 * grid.half_length
-    ):
-        raise ValueError(f"{path}: x column does not match the {grid.n_points}-node grid")
-    even = 0.5 * (gs_arr + gs_arr[(-np.arange(gs_arr.size)) % gs_arr.size])
+    gs = read_node_csv(path, grid)
+    even = 0.5 * (gs + gs[(-np.arange(gs.size)) % gs.size])
     return SampledKernel(Field(grid, even), source_path=path)

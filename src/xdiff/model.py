@@ -10,12 +10,11 @@ density form used for uniqueness-style cross-checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Field, Grid, InvalidValue
 from .kernel import KernelSpec, kernel_l1_norm
 
 ENERGY_DERIVATIVE_ORDER = 3  # density derivative order in the Sobolev energy; area uses one less
@@ -56,9 +55,9 @@ class ModelParams:
         )
         for name, value, ok in checks:
             if not (np.isfinite(value) and ok):
-                raise ValueError(f"invalid {name}: {value}")
+                raise InvalidValue(name, f"is out of range, got {value}")
         if not (0.0 <= self.mu < 1.0):
-            raise ValueError(f"mu must satisfy 0 <= mu < 1, got {self.mu}")
+            raise InvalidValue("mu", f"must satisfy 0 <= mu < 1, got {self.mu}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +83,9 @@ class State:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Sobolev-type energies of a state; +inf marks a degenerate inverse term."""
+    """Sobolev-type energies of a state; +inf when a steep state overflows."""
 
     e_tilde: float
-    e_full: float
     e_sqrt: float
 
 
@@ -247,17 +245,12 @@ def rhs_sqrt(t: float, A: Field, eta: Field, p: ModelParams) -> tuple[Field, Fie
 
 
 # ---------------------------------------------------------------------------
-# energies and analytic bounds
+# energy and the blow-up threshold
 # ---------------------------------------------------------------------------
 
 
 def energy(s: State) -> EnergyReport:
-    """Sobolev energies of the state (density derivative order fixed at 3).
-
-    The full energy adds the sup of 1/rho and 1/A and is reported as +inf
-    whenever either field touches zero, since degenerate states are the
-    object of study rather than an error.
-    """
+    """Sobolev energies of the state (density derivative order fixed at 3)."""
     grid = s.grid
     dx = grid.dx
     a = s.A.values
@@ -271,18 +264,11 @@ def energy(s: State) -> EnergyReport:
             np.sum(r_m**2) * dx + np.sum(r**2) * dx + np.sum(a**2) * dx + np.sum(a_m1**2) * dx
         )
 
-    min_r = float(np.min(r))
-    min_a = float(np.min(a))
-    if min_r <= 0.0 or min_a <= 0.0:
-        e_full = math.inf
-    else:
-        e_full = e_tilde + 1.0 / min_r + 1.0 / min_a
-
     root = np.sqrt(np.clip(r, 0.0, None))
     root_xx = grid.deriv_values(root, 2)
     e_sqrt = 1.0 + float(np.sum(root**2) * dx + np.sum(root_xx**2) * dx)
 
-    return EnergyReport(e_tilde=e_tilde, e_full=e_full, e_sqrt=e_sqrt)
+    return EnergyReport(e_tilde=e_tilde, e_sqrt=e_sqrt)
 
 
 def blowup_threshold(p: ModelParams) -> float:
@@ -293,12 +279,3 @@ def blowup_threshold(p: ModelParams) -> float:
     """
     return p.mu * p.beta * kernel_l1_norm(p.kernel) / (1.0 - p.mu)
 
-
-def linf_density_bound(p: ModelParams, rho0_max: float) -> float:
-    """Supremum bound for the density along the whole trajectory.
-
-    The comparison equation y' = beta*y - alpha*(1-mu)*y^2 caps the running
-    maximum at beta/(alpha*(1-mu)); an initial maximum above that value only
-    decays, so the bound is the larger of the two.
-    """
-    return max(float(rho0_max), p.beta / (p.alpha * (1.0 - p.mu)))

@@ -208,6 +208,18 @@ class TestSweepCommand:
         monkeypatch.setenv("XDIFF_THREADS", "1")
         assert main(["sweep", str(p1), str(bad)]) == 1
 
+    def test_sweep_isolates_a_bad_config(self, tmp_path, monkeypatch, capfd):
+        # the bad file comes first: its error must not stop the run after it
+        bad, _ = write_config(tmp_path, "bad.cfg", out=str(tmp_path / "o1"))
+        bad.write_text(bad.read_text().replace("grid.N = 16", "grid.N = 15"))
+        under, _ = write_config(tmp_path, "under.cfg", t_end="0.01", out=str(tmp_path / "o2"))
+        text = under.read_text().replace("grid.N = 16", "grid.N = 64")
+        under.write_text(text + "ctrl.dt_min = 0.001\n")
+        monkeypatch.setenv("XDIFF_THREADS", "1")
+        assert main(["sweep", str(bad), str(under)]) == 4  # worst code: dt_underflow
+        assert f"{bad}: error: line 3: grid.N must be even, got 15" in capfd.readouterr().err
+        assert (tmp_path / "o2" / "series.csv").exists()
+
 
 class TestDeterminism:
     def test_identical_series_bytes_for_repeated_tiny_runs(self, tmp_path):

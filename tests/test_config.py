@@ -1,5 +1,9 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xdiff.config import (
     ConfigError,
@@ -7,13 +11,16 @@ from xdiff.config import (
     Cosine,
     CsvData,
     PolyBump,
+    RunConfig,
     parse_config,
     preset,
     preset_with_overrides,
     render_config,
 )
 from xdiff.grid import make_grid
-from xdiff.kernel import BoxKernel
+from xdiff.integrator import RunMode, StepControl
+from xdiff.kernel import BoxKernel, load_sampled_kernel
+from xdiff.model import ModelParams
 
 MINIMAL = """
 grid.L = 1.0
@@ -215,3 +222,114 @@ class TestRoundTrip:
     def test_override_of_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             preset_with_overrides("fig1-blowup", {"grid.M": "12"})
+
+
+def finite(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def poly_bumps(draw):
+    a = draw(finite(-1.0, 1.0))
+    b = draw(finite(a, 2.0, exclude_min=True))
+    p, q, r = (draw(st.integers(0, 6)) for _ in range(3))
+    return PolyBump(draw(finite(-1e4, 1e4)), a, b, p, q, r)
+
+
+INITIAL_DATA = st.one_of(
+    poly_bumps(),
+    st.builds(Constant, finite(0.0, 10.0)),
+    st.builds(Cosine, finite(0.0, 10.0), finite(-1.0, 1.0), st.integers(0, 50)),
+    st.builds(CsvData, st.from_regex(r"/[a-z0-9_]{1,12}/[a-z0-9_]{1,12}\.csv", fullmatch=True)),
+)
+MODES = st.one_of(
+    st.just(RunMode()),
+    st.just(RunMode("sqrt")),
+    st.builds(RunMode, st.just("regularized"), finite(0.0, 1.0), finite(0.0, 1.0)),
+)
+
+
+@st.composite
+def step_controls(draw):
+    dt_min = draw(finite(1e-16, 1e-3))
+    return StepControl(
+        cfl_safety=draw(finite(0.0, 1.0, exclude_min=True)),
+        dt_min=dt_min,
+        dt_max=draw(finite(dt_min, 1.0, exclude_min=True)),
+        positivity_tol=draw(finite(0.0, 1e-6)),
+        clip_policy=draw(st.sampled_from(["clip_to_zero", "reject"])),
+        blowup_cap=draw(finite(1.0, 1e12)),
+        curvature_growth_factor=draw(finite(1.0, 1e3, exclude_min=True)),
+    )
+
+
+def write_kernel_csv(directory, grid, width):
+    """A Gaussian sampled kernel for ``grid``, as a file the config can name."""
+    path = os.path.join(directory, f"kernel-{grid.n_points}-{grid.half_length!r}-{width!r}.csv")
+    rows = [f"{float(x)!r},{float(np.exp(-(x**2) / width))!r}" for x in grid.x]
+    with open(path, "w") as fh:
+        fh.write("x,gamma\n" + "\n".join(rows) + "\n")
+    return path
+
+
+@st.composite
+def run_configs(draw, kernel_dir=None, initial=INITIAL_DATA):
+    """Random valid configurations; sampled kernels only when ``kernel_dir`` is given."""
+    grid = make_grid(draw(finite(0.1, 10.0)), 2 * draw(st.integers(8, 64)))
+    if kernel_dir is not None and draw(st.booleans()):
+        kernel = load_sampled_kernel(
+            write_kernel_csv(kernel_dir, grid, draw(finite(1e-3, 1.0))), grid
+        )
+    else:
+        kernel = BoxKernel(draw(finite(1e-6, 10.0)))
+    params = ModelParams(
+        alpha=draw(finite(1e-6, 1e3)),
+        mu=draw(finite(0.0, 1.0, exclude_max=True)),
+        beta=draw(finite(1e-6, 1e3)),
+        beta_tilde=draw(finite(0.0, 1e3)),
+        K=draw(finite(1e-6, 1e3)),
+        K_tilde=draw(finite(1e-6, 1e3)),
+        kernel=kernel,
+    )
+    t_end = draw(finite(0.0, 10.0))
+    return RunConfig(
+        grid_L=grid.half_length,
+        grid_N=grid.n_points,
+        params=params,
+        rho0=draw(initial),
+        A0=draw(initial),
+        mode=draw(MODES),
+        ctrl=draw(step_controls()),
+        t_end=t_end,
+        record_every=draw(st.integers(1, 1000)),
+        snapshot_times=tuple(draw(st.lists(finite(0.0, t_end), max_size=4))),
+        output_dir=draw(st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)),
+    )
+
+
+@pytest.fixture(scope="module")
+def kernel_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("kernels"))
+
+
+def rendered_pairs(cfg):
+    return dict(line.split(" = ", 1) for line in render_config(cfg).splitlines())
+
+
+class TestKeyTableProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_render_parse_round_trip(self, kernel_dir, data):
+        cfg = data.draw(run_configs(kernel_dir))
+        assert parse_config(render_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("name", ["fig1-blowup", "fig2-support"])
+    def test_overriding_each_key_with_its_own_value_is_identity(self, name):
+        for key, value in rendered_pairs(preset(name)).items():
+            assert preset_with_overrides(name, {key: value}) == preset(name), key
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=run_configs(initial=poly_bumps()))
+    def test_overrides_reach_every_key(self, cfg):
+        # same kinds as the preset, so every rendered key of cfg is a preset key
+        assert preset_with_overrides("fig1-blowup", rendered_pairs(cfg)) == cfg

@@ -3,40 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from xdiff.config import Constant, RunConfig
-from xdiff.diagnostics import (
-    DiagnosticRecord,
-    blowup_comparison_ode,
-    min_area_envelope_check,
-    second_derivative_at_center,
-    support,
-    support_invariance_report,
-    symmetry_defect,
-    t_star,
-)
+from xdiff.diagnostics import second_derivative_at_center, support, symmetry_defect, t_star
 from xdiff.grid import Field, make_grid
-from xdiff.integrator import RunMode, StepControl, run
-from xdiff.kernel import BoxKernel
-from xdiff.model import ModelParams, State
-
-
-def record(t, supp_rho, supp_a, min_a=1.0, **kw):
-    defaults = dict(
-        t=t,
-        max_rho=1.0,
-        min_rho=0.0,
-        min_A=min_a,
-        rho_xx_at_0=0.0,
-        supp_rho=tuple(supp_rho),
-        supp_A=tuple(supp_a),
-        mass_rho=1.0,
-        mass_A=1.0,
-        e_tilde=1.0,
-        e_sqrt=1.0,
-        symmetry_defect_rho=0.0,
-    )
-    defaults.update(kw)
-    return DiagnosticRecord(**defaults)
+from xdiff.model import State
 
 
 class TestSecondDerivativeAtCenter:
@@ -140,91 +109,6 @@ class TestSymmetryDefect:
         assert symmetry_defect(f) == brute
 
 
-class TestSupportInvarianceReport:
-    def test_constant_supports(self):
-        series = [record(t, [(-0.5, 0.5)], [(-0.5, 0.5)]) for t in (0.0, 1.0, 2.0)]
-        rep = support_invariance_report(series, 2.0, dx=0.01)
-        assert rep.max_endpoint_drift_rho == 0.0
-        assert rep.time_A_reaches_rho == 0.0
-        assert rep.post_expansion_drift_A == 0.0
-        assert not rep.unsupported_topology
-
-    def test_growing_density_support_is_surfaced(self):
-        dx = 0.01
-        series = [
-            record(0.0, [(-0.5, 0.5)], [(-0.5, 0.5)]),
-            record(1.0, [(-0.5, 0.5 + 5 * dx)], [(-0.5, 0.5)]),
-        ]
-        rep = support_invariance_report(series, 2.0, dx=dx)
-        assert rep.max_endpoint_drift_rho == pytest.approx(5.0)
-
-    def test_area_reach_time_and_post_drift(self):
-        dx = 0.01
-        series = [
-            record(0.0, [(-0.5, 0.5)], [(-0.3, 0.3)]),
-            record(1.0, [(-0.5, 0.5)], [(-0.49, 0.49)]),
-            record(2.0, [(-0.5, 0.5)], [(-0.5, 0.5)]),
-        ]
-        rep = support_invariance_report(series, 2.0, dx=dx)
-        assert rep.time_A_reaches_rho == 1.0
-        assert rep.post_expansion_drift_A == pytest.approx(1.0)
-
-    def test_never_reaching_reports_none(self):
-        series = [record(t, [(-0.5, 0.5)], [(-0.3, 0.3)]) for t in (0.0, 1.0)]
-        rep = support_invariance_report(series, 2.0, dx=0.01)
-        assert rep.time_A_reaches_rho is None
-        assert rep.post_expansion_drift_A is None
-
-    def test_multi_interval_flags_unsupported_topology(self):
-        series = [record(0.0, [(-0.5, 0.0), (0.2, 0.5)], [(-0.3, 0.3)])]
-        rep = support_invariance_report(series, 2.0, dx=0.01)
-        assert rep.unsupported_topology
-        assert rep.max_endpoint_drift_rho is None
-
-    def test_empty_series_rejected(self):
-        with pytest.raises(ValueError):
-            support_invariance_report([], 2.0, dx=0.01)
-
-
-class TestMinAreaEnvelope:
-    def test_simulated_constant_state_respects_envelope(self):
-        params = ModelParams(
-            alpha=1.0, mu=0.5, beta=0.75, beta_tilde=0.5, K=1.0, K_tilde=0.5,
-            kernel=BoxKernel(0.05),
-        )
-        cfg = RunConfig(
-            grid_L=1.0, grid_N=64, params=params,
-            rho0=Constant(1.0), A0=Constant(1.0),
-            mode=RunMode(), ctrl=StepControl(), t_end=0.05,
-            record_every=5, snapshot_times=(), output_dir="unused",
-        )
-        out = run(cfg)
-        sup_a = max(rec.max_A for rec in out.series)
-        sup_r = max(rec.max_rho for rec in out.series)
-        c = (params.beta_tilde / params.K_tilde) * sup_a * sup_r
-        result = min_area_envelope_check(out.series, c)
-        assert result.passed and not result.vacuous
-
-    def test_zero_initial_minimum_is_vacuous(self):
-        series = [record(0.0, [(-0.5, 0.5)], [(-0.3, 0.3)], min_a=0.0)]
-        result = min_area_envelope_check(series, 1.0)
-        assert result.passed and result.vacuous
-
-    def test_violation_by_construction(self):
-        c = 1.0
-        series = [
-            record(t, [(-0.5, 0.5)], [(-0.5, 0.5)], min_a=math.exp(-2 * c * t))
-            for t in (0.0, 0.5, 1.0, 2.0)
-        ]
-        result = min_area_envelope_check(series, c)
-        assert not result.passed and not result.vacuous
-
-    def test_negative_constant_rejected(self):
-        series = [record(0.0, [(-0.5, 0.5)], [(-0.3, 0.3)])]
-        with pytest.raises(ValueError):
-            min_area_envelope_check(series, -1.0)
-
-
 class TestComparisonOde:
     def test_reference_blowup_time(self):
         assert t_star(62.5, 0.075) == pytest.approx(1.6009e-2, rel=1e-4)
@@ -261,27 +145,7 @@ class TestComparisonOde:
         t_hat = t + 1.0 / y  # remaining time to infinity for y' ~ y^2
         assert t_hat == pytest.approx(target, rel=0.01)
 
-        # pointwise values along the way agree too
-        for frac in (0.25, 0.5, 0.9):
-            tt = frac * target
-            y_closed = blowup_comparison_ode(y0, theta, tt)
-            assert y_closed > y0
-
-    def test_evaluation_beyond_blowup_rejected(self):
-        with pytest.raises(ValueError):
-            blowup_comparison_ode(62.5, 0.075, 1.0)
-
-    def test_zero_theta_closed_form(self):
-        assert blowup_comparison_ode(10.0, 0.0, 0.05) == pytest.approx(20.0)
-
     def test_negative_theta_rejected(self):
         with pytest.raises(ValueError):
             t_star(1.0, -0.1)
-        with pytest.raises(ValueError):
-            blowup_comparison_ode(1.0, -0.1, 0.0)
 
-    def test_monotone_growth_toward_blowup(self):
-        y0, theta = 62.5, 0.075
-        times = np.linspace(0.0, 0.99 * t_star(y0, theta), 20)
-        values = [blowup_comparison_ode(y0, theta, t) for t in times]
-        assert all(b > a for a, b in zip(values, values[1:]))

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from xdiff.model import (
     State,
     blowup_threshold,
     energy,
-    linf_density_bound,
     rhs,
     rhs_regularized,
     rhs_sqrt,
@@ -191,22 +188,7 @@ class TestEnergy:
         g = make_grid(1.0, 64)
         report = energy(constant_state(g))
         assert report.e_tilde == pytest.approx(5.0, abs=1e-12)
-        assert report.e_full == pytest.approx(7.0, abs=1e-12)
         assert report.e_sqrt == pytest.approx(3.0, abs=1e-12)
-
-    def test_touching_zero_sends_full_energy_to_infinity(self, grid):
-        rho = np.ones(grid.n_points)
-        rho[0] = 0.0
-        report = energy(State(t=0.0, A=Field(grid, np.ones(grid.n_points)),
-                              rho=Field(grid, rho)))
-        assert math.isinf(report.e_full)
-        assert report.e_tilde >= 1.0
-
-    def test_full_energy_dominates_when_finite(self, grid):
-        s = even_state(grid, seed=4)
-        report = energy(s)
-        assert report.e_full >= report.e_tilde
-        assert report.e_sqrt >= 1.0
 
 
 class TestThresholdsAndBounds:
@@ -241,9 +223,3 @@ class TestThresholdsAndBounds:
             row = [values[(mu, hw)] for hw in (0.01, 0.05, 0.2)]
             assert all(b > a for a, b in zip(row, row[1:]))
 
-    def test_density_bound_reference_values(self, params):
-        assert linf_density_bound(params, 0.49) == pytest.approx(1.5, rel=1e-14)
-        p = ModelParams(alpha=2.0, mu=0.0, beta=2.0, beta_tilde=0, K=1, K_tilde=1,
-                        kernel=BoxKernel(0.05))
-        assert linf_density_bound(p, 0.7) == 1.0
-        assert linf_density_bound(params, 2.1875) == 2.1875

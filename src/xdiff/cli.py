@@ -116,6 +116,22 @@ def _run_config_file(path: str) -> int:
     return code
 
 
+def _sweep_workers(n_configs: int) -> int:
+    """Worker count for a sweep: XDIFF_THREADS or the CPU count, at most one per config.
+
+    With the fork start method the pool forks every worker at the first
+    submit, so an uncapped count would start processes with nothing to run.
+    """
+    workers = os.environ.get("XDIFF_THREADS")
+    if not workers:
+        return min(n_configs, os.cpu_count() or 1)
+    try:
+        requested = int(workers)
+    except ValueError:
+        raise ValueError(f"XDIFF_THREADS must be an integer, got {workers!r}") from None
+    return min(n_configs, max(1, requested))
+
+
 def _sweep_one(path: str) -> int:
     """One sweep entry; a bad file is reported against its path and stops no other run."""
     try:
@@ -137,16 +153,21 @@ def check_series(path: str, rho_linf_bound: float | None = None) -> list[str]:
     density-sup envelope needs the model bound beta/(alpha*(1-mu)); it is
     only checked when that number is supplied.
     """
+    col = {name: i for i, name in enumerate(SERIES_HEADER.split(","))}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            return ["series has no header"]
         if ",".join(header) != SERIES_HEADER:
             return [f"unexpected header {','.join(header)!r}"]
         rows = [[float(cell) for cell in row] for row in reader]
     if not rows:
         return ["series has no records"]
+    ragged = [(k, len(row)) for k, row in enumerate(rows, start=1) if len(row) != len(col)]
+    if ragged:
+        return [f"row {k} has {m} cells, header has {len(col)}" for k, m in ragged]
 
-    col = {name: i for i, name in enumerate(SERIES_HEADER.split(","))}
     problems = []
 
     ts = [row[col["t"]] for row in rows]
@@ -268,9 +289,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         # sweep
-        workers = os.environ.get("XDIFF_THREADS")
-        max_workers = max(1, int(workers)) if workers else min(len(args.configs), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        with ProcessPoolExecutor(max_workers=_sweep_workers(len(args.configs))) as pool:
             codes = list(pool.map(_sweep_one, args.configs))
         bad = [c for c in codes if c not in (0, 3)]
         return max(bad) if bad else 0

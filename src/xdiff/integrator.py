@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticRecord, second_derivative_at_center, support, symmetry_defect
 from .grid import Field, Grid, InvalidValue, make_grid
-from .kernel import mollify
+from .kernel import heat_multiplier, mollify
 from .model import (
     ModelParams,
     NumericalFault,
@@ -152,51 +152,51 @@ def _apply_positivity(values: np.ndarray, ctrl: StepControl, what: str) -> tuple
     return values - negative, float(-np.sum(negative))
 
 
-_PairRhs = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+_Advance = Callable[[np.ndarray, float], np.ndarray]
 
 
-def _rk4_pair(
-    a: np.ndarray, b: np.ndarray, dt: float, f: _PairRhs
-) -> tuple[np.ndarray, np.ndarray]:
-    k1a, k1b = f(a, b)
-    k2a, k2b = f(a + 0.5 * dt * k1a, b + 0.5 * dt * k1b)
-    k3a, k3b = f(a + 0.5 * dt * k2a, b + 0.5 * dt * k2b)
-    k4a, k4b = f(a + dt * k3a, b + dt * k3b)
-    sixth = dt / 6.0
-    return (
-        a + sixth * (k1a + 2.0 * (k2a + k3a) + k4a),
-        b + sixth * (k1b + 2.0 * (k2b + k3b) + k4b),
-    )
+def _rk4(u: np.ndarray, dt: float, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    k1 = f(u)
+    k2 = f(u + 0.5 * dt * k1)
+    k3 = f(u + 0.5 * dt * k2)
+    k4 = f(u + dt * k3)
+    return u + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _advance(grid: Grid, p: ModelParams, conv_sym: np.ndarray, mode: RunMode) -> _Advance:
+    """One RK4 step of the stacked (A, rho) in the selected evolution form.
+
+    Called once per run; the right sides are looked up at call time, so a
+    wrapper installed on this module's names sees every stage.  The sqrt form
+    steps (A, eta) with eta = sqrt(rho) and squares eta back afterwards.
+    """
+    if mode.kind == "sqrt":
+
+        def advance(u: np.ndarray, dt: float) -> np.ndarray:
+            v = np.stack((u[0], np.sqrt(np.clip(u[1], 0.0, None))))
+            v = _rk4(v, dt, lambda w: _rhs_sqrt_core(grid, w, p, conv_sym))
+            v[1] *= v[1]
+            return v
+
+        return advance
+    if mode.kind == "regularized":
+        damp = heat_multiplier(grid, mode.eps)
+        f = lambda w: _rhs_regularized_core(grid, w, p, conv_sym, damp)
+    else:
+        f = lambda w: _rhs_core(grid, w, p, conv_sym)
+    return lambda u, dt: _rk4(u, dt, f)
 
 
 def _step_arrays(
-    grid: Grid,
-    a: np.ndarray,
-    r: np.ndarray,
-    p: ModelParams,
-    dt: float,
-    ctrl: StepControl,
-    mode: RunMode,
-    conv_sym: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """One RK4 step plus positivity policy; returns (A, rho, clipped_A, clipped_rho)."""
-    if mode.kind == "sqrt":
-        eta = np.sqrt(np.clip(r, 0.0, None))
-        fn: _PairRhs = lambda av, ev: _rhs_sqrt_core(grid, av, ev, p, conv_sym)
-        a_new, eta_new = _rk4_pair(a, eta, dt, fn)
-        r_new = eta_new * eta_new
-    elif mode.kind == "regularized":
-        fn = lambda av, rv: _rhs_regularized_core(grid, av, rv, p, conv_sym, mode.eps)
-        a_new, r_new = _rk4_pair(a, r, dt, fn)
-    else:
-        fn = lambda av, rv: _rhs_core(grid, av, rv, p, conv_sym)
-        a_new, r_new = _rk4_pair(a, r, dt, fn)
-
-    if not (np.all(np.isfinite(a_new)) and np.all(np.isfinite(r_new))):
+    grid: Grid, u: np.ndarray, dt: float, ctrl: StepControl, advance: _Advance
+) -> tuple[np.ndarray, float, float]:
+    """One step of the stacked (A, rho) plus positivity; returns (u, clipped_A, clipped_rho)."""
+    u = advance(u, dt)
+    if not np.all(np.isfinite(u)):
         raise NumericalFault("non-finite state after step")
-    a_new, clipped_a = _apply_positivity(a_new, ctrl, "area")
-    r_new, clipped_r = _apply_positivity(r_new, ctrl, "density")
-    return a_new, r_new, clipped_a * grid.dx, clipped_r * grid.dx
+    u[0], clipped_a = _apply_positivity(u[0], ctrl, "area")
+    u[1], clipped_r = _apply_positivity(u[1], ctrl, "density")
+    return u, clipped_a * grid.dx, clipped_r * grid.dx
 
 
 def step(
@@ -205,11 +205,10 @@ def step(
     """Advance one classical RK4 step of the selected evolution form."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    sym = p.kernel.symbol(s.grid)
-    a_new, r_new, _, _ = _step_arrays(
-        s.grid, s.A.values, s.rho.values, p, dt, ctrl, mode, sym
-    )
-    return State(t=s.t + dt, A=Field(s.grid, a_new), rho=Field(s.grid, r_new))
+    grid = s.grid
+    advance = _advance(grid, p, p.kernel.symbol(grid), mode)
+    u, _, _ = _step_arrays(grid, np.stack((s.A.values, s.rho.values)), dt, ctrl, advance)
+    return State(t=s.t + dt, A=Field(grid, u[0]), rho=Field(grid, u[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +301,19 @@ def run(config) -> RunOutcome:
     for name, f in (("rho0", rho0), ("A0", a0)):
         if float(np.min(f.values)) < -ctrl.positivity_tol:
             raise ValueError(f"{name} must be nonnegative (min {float(np.min(f.values)):.3e})")
-    r = np.clip(rho0.values, 0.0, None)
-    a = np.clip(a0.values, 0.0, None)
+    u = np.stack((np.clip(a0.values, 0.0, None), np.clip(rho0.values, 0.0, None)))
     t = 0.0
 
-    conv_sym = p.kernel.symbol(grid)
-    zero_mask = _interior_zero_mask(r)
-    initial_mass_rho = float(np.sum(r) * grid.dx)
-    initial_mass_A = float(np.sum(a) * grid.dx)
+    advance = _advance(grid, p, p.kernel.symbol(grid), mode)
+    zero_mask = _interior_zero_mask(u[1])
+    initial_mass_A = float(np.sum(u[0]) * grid.dx)
+    initial_mass_rho = float(np.sum(u[1]) * grid.dx)
 
-    series = [_record(grid, t, a, r, zero_mask)]
+    series = [_record(grid, t, u[0], u[1], zero_mask)]
     snapshots: list[Snapshot] = []
     pending_snaps = sorted(config.snapshot_times)
     while pending_snaps and t >= pending_snaps[0]:
-        snapshots.append(Snapshot(t, Field(grid, a), Field(grid, r)))
+        snapshots.append(Snapshot(t, Field(grid, u[0]), Field(grid, u[1])))
         pending_snaps.pop(0)
 
     steps = 0
@@ -326,10 +324,10 @@ def run(config) -> RunOutcome:
 
     def out(reason: HaltReason) -> RunOutcome:
         if series[-1].t < t:
-            series.append(_record(grid, t, a, r, zero_mask))
+            series.append(_record(grid, t, u[0], u[1], zero_mask))
         return RunOutcome(
             halt_reason=reason,
-            final_state=State(t=t, A=Field(grid, a), rho=Field(grid, r)),
+            final_state=State(t=t, A=Field(grid, u[0]), rho=Field(grid, u[1])),
             series=series,
             snapshots=snapshots,
             steps=steps,
@@ -344,7 +342,7 @@ def run(config) -> RunOutcome:
         if t >= config.t_end:
             return out(HaltReason.REACHED_T_END)
 
-        raw_dt = cfl_dt(State(t=t, A=Field(grid, a), rho=Field(grid, r)), ctrl)
+        raw_dt = cfl_dt(State(t=t, A=Field(grid, u[0]), rho=Field(grid, u[1])), ctrl)
         if raw_dt == ctrl.dt_min:
             consecutive_dt_min += 1
             if consecutive_dt_min >= 2:
@@ -355,7 +353,7 @@ def run(config) -> RunOutcome:
         remaining = config.t_end - t
         dt = min(raw_dt, remaining)
         try:
-            a, r, ca, cr = _step_arrays(grid, a, r, p, dt, ctrl, mode, conv_sym)
+            u, ca, cr = _step_arrays(grid, u, dt, ctrl, advance)
         except NumericalFault as fault:
             fault_detail = str(fault)
             return out(HaltReason.NUMERICAL_FAULT)
@@ -370,10 +368,10 @@ def run(config) -> RunOutcome:
             return out(HaltReason.NUMERICAL_FAULT)
 
         while pending_snaps and t >= pending_snaps[0]:
-            snapshots.append(Snapshot(t, Field(grid, a), Field(grid, r)))
+            snapshots.append(Snapshot(t, Field(grid, u[0]), Field(grid, u[1])))
             pending_snaps.pop(0)
 
         if steps % config.record_every == 0:
-            series.append(_record(grid, t, a, r, zero_mask))
+            series.append(_record(grid, t, u[0], u[1], zero_mask))
             if _blowup_detected(series, ctrl):
                 return out(HaltReason.BLOWUP_DETECTED)

@@ -90,6 +90,13 @@ def convolve(k: KernelSpec, f: Field) -> Field:
     return Field(f.grid, np.fft.irfft(np.fft.rfft(f.values) * sym, n=f.grid.n_points))
 
 
+def heat_multiplier(grid: Grid, eps: float) -> np.ndarray:
+    """Fourier multiplier exp(-eps*k^2) of the heat semigroup at time eps."""
+    if eps < 0:
+        raise ValueError(f"mollifier width eps must be nonnegative, got {eps}")
+    return np.exp(-eps * grid.k**2)
+
+
 def mollify(f: Field, eps: float) -> Field:
     """Heat-semigroup smoothing: multiply mode k by exp(-eps*k^2).
 
@@ -97,11 +104,9 @@ def mollify(f: Field, eps: float) -> Field:
     nonnegativity is preserved once exp(-eps*k_max^2) sits below roundoff
     (for smaller eps the truncated kernel can undershoot by truncation error).
     """
-    if eps < 0:
-        raise ValueError(f"mollifier width eps must be nonnegative, got {eps}")
+    damp = heat_multiplier(f.grid, eps)
     if eps == 0:
         return Field(f.grid, f.values)
-    damp = np.exp(-eps * f.grid.k**2)
     return Field(f.grid, np.fft.irfft(np.fft.rfft(f.values) * damp, n=f.grid.n_points))
 
 

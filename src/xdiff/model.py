@@ -5,7 +5,8 @@ to an area equation with density-weighted cross-diffusion, both driven by
 logistic reactions and a nonlocal density average.  Two companion forms are
 provided: a mollified variant (all fields smoothed by the periodic heat
 semigroup, with the whole right side smoothed again) and the square-root
-density form used for uniqueness-style cross-checks.
+density form used for uniqueness-style cross-checks.  All three share one
+assembly of the right side on the stacked state (A, rho) or (A, eta).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, Grid, InvalidValue
-from .kernel import KernelSpec, kernel_l1_norm
+from .kernel import KernelSpec, heat_multiplier, kernel_l1_norm
 
 ENERGY_DERIVATIVE_ORDER = 3  # density derivative order in the Sobolev energy; area uses one less
 
@@ -90,147 +91,119 @@ class EnergyReport:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides (array level; Field wrappers below)
+# right-hand sides (array level on the stacked state; Field wrappers below)
 # ---------------------------------------------------------------------------
 
+# Fault names of the four assembled terms, in checking order: area reaction,
+# area flux, then the reaction and transport of the density or of eta.
+_TERM_NAMES = {
+    False: (
+        "area reaction terms",
+        "area flux d/dx(rho * dA/dx)",
+        "density reaction terms",
+        "density flux d/dx(rho * drho/dx)",
+    ),
+    True: (
+        "area reaction terms (sqrt form)",
+        "area flux d/dx(eta^2 * dA/dx)",
+        "eta reaction terms",
+        "eta transport terms",
+    ),
+}
 
-def _require_finite(arr: np.ndarray, term: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericalFault(f"non-finite values in {term}")
 
-
-def _rhs_core(
-    grid: Grid,
-    a: np.ndarray,
-    r: np.ndarray,
-    p: ModelParams,
-    conv_sym: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Original-system right side on raw node values.
+def _assemble(
+    grid: Grid, u: np.ndarray, p: ModelParams, conv_sym: np.ndarray, sqrt: bool
+) -> np.ndarray:
+    """Right side of the stacked state ``u = (A, w)``, with w = rho, or w = eta
+    and rho = eta^2 in the sqrt form.
 
     All nonlinear terms are assembled pointwise from the raw fields, so every
     term carrying a factor of the state vanishes exactly on the nodes where
     that state vanishes; this is what preserves the discrete zero set of the
-    density and keeps the area confined to the density support.  The density
-    flux keeps its conservative form, differentiated through the smooth
-    spectral roll-off (aliasing control without sharp-cutoff ringing); the
-    area flux is expanded as rho*A_xx + rho_x*A_x, whose quadrature is still
-    exactly zero because the spectral derivative matrix is antisymmetric.
+    density and keeps the area confined to the density support.  The flux of
+    w, d/dx(rho * dw/dx), keeps its conservative form, differentiated through
+    the smooth spectral roll-off (aliasing control without sharp-cutoff
+    ringing); the area flux is expanded as rho*A_xx + rho_x*A_x, whose
+    quadrature is still exactly zero because the spectral derivative matrix is
+    antisymmetric.  With the density growth rate g, the density equation reads
+    rho*g + flux and the eta equation eta*g/2 + eta*eta_x^2 + flux, so that
+    2*eta*d(eta) reproduces the density equation wherever eta > 0.
+
+    One rfft of the stacked fields and one irfft of the stacked derivative and
+    average spectra feed the pointwise terms; the flux takes one more pair.
     """
     n = grid.n_points
     ik = grid._ik
-    flux_mult = ik * grid._flux_filter
+    a, w = u
     with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
-        ah = np.fft.rfft(a)
-        rh = np.fft.rfft(r)
+        rho = w * w if sqrt else w
+        uh = np.fft.rfft(np.stack((a, rho, w)) if sqrt else u)  # rows A, rho[, eta]
+        ah, rh = uh[0], uh[1]
+        spectra = [ah * ik, ah * (ik * ik), rh * ik, rh * conv_sym]
+        if sqrt:
+            spectra.append(uh[2] * ik)
+        ax, axx, rx, avg, *eta_x = np.fft.irfft(np.stack(spectra), n=n)
+        wx = eta_x[0] if sqrt else rx
 
-        ax = np.fft.irfft(ah * ik, n=n)
-        axx = np.fft.irfft(ah * (ik * ik), n=n)
-        rx = np.fft.irfft(rh * ik, n=n)
-        avg = np.fft.irfft(rh * conv_sym, n=n)
-
-        local_push = r - avg  # density excess over its nonlocal average
-        da_reaction = a * (p.alpha * r - p.mu * p.alpha * local_push) + p.beta_tilde * a * (
-            1.0 - r * a / p.K_tilde
+        local_push = rho - avg  # density excess over its nonlocal average
+        area_reaction = a * (p.alpha * rho - p.mu * p.alpha * local_push) + p.beta_tilde * a * (
+            1.0 - rho * a / p.K_tilde
         )
-        dr_reaction = (
-            p.beta * r * (1.0 - a * r / p.K) - p.alpha * r * r + p.mu * p.alpha * r * local_push
-        )
-        da_flux = r * axx + rx * ax
-        dr_flux = np.fft.irfft(np.fft.rfft(r * rx) * flux_mult, n=n)
+        area_flux = rho * axx + rx * ax
+        g = p.beta * (1.0 - a * rho / p.K) - p.alpha * rho + p.mu * p.alpha * local_push
+        flux = np.fft.irfft(np.fft.rfft(rho * wx) * (ik * grid._flux_filter), n=n)
+        if sqrt:
+            w_reaction = 0.5 * w * g
+            w_transport = w * wx * wx + flux
+        else:
+            w_reaction = w * g
+            w_transport = flux
+        out = np.stack((area_reaction + area_flux, w_reaction + w_transport))
 
-    _require_finite(da_reaction, "area reaction terms")
-    _require_finite(da_flux, "area flux d/dx(rho * dA/dx)")
-    _require_finite(dr_reaction, "density reaction terms")
-    _require_finite(dr_flux, "density flux d/dx(rho * drho/dx)")
-    return da_reaction + da_flux, dr_reaction + dr_flux
+    if not np.all(np.isfinite(out)):
+        terms = zip((area_reaction, area_flux, w_reaction, w_transport), _TERM_NAMES[sqrt])
+        bad = (name for term, name in terms if not np.all(np.isfinite(term)))
+        # finite terms whose sum overflows name no single term
+        raise NumericalFault(f"non-finite values in {next(bad, 'right-hand side sum')}")
+    return out
+
+
+def _rhs_core(grid: Grid, u: np.ndarray, p: ModelParams, conv_sym: np.ndarray) -> np.ndarray:
+    """Original-system right side of the stacked (A, rho)."""
+    return _assemble(grid, u, p, conv_sym, sqrt=False)
+
+
+def _rhs_sqrt_core(grid: Grid, u: np.ndarray, p: ModelParams, conv_sym: np.ndarray) -> np.ndarray:
+    """Square-root-form right side of the stacked (A, eta)."""
+    return _assemble(grid, u, p, conv_sym, sqrt=True)
 
 
 def _rhs_regularized_core(
-    grid: Grid,
-    a: np.ndarray,
-    r: np.ndarray,
-    p: ModelParams,
-    conv_sym: np.ndarray,
-    eps: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mollified right side: smooth both inputs, evaluate, smooth the result."""
-    if eps == 0.0:
-        return _rhs_core(grid, a, r, p, conv_sym)
+    grid: Grid, u: np.ndarray, p: ModelParams, conv_sym: np.ndarray, damp: np.ndarray
+) -> np.ndarray:
+    """Mollified right side: smooth the stacked (A, rho) by the heat multiplier
+    ``damp``, assemble, smooth the result."""
     n = grid.n_points
-    damp = np.exp(-eps * grid.k**2)
-    a_s = np.fft.irfft(np.fft.rfft(a) * damp, n=n)
-    r_s = np.fft.irfft(np.fft.rfft(r) * damp, n=n)
-    da, dr = _rhs_core(grid, a_s, r_s, p, conv_sym)
-    da = np.fft.irfft(np.fft.rfft(da) * damp, n=n)
-    dr = np.fft.irfft(np.fft.rfft(dr) * damp, n=n)
-    return da, dr
+    smoothed = np.fft.irfft(np.fft.rfft(u) * damp, n=n)
+    return np.fft.irfft(np.fft.rfft(_assemble(grid, smoothed, p, conv_sym, sqrt=False)) * damp, n=n)
 
 
-def _rhs_sqrt_core(
-    grid: Grid,
-    a: np.ndarray,
-    e: np.ndarray,
-    p: ModelParams,
-    conv_sym: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right side for (A, eta) with eta^2 playing the role of the density.
-
-    The eta reaction carries the chain-rule prefactor eta/2 so that
-    2*eta*d(eta) reproduces the density equation wherever eta > 0.  Term
-    assembly mirrors the original-system core: pointwise products, a
-    conservative filtered eta flux, and the area flux expanded against the
-    spectral derivative of eta^2.
-    """
-    n = grid.n_points
-    ik = grid._ik
-    flux_mult = ik * grid._flux_filter
-    with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
-        ah = np.fft.rfft(a)
-        eh = np.fft.rfft(e)
-
-        ax = np.fft.irfft(ah * ik, n=n)
-        axx = np.fft.irfft(ah * (ik * ik), n=n)
-        ex = np.fft.irfft(eh * ik, n=n)
-
-        dens = e * e
-        dens_h = np.fft.rfft(dens)
-        dens_x = np.fft.irfft(dens_h * ik, n=n)
-        avg = np.fft.irfft(dens_h * conv_sym, n=n)
-
-        de_reaction = 0.5 * e * (
-            p.beta
-            - (p.beta / p.K) * a * dens
-            - p.alpha * dens
-            + p.alpha * p.mu * (dens - avg)
-        )
-        de_transport = e * ex * ex + np.fft.irfft(np.fft.rfft(dens * ex) * flux_mult, n=n)
-        da_reaction = p.alpha * a * ((1.0 - p.mu) * dens + p.mu * avg) + p.beta_tilde * a * (
-            1.0 - a * dens / p.K_tilde
-        )
-        da_flux = dens * axx + dens_x * ax
-
-    _require_finite(da_reaction, "area reaction terms (sqrt form)")
-    _require_finite(da_flux, "area flux d/dx(eta^2 * dA/dx)")
-    _require_finite(de_reaction, "eta reaction terms")
-    _require_finite(de_transport, "eta transport terms")
-    return da_reaction + da_flux, de_reaction + de_transport
+def _fields(grid: Grid, d: np.ndarray) -> tuple[Field, Field]:
+    return Field(grid, d[0]), Field(grid, d[1])
 
 
 def rhs(s: State, p: ModelParams) -> tuple[Field, Field]:
     """Time derivatives (dA/dt, drho/dt) of the original system."""
-    sym = p.kernel.symbol(s.grid)
-    da, dr = _rhs_core(s.grid, s.A.values, s.rho.values, p, sym)
-    return Field(s.grid, da), Field(s.grid, dr)
+    u = np.stack((s.A.values, s.rho.values))
+    return _fields(s.grid, _rhs_core(s.grid, u, p, p.kernel.symbol(s.grid)))
 
 
 def rhs_regularized(s: State, p: ModelParams, eps: float) -> tuple[Field, Field]:
-    """Time derivatives of the heat-semigroup-mollified system (eps = 0 is rhs)."""
-    if eps < 0:
-        raise ValueError(f"mollifier width eps must be nonnegative, got {eps}")
-    sym = p.kernel.symbol(s.grid)
-    da, dr = _rhs_regularized_core(s.grid, s.A.values, s.rho.values, p, sym, eps)
-    return Field(s.grid, da), Field(s.grid, dr)
+    """Time derivatives of the heat-semigroup-mollified system (eps = 0 is rhs up to roundoff)."""
+    u = np.stack((s.A.values, s.rho.values))
+    damp = heat_multiplier(s.grid, eps)
+    return _fields(s.grid, _rhs_regularized_core(s.grid, u, p, p.kernel.symbol(s.grid), damp))
 
 
 def rhs_sqrt(t: float, A: Field, eta: Field, p: ModelParams) -> tuple[Field, Field]:
@@ -239,9 +212,8 @@ def rhs_sqrt(t: float, A: Field, eta: Field, p: ModelParams) -> tuple[Field, Fie
         raise ValueError("A and eta must share one grid")
     if float(np.min(eta.values)) < 0.0:
         raise ValueError("eta must be nonnegative")
-    sym = p.kernel.symbol(A.grid)
-    da, de = _rhs_sqrt_core(A.grid, A.values, eta.values, p, sym)
-    return Field(A.grid, da), Field(A.grid, de)
+    u = np.stack((A.values, eta.values))
+    return _fields(A.grid, _rhs_sqrt_core(A.grid, u, p, p.kernel.symbol(A.grid)))
 
 
 # ---------------------------------------------------------------------------

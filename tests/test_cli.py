@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from xdiff import cli
 from xdiff.cli import SERIES_HEADER, check_series, main
 
 TINY_CONFIG = """
@@ -177,6 +178,18 @@ class TestCheckCommand:
         path.write_text("t,stuff\n0.0,1.0\n")
         assert check_series(str(path))
 
+    def test_empty_series_reported(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("")
+        assert check_series(str(path)) == ["series has no header"]
+        assert main(["check", str(path)]) == 2
+
+    def test_ragged_row_reported(self, tmp_path):
+        short = ",".join(self._row(1.0).split(",")[:5])
+        path = self._series(tmp_path, [self._row(0.0), short])
+        assert check_series(path) == ["row 2 has 5 cells, header has 14"]
+        assert main(["check", path]) == 2
+
     def test_nonfinite_diagnostic_flagged(self, tmp_path):
         row = self._row(0.0).replace("0.0,1.0,0.0,0.0", "0.0,nan,0.0,0.0", 1)
         path = self._series(tmp_path, [row])
@@ -219,6 +232,41 @@ class TestSweepCommand:
         assert main(["sweep", str(bad), str(under)]) == 4  # worst code: dt_underflow
         assert f"{bad}: error: line 3: grid.N must be even, got 15" in capfd.readouterr().err
         assert (tmp_path / "o2" / "series.csv").exists()
+
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Record the pool size a sweep asks for; no process is started."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [0 for _ in items]
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize("threads, expected", [("500", 2), ("1", 1), ("0", 1), ("", 2)])
+    def test_workers_capped_at_config_count(self, pool_sizes, monkeypatch, threads, expected):
+        monkeypatch.setenv("XDIFF_THREADS", threads)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        assert main(["sweep", "a.cfg", "b.cfg"]) == 0
+        assert pool_sizes == [expected]
+
+    def test_non_integer_thread_count_named(self, pool_sizes, monkeypatch, capsys):
+        monkeypatch.setenv("XDIFF_THREADS", "many")
+        assert main(["sweep", "a.cfg", "b.cfg"]) == 1
+        assert "XDIFF_THREADS must be an integer, got 'many'" in capsys.readouterr().err
+        assert pool_sizes == []
 
 
 class TestDeterminism:

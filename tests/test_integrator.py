@@ -233,11 +233,22 @@ class TestRun:
         assert out.halt_reason is HaltReason.DT_UNDERFLOW
         assert out.steps == 1
 
-    def test_numerical_fault_on_overflow(self, params):
-        cfg = smooth_config(params, rho0=Constant(1e160), n=16, t_end=1.0)
+    @pytest.mark.parametrize(
+        "mode, rho0, term",
+        [
+            (RunMode(), 1e160, "density reaction terms"),
+            (RunMode("regularized", eps=1e-3), 1e160, "density reaction terms"),
+            (RunMode("sqrt"), 1e220, "eta reaction terms"),
+            # eta = 1e80 passes the first stage; eta^2 overflows in the second
+            (RunMode("sqrt"), 1e160, "area reaction terms (sqrt form)"),
+        ],
+        ids=["original", "regularized", "sqrt", "sqrt-second-stage"],
+    )
+    def test_numerical_fault_on_overflow(self, params, mode, rho0, term):
+        cfg = smooth_config(params, rho0=Constant(rho0), n=16, t_end=1.0, mode=mode)
         out = run(cfg)
         assert out.halt_reason is HaltReason.NUMERICAL_FAULT
-        assert "density" in out.fault_detail
+        assert out.fault_detail == f"non-finite values in {term}"
 
     def test_snapshots_taken_at_crossing_times(self, params):
         cfg = smooth_config(params, snapshot_times=(0.0, 5e-4, 1e-3))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xdiff.grid import Field, integrate, make_grid, norms
 from xdiff.kernel import BoxKernel, convolve, mollify
@@ -45,6 +47,13 @@ def even_state(grid, seed=0):
 
 def reflect(values):
     return values[(-np.arange(values.size)) % values.size]
+
+
+def area_reaction(p, a, r, avg):
+    """The area reaction, written out independently of the model's assembly."""
+    return a * (p.alpha * r - p.mu * p.alpha * (r - avg)) + p.beta_tilde * a * (
+        1 - r * a / p.K_tilde
+    )
 
 
 class TestModelParams:
@@ -102,9 +111,7 @@ class TestRhs:
         da, dr = rhs(s, params)
         avg = convolve(params.kernel, s.rho)
         a, r = s.A.values, s.rho.values
-        da_reaction = a * (params.alpha * r - params.mu * params.alpha * (r - avg.values)) + (
-            params.beta_tilde * a * (1 - r * a / params.K_tilde)
-        )
+        da_reaction = area_reaction(params, a, r, avg.values)
         dr_reaction = (
             params.beta * r * (1 - a * r / params.K)
             - params.alpha * r * r
@@ -223,3 +230,89 @@ class TestThresholdsAndBounds:
             row = [values[(mu, hw)] for hw in (0.01, 0.05, 0.2)]
             assert all(b > a for a, b in zip(row, row[1:]))
 
+
+
+# ---------------------------------------------------------------------------
+# properties of the shared assembly, in all three forms
+# ---------------------------------------------------------------------------
+
+PARAMS = ModelParams(kernel=BoxKernel(0.05), **REFERENCE)  # fixtures do not reset between examples
+MODES = 3  # highest Fourier mode of the drawn data
+
+
+@st.composite
+def band_limited(draw, grid, even):
+    """A nonnegative trigonometric polynomial of degree MODES on the grid.
+
+    The offset is at least the sum of the amplitudes, so the data may touch
+    zero; the clip only removes roundoff below it.
+    """
+    amp = st.floats(-1.0, 1.0, allow_nan=False)
+    cos = draw(st.lists(amp, min_size=MODES, max_size=MODES))
+    sin = [0.0] * MODES if even else draw(st.lists(amp, min_size=MODES, max_size=MODES))
+    f = sum(
+        c * np.cos(m * np.pi * grid.x) + s * np.sin(m * np.pi * grid.x)
+        for m, (c, s) in enumerate(zip(cos, sin), start=1)
+    )
+    offset = (sum(map(abs, cos)) + sum(map(abs, sin))) * draw(st.floats(1.0, 2.0))
+    return np.clip(offset + f, 0.0, None)
+
+
+@st.composite
+def draw_state(draw, even=False):
+    """(grid, A, eta): eta and rho = eta^2 are both band-limited well below
+    the grid's Nyquist mode, so spectral derivatives of rho*eta_x and
+    rho*rho_x are exact up to roundoff."""
+    grid = make_grid(1.0, draw(st.sampled_from([64, 128])))
+    return grid, draw(band_limited(grid, even)), draw(band_limited(grid, even))
+
+
+def derivatives(form, grid, a, eta, p, eps):
+    """(dA, d(second field)) in one form; the sqrt form takes eta, the others rho = eta^2."""
+    A, rho = Field(grid, a), Field(grid, eta * eta)
+    if form == "original":
+        da, dw = rhs(State(t=0.0, A=A, rho=rho), p)
+    elif form == "regularized":
+        da, dw = rhs_regularized(State(t=0.0, A=A, rho=rho), p, eps)
+    else:
+        da, dw = rhs_sqrt(0.0, A, Field(grid, eta), p)
+    return da.values, dw.values
+
+
+FORMS = ["original", "regularized", "sqrt"]
+EPS = st.floats(1e-4, 1e-2)
+
+
+class TestAssemblyProperties:
+    @pytest.mark.parametrize("form", FORMS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=draw_state(), eps=EPS)
+    def test_area_flux_is_mass_neutral(self, form, data, eps):
+        grid, a, eta = data
+        rho = eta * eta
+        if form == "regularized":  # the outer smoothing keeps the mean exactly
+            a = mollify(Field(grid, a), eps).values
+            rho = mollify(Field(grid, rho), eps).values
+        da, _ = derivatives(form, *data, PARAMS, eps)
+        reaction = area_reaction(PARAMS, a, rho, convolve(PARAMS.kernel, Field(grid, rho)).values)
+        scale = 1.0 + np.max(np.abs(da)) + np.max(np.abs(reaction))
+        flux_mass = integrate(Field(grid, da)) - integrate(Field(grid, reaction))
+        assert abs(flux_mass) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("form", FORMS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=draw_state(even=True), eps=EPS)
+    def test_even_data_gives_even_right_side(self, form, data, eps):
+        for d in derivatives(form, *data, PARAMS, eps):
+            assert np.max(np.abs(d - reflect(d))) <= 1e-12 * (1.0 + np.max(np.abs(d)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=draw_state())
+    def test_sqrt_form_follows_the_density_by_the_chain_rule(self, data):
+        grid, a, eta = data
+        _, drho = derivatives("original", grid, a, eta, PARAMS, 0.0)
+        _, deta = derivatives("sqrt", grid, a, eta, PARAMS, 0.0)
+        positive = eta > 0
+        residual = 2.0 * eta * deta - drho
+        worst = np.max(np.abs(residual[positive]), initial=0.0)
+        assert worst <= 1e-11 * (1.0 + np.max(np.abs(drho)))

@@ -13,14 +13,10 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from operator import attrgetter
 
 from .config import ConfigError, RunConfig, parse_config, preset, preset_with_overrides
 from .integrator import HaltReason, RunOutcome, run
-
-SERIES_HEADER = (
-    "t,max_rho,min_rho,min_A,rho_xx_0,supp_rho_lo,supp_rho_hi,supp_A_lo,supp_A_hi,"
-    "mass_rho,mass_A,e_tilde,e_sqrt,sym_defect"
-)
 
 EXIT_CODE = {
     HaltReason.REACHED_T_END: 0,
@@ -34,10 +30,35 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _hull(intervals) -> tuple[float, float]:
-    if not intervals:
-        return math.nan, math.nan
-    return intervals[0][0], intervals[-1][1]
+def _hull_edge(support: str, side: int):
+    """Getter of one end of a record's support hull: the left end of the first
+    interval (side 0) or the right end of the last (side -1); nan when empty."""
+
+    def edge(rec) -> float:
+        intervals = getattr(rec, support)
+        return intervals[side][side] if intervals else math.nan
+
+    return edge
+
+
+# series.csv columns in file order: (column name, value of a DiagnosticRecord)
+SERIES_COLUMNS = (
+    ("t", attrgetter("t")),
+    ("max_rho", attrgetter("max_rho")),
+    ("min_rho", attrgetter("min_rho")),
+    ("min_A", attrgetter("min_A")),
+    ("rho_xx_0", attrgetter("rho_xx_at_0")),
+    ("supp_rho_lo", _hull_edge("supp_rho", 0)),
+    ("supp_rho_hi", _hull_edge("supp_rho", -1)),
+    ("supp_A_lo", _hull_edge("supp_A", 0)),
+    ("supp_A_hi", _hull_edge("supp_A", -1)),
+    ("mass_rho", attrgetter("mass_rho")),
+    ("mass_A", attrgetter("mass_A")),
+    ("e_tilde", attrgetter("e_tilde")),
+    ("e_sqrt", attrgetter("e_sqrt")),
+    ("sym_defect", attrgetter("symmetry_defect_rho")),
+)
+SERIES_HEADER = ",".join(name for name, _ in SERIES_COLUMNS)
 
 
 def write_outputs(outcome: RunOutcome, config: RunConfig) -> None:
@@ -47,29 +68,7 @@ def write_outputs(outcome: RunOutcome, config: RunConfig) -> None:
 
     lines = [SERIES_HEADER]
     for rec in outcome.series:
-        rho_lo, rho_hi = _hull(rec.supp_rho)
-        a_lo, a_hi = _hull(rec.supp_A)
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    rec.t,
-                    rec.max_rho,
-                    rec.min_rho,
-                    rec.min_A,
-                    rec.rho_xx_at_0,
-                    rho_lo,
-                    rho_hi,
-                    a_lo,
-                    a_hi,
-                    rec.mass_rho,
-                    rec.mass_A,
-                    rec.e_tilde,
-                    rec.e_sqrt,
-                    rec.symmetry_defect_rho,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(value(rec)) for _, value in SERIES_COLUMNS))
     with open(os.path.join(out_dir, "series.csv"), "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -153,22 +152,30 @@ def check_series(path: str, rho_linf_bound: float | None = None) -> list[str]:
     density-sup envelope needs the model bound beta/(alpha*(1-mu)); it is
     only checked when that number is supplied.
     """
-    col = {name: i for i, name in enumerate(SERIES_HEADER.split(","))}
+    names = [name for name, _ in SERIES_COLUMNS]
+    col = {name: i for i, name in enumerate(names)}
+    rows, problems = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             return ["series has no header"]
-        if ",".join(header) != SERIES_HEADER:
+        if header != names:
             return [f"unexpected header {','.join(header)!r}"]
-        rows = [[float(cell) for cell in row] for row in reader]
+        for k, cells in enumerate(reader, start=1):
+            if len(cells) != len(names):
+                problems.append(f"row {k} has {len(cells)} cells, header has {len(names)}")
+                continue
+            rows.append([])
+            for name, cell in zip(names, cells):
+                try:
+                    rows[-1].append(float(cell))
+                except ValueError:
+                    problems.append(f"row {k} column {name}: {cell!r} is not a number")
+    if problems:
+        return problems
     if not rows:
         return ["series has no records"]
-    ragged = [(k, len(row)) for k, row in enumerate(rows, start=1) if len(row) != len(col)]
-    if ragged:
-        return [f"row {k} has {m} cells, header has {len(col)}" for k, m in ragged]
-
-    problems = []
 
     ts = [row[col["t"]] for row in rows]
     if any(b <= a for a, b in zip(ts, ts[1:])):

@@ -1,5 +1,5 @@
-"""Trajectory diagnostics: central curvature, supports, symmetry, and the
-blow-up time of the scalar comparison equation."""
+"""Trajectory diagnostics on node-value arrays: central curvature, supports,
+symmetry, and the blow-up time of the scalar comparison equation."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Field
-from .model import State
+from .grid import Grid
 
 SUPPORT_THRESHOLD_SCALE = 1e-9
 
@@ -42,31 +41,29 @@ class DiagnosticRecord:
     zero_set_max_rho: Optional[float] = None
 
 
-def second_derivative_at_center(s: State) -> float:
-    """Spectral second derivative of the density at the x = 0 node."""
-    grid = s.grid
+def second_derivative_at_center(grid: Grid, rho: np.ndarray) -> float:
+    """Spectral second derivative of the density node values at the x = 0 node."""
     j = grid.index_of_zero()
     if abs(grid.x[j]) > 1e-12 * grid.half_length:
         raise ValueError("grid has no node at x = 0")
-    return float(grid.deriv_values(s.rho.values, 2)[j])
+    return float(grid.deriv_values(rho, 2)[j])
 
 
-def support(f: Field, threshold: Optional[float] = None) -> list[Interval]:
+def support(grid: Grid, values: np.ndarray, threshold: Optional[float] = None) -> list[Interval]:
     """Maximal runs of nodes above ``threshold`` as closed intervals.
 
-    Each run of consecutive nodes with f > threshold becomes the interval
+    Each run of consecutive nodes with values > threshold becomes the interval
     [x_first - dx/2, x_last + dx/2], clamped to the periodic cell.  The
     default threshold is relative because spectral representations of
     compactly supported data carry roundoff-level ripples outside the true
     support.  A run crossing the periodic seam is reported as its two pieces
     inside [-L, L]; a field above threshold everywhere yields [-L, L].
     """
-    grid = f.grid
     if threshold is None:
-        threshold = SUPPORT_THRESHOLD_SCALE * max(float(np.max(f.values)), 1.0)
+        threshold = SUPPORT_THRESHOLD_SCALE * max(float(np.max(values)), 1.0)
     if threshold <= 0:
         raise ValueError(f"support threshold must be positive, got {threshold}")
-    above = f.values > threshold
+    above = values > threshold
     if not above.any():
         return []
     if above.all():
@@ -89,11 +86,10 @@ def support(f: Field, threshold: Optional[float] = None) -> list[Interval]:
     return intervals
 
 
-def symmetry_defect(f: Field) -> float:
+def symmetry_defect(values: np.ndarray) -> float:
     """Largest deviation from evenness about x = 0: max |f_j - f_{(N-j) mod N}|."""
-    n = f.grid.n_points
-    reflected = f.values[(-np.arange(n)) % n]
-    return float(np.max(np.abs(f.values - reflected)))
+    reflected = values[(-np.arange(values.size)) % values.size]
+    return float(np.max(np.abs(values - reflected)))
 
 
 def t_star(y0: float, theta: float) -> float:

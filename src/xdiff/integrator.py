@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -100,21 +100,14 @@ class StepControl:
             )
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    t: float
-    A: Field
-    rho: Field
-
-
 @dataclass
 class RunOutcome:
-    """Trajectory summary: halt reason, diagnostic series, snapshots, budgets."""
+    """Trajectory summary: halt reason, diagnostic series, snapshot states, budgets."""
 
     halt_reason: HaltReason
     final_state: State
     series: list[DiagnosticRecord]
-    snapshots: list[Snapshot]
+    snapshots: list[State]
     steps: int = 0
     initial_mass_rho: float = 0.0
     initial_mass_A: float = 0.0
@@ -123,14 +116,14 @@ class RunOutcome:
     fault_detail: str = ""
 
 
-def cfl_dt(s: State, ctrl: StepControl) -> float:
+def cfl_dt(dx: float, rho: np.ndarray, ctrl: StepControl) -> float:
     """Diffusive step bound cfl_safety * dx^2 / max(rho), clamped to the dt window.
 
     The density bounds the diffusivity of both equations, so its maximum
     (floored to keep the pure-reaction regime at dt_max) sets the step.
     """
-    diffusivity = max(float(np.max(s.rho.values)), DIFFUSIVITY_FLOOR)
-    dt = ctrl.cfl_safety * s.grid.dx**2 / diffusivity
+    diffusivity = max(float(np.max(rho)), DIFFUSIVITY_FLOOR)
+    dt = ctrl.cfl_safety * dx**2 / diffusivity
     return min(max(dt, ctrl.dt_min), ctrl.dt_max)
 
 
@@ -217,33 +210,26 @@ def step(
 
 
 def _record(
-    grid: Grid,
-    t: float,
-    a: np.ndarray,
-    r: np.ndarray,
-    zero_mask: Optional[np.ndarray],
+    grid: Grid, t: float, a: np.ndarray, r: np.ndarray, zero_mask: np.ndarray
 ) -> DiagnosticRecord:
-    a_field = Field(grid, a)
-    r_field = Field(grid, r)
-    state = State(t=t, A=a_field, rho=r_field)
-    report = energy(state)
+    """Diagnostics of the node values ``a``, ``r`` at time t; ``zero_mask`` marks
+    the initial density's interior zero set."""
+    report = energy(grid, a, r)
     dx = grid.dx
-    zero_max = None
-    if zero_mask is not None and zero_mask.any():
-        zero_max = float(np.max(r[zero_mask]))
+    zero_max = float(np.max(r[zero_mask])) if zero_mask.any() else None
     return DiagnosticRecord(
         t=t,
         max_rho=float(np.max(r)),
         min_rho=float(np.min(r)),
         min_A=float(np.min(a)),
-        rho_xx_at_0=second_derivative_at_center(state),
-        supp_rho=tuple(support(r_field)),
-        supp_A=tuple(support(a_field)),
+        rho_xx_at_0=second_derivative_at_center(grid, r),
+        supp_rho=tuple(support(grid, r)),
+        supp_A=tuple(support(grid, a)),
         mass_rho=float(np.sum(r) * dx),
         mass_A=float(np.sum(a) * dx),
         e_tilde=report.e_tilde,
         e_sqrt=report.e_sqrt,
-        symmetry_defect_rho=symmetry_defect(r_field),
+        symmetry_defect_rho=symmetry_defect(r),
         zero_set_max_rho=zero_max,
     )
 
@@ -292,16 +278,18 @@ def run(config) -> RunOutcome:
     ctrl: StepControl = config.ctrl
     mode: RunMode = config.mode
 
-    rho0 = config.rho0.sample(grid)
-    a0 = config.A0.sample(grid)
+    rho0 = config.rho0.sample(grid).values
+    a0 = config.A0.sample(grid).values
     if mode.kind == "regularized":
-        rho0 = mollify(Field(grid, rho0.values + mode.delta), mode.eps)
-        a0 = mollify(Field(grid, a0.values + mode.delta), mode.eps)
-
-    for name, f in (("rho0", rho0), ("A0", a0)):
-        if float(np.min(f.values)) < -ctrl.positivity_tol:
-            raise ValueError(f"{name} must be nonnegative (min {float(np.min(f.values)):.3e})")
-    u = np.stack((np.clip(a0.values, 0.0, None), np.clip(rho0.values, 0.0, None)))
+        rho0, a0 = rho0 + mode.delta, a0 + mode.delta
+    for name, values in (("rho0", rho0), ("A0", a0)):
+        if float(np.min(values)) < -ctrl.positivity_tol:
+            raise ValueError(f"{name} must be nonnegative (min {float(np.min(values)):.3e})")
+    if mode.kind == "regularized":
+        # checked before smoothing: the mollifier's truncation undershoot is
+        # not the data's, and is clipped below like a step's
+        rho0, a0 = (mollify(Field(grid, v), mode.eps).values for v in (rho0, a0))
+    u = np.clip(np.stack((a0, rho0)), 0.0, None)
     t = 0.0
 
     advance = _advance(grid, p, p.kernel.symbol(grid), mode)
@@ -309,25 +297,29 @@ def run(config) -> RunOutcome:
     initial_mass_A = float(np.sum(u[0]) * grid.dx)
     initial_mass_rho = float(np.sum(u[1]) * grid.dx)
 
-    series = [_record(grid, t, u[0], u[1], zero_mask)]
-    snapshots: list[Snapshot] = []
-    pending_snaps = sorted(config.snapshot_times)
-    while pending_snaps and t >= pending_snaps[0]:
-        snapshots.append(Snapshot(t, Field(grid, u[0]), Field(grid, u[1])))
-        pending_snaps.pop(0)
-
     steps = 0
     clipped_rho = 0.0
     clipped_a = 0.0
     consecutive_dt_min = 0
     fault_detail = ""
+    series = [_record(grid, t, u[0], u[1], zero_mask)]
+    snapshots: list[State] = []
+    pending_snaps = sorted(config.snapshot_times)
+
+    def state() -> State:
+        return State(t=t, A=Field(grid, u[0]), rho=Field(grid, u[1]))
+
+    def take_snapshots() -> None:
+        while pending_snaps and t >= pending_snaps[0]:
+            snapshots.append(state())
+            pending_snaps.pop(0)
 
     def out(reason: HaltReason) -> RunOutcome:
         if series[-1].t < t:
             series.append(_record(grid, t, u[0], u[1], zero_mask))
         return RunOutcome(
             halt_reason=reason,
-            final_state=State(t=t, A=Field(grid, u[0]), rho=Field(grid, u[1])),
+            final_state=state(),
             series=series,
             snapshots=snapshots,
             steps=steps,
@@ -338,11 +330,12 @@ def run(config) -> RunOutcome:
             fault_detail=fault_detail,
         )
 
+    take_snapshots()
     while True:
         if t >= config.t_end:
             return out(HaltReason.REACHED_T_END)
 
-        raw_dt = cfl_dt(State(t=t, A=Field(grid, u[0]), rho=Field(grid, u[1])), ctrl)
+        raw_dt = cfl_dt(grid.dx, u[1], ctrl)
         if raw_dt == ctrl.dt_min:
             consecutive_dt_min += 1
             if consecutive_dt_min >= 2:
@@ -367,10 +360,7 @@ def run(config) -> RunOutcome:
             fault_detail = "clipped mass exceeded the per-run budget"
             return out(HaltReason.NUMERICAL_FAULT)
 
-        while pending_snaps and t >= pending_snaps[0]:
-            snapshots.append(Snapshot(t, Field(grid, u[0]), Field(grid, u[1])))
-            pending_snaps.pop(0)
-
+        take_snapshots()
         if steps % config.record_every == 0:
             series.append(_record(grid, t, u[0], u[1], zero_mask))
             if _blowup_detected(series, ctrl):

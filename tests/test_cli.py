@@ -190,6 +190,17 @@ class TestCheckCommand:
         assert check_series(path) == ["row 2 has 5 cells, header has 14"]
         assert main(["check", path]) == 2
 
+    def test_non_numeric_cells_reported(self, tmp_path, capsys):
+        cells = self._row(1.0).split(",")
+        cells[0], cells[3] = "abc", ""
+        path = self._series(tmp_path, [self._row(0.0), ",".join(cells)])
+        assert check_series(path) == [
+            "row 2 column t: 'abc' is not a number",
+            "row 2 column min_A: '' is not a number",
+        ]
+        assert main(["check", path]) == 2
+        assert "FAIL: row 2 column t: 'abc' is not a number" in capsys.readouterr().out
+
     def test_nonfinite_diagnostic_flagged(self, tmp_path):
         row = self._row(0.0).replace("0.0,1.0,0.0,0.0", "0.0,nan,0.0,0.0", 1)
         path = self._series(tmp_path, [row])

@@ -184,8 +184,8 @@ class TestPresets:
 
         cfg = preset("fig2-support")
         g = make_grid(cfg.grid_L, cfg.grid_N)
-        a0 = support(cfg.A0.sample(g))
-        r0 = support(cfg.rho0.sample(g))
+        a0 = support(g, cfg.A0.sample(g).values)
+        r0 = support(g, cfg.rho0.sample(g).values)
         assert len(a0) == 1 and len(r0) == 1
         assert abs(a0[0][0] - (-0.3)) <= 2 * g.dx and abs(a0[0][1] - 0.3) <= 2 * g.dx
         assert r0[0][0] < a0[0][0] and a0[0][1] < r0[0][1]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xdiff.config import Constant, Cosine, PolyBump, RunConfig
 from xdiff.grid import Field, make_grid
@@ -80,28 +82,25 @@ class TestRunModeValidation:
 class TestCflDt:
     def test_reference_arithmetic(self, params):
         g = make_grid(1.0, 1024)
-        s = state_of(g, np.ones(1024), np.ones(1024))
-        dt = cfl_dt(s, StepControl())
+        dt = cfl_dt(g.dx, np.ones(1024), StepControl())
         assert dt == 0.25 * g.dx**2
         assert dt == pytest.approx(9.5367e-7, rel=1e-4)
 
     def test_zero_density_uses_dt_max(self, params):
         g = make_grid(1.0, 1024)
-        s = state_of(g, np.ones(1024), np.zeros(1024))
-        assert cfl_dt(s, StepControl()) == StepControl().dt_max
+        assert cfl_dt(g.dx, np.zeros(1024), StepControl()) == StepControl().dt_max
 
     def test_reference_peak_density(self, params):
         # the steepest reference experiment peak; the resulting step sits
         # within an order of magnitude of the reported frame time scale
         g = make_grid(1.0, 1024)
-        s = state_of(g, np.ones(1024), np.full(1024, 2.1875))
-        assert cfl_dt(s, StepControl()) == pytest.approx(4.3597e-7, rel=1e-4)
+        dt = cfl_dt(g.dx, np.full(1024, 2.1875), StepControl())
+        assert dt == pytest.approx(4.3597e-7, rel=1e-4)
 
     def test_clamped_to_window(self, params):
         g = make_grid(1.0, 16)
-        s = state_of(g, np.ones(16), np.full(16, 1e9))
         ctrl = StepControl(dt_min=1e-6, dt_max=1e-3)
-        assert cfl_dt(s, ctrl) == 1e-6
+        assert cfl_dt(g.dx, np.full(16, 1e9), ctrl) == 1e-6
 
 
 class TestStep:
@@ -263,6 +262,54 @@ class TestRun:
         with pytest.raises(ValueError):
             run(cfg)
 
+    def test_mollifier_undershoot_is_clipped_not_rejected(self, params):
+        # eps = 1e-6 smooths these compact bumps with a truncated heat kernel
+        # that undershoots to about -2e-8; the data itself is nonnegative
+        cfg = smooth_config(
+            params,
+            rho0=PolyBump(-140.0, -0.5, 0.5, 3, 0, 3),
+            A0=PolyBump(-2000.0, -0.3, 0.3, 3, 0, 3),
+            mode=RunMode("regularized", eps=1e-6),
+            n=256,
+            t_end=1e-4,
+        )
+        out = run(cfg)
+        assert out.halt_reason is HaltReason.REACHED_T_END
+        assert out.series[0].min_rho == 0.0 and out.series[0].min_A == 0.0
+
+    def test_negative_data_rejected_before_mollifying(self, params):
+        # a negative bump is still negative after the delta shift
+        cfg = smooth_config(
+            params,
+            rho0=PolyBump(140.0, -0.5, 0.5, 3, 0, 3),
+            mode=RunMode("regularized", eps=1e-6, delta=0.01),
+        )
+        with pytest.raises(ValueError, match="rho0 must be nonnegative"):
+            run(cfg)
+
+    def test_field_count_does_not_grow_with_the_run(self, params, monkeypatch):
+        # Fields are built for the initial data, the snapshots and the final
+        # state only, never per step or per record
+        built = []
+        post_init = Field.__post_init__
+
+        def counted(field):
+            built.append(field)
+            post_init(field)
+
+        monkeypatch.setattr(Field, "__post_init__", counted)
+        runs = []
+        for t_end in (1e-4, 2e-3):
+            built.clear()
+            cfg = smooth_config(
+                params, n=128, t_end=t_end, record_every=1, snapshot_times=(0.0, 1e-4)
+            )
+            out = run(cfg)
+            runs.append((len(built), len(out.series)))
+        (short_fields, short_records), (long_fields, long_records) = runs
+        assert long_records > 5 * short_records
+        assert long_fields == short_fields
+
     def test_sqrt_mode_matches_original_on_smooth_state(self, params):
         out_orig = run(smooth_config(params))
         out_sqrt = run(smooth_config(params, mode=RunMode("sqrt")))
@@ -295,12 +342,12 @@ class TestRun:
         last = out.series[-1]
         st = out.final_state
         assert last.t == st.t
-        assert last.rho_xx_at_0 == second_derivative_at_center(st)
-        assert last.supp_rho == tuple(support(st.rho))
-        assert last.supp_A == tuple(support(st.A))
+        assert last.rho_xx_at_0 == second_derivative_at_center(st.grid, st.rho.values)
+        assert last.supp_rho == tuple(support(st.grid, st.rho.values))
+        assert last.supp_A == tuple(support(st.grid, st.A.values))
         assert last.mass_rho == integrate(st.rho)
-        assert last.symmetry_defect_rho == symmetry_defect(st.rho)
-        report = energy(st)
+        assert last.symmetry_defect_rho == symmetry_defect(st.rho.values)
+        report = energy(st.grid, st.A.values, st.rho.values)
         assert last.e_tilde == report.e_tilde
         assert last.e_sqrt == report.e_sqrt
 
@@ -317,3 +364,38 @@ class TestRun:
         out = run(cfg)
         assert out.halt_reason is HaltReason.NUMERICAL_FAULT
         assert "clipped mass" in out.fault_detail
+
+
+# ---------------------------------------------------------------------------
+# properties over whole runs, in all three forms
+# ---------------------------------------------------------------------------
+
+PARAMS = ModelParams(kernel=BoxKernel(0.05), **REFERENCE)  # fixtures do not reset between examples
+
+
+@st.composite
+def even_data(draw):
+    """Even nonnegative data mean + amp*cos(m*pi*x); mean = |amp| touches zero."""
+    amp = draw(st.floats(-1.0, 1.0))
+    lift = 0.0 if draw(st.booleans()) else draw(st.floats(0.0, 1.0))
+    return Cosine(abs(amp) + lift, amp, draw(st.integers(0, 4)))
+
+
+@st.composite
+def run_mode(draw):
+    kind = draw(st.sampled_from(["original", "regularized", "sqrt"]))
+    if kind != "regularized":
+        return RunMode(kind)
+    return RunMode(kind, eps=draw(st.floats(0.0, 1e-2)), delta=draw(st.floats(0.0, 0.1)))
+
+
+class TestRunProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(rho0=even_data(), a0=even_data(), mode=run_mode(), n=st.sampled_from([32, 64]))
+    def test_even_nonnegative_data_stays_even_and_nonnegative(self, rho0, a0, mode, n):
+        cfg = smooth_config(PARAMS, n=n, rho0=rho0, A0=a0, mode=mode, t_end=2e-3, record_every=1)
+        out = run(cfg)
+        assert out.halt_reason is HaltReason.REACHED_T_END, out.fault_detail
+        for rec in out.series:
+            assert rec.min_rho >= 0.0 and rec.min_A >= 0.0
+            assert rec.symmetry_defect_rho <= 1e-12 * max(rec.max_rho, 1.0)

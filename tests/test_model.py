@@ -45,6 +45,16 @@ def even_state(grid, seed=0):
     return State(t=0.0, A=Field(grid, a), rho=Field(grid, r))
 
 
+def counting(calls, name, fn):
+    """``fn`` that appends ``name`` to ``calls`` on every call."""
+
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
 def reflect(values):
     return values[(-np.arange(values.size)) % values.size]
 
@@ -193,9 +203,30 @@ class TestRhsSqrt:
 class TestEnergy:
     def test_constant_state_values(self):
         g = make_grid(1.0, 64)
-        report = energy(constant_state(g))
+        s = constant_state(g)
+        report = energy(g, s.A.values, s.rho.values)
         assert report.e_tilde == pytest.approx(5.0, abs=1e-12)
         assert report.e_sqrt == pytest.approx(3.0, abs=1e-12)
+
+    def test_one_spectral_pass(self, grid, monkeypatch):
+        # one rfft of the stacked (rho, A, sqrt(rho)), one irfft of the three
+        # derivative spectra, and the same energies as one derivative at a time
+        calls = []
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counting(calls, name, getattr(np.fft, name)))
+        s = even_state(grid)
+        a, r = s.A.values, s.rho.values
+        report = energy(grid, a, r)
+        assert calls == ["rfft", "irfft"]
+        monkeypatch.undo()
+
+        dx = grid.dx
+        r3, a2 = grid.deriv_values(r, 3), grid.deriv_values(a, 2)
+        root = np.sqrt(r)
+        e_tilde = 1 + dx * (np.sum(r3**2) + np.sum(r**2) + np.sum(a**2) + np.sum(a2**2))
+        e_sqrt = 1 + dx * (np.sum(root**2) + np.sum(grid.deriv_values(root, 2) ** 2))
+        assert report.e_tilde == pytest.approx(e_tilde, rel=1e-13)
+        assert report.e_sqrt == pytest.approx(e_sqrt, rel=1e-13)
 
 
 class TestThresholdsAndBounds:

@@ -42,11 +42,18 @@ class DiagnosticRecord:
 
 
 def second_derivative_at_center(grid: Grid, rho: np.ndarray) -> float:
-    """Spectral second derivative of the density node values at the x = 0 node."""
+    """Spectral second derivative of the density node values at the x = 0 node.
+
+    Only that node of the inverse transform is summed: x = 0 is node N/2, where
+    mode m carries the phase (-1)^m, and the real-FFT weights are 1 at m = 0
+    and at Nyquist and 2 elsewhere.
+    """
     j = grid.index_of_zero()
     if abs(grid.x[j]) > 1e-12 * grid.half_length:
         raise ValueError("grid has no node at x = 0")
-    return float(grid.deriv_values(rho, 2)[j])
+    terms = -grid.k**2 * np.fft.rfft(rho).real
+    terms[1::2] *= -1.0
+    return float((2.0 * np.sum(terms) - terms[0] - terms[-1]) / grid.n_points)
 
 
 def support(grid: Grid, values: np.ndarray, threshold: Optional[float] = None) -> list[Interval]:

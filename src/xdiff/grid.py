@@ -1,11 +1,10 @@
-"""Uniform periodic mesh with Fourier pseudo-spectral differentiation, quadrature,
-and the reader for node-sampled CSV files."""
+"""Uniform periodic mesh with Fourier pseudo-spectral differentiation, node-value
+fields, and the reader for node-sampled CSV files."""
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,25 +59,17 @@ class Grid:
         k = (np.pi / self.half_length) * np.arange(self.n_points // 2 + 1, dtype=np.float64)
         ik = 1j * k
         ik[-1] = 0.0  # Nyquist mode dropped for odd-order derivatives on even N
-        # High-order exponential roll-off (~1 below 3/4 of the band, ~2e-16 at
-        # the Nyquist mode): tames aliased top-octave content of pointwise
-        # products without the ringing a sharp cutoff adds at steep fronts.
-        rel = np.arange(k.size, dtype=np.float64) / (self.n_points // 2)
-        flux_filter = np.exp(-36.0 * rel**36)
-
-        for name, arr in (
-            ("x", x),
-            ("k", k),
-            ("_ik", ik),
-            ("_flux_filter", flux_filter),
-        ):
+        for name, arr in (("x", x), ("k", k), ("_ik", ik)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "dx", dx)
 
-    # -- array-level spectral helpers (hot path; Field wrappers below) --
-
     def deriv_values(self, values: np.ndarray, order: int) -> np.ndarray:
+        """Fourier pseudo-spectral derivative of the given order (1..4) of node values.
+
+        Exact for modes resolved by the grid; the Nyquist coefficient is zeroed
+        for odd orders so the result of a real input stays real-symmetric.
+        """
         if order not in (1, 2, 3, 4):
             raise ValueError(f"derivative order must be 1..4, got {order}")
         fh = np.fft.rfft(values)
@@ -112,35 +103,9 @@ class Field:
         object.__setattr__(self, "values", vals)
 
 
-class Norms(NamedTuple):
-    l2: float
-    linf: float
-    min: float
-
-
 def make_grid(half_length: float, n_points: int) -> Grid:
     """Build the uniform periodic mesh on [-half_length, half_length]."""
     return Grid(half_length, n_points)
-
-
-def deriv(f: Field, order: int) -> Field:
-    """Fourier pseudo-spectral derivative of the given order (1..4).
-
-    Exact for modes resolved by the grid; the Nyquist coefficient is zeroed
-    for odd orders so the result of a real input stays real-symmetric.
-    """
-    return Field(f.grid, f.grid.deriv_values(f.values, order))
-
-
-def integrate(f: Field) -> float:
-    """Rectangle-rule quadrature, exact for trigonometric polynomials below Nyquist."""
-    return float(np.sum(f.values) * f.grid.dx)
-
-
-def norms(f: Field) -> Norms:
-    """L2 norm (via the grid quadrature), max-abs and pointwise minimum."""
-    l2 = float(np.sqrt(np.sum(f.values**2) * f.grid.dx))
-    return Norms(l2=l2, linf=float(np.max(np.abs(f.values))), min=float(np.min(f.values)))
 
 
 def read_node_csv(path: str, grid: Grid) -> np.ndarray:

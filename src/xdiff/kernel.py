@@ -84,12 +84,6 @@ def kernel_l1_norm(k: KernelSpec) -> float:
     return k.l1_norm()
 
 
-def convolve(k: KernelSpec, f: Field) -> Field:
-    """Periodic convolution kernel * f via the discrete Fourier transform."""
-    sym = k.symbol(f.grid)
-    return Field(f.grid, np.fft.irfft(np.fft.rfft(f.values) * sym, n=f.grid.n_points))
-
-
 def heat_multiplier(grid: Grid, eps: float) -> np.ndarray:
     """Fourier multiplier exp(-eps*k^2) of the heat semigroup at time eps."""
     if eps < 0:

@@ -119,44 +119,43 @@ def _assemble(
     All nonlinear terms are assembled pointwise from the raw fields, so every
     term carrying a factor of the state vanishes exactly on the nodes where
     that state vanishes; this is what preserves the discrete zero set of the
-    density and keeps the area confined to the density support.  The flux of
-    w, d/dx(rho * dw/dx), keeps its conservative form, differentiated through
-    the smooth spectral roll-off (aliasing control without sharp-cutoff
-    ringing); the area flux is expanded as rho*A_xx + rho_x*A_x, whose
-    quadrature is still exactly zero because the spectral derivative matrix is
-    antisymmetric.  With the density growth rate g, the density equation reads
-    rho*g + flux and the eta equation eta*g/2 + eta*eta_x^2 + flux, so that
-    2*eta*d(eta) reproduces the density equation wherever eta > 0.
+    density and keeps the area confined to the density support.  Both rows
+    share one flux, d/dx(rho * du/dx) expanded as rho*u_xx + rho_x*u_x with
+    u_xx = D(D u) for the Nyquist-zeroed spectral derivative D: its quadrature
+    is exactly zero because D is antisymmetric, and where rho = 0 the density
+    flux reduces to rho_x^2 >= 0.  With the density growth rate g, the density
+    equation reads rho*g + flux and the eta equation eta*g/2 + eta*eta_x^2 +
+    flux, so that 2*eta*d(eta) reproduces the density equation wherever
+    eta > 0.
 
     One rfft of the stacked fields and one irfft of the stacked derivative and
-    average spectra feed the pointwise terms; the flux takes one more pair.
+    average spectra feed the pointwise terms.
     """
     n = grid.n_points
     ik = grid._ik
     a, w = u
     with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
         rho = w * w if sqrt else w
-        uh = np.fft.rfft(np.stack((a, rho, w)) if sqrt else u)  # rows A, rho[, eta]
-        ah, rh = uh[0], uh[1]
-        spectra = [ah * ik, ah * (ik * ik), rh * ik, rh * conv_sym]
-        if sqrt:
-            spectra.append(uh[2] * ik)
-        ax, axx, rx, avg, *eta_x = np.fft.irfft(np.stack(spectra), n=n)
-        wx = eta_x[0] if sqrt else rx
+        uh = np.fft.rfft(np.stack((a, w, rho)) if sqrt else u)  # rows A, w[, rho]
+        rh = uh[-1]
+        extra = (rh * conv_sym, rh * ik) if sqrt else (rh * conv_sym,)
+        # rows A_x, w_x, A_xx, w_xx, Gamma*rho[, rho_x]
+        d = np.fft.irfft(np.vstack((uh[:2] * ik, uh[:2] * (ik * ik), *extra)), n=n)
+        ux, uxx, avg = d[0:2], d[2:4], d[4]
+        rx = d[5] if sqrt else ux[1]
+        area_flux, w_flux = rho * uxx + rx * ux
 
         local_push = rho - avg  # density excess over its nonlocal average
         area_reaction = a * (p.alpha * rho - p.mu * p.alpha * local_push) + p.beta_tilde * a * (
             1.0 - rho * a / p.K_tilde
         )
-        area_flux = rho * axx + rx * ax
         g = p.beta * (1.0 - a * rho / p.K) - p.alpha * rho + p.mu * p.alpha * local_push
-        flux = np.fft.irfft(np.fft.rfft(rho * wx) * (ik * grid._flux_filter), n=n)
         if sqrt:
             w_reaction = 0.5 * w * g
-            w_transport = w * wx * wx + flux
+            w_transport = w * ux[1] * ux[1] + w_flux
         else:
             w_reaction = w * g
-            w_transport = flux
+            w_transport = w_flux
         out = np.stack((area_reaction + area_flux, w_reaction + w_transport))
 
     if not np.all(np.isfinite(out)):

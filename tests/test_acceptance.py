@@ -23,8 +23,8 @@ import pytest
 import xdiff
 from xdiff.cli import SERIES_HEADER, main
 from xdiff.config import parse_config, preset, preset_with_overrides, render_config
-from xdiff.diagnostics import t_star
-from xdiff.grid import Field, deriv, make_grid, norms
+from xdiff.diagnostics import support, t_star
+from xdiff.grid import Field, make_grid
 from xdiff.integrator import StepControl, step
 from xdiff.kernel import kernel_l1_norm, mollify
 from xdiff.model import ModelParams, State, blowup_threshold, rhs, rhs_regularized, rhs_sqrt
@@ -70,6 +70,7 @@ def fig1(tmp_path_factory):
     return {
         "code": code,
         "wall": wall,
+        "out_dir": out,
         "series": read_series(out / "series.csv"),
         "outcome": read_outcome(out / "outcome.txt"),
         "config": preset("fig1-blowup"),
@@ -123,6 +124,13 @@ def test_criterion_1_blowup_reproduction(fig1):
         assert fig1["wall"] <= 300.0, "runtime must stay within five minutes"
 
 
+def test_criterion_1_blowup_at_n512():
+    with criterion(1, "blow-up reproduction at N = 512"):
+        out = xdiff.run(preset_with_overrides("fig1-blowup", {"grid.N": "512"}))
+        assert out.halt_reason is xdiff.HaltReason.BLOWUP_DETECTED, out.fault_detail
+        assert out.final_state.t <= 1.5 * t_star(CURVATURE_AT_CENTER, 0.075)
+
+
 def test_criterion_2_threshold_consistency():
     with criterion(2, "threshold consistency"):
         p = reference_params()
@@ -146,6 +154,33 @@ def test_criterion_3_density_support_invariance(fig2):
         assert zero_set_max <= 1e-10, (
             "density must stay numerically zero on the interior zero set"
         )
+
+
+def test_criterion_3_holds_at_n512():
+    # the coarsest rung of the refinement ladder: the zero-set bound must not
+    # need N = 1024 to hold
+    with criterion(3, "density zero set at N = 512"):
+        out = xdiff.run(preset_with_overrides("fig2-support", {"grid.N": "512"}))
+        assert out.halt_reason is xdiff.HaltReason.REACHED_T_END
+        zero_set_max = max(rec.zero_set_max_rho for rec in out.series)
+        print(f"zero-set headroom at N = 512: {1e-10 / zero_set_max:.3g}")
+        assert zero_set_max <= 1e-10
+
+
+def test_fig1_density_support_at_every_snapshot(fig1):
+    # the density's two humps keep their outer edges at |x| = 0.5 up to the
+    # last snapshot before blow-up: no spurious intervals on the zero set
+    with criterion(3, "fig1 density support at every snapshot"):
+        cfg = fig1["config"]
+        grid = make_grid(cfg.grid_L, cfg.grid_N)
+        snaps = sorted(fig1["out_dir"].glob("snapshot_*.csv"))
+        assert len(snaps) == len(cfg.snapshot_times)
+        for path in snaps:
+            rho = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2]
+            intervals = support(grid, rho)
+            assert len(intervals) == 2, (path.name, intervals)
+            assert abs(intervals[0][0] + 0.5) <= 2 * grid.dx, (path.name, intervals)
+            assert abs(intervals[-1][1] - 0.5) <= 2 * grid.dx, (path.name, intervals)
 
 
 def test_criterion_4_area_support_expansion(fig2):
@@ -246,9 +281,8 @@ def test_criterion_8_numerical_quality():
     with criterion(8, "numerical quality"):
         # exact spectral differentiation of a resolved mode
         g = make_grid(1.0, 128)
-        f = Field(g, np.sin(3 * np.pi * g.x))
-        d = deriv(f, 1)
-        assert np.max(np.abs(d.values - 3 * np.pi * np.cos(3 * np.pi * g.x))) <= 1e-10
+        d = g.deriv_values(np.sin(3 * np.pi * g.x), 1)
+        assert np.max(np.abs(d - 3 * np.pi * np.cos(3 * np.pi * g.x))) <= 1e-10
 
         # temporal self-convergence of the stepper on the smooth positive run
         p = reference_params()

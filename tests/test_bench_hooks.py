@@ -32,10 +32,10 @@ def test_hook_target_resolves(layer, module, path):
     assert hooks._resolve(module, path) is not None, f"layer {layer}: {module}.{path} is missing"
 
 
-# FFT calls per right-side evaluation: one rfft of the stacked fields, one
-# irfft of the stacked spectra, and the filtered flux pair; the mollified form
-# adds a smoothing pair on each side.
-FFTS_PER_RHS = {"original": 4, "regularized": 8, "sqrt": 4}
+# FFT calls per right-side evaluation: one rfft of the stacked fields and one
+# irfft of the stacked spectra; the mollified form adds a smoothing pair on
+# each side.
+FFTS_PER_RHS = {"original": 2, "regularized": 6, "sqrt": 2}
 
 
 def traced_run(tracer, run_id, mode, t_end):

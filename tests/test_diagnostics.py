@@ -28,6 +28,28 @@ class TestSecondDerivativeAtCenter:
         g = make_grid(1.0, 64)
         assert abs(second_derivative_at_center(g, np.full(64, 3.0))) < 1e-12
 
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    def test_one_transform_matches_the_full_inverse(self, n, monkeypatch):
+        # the x = 0 node of the inverse transform, summed from one rfft
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        g = make_grid(1.0, n)
+        rho = np.random.default_rng(n).normal(size=n)  # every mode, Nyquist included
+        value = second_derivative_at_center(g, rho)
+        assert calls == ["rfft"]
+        monkeypatch.undo()
+        full = g.deriv_values(rho, 2)
+        assert value == pytest.approx(full[g.index_of_zero()], abs=1e-14 * np.max(np.abs(full)))
+
 
 class TestSupport:
     def test_compact_bump_single_interval(self):

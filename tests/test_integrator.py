@@ -335,7 +335,6 @@ class TestRun:
         # the run's internal record assembly must match what the public
         # operators compute on the final state
         from xdiff.diagnostics import second_derivative_at_center, support, symmetry_defect
-        from xdiff.grid import integrate
         from xdiff.model import energy
 
         out = run(smooth_config(params, record_every=1))
@@ -345,19 +344,21 @@ class TestRun:
         assert last.rho_xx_at_0 == second_derivative_at_center(st.grid, st.rho.values)
         assert last.supp_rho == tuple(support(st.grid, st.rho.values))
         assert last.supp_A == tuple(support(st.grid, st.A.values))
-        assert last.mass_rho == integrate(st.rho)
+        assert last.mass_rho == float(np.sum(st.rho.values) * st.grid.dx)
         assert last.symmetry_defect_rho == symmetry_defect(st.rho.values)
         report = energy(st.grid, st.A.values, st.rho.values)
         assert last.e_tilde == report.e_tilde
         assert last.e_sqrt == report.e_sqrt
 
     def test_clip_budget_flags_numerical_fault(self, params):
-        # a severely under-resolved compact bump clips far more mass than the
-        # budget allows and must be reported as a fault, not silently eaten
+        # a severely under-resolved compact area bump clips far more mass than
+        # the budget allows and must be reported as a fault, not silently eaten
+        # (the density's own flux is nonnegative on its zero set, so the bump
+        # sits in the area, whose flux rho*A_xx + rho_x*A_x is not)
         cfg = smooth_config(
             params,
-            rho0=PolyBump(-(10.0**9), -0.2, 0.2, 3, 2, 3),
-            A0=Constant(0.0),
+            rho0=Constant(1.0),
+            A0=PolyBump(-(10.0**9), -0.2, 0.2, 3, 2, 3),
             n=16,
             t_end=1.0,
         )

@@ -105,7 +105,8 @@ def t_star(y0: float, theta: float) -> float:
         raise ValueError(f"theta must be nonnegative, got {theta}")
     if y0 <= theta:
         return math.inf
-    if theta == 0.0:
-        return 1.0 / y0
-    # log1p form stays accurate in the vanishing-damping limit theta -> 0
-    return math.log1p(theta / (y0 - theta)) / theta
+    # as log1p(x) / x / (y0 - theta) with x = theta / (y0 - theta): the ratio
+    # tends to 1 as theta -> 0 and stays exact for subnormal x, where dividing
+    # log1p(x) by theta would lose all precision
+    x = theta / (y0 - theta)
+    return (math.log1p(x) / x if x else 1.0) / (y0 - theta)

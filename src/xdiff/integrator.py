@@ -29,11 +29,12 @@ from .model import (
 )
 
 DIFFUSIVITY_FLOOR = 1e-12
-BLOWUP_WINDOW = 50  # trailing records that must rise monotonically
+POSITIVITY_TOL = 1e-12  # initial data may dip this far below zero
 CLIP_BUDGET_FRACTION = 1e-8  # clipped mass allowed per run, relative to initial mass
+BLOWUP_CAP = 1e6  # central curvature that halts any run
+CURVATURE_GROWTH = 10.0  # growth over a positive initial curvature y0 that arms the window
+RISE_WINDOW = 0.04  # trailing time, in units of 1/y0, over which the curvature must rise
 
-CLIP_TO_ZERO = "clip_to_zero"
-REJECT = "reject"
 RUN_MODES = ("original", "regularized", "sqrt")
 
 
@@ -69,15 +70,11 @@ class RunMode:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Step-size, positivity and halt policy."""
+    """Step-size policy."""
 
     cfl_safety: float = 0.25
     dt_min: float = 1e-14
     dt_max: float = 1e-2
-    positivity_tol: float = 1e-12
-    clip_policy: str = CLIP_TO_ZERO
-    blowup_cap: float = 1e6
-    curvature_growth_factor: float = 10.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.cfl_safety <= 1.0):
@@ -86,18 +83,6 @@ class StepControl:
             raise InvalidValue("dt_min", f"must be positive, got {self.dt_min}")
         if not self.dt_max > self.dt_min:
             raise InvalidValue("dt_max", f"must exceed dt_min = {self.dt_min}, got {self.dt_max}")
-        if self.positivity_tol < 0:
-            raise InvalidValue("positivity_tol", f"must be nonnegative, got {self.positivity_tol}")
-        if self.clip_policy not in (CLIP_TO_ZERO, REJECT):
-            raise InvalidValue(
-                "clip_policy", f"must be one of {CLIP_TO_ZERO}, {REJECT}, got {self.clip_policy!r}"
-            )
-        if not self.blowup_cap > 0:
-            raise InvalidValue("blowup_cap", f"must be positive, got {self.blowup_cap}")
-        if not self.curvature_growth_factor > 1.0:
-            raise InvalidValue(
-                "curvature_growth_factor", f"must exceed 1, got {self.curvature_growth_factor}"
-            )
 
 
 @dataclass
@@ -127,22 +112,19 @@ def cfl_dt(dx: float, rho: np.ndarray, ctrl: StepControl) -> float:
     return min(max(dt, ctrl.dt_min), ctrl.dt_max)
 
 
-def _apply_positivity(values: np.ndarray, ctrl: StepControl, what: str) -> tuple[np.ndarray, float]:
-    """Zero negative entries, returning the summed magnitude that was removed.
+def _apply_positivity(u: np.ndarray, dx: float) -> tuple[np.ndarray, float, float]:
+    """Zero the negative entries of the stacked (A, rho) in place.
 
-    Under the reject policy, entries below -positivity_tol abort instead of
-    being clipped; sub-tolerance negatives are discretization artifacts and
-    are zeroed under either policy.
+    Returns ``(u, clipped_A, clipped_rho)``, the clipped masses being the
+    removed magnitude times ``dx``.
     """
-    minimum = float(np.min(values))
-    if minimum >= 0.0:
-        return values, 0.0
-    if ctrl.clip_policy == REJECT and minimum < -ctrl.positivity_tol:
-        raise NumericalFault(
-            f"{what} fell to {minimum:.3e}, below -positivity_tol under the reject policy"
-        )
-    negative = np.minimum(values, 0.0)
-    return values - negative, float(-np.sum(negative))
+    clipped = [0.0, 0.0]
+    for i, row in enumerate(u):
+        if float(np.min(row)) < 0.0:
+            negative = np.minimum(row, 0.0)
+            row -= negative
+            clipped[i] = float(-np.sum(negative)) * dx
+    return u, clipped[0], clipped[1]
 
 
 _Advance = Callable[[np.ndarray, float], np.ndarray]
@@ -181,26 +163,22 @@ def _advance(grid: Grid, p: ModelParams, conv_sym: np.ndarray, mode: RunMode) ->
 
 
 def _step_arrays(
-    grid: Grid, u: np.ndarray, dt: float, ctrl: StepControl, advance: _Advance
+    grid: Grid, u: np.ndarray, dt: float, advance: _Advance
 ) -> tuple[np.ndarray, float, float]:
     """One step of the stacked (A, rho) plus positivity; returns (u, clipped_A, clipped_rho)."""
     u = advance(u, dt)
     if not np.all(np.isfinite(u)):
         raise NumericalFault("non-finite state after step")
-    u[0], clipped_a = _apply_positivity(u[0], ctrl, "area")
-    u[1], clipped_r = _apply_positivity(u[1], ctrl, "density")
-    return u, clipped_a * grid.dx, clipped_r * grid.dx
+    return _apply_positivity(u, grid.dx)
 
 
-def step(
-    s: State, p: ModelParams, dt: float, ctrl: StepControl, mode: RunMode = RunMode()
-) -> State:
+def step(s: State, p: ModelParams, dt: float, mode: RunMode = RunMode()) -> State:
     """Advance one classical RK4 step of the selected evolution form."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = s.grid
     advance = _advance(grid, p, p.kernel.symbol(grid), mode)
-    u, _, _ = _step_arrays(grid, np.stack((s.A.values, s.rho.values)), dt, ctrl, advance)
+    u, _, _ = _step_arrays(grid, np.stack((s.A.values, s.rho.values)), dt, advance)
     return State(t=s.t + dt, A=Field(grid, u[0]), rho=Field(grid, u[1]))
 
 
@@ -234,23 +212,32 @@ def _record(
     )
 
 
-def _blowup_detected(series: list[DiagnosticRecord], ctrl: StepControl) -> bool:
-    """Two-signal detector: hard cap, or growth factor plus a monotone window.
+def _blowup_detected(series: list[DiagnosticRecord]) -> bool:
+    """Two-signal detector: hard cap, or growth plus a rise over a window in time.
 
-    The growth-factor signal is armed only for data with positive initial
-    central curvature (the blow-up mechanism presupposes it); the monotone
-    window separates genuine divergence from transient oscillation.
+    The growth signal is armed only for data with positive initial central
+    curvature y0 (the blow-up mechanism presupposes it).  It fires once the
+    curvature exceeds ``CURVATURE_GROWTH * y0`` and has risen at every record
+    since the last one at least ``RISE_WINDOW / y0`` back; the window counts
+    only once the records span it.  ``1 / y0`` is the time scale of the
+    comparison ODE y' = y^2, and a window in time, unlike one in records,
+    moves the halt by at most one record interval when the cadence changes.
     """
     latest = series[-1].rho_xx_at_0
-    if latest > ctrl.blowup_cap:
+    if latest > BLOWUP_CAP:
         return True
-    initial = series[0].rho_xx_at_0
-    if initial <= 0.0 or latest <= ctrl.curvature_growth_factor * initial:
+    y0 = series[0].rho_xx_at_0
+    if y0 <= 0.0 or latest <= CURVATURE_GROWTH * y0:
         return False
-    if len(series) < BLOWUP_WINDOW:
+    start = series[-1].t - RISE_WINDOW / y0
+    if series[0].t > start:
         return False
-    window = [rec.rho_xx_at_0 for rec in series[-BLOWUP_WINDOW:]]
-    return all(b > a for a, b in zip(window, window[1:]))
+    i = len(series) - 1
+    while series[i].t > start:
+        if series[i - 1].rho_xx_at_0 >= series[i].rho_xx_at_0:
+            return False
+        i -= 1
+    return True
 
 
 def _interior_zero_mask(r0: np.ndarray) -> np.ndarray:
@@ -283,13 +270,13 @@ def run(config) -> RunOutcome:
     if mode.kind == "regularized":
         rho0, a0 = rho0 + mode.delta, a0 + mode.delta
     for name, values in (("rho0", rho0), ("A0", a0)):
-        if float(np.min(values)) < -ctrl.positivity_tol:
+        if float(np.min(values)) < -POSITIVITY_TOL:
             raise ValueError(f"{name} must be nonnegative (min {float(np.min(values)):.3e})")
     if mode.kind == "regularized":
         # checked before smoothing: the mollifier's truncation undershoot is
-        # not the data's, and is clipped below like a step's
+        # not the data's, and is clipped and counted below like a step's
         rho0, a0 = (mollify(Field(grid, v), mode.eps).values for v in (rho0, a0))
-    u = np.clip(np.stack((a0, rho0)), 0.0, None)
+    u, clipped_a, clipped_rho = _apply_positivity(np.stack((a0, rho0)), grid.dx)
     t = 0.0
 
     advance = _advance(grid, p, p.kernel.symbol(grid), mode)
@@ -298,8 +285,6 @@ def run(config) -> RunOutcome:
     initial_mass_rho = float(np.sum(u[1]) * grid.dx)
 
     steps = 0
-    clipped_rho = 0.0
-    clipped_a = 0.0
     consecutive_dt_min = 0
     fault_detail = ""
     series = [_record(grid, t, u[0], u[1], zero_mask)]
@@ -346,7 +331,7 @@ def run(config) -> RunOutcome:
         remaining = config.t_end - t
         dt = min(raw_dt, remaining)
         try:
-            u, ca, cr = _step_arrays(grid, u, dt, ctrl, advance)
+            u, ca, cr = _step_arrays(grid, u, dt, advance)
         except NumericalFault as fault:
             fault_detail = str(fault)
             return out(HaltReason.NUMERICAL_FAULT)
@@ -363,5 +348,5 @@ def run(config) -> RunOutcome:
         take_snapshots()
         if steps % config.record_every == 0:
             series.append(_record(grid, t, u[0], u[1], zero_mask))
-            if _blowup_detected(series, ctrl):
+            if _blowup_detected(series):
                 return out(HaltReason.BLOWUP_DETECTED)

@@ -63,8 +63,8 @@ class ModelParams:
 class State:
     """Time t together with the area field A and density field rho on one grid.
 
-    Both fields are expected to be nonnegative up to the integrator's
-    positivity tolerance; the integrator enforces that after each step.
+    Both fields are expected to be nonnegative; the integrator clips
+    negative entries to zero at t = 0 and after each step.
     """
 
     t: float

@@ -25,7 +25,7 @@ from xdiff.cli import SERIES_HEADER, main
 from xdiff.config import parse_config, preset, preset_with_overrides, render_config
 from xdiff.diagnostics import support, t_star
 from xdiff.grid import Field, make_grid
-from xdiff.integrator import StepControl, step
+from xdiff.integrator import step
 from xdiff.kernel import kernel_l1_norm, mollify
 from xdiff.model import ModelParams, State, blowup_threshold, rhs, rhs_regularized, rhs_sqrt
 
@@ -129,6 +129,31 @@ def test_criterion_1_blowup_at_n512():
         out = xdiff.run(preset_with_overrides("fig1-blowup", {"grid.N": "512"}))
         assert out.halt_reason is xdiff.HaltReason.BLOWUP_DETECTED, out.fault_detail
         assert out.final_state.t <= 1.5 * t_star(CURVATURE_AT_CENTER, 0.075)
+
+
+@pytest.mark.slow
+def test_criterion_1_halt_across_record_cadences():
+    # the detector's window is a time, so a coarser record cadence moves the
+    # halt by at most one record interval past that of recording every step
+    bound = 1.5 * t_star(CURVATURE_AT_CENTER, 0.075)
+    ladder = ((512, "0.1", (1, 10, 100)), (512, "0.25", (1, 10, 100)), (1024, "0.25", (1, 100)))
+    with criterion(1, "blow-up halt across record cadences"):
+        for n, safety, cadences in ladder:
+            halts = []
+            for every in cadences:
+                overrides = {
+                    "grid.N": str(n),
+                    "ctrl.cfl_safety": safety,
+                    "run.record_every": str(every),
+                }
+                out = xdiff.run(preset_with_overrides("fig1-blowup", overrides))
+                case = f"N = {n}, cfl_safety = {safety}, record_every = {every}"
+                halted = out.halt_reason is xdiff.HaltReason.BLOWUP_DETECTED
+                assert halted, (case, out.fault_detail)
+                t_halt = out.final_state.t
+                assert t_halt <= bound, case
+                halts.append(t_halt)
+                assert out.series[-2].t <= halts[0] <= t_halt, case
 
 
 def test_criterion_2_threshold_consistency():
@@ -287,7 +312,6 @@ def test_criterion_8_numerical_quality():
         # temporal self-convergence of the stepper on the smooth positive run
         p = reference_params()
         g16 = make_grid(1.0, 16)
-        ctrl = StepControl()
 
         def advance(dt, n_steps):
             s = State(
@@ -296,7 +320,7 @@ def test_criterion_8_numerical_quality():
                 rho=Field(g16, 1.0 + 0.1 * np.cos(np.pi * g16.x)),
             )
             for _ in range(n_steps):
-                s = step(s, p, dt, ctrl)
+                s = step(s, p, dt)
             return s
 
         sols = [advance(5e-4 / 2**i, 2 * 2**i) for i in range(3)]

@@ -69,6 +69,15 @@ class TestParse:
         with pytest.raises(ConfigError, match=r"unknown key 'params.gamma'"):
             parse_config(MINIMAL + "params.gamma = 2.0\n")
 
+    @pytest.mark.parametrize(
+        "key", ["positivity_tol", "clip_policy", "blowup_cap", "curvature_growth_factor"]
+    )
+    def test_fixed_halt_and_positivity_rules_take_no_key(self, key):
+        # the blow-up and positivity rules are fixed; no key sets them
+        lineno = MINIMAL.count("\n") + 1
+        with pytest.raises(ConfigError, match=rf"line {lineno}: unknown key 'ctrl.{key}'"):
+            parse_config(MINIMAL + f"ctrl.{key} = 1.0\n")
+
     def test_kind_specific_keys_fail_closed(self):
         # a poly_bump key together with kind = constant must be rejected
         with pytest.raises(ConfigError, match="unknown key"):
@@ -256,10 +265,6 @@ def step_controls(draw):
         cfl_safety=draw(finite(0.0, 1.0, exclude_min=True)),
         dt_min=dt_min,
         dt_max=draw(finite(dt_min, 1.0, exclude_min=True)),
-        positivity_tol=draw(finite(0.0, 1e-6)),
-        clip_policy=draw(st.sampled_from(["clip_to_zero", "reject"])),
-        blowup_cap=draw(finite(1.0, 1e12)),
-        curvature_growth_factor=draw(finite(1.0, 1e3, exclude_min=True)),
     )
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xdiff.diagnostics import second_derivative_at_center, support, symmetry_defect, t_star
 from xdiff.grid import make_grid
@@ -137,18 +139,22 @@ class TestComparisonOde:
         assert t_star(y0, 0.0) == 1.0 / y0
         assert t_star(y0, 1e-9) == pytest.approx(1.0 / y0, rel=1e-7)
 
-    def test_solution_formula_against_numerical_integration(self):
-        # independent check: RK4 on y' = y^2 - theta*y with a step shrinking
-        # as 1/y, integrated until y is huge; the crossing time plus the
-        # remaining-tail estimate must land within 1% of the closed form
-        y0, theta = 62.5, 0.075
+    @settings(max_examples=40, deadline=None)
+    @given(y0=st.floats(1e-2, 1e4), ratio=st.floats(0.0, 0.99))
+    @example(y0=62.5, ratio=0.075 / 62.5)
+    def test_solution_formula_against_numerical_integration(self, y0, ratio):
+        # independent check for supercritical data y0 > theta: RK4 on
+        # y' = y^2 - theta*y with a step shrinking as 1/y, integrated until y
+        # is huge; the crossing time plus the remaining-tail estimate must
+        # land on the closed form
+        theta = ratio * y0
         target = t_star(y0, theta)
 
         def f(y):
             return y * y - theta * y
 
         y, t = y0, 0.0
-        while y < 1e7:
+        while y < 1e6 * y0:
             dt = 1e-3 / y
             k1 = f(y)
             k2 = f(y + 0.5 * dt * k1)
@@ -157,7 +163,7 @@ class TestComparisonOde:
             y += dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             t += dt
         t_hat = t + 1.0 / y  # remaining time to infinity for y' ~ y^2
-        assert t_hat == pytest.approx(target, rel=0.01)
+        assert t_hat == pytest.approx(target, rel=1e-6)
 
     def test_negative_theta_rejected(self):
         with pytest.raises(ValueError):

@@ -3,18 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdiff.config import Constant, Cosine, PolyBump, RunConfig
+from xdiff.config import Constant, Cosine, PolyBump, RunConfig, preset_with_overrides
+from xdiff.diagnostics import DiagnosticRecord
 from xdiff.grid import Field, make_grid
 from xdiff.integrator import (
     HaltReason,
     RunMode,
     StepControl,
+    _blowup_detected,
     cfl_dt,
     run,
     step,
 )
 from xdiff.kernel import BoxKernel
-from xdiff.model import ModelParams, NumericalFault, State
+from xdiff.model import ModelParams, State
 
 REFERENCE = dict(alpha=1.0, mu=0.5, beta=0.75, beta_tilde=0.5, K=1.0, K_tilde=0.5)
 
@@ -59,12 +61,6 @@ class TestStepControlValidation:
             StepControl(cfl_safety=1.5)
         with pytest.raises(ValueError):
             StepControl(dt_min=1e-2, dt_max=1e-3)
-        with pytest.raises(ValueError):
-            StepControl(positivity_tol=-1.0)
-        with pytest.raises(ValueError):
-            StepControl(clip_policy="freeze")
-        with pytest.raises(ValueError):
-            StepControl(curvature_growth_factor=1.0)
 
 
 class TestRunModeValidation:
@@ -107,7 +103,7 @@ class TestStep:
     def test_zero_state_unchanged(self, params):
         g = make_grid(1.0, 64)
         s = state_of(g, np.zeros(64), np.zeros(64))
-        out = step(s, params, 0.5, StepControl())
+        out = step(s, params, 0.5)
         assert out.t == 0.5
         assert np.all(out.A.values == 0.0)
         assert np.all(out.rho.values == 0.0)
@@ -130,7 +126,7 @@ class TestStep:
         r_next = r + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
 
         g = make_grid(1.0, 64)
-        out = step(state_of(g, np.ones(64), np.ones(64)), params, dt, StepControl())
+        out = step(state_of(g, np.ones(64), np.ones(64)), params, dt)
         assert np.max(np.abs(out.A.values - a_next)) <= 1e-14
         assert np.max(np.abs(out.rho.values - r_next)) <= 1e-14
         assert np.ptp(out.rho.values) == 0.0  # stays uniform in x
@@ -141,33 +137,24 @@ class TestStep:
         g = make_grid(1.0, 64)
         r = np.full(64, 1e-8)
         r[10] = -5e-13
-        out = step(state_of(g, np.zeros(64), r), params, 1e-8, StepControl())
+        out = step(state_of(g, np.zeros(64), r), params, 1e-8)
         assert out.rho.values[10] == 0.0
         assert np.min(out.rho.values) >= 0.0
-
-    def test_reject_policy_raises_below_tolerance(self, params):
-        g = make_grid(1.0, 64)
-        r = np.full(64, 1e-8)
-        r[10] = -1e-9
-        ctrl = StepControl(clip_policy="reject")
-        with pytest.raises(NumericalFault):
-            step(state_of(g, np.zeros(64), r), params, 1e-8, ctrl)
 
     def test_nonpositive_dt_rejected(self, params):
         g = make_grid(1.0, 64)
         with pytest.raises(ValueError):
-            step(state_of(g, np.ones(64), np.ones(64)), params, 0.0, StepControl())
+            step(state_of(g, np.ones(64), np.ones(64)), params, 0.0)
 
     def test_rk4_self_convergence_order(self, params):
         # smooth strictly positive run at fixed dt; Richardson order from the
         # dt, dt/2, dt/4 triple must be essentially four
         g = make_grid(1.0, 16)
-        ctrl = StepControl()
 
         def advance(dt, n_steps):
             s = state_of(g, np.ones(16), 1.0 + 0.1 * np.cos(np.pi * g.x))
             for _ in range(n_steps):
-                s = step(s, params, dt, ctrl)
+                s = step(s, params, dt)
             assert s.t == pytest.approx(1e-3)
             return s
 
@@ -365,6 +352,90 @@ class TestRun:
         out = run(cfg)
         assert out.halt_reason is HaltReason.NUMERICAL_FAULT
         assert "clipped mass" in out.fault_detail
+
+    def test_mollifier_undershoot_at_t0_is_counted(self):
+        # the t = 0 clip is charged like a step's: fig2-support's mollified
+        # data lose about 8e-9 of area and 8e-10 of density mass there, while
+        # its two steps clip about 2e-9 of area and 2e-11 of density mass
+        cfg = preset_with_overrides(
+            "fig2-support",
+            {
+                "grid.N": "256",
+                "mode.kind": "regularized",
+                "mode.eps": "1e-6",
+                "run.t_end": "1e-5",
+                "run.snapshot_times": "",
+            },
+        )
+        out = run(cfg)
+        assert out.halt_reason is HaltReason.REACHED_T_END
+        assert out.clipped_mass_A >= 7.9e-9
+        assert out.clipped_mass_rho >= 8.2e-10
+
+
+# ---------------------------------------------------------------------------
+# the blow-up detector on synthetic curvature histories
+# ---------------------------------------------------------------------------
+
+
+def curvature_record(t, y):
+    """A record whose only entries the detector reads are the time and the curvature."""
+    return DiagnosticRecord(t, 0.0, 0.0, 0.0, y, (), (), 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def first_halt(ts, ys):
+    """Index of the first record at which the detector fires, fed as a run feeds it."""
+    series = []
+    for i, (t, y) in enumerate(zip(ts, ys)):
+        series.append(curvature_record(float(t), float(y)))
+        if _blowup_detected(series):
+            return i
+    return None
+
+
+def comparison_history(y0, cadence):
+    """Records of y(t) = 1/(1/y0 - t), which solves y' = y^2 and passes 10*y0 at
+    t = 0.9/y0, every ``cadence / y0`` up to t = 0.98/y0 (y = 50*y0)."""
+    ts = np.arange(int(0.98 / cadence)) * (cadence / y0)
+    return ts, 1.0 / (1.0 / y0 - ts)
+
+
+CADENCES = [1e-4, 1e-2]  # record intervals in units of 1/y0, 100x apart
+
+
+class TestBlowupDetector:
+    @pytest.mark.parametrize("cadence", CADENCES)
+    @pytest.mark.parametrize("y0", [0.5, 62.5, 1e4])
+    def test_fires_at_the_first_record_past_ten_y0(self, y0, cadence):
+        ts, ys = comparison_history(y0, cadence)
+        assert first_halt(ts, ys) == int(np.argmax(ys > 10.0 * y0))
+
+    @pytest.mark.parametrize("cadence", CADENCES)
+    def test_one_dip_holds_it_until_the_dip_leaves_the_window(self, cadence):
+        y0 = 62.5
+        ts, ys = comparison_history(y0, cadence)
+        past = int(np.argmax(ys > 10.0 * y0))
+        dip = past - 1
+        ys[dip] = ys[dip - 2]
+        # the window is 0.04/y0: the first record whose window starts at or after the dip
+        clear = next(i for i in range(past, len(ts)) if ts[dip] <= ts[i] - 0.04 / y0)
+        assert first_halt(ts, ys) == clear > past
+
+    def test_window_counts_only_once_records_span_it(self):
+        y0 = 62.5
+        ts = np.array([0.0, 0.01, 0.03, 0.05]) / y0
+        assert first_halt(ts, [y0, 20 * y0, 30 * y0, 40 * y0]) == 3
+
+    @pytest.mark.parametrize("y0", [0.0, -1.0])
+    def test_nonpositive_initial_curvature_never_arms_growth(self, y0):
+        ts, ys = comparison_history(62.5, 1e-3)
+        assert first_halt(ts, ys - ys[0] + y0) is None
+        assert first_halt([0.0, 1.0], [y0, 9e5]) is None
+
+    @pytest.mark.parametrize("y0", [-1.0, 0.0, 62.5])
+    def test_cap_fires_for_any_initial_curvature(self, y0):
+        assert first_halt([0.0, 1e-9], [y0, 1.0000001e6]) == 1
+        assert first_halt([0.0, 1e-9], [y0, 1e6]) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xdiff.grid import Field, GridMismatchError, make_grid
 from xdiff.kernel import BoxKernel, SampledKernel, kernel_l1_norm, load_sampled_kernel, mollify
@@ -29,6 +31,26 @@ class TestBoxKernel:
             BoxKernel(0.0)
         with pytest.raises(ValueError):
             BoxKernel(-0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        half_length=st.floats(0.1, 10.0),
+        n=st.sampled_from([16, 64, 256]),
+        fraction=st.floats(1e-3, 0.999),
+    )
+    def test_symbol_matches_quadrature_of_the_indicator(self, half_length, n, fraction):
+        # int_{-eps}^{eps} cos(k x) dx by composite Gauss-Legendre, panels of
+        # phase width at most 2 at the largest wavenumber
+        g = make_grid(half_length, n)
+        eps = fraction * half_length
+        panels = max(1, int(np.ceil(np.max(g.k) * eps)))
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        edges = np.linspace(-eps, eps, panels + 1)
+        mid, half = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
+        x = (mid[:, None] + half[:, None] * nodes).ravel()
+        w = (half[:, None] * weights).ravel()
+        quad = np.cos(np.outer(g.k, x)) @ w
+        assert np.max(np.abs(BoxKernel(eps).symbol(g) - quad)) <= 1e-12 * 2 * eps
 
     def test_constant_scales_by_kernel_mass(self, grid):
         f = Field(grid, np.full(grid.n_points, 3.0))

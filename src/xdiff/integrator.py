@@ -1,10 +1,14 @@
 """Explicit time advancement with degenerate-diffusion step control.
 
-A classical four-stage Runge-Kutta step drives one of the three evolution
-forms; the step size follows the diffusive stability restriction
-dt ~ dx^2 / max(rho), since the density weights the flux of both equations.
-Runs halt on reaching the end time, on the two-signal blow-up detector, on
-step-size underflow, or on loss of finiteness.
+One of two steppers drives one of the three evolution forms: classical RK4,
+or RKL2 super-time-stepping (Meyer, Balsara & Aslam 2014) with
+``RKL2_STAGES`` stages, whose real-axis stability interval is ``RKL2_GAIN``
+times that of RK4.  The step size follows the diffusive stability
+restriction dt ~ dx^2 / max(rho), since the density weights the flux of both
+equations, scaled by that gain for RKL2.  Every stage of either stepper is
+the same pointwise right side.  The public ``step`` is RK4.  Runs halt on
+reaching the end time, on the two-signal blow-up detector, on step-size
+underflow, or on loss of finiteness.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .model import (
     NumericalFault,
     State,
     energy,
+    _energy_spectra,
     _rhs_core,
     _rhs_regularized_core,
     _rhs_sqrt_core,
@@ -36,6 +41,13 @@ CURVATURE_GROWTH = 10.0  # growth over a positive initial curvature y0 that arms
 RISE_WINDOW = 0.04  # trailing time, in units of 1/y0, over which the curvature must rise
 
 RUN_MODES = ("original", "regularized", "sqrt")
+STEPPERS = ("rk4", "rkl2")
+
+RKL2_STAGES = 10
+RK4_REAL_STABILITY = 2.7853  # RK4 is stable on [-2.7853, 0] of the real axis
+# RKL2 with s stages is stable on [-(s^2 + s - 2)/2, 0]; its step is the RK4
+# step scaled by the ratio of the two intervals, 19.39 for s = 10
+RKL2_GAIN = (RKL2_STAGES**2 + RKL2_STAGES - 2) / (2.0 * RK4_REAL_STABILITY)
 
 
 class HaltReason(str, enum.Enum):
@@ -70,13 +82,18 @@ class RunMode:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Step-size policy."""
+    """Stepper and step-size policy."""
 
     cfl_safety: float = 0.25
     dt_min: float = 1e-14
     dt_max: float = 1e-2
+    stepper: str = "rk4"
 
     def __post_init__(self) -> None:
+        if self.stepper not in STEPPERS:
+            raise InvalidValue(
+                "stepper", f"must be one of {', '.join(STEPPERS)}, got {self.stepper!r}"
+            )
         if not (0.0 < self.cfl_safety <= 1.0):
             raise InvalidValue("cfl_safety", f"must be in (0, 1], got {self.cfl_safety}")
         if not self.dt_min > 0.0:
@@ -105,10 +122,13 @@ def cfl_dt(dx: float, rho: np.ndarray, ctrl: StepControl) -> float:
     """Diffusive step bound cfl_safety * dx^2 / max(rho), clamped to the dt window.
 
     The density bounds the diffusivity of both equations, so its maximum
-    (floored to keep the pure-reaction regime at dt_max) sets the step.
+    (floored to keep the pure-reaction regime at dt_max) sets the step.  For
+    RKL2 the bound is scaled by ``RKL2_GAIN``, so ``cfl_safety`` is the same
+    fraction of the stability limit for both steppers.
     """
     diffusivity = max(float(np.max(rho)), DIFFUSIVITY_FLOOR)
-    dt = ctrl.cfl_safety * dx**2 / diffusivity
+    gain = RKL2_GAIN if ctrl.stepper == "rkl2" else 1.0
+    dt = ctrl.cfl_safety * dx**2 / diffusivity * gain
     return min(max(dt, ctrl.dt_min), ctrl.dt_max)
 
 
@@ -138,18 +158,56 @@ def _rk4(u: np.ndarray, dt: float, f: Callable[[np.ndarray], np.ndarray]) -> np.
     return u + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _advance(grid: Grid, p: ModelParams, conv_sym: np.ndarray, mode: RunMode) -> _Advance:
-    """One RK4 step of the stacked (A, rho) in the selected evolution form.
+def _rkl2_table(s: int) -> tuple[float, tuple[tuple[float, float, float, float], ...]]:
+    """``mu~_1`` and the rows ``(mu_j, nu_j, mu~_j, gamma~_j)``, j = 2..s, of RKL2.
+
+    With w1 = 4 / (s^2 + s - 2), b_0 = b_1 = b_2 = 1/3 and
+    b_j = (j^2 + j - 2) / (2 j (j + 1)), the stability polynomial is
+    a_s + b_s P_s(1 + w1 z) for the Legendre polynomial P_s and a_j = 1 - b_j.
+    """
+    w1 = 4.0 / (s * s + s - 2)
+    b = [1.0 / 3.0, 1.0 / 3.0] + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(2, s + 1)]
+    rows = []
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        rows.append((mu, nu, mu * w1, -(1.0 - b[j - 1]) * mu * w1))
+    return b[1] * w1, tuple(rows)
+
+
+_RKL2_MU1, _RKL2_ROWS = _rkl2_table(RKL2_STAGES)
+
+
+def _rkl2(u: np.ndarray, dt: float, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """One RKL2 step in increment form: d_j = Y_j - u, returning u + d_s.
+
+    d_j = mu_j d_{j-1} + nu_j d_{j-2} + mu~_j dt f(u + d_{j-1}) + gamma~_j dt f(u).
+    Not the equivalent stage-value form mu_j Y_{j-1} + nu_j Y_{j-2} +
+    (1 - mu_j - nu_j) u + ...: its rounded sum takes a subnormal u such as
+    5e-324 below zero where the right side vanishes.
+    """
+    g = dt * f(u)
+    d_old, d = 0.0, _RKL2_MU1 * g
+    for mu, nu, mu_t, gamma_t in _RKL2_ROWS:
+        d_old, d = d, mu * d + nu * d_old + mu_t * dt * f(u + d) + gamma_t * g
+    return u + d
+
+
+def _advance(
+    grid: Grid, p: ModelParams, conv_sym: np.ndarray, mode: RunMode, stepper: str
+) -> _Advance:
+    """One step of the stacked (A, rho) in the selected evolution form and stepper.
 
     Called once per run; the right sides are looked up at call time, so a
     wrapper installed on this module's names sees every stage.  The sqrt form
     steps (A, eta) with eta = sqrt(rho) and squares eta back afterwards.
     """
+    scheme = _rkl2 if stepper == "rkl2" else _rk4
     if mode.kind == "sqrt":
 
         def advance(u: np.ndarray, dt: float) -> np.ndarray:
             v = np.stack((u[0], np.sqrt(np.clip(u[1], 0.0, None))))
-            v = _rk4(v, dt, lambda w: _rhs_sqrt_core(grid, w, p, conv_sym))
+            v = scheme(v, dt, lambda w: _rhs_sqrt_core(grid, w, p, conv_sym))
             v[1] *= v[1]
             return v
 
@@ -159,7 +217,7 @@ def _advance(grid: Grid, p: ModelParams, conv_sym: np.ndarray, mode: RunMode) ->
         f = lambda w: _rhs_regularized_core(grid, w, p, conv_sym, damp)
     else:
         f = lambda w: _rhs_core(grid, w, p, conv_sym)
-    return lambda u, dt: _rk4(u, dt, f)
+    return lambda u, dt: scheme(u, dt, f)
 
 
 def _step_arrays(
@@ -177,7 +235,7 @@ def step(s: State, p: ModelParams, dt: float, mode: RunMode = RunMode()) -> Stat
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = s.grid
-    advance = _advance(grid, p, p.kernel.symbol(grid), mode)
+    advance = _advance(grid, p, p.kernel.symbol(grid), mode, "rk4")
     u, _, _ = _step_arrays(grid, np.stack((s.A.values, s.rho.values)), dt, advance)
     return State(t=s.t + dt, A=Field(grid, u[0]), rho=Field(grid, u[1]))
 
@@ -191,8 +249,13 @@ def _record(
     grid: Grid, t: float, a: np.ndarray, r: np.ndarray, zero_mask: np.ndarray
 ) -> DiagnosticRecord:
     """Diagnostics of the node values ``a``, ``r`` at time t; ``zero_mask`` marks
-    the initial density's interior zero set."""
-    report = energy(grid, a, r)
+    the initial density's interior zero set.
+
+    One rfft of the stacked (rho, A, sqrt(rho)) serves both the energies and
+    the central curvature, so a record makes 2 FFT calls.
+    """
+    spectra = _energy_spectra(a, r)
+    report = energy(grid, a, r, spectra)
     dx = grid.dx
     zero_max = float(np.max(r[zero_mask])) if zero_mask.any() else None
     return DiagnosticRecord(
@@ -200,7 +263,7 @@ def _record(
         max_rho=float(np.max(r)),
         min_rho=float(np.min(r)),
         min_A=float(np.min(a)),
-        rho_xx_at_0=second_derivative_at_center(grid, r),
+        rho_xx_at_0=second_derivative_at_center(grid, r, spectra[0]),
         supp_rho=tuple(support(grid, r)),
         supp_A=tuple(support(grid, a)),
         mass_rho=float(np.sum(r) * dx),
@@ -279,7 +342,7 @@ def run(config) -> RunOutcome:
     u, clipped_a, clipped_rho = _apply_positivity(np.stack((a0, rho0)), grid.dx)
     t = 0.0
 
-    advance = _advance(grid, p, p.kernel.symbol(grid), mode)
+    advance = _advance(grid, p, p.kernel.symbol(grid), mode, ctrl.stepper)
     zero_mask = _interior_zero_mask(u[1])
     initial_mass_A = float(np.sum(u[0]) * grid.dx)
     initial_mass_rho = float(np.sum(u[1]) * grid.dx)

@@ -218,17 +218,28 @@ def rhs_sqrt(t: float, A: Field, eta: Field, p: ModelParams) -> tuple[Field, Fie
 # ---------------------------------------------------------------------------
 
 
-def energy(grid: Grid, a: np.ndarray, rho: np.ndarray) -> EnergyReport:
+def _energy_spectra(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """rfft of the stacked (rho, A, sqrt(rho)); row 0 is the density spectrum."""
+    with np.errstate(over="ignore"):
+        return np.fft.rfft(np.stack((rho, a, np.sqrt(np.clip(rho, 0.0, None)))))
+
+
+def energy(
+    grid: Grid, a: np.ndarray, rho: np.ndarray, spectra: np.ndarray | None = None
+) -> EnergyReport:
     """Sobolev energies of the node values ``a`` and ``rho`` (density derivative order 3).
 
     One rfft of the stacked (rho, A, sqrt(rho)) and one irfft of the stacked
-    derivative spectra give the three derivatives the energies need.
+    derivative spectra give the three derivatives the energies need.  A
+    caller that holds that rfft already passes it as ``spectra``.
     """
     dx = grid.dx
     k2 = grid.k**2
     root = np.sqrt(np.clip(rho, 0.0, None))
+    if spectra is None:
+        spectra = _energy_spectra(a, rho)
+    rh, ah, rooth = spectra
     with np.errstate(over="ignore"):  # energies may legitimately reach +inf
-        rh, ah, rooth = np.fft.rfft(np.stack((rho, a, root)))
         # d^3 rho, d^2 A and d^2 sqrt(rho), with the multipliers of Grid.deriv_values
         r_m, a_m1, root_xx = np.fft.irfft(
             np.stack((rh * (-grid._ik * k2), ah * -k2, rooth * -k2)), n=grid.n_points

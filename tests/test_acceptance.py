@@ -99,6 +99,16 @@ def area_edge_motion(s):
     return advance, gap
 
 
+def run_hulls(out):
+    """The outer support edges of a run's records, keyed like the series columns."""
+    return {
+        "supp_A_lo": np.array([rec.supp_A[0][0] for rec in out.series]),
+        "supp_A_hi": np.array([rec.supp_A[-1][1] for rec in out.series]),
+        "supp_rho_lo": np.array([rec.supp_rho[0][0] for rec in out.series]),
+        "supp_rho_hi": np.array([rec.supp_rho[-1][1] for rec in out.series]),
+    }
+
+
 def reference_params():
     return preset("fig1-blowup").params
 
@@ -154,6 +164,16 @@ def test_criterion_1_halt_across_record_cadences():
                 assert t_halt <= bound, case
                 halts.append(t_halt)
                 assert out.series[-2].t <= halts[0] <= t_halt, case
+
+
+def test_criterion_1_rkl2_halt_agrees_with_rk4(fig1):
+    # fig1 ships on RK4; RKL2 recording every step halts within 1% of it
+    with criterion(1, "blow-up halt under RKL2"):
+        overrides = {"ctrl.stepper": "rkl2", "run.record_every": "1"}
+        out = xdiff.run(preset_with_overrides("fig1-blowup", overrides))
+        assert out.halt_reason is xdiff.HaltReason.BLOWUP_DETECTED, out.fault_detail
+        rk4_halt = float(fig1["outcome"]["final_t"])
+        assert out.final_state.t == pytest.approx(rk4_halt, rel=0.01)
 
 
 def test_criterion_2_threshold_consistency():
@@ -249,6 +269,33 @@ def test_criterion_4_expansion_under_refinement(fig2):
         # the gap left at t_end is a physical distance, not a number of cells
         assert np.all(np.abs(fine_advance - advance) <= dx), (fine_advance, advance)
         assert np.all(np.abs(fine_gap - gap) <= dx), (fine_gap, gap)
+
+
+def test_criteria_3_and_4_agree_between_steppers(fig2):
+    # fig2 ships on RKL2; RK4 at the same N gives the same advance and zero set
+    with criterion(4, "area support expansion, RK4 against RKL2"):
+        cfg = fig2["config"]
+        assert cfg.ctrl.stepper == "rkl2"
+        dx = 2.0 * cfg.grid_L / cfg.grid_N
+        rk4 = xdiff.run(preset_with_overrides("fig2-support", {"ctrl.stepper": "rk4"}))
+        assert rk4.halt_reason is xdiff.HaltReason.REACHED_T_END
+        rk4_advance, _ = area_edge_motion(run_hulls(rk4))
+        advance, _ = area_edge_motion(fig2["series"])
+        assert np.all(np.abs(rk4_advance - advance) <= dx), (rk4_advance, advance)
+        assert max(rec.zero_set_max_rho for rec in rk4.series) <= 1e-10
+        assert float(fig2["outcome"]["max_rho_on_initial_zero_set"]) <= 1e-10
+
+
+def test_criterion_4_no_retreat_at_any_rkl2_step():
+    # the preset records every 10th of its 42 steps; recording each one
+    # checks the hull at every step
+    with criterion(4, "area hull never retreats at any RKL2 step"):
+        out = xdiff.run(preset_with_overrides("fig2-support", {"run.record_every": "1"}))
+        assert out.halt_reason is xdiff.HaltReason.REACHED_T_END
+        assert len(out.series) == out.steps + 1
+        hulls = run_hulls(out)
+        assert np.all(np.diff(hulls["supp_A_lo"]) <= 0), "area support lower edge retreated"
+        assert np.all(np.diff(hulls["supp_A_hi"]) >= 0), "area support upper edge retreated"
 
 
 @pytest.mark.parametrize("which", ["fig1", "fig2"])

@@ -310,20 +310,18 @@ def render_config(config: RunConfig) -> str:
 # presets
 # ---------------------------------------------------------------------------
 
-# what differs between the presets; both share the grid, the parameters and the
-# step-size policy
+# what differs between the presets; both share the grid, parameters and controls
 _PRESETS = {
     "fig1-blowup": dict(
         rho0=PolyBump(amp=-2000.0, a=-0.5, b=0.5, p=3, q=2, r=3),
         A0=PolyBump(amp=-6000.0, a=-0.3, b=0.3, p=3, q=2, r=3),
-        ctrl=StepControl(),
         t_end=0.05,
+        record_every=1,
         snapshot_times=(0.0, 0.0015, 0.003, 0.0045),
     ),
     "fig2-support": dict(
         rho0=PolyBump(amp=-140.0, a=-0.5, b=0.5, p=3, q=0, r=3),
         A0=PolyBump(amp=-2000.0, a=-0.3, b=0.3, p=3, q=0, r=3),
-        ctrl=StepControl(stepper="rkl2"),
         t_end=0.00035,
         snapshot_times=(0.0, 0.0001, 0.0002, 0.00035),
     ),
@@ -335,11 +333,10 @@ def preset(name: str) -> RunConfig:
 
     ``fig1-blowup`` starts from an even density bump vanishing quadratically
     at the center with supercritical curvature there, and runs until the
-    curvature detector halts; it steps with RK4, whose short steps give the
-    detector a dense curvature history.  ``fig2-support`` starts from a
-    strictly positive-at-center density bump with the area supported strictly
-    inside it, exercising support invariance and area-support expansion; it
-    steps with RKL2, whose steps are about 19 times longer.
+    curvature detector halts; it records every step, which gives the detector
+    a dense curvature history.  ``fig2-support`` starts from a strictly
+    positive-at-center density bump with the area supported strictly inside
+    it, exercising support invariance and area-support expansion.
     """
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r} (available: {', '.join(_PRESETS)})")
@@ -349,6 +346,7 @@ def preset(name: str) -> RunConfig:
         params=ModelParams(alpha=1.0, mu=0.5, beta=0.75, beta_tilde=0.5, K=1.0, K_tilde=0.5,
                            kernel=BoxKernel(0.05)),
         mode=RunMode(),
+        ctrl=StepControl(),
         output_dir=f"{name}-out",
         **_PRESETS[name],
     )

@@ -1,12 +1,12 @@
 """Explicit time advancement with degenerate-diffusion step control.
 
-One of two steppers drives one of the three evolution forms: classical RK4,
-or RKL2 super-time-stepping (Meyer, Balsara & Aslam 2014) with
-``RKL2_STAGES`` stages, whose real-axis stability interval is ``RKL2_GAIN``
-times that of RK4.  The step size follows the diffusive stability
+A run steps one of the three evolution forms with RKL2 super-time-stepping
+(Meyer, Balsara & Aslam 2014): ``RKL2_STAGES`` stages, each the same
+pointwise right side, with a real-axis stability interval ``RKL2_GAIN`` times
+that of classical RK4.  The step size follows the diffusive stability
 restriction dt ~ dx^2 / max(rho), since the density weights the flux of both
-equations, scaled by that gain for RKL2.  Every stage of either stepper is
-the same pointwise right side.  The public ``step`` is RK4.  Runs halt on
+equations, scaled by that gain.  The public ``step`` is classical RK4, the
+fourth-order reference for fixed-step convergence checks.  Runs halt on
 reaching the end time, on the two-signal blow-up detector, on step-size
 underflow, or on loss of finiteness.
 """
@@ -41,7 +41,6 @@ CURVATURE_GROWTH = 10.0  # growth over a positive initial curvature y0 that arms
 RISE_WINDOW = 0.04  # trailing time, in units of 1/y0, over which the curvature must rise
 
 RUN_MODES = ("original", "regularized", "sqrt")
-STEPPERS = ("rk4", "rkl2")
 
 RKL2_STAGES = 10
 RK4_REAL_STABILITY = 2.7853  # RK4 is stable on [-2.7853, 0] of the real axis
@@ -82,18 +81,13 @@ class RunMode:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Stepper and step-size policy."""
+    """Step-size policy."""
 
     cfl_safety: float = 0.25
     dt_min: float = 1e-14
     dt_max: float = 1e-2
-    stepper: str = "rk4"
 
     def __post_init__(self) -> None:
-        if self.stepper not in STEPPERS:
-            raise InvalidValue(
-                "stepper", f"must be one of {', '.join(STEPPERS)}, got {self.stepper!r}"
-            )
         if not (0.0 < self.cfl_safety <= 1.0):
             raise InvalidValue("cfl_safety", f"must be in (0, 1], got {self.cfl_safety}")
         if not self.dt_min > 0.0:
@@ -119,16 +113,16 @@ class RunOutcome:
 
 
 def cfl_dt(dx: float, rho: np.ndarray, ctrl: StepControl) -> float:
-    """Diffusive step bound cfl_safety * dx^2 / max(rho), clamped to the dt window.
+    """RKL2 step bound RKL2_GAIN * cfl_safety * dx^2 / max(rho), clamped to the dt window.
 
     The density bounds the diffusivity of both equations, so its maximum
-    (floored to keep the pure-reaction regime at dt_max) sets the step.  For
-    RKL2 the bound is scaled by ``RKL2_GAIN``, so ``cfl_safety`` is the same
-    fraction of the stability limit for both steppers.
+    (floored to keep the pure-reaction regime at dt_max) sets the step.
+    ``cfl_safety * dx^2 / max(rho)`` is the RK4 bound; scaled by
+    ``RKL2_GAIN``, ``cfl_safety`` keeps its meaning as a fraction of the
+    stability limit.
     """
     diffusivity = max(float(np.max(rho)), DIFFUSIVITY_FLOOR)
-    gain = RKL2_GAIN if ctrl.stepper == "rkl2" else 1.0
-    dt = ctrl.cfl_safety * dx**2 / diffusivity * gain
+    dt = ctrl.cfl_safety * dx**2 / diffusivity * RKL2_GAIN
     return min(max(dt, ctrl.dt_min), ctrl.dt_max)
 
 
@@ -147,10 +141,12 @@ def _apply_positivity(u: np.ndarray, dx: float) -> tuple[np.ndarray, float, floa
     return u, clipped[0], clipped[1]
 
 
+_Rhs = Callable[[np.ndarray], np.ndarray]
+_Scheme = Callable[[np.ndarray, float, _Rhs], np.ndarray]
 _Advance = Callable[[np.ndarray, float], np.ndarray]
 
 
-def _rk4(u: np.ndarray, dt: float, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def _rk4(u: np.ndarray, dt: float, f: _Rhs) -> np.ndarray:
     k1 = f(u)
     k2 = f(u + 0.5 * dt * k1)
     k3 = f(u + 0.5 * dt * k2)
@@ -178,7 +174,7 @@ def _rkl2_table(s: int) -> tuple[float, tuple[tuple[float, float, float, float],
 _RKL2_MU1, _RKL2_ROWS = _rkl2_table(RKL2_STAGES)
 
 
-def _rkl2(u: np.ndarray, dt: float, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def _rkl2(u: np.ndarray, dt: float, f: _Rhs) -> np.ndarray:
     """One RKL2 step in increment form: d_j = Y_j - u, returning u + d_s.
 
     d_j = mu_j d_{j-1} + nu_j d_{j-2} + mu~_j dt f(u + d_{j-1}) + gamma~_j dt f(u).
@@ -194,15 +190,15 @@ def _rkl2(u: np.ndarray, dt: float, f: Callable[[np.ndarray], np.ndarray]) -> np
 
 
 def _advance(
-    grid: Grid, p: ModelParams, conv_sym: np.ndarray, mode: RunMode, stepper: str
+    grid: Grid, p: ModelParams, conv_sym: np.ndarray, mode: RunMode, scheme: _Scheme
 ) -> _Advance:
-    """One step of the stacked (A, rho) in the selected evolution form and stepper.
+    """One ``scheme`` step of the stacked (A, rho) in the selected evolution form.
 
-    Called once per run; the right sides are looked up at call time, so a
-    wrapper installed on this module's names sees every stage.  The sqrt form
-    steps (A, eta) with eta = sqrt(rho) and squares eta back afterwards.
+    Called once per run (``_rkl2``) or per public ``step`` (``_rk4``); the
+    right sides are looked up at call time, so a wrapper installed on this
+    module's names sees every stage.  The sqrt form steps (A, eta) with
+    eta = sqrt(rho) and squares eta back afterwards.
     """
-    scheme = _rkl2 if stepper == "rkl2" else _rk4
     if mode.kind == "sqrt":
 
         def advance(u: np.ndarray, dt: float) -> np.ndarray:
@@ -235,7 +231,7 @@ def step(s: State, p: ModelParams, dt: float, mode: RunMode = RunMode()) -> Stat
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = s.grid
-    advance = _advance(grid, p, p.kernel.symbol(grid), mode, "rk4")
+    advance = _advance(grid, p, p.kernel.symbol(grid), mode, _rk4)
     u, _, _ = _step_arrays(grid, np.stack((s.A.values, s.rho.values)), dt, advance)
     return State(t=s.t + dt, A=Field(grid, u[0]), rho=Field(grid, u[1]))
 
@@ -275,29 +271,30 @@ def _record(
     )
 
 
-def _blowup_detected(series: list[DiagnosticRecord]) -> bool:
-    """Two-signal detector: hard cap, or growth plus a rise over a window in time.
+def _blowup_detected(ts: list[float], ys: list[float]) -> bool:
+    """Two-signal detector on the central curvature ``ys`` at the times ``ts``.
 
-    The growth signal is armed only for data with positive initial central
-    curvature y0 (the blow-up mechanism presupposes it).  It fires once the
-    curvature exceeds ``CURVATURE_GROWTH * y0`` and has risen at every record
-    since the last one at least ``RISE_WINDOW / y0`` back; the window counts
-    only once the records span it.  ``1 / y0`` is the time scale of the
-    comparison ODE y' = y^2, and a window in time, unlike one in records,
-    moves the halt by at most one record interval when the cadence changes.
+    A run feeds it the curvature after every step, whatever its record
+    cadence.  The hard cap fires for any data.  The growth signal is armed
+    only for data with positive initial central curvature y0 (the blow-up
+    mechanism presupposes it).  It fires once the curvature exceeds
+    ``CURVATURE_GROWTH * y0`` and has risen at every entry since the last one
+    at least ``RISE_WINDOW / y0`` back; the window counts only once the
+    entries span it.  ``1 / y0`` is the time scale of the comparison ODE
+    y' = y^2, so the window does not depend on the step size.
     """
-    latest = series[-1].rho_xx_at_0
+    latest = ys[-1]
     if latest > BLOWUP_CAP:
         return True
-    y0 = series[0].rho_xx_at_0
+    y0 = ys[0]
     if y0 <= 0.0 or latest <= CURVATURE_GROWTH * y0:
         return False
-    start = series[-1].t - RISE_WINDOW / y0
-    if series[0].t > start:
+    start = ts[-1] - RISE_WINDOW / y0
+    if ts[0] > start:
         return False
-    i = len(series) - 1
-    while series[i].t > start:
-        if series[i - 1].rho_xx_at_0 >= series[i].rho_xx_at_0:
+    i = len(ts) - 1
+    while ts[i] > start:
+        if ys[i - 1] >= ys[i]:
             return False
         i -= 1
     return True
@@ -317,11 +314,12 @@ def _interior_zero_mask(r0: np.ndarray) -> np.ndarray:
 def run(config) -> RunOutcome:
     """Integrate a full configuration and collect diagnostics.
 
-    Advances with the diffusive CFL step, records every ``record_every``
-    steps, snapshots on first crossing each requested time, and halts with
-    the matching reason.  Identical configurations reproduce bit-identical
-    series on one platform: the loop is sequential and every reduction is
-    a fixed-order numpy reduction.
+    Advances with the diffusive CFL step, shortened where needed to end
+    exactly on each requested snapshot time and on the end time, records
+    every ``record_every`` steps, checks for blow-up after every step, and
+    halts with the matching reason.  Identical configurations reproduce
+    bit-identical series on one platform: the loop is sequential and every
+    reduction is a fixed-order numpy reduction.
     """
     grid = make_grid(config.grid_L, config.grid_N)
     p: ModelParams = config.params
@@ -342,7 +340,7 @@ def run(config) -> RunOutcome:
     u, clipped_a, clipped_rho = _apply_positivity(np.stack((a0, rho0)), grid.dx)
     t = 0.0
 
-    advance = _advance(grid, p, p.kernel.symbol(grid), mode, ctrl.stepper)
+    advance = _advance(grid, p, p.kernel.symbol(grid), mode, _rkl2)
     zero_mask = _interior_zero_mask(u[1])
     initial_mass_A = float(np.sum(u[0]) * grid.dx)
     initial_mass_rho = float(np.sum(u[1]) * grid.dx)
@@ -351,6 +349,8 @@ def run(config) -> RunOutcome:
     consecutive_dt_min = 0
     fault_detail = ""
     series = [_record(grid, t, u[0], u[1], zero_mask)]
+    # the central curvature after every step, for the blow-up detector
+    times, curvatures = [t], [series[0].rho_xx_at_0]
     snapshots: list[State] = []
     pending_snaps = sorted(config.snapshot_times)
 
@@ -391,14 +391,16 @@ def run(config) -> RunOutcome:
         else:
             consecutive_dt_min = 0
 
-        remaining = config.t_end - t
+        # the step ends exactly on the next snapshot time or the end time
+        target = pending_snaps[0] if pending_snaps else config.t_end
+        remaining = target - t
         dt = min(raw_dt, remaining)
         try:
             u, ca, cr = _step_arrays(grid, u, dt, advance)
         except NumericalFault as fault:
             fault_detail = str(fault)
             return out(HaltReason.NUMERICAL_FAULT)
-        t = config.t_end if dt == remaining else t + dt
+        t = target if dt == remaining else t + dt
         steps += 1
         clipped_a += ca
         clipped_rho += cr
@@ -411,5 +413,10 @@ def run(config) -> RunOutcome:
         take_snapshots()
         if steps % config.record_every == 0:
             series.append(_record(grid, t, u[0], u[1], zero_mask))
-            if _blowup_detected(series):
-                return out(HaltReason.BLOWUP_DETECTED)
+            curvature = series[-1].rho_xx_at_0
+        else:
+            curvature = second_derivative_at_center(grid, u[1])
+        times.append(t)
+        curvatures.append(curvature)
+        if _blowup_detected(times, curvatures):
+            return out(HaltReason.BLOWUP_DETECTED)

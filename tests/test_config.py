@@ -265,7 +265,6 @@ def step_controls(draw):
         cfl_safety=draw(finite(0.0, 1.0, exclude_min=True)),
         dt_min=dt_min,
         dt_max=draw(finite(dt_min, 1.0, exclude_min=True)),
-        stepper=draw(st.sampled_from(["rk4", "rkl2"])),
     )
 
 

@@ -73,12 +73,12 @@ def write_outputs(outcome: RunOutcome, config: RunConfig) -> None:
         fh.write("\n".join(lines) + "\n")
 
     for k, snap in enumerate(outcome.snapshots):
-        rows = ["x,A,rho"]
-        x = snap.A.grid.x
-        for j in range(snap.A.grid.n_points):
-            rows.append(f"{_fmt(x[j])},{_fmt(snap.A.values[j])},{_fmt(snap.rho.values[j])}")
+        # "%.17g" renders a Python float exactly as _fmt does; rows are
+        # streamed to the file, not joined first
+        columns = (snap.A.grid.x.tolist(), snap.A.values.tolist(), snap.rho.values.tolist())
         with open(os.path.join(out_dir, f"snapshot_{k}.csv"), "w", newline="\n") as fh:
-            fh.write("\n".join(rows) + "\n")
+            fh.write("x,A,rho\n")
+            fh.writelines("%.17g,%.17g,%.17g\n" % row for row in zip(*columns))
 
     zero_set = [r.zero_set_max_rho for r in outcome.series if r.zero_set_max_rho is not None]
     summary = [

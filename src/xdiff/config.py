@@ -333,10 +333,12 @@ def preset(name: str) -> RunConfig:
 
     ``fig1-blowup`` starts from an even density bump vanishing quadratically
     at the center with supercritical curvature there, and runs until the
-    curvature detector halts; it records every step, which gives the detector
-    a dense curvature history.  ``fig2-support`` starts from a strictly
-    positive-at-center density bump with the area supported strictly inside
-    it, exercising support invariance and area-support expansion.
+    curvature detector halts.  The detector reads the curvature after every
+    step whatever the record cadence; the preset records every step so that
+    criterion 1 can check that the last 50 records rise.  ``fig2-support``
+    starts from a strictly positive-at-center density bump with the area
+    supported strictly inside it, exercising support invariance and
+    area-support expansion.
     """
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r} (available: {', '.join(_PRESETS)})")

@@ -61,18 +61,26 @@ def second_derivative_at_center(
     return float((2.0 * np.sum(terms) - terms[0] - terms[-1]) / grid.n_points)
 
 
+def support_threshold(peak: float) -> float:
+    """Default support threshold of a field with maximum ``peak``.
+
+    It is relative because spectral representations of compactly supported
+    data carry roundoff-level ripples outside the true support.
+    """
+    return SUPPORT_THRESHOLD_SCALE * max(peak, 1.0)
+
+
 def support(grid: Grid, values: np.ndarray, threshold: Optional[float] = None) -> list[Interval]:
     """Maximal runs of nodes above ``threshold`` as closed intervals.
 
     Each run of consecutive nodes with values > threshold becomes the interval
     [x_first - dx/2, x_last + dx/2], clamped to the periodic cell.  The
-    default threshold is relative because spectral representations of
-    compactly supported data carry roundoff-level ripples outside the true
-    support.  A run crossing the periodic seam is reported as its two pieces
-    inside [-L, L]; a field above threshold everywhere yields [-L, L].
+    threshold defaults to ``support_threshold`` of the field's maximum.  A
+    run crossing the periodic seam is reported as its two pieces inside
+    [-L, L]; a field above threshold everywhere yields [-L, L].
     """
     if threshold is None:
-        threshold = SUPPORT_THRESHOLD_SCALE * max(float(np.max(values)), 1.0)
+        threshold = support_threshold(float(np.max(values)))
     if threshold <= 0:
         raise ValueError(f"support threshold must be positive, got {threshold}")
     above = values > threshold
@@ -99,9 +107,13 @@ def support(grid: Grid, values: np.ndarray, threshold: Optional[float] = None) -
 
 
 def symmetry_defect(values: np.ndarray) -> float:
-    """Largest deviation from evenness about x = 0: max |f_j - f_{(N-j) mod N}|."""
-    reflected = values[(-np.arange(values.size)) % values.size]
-    return float(np.max(np.abs(values - reflected)))
+    """Largest deviation from evenness about x = 0: max |f_j - f_{(N-j) mod N}|.
+
+    Node j pairs with node N - j and node 0 with itself, so the maximum runs
+    over j = 1..N//2 of the mirrored slices.
+    """
+    half = values.size // 2
+    return float(np.max(np.abs(values[1 : half + 1] - values[::-1][:half]), initial=0.0))
 
 
 def t_star(y0: float, theta: float) -> float:

@@ -19,15 +19,22 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import DiagnosticRecord, second_derivative_at_center, support, symmetry_defect
+from .diagnostics import (
+    DiagnosticRecord,
+    second_derivative_at_center,
+    support,
+    support_threshold,
+    symmetry_defect,
+)
 from .grid import Field, Grid, InvalidValue, make_grid
 from .kernel import heat_multiplier, mollify
 from .model import (
     ModelParams,
     NumericalFault,
     State,
+    Workspace,
     energy,
-    _energy_spectra,
+    _energy_inputs,
     _rhs_core,
     _rhs_regularized_core,
     _rhs_sqrt_core,
@@ -180,12 +187,21 @@ def _rkl2(u: np.ndarray, dt: float, f: _Rhs) -> np.ndarray:
     d_j = mu_j d_{j-1} + nu_j d_{j-2} + mu~_j dt f(u + d_{j-1}) + gamma~_j dt f(u).
     Not the equivalent stage-value form mu_j Y_{j-1} + nu_j Y_{j-2} +
     (1 - mu_j - nu_j) u + ...: its rounded sum takes a subnormal u such as
-    5e-324 below zero where the right side vanishes.
+    5e-324 below zero where the right side vanishes.  The increments are
+    updated in place, as is each right side f returns, which is a fresh array.
     """
-    g = dt * f(u)
-    d_old, d = 0.0, _RKL2_MU1 * g
+    g = f(u)
+    g *= dt
+    d = _RKL2_MU1 * g
+    d_old, y = np.zeros_like(d), np.empty_like(d)
     for mu, nu, mu_t, gamma_t in _RKL2_ROWS:
-        d_old, d = d, mu * d + nu * d_old + mu_t * dt * f(u + d) + gamma_t * g
+        k = f(np.add(u, d, out=y))
+        k *= mu_t * dt
+        d_old *= nu
+        d_old += np.multiply(mu, d, out=y)
+        d_old += k
+        d_old += np.multiply(gamma_t, g, out=y)
+        d_old, d = d, d_old
     return u + d
 
 
@@ -194,25 +210,27 @@ def _advance(
 ) -> _Advance:
     """One ``scheme`` step of the stacked (A, rho) in the selected evolution form.
 
-    Called once per run (``_rkl2``) or per public ``step`` (``_rk4``); the
+    Called once per run (``_rkl2``) or per public ``step`` (``_rk4``), so the
+    right sides' workspace lives exactly as long as that run or step; the
     right sides are looked up at call time, so a wrapper installed on this
     module's names sees every stage.  The sqrt form steps (A, eta) with
     eta = sqrt(rho) and squares eta back afterwards.
     """
+    ws = Workspace(grid, p, conv_sym)
     if mode.kind == "sqrt":
 
         def advance(u: np.ndarray, dt: float) -> np.ndarray:
             v = np.stack((u[0], np.sqrt(np.clip(u[1], 0.0, None))))
-            v = scheme(v, dt, lambda w: _rhs_sqrt_core(grid, w, p, conv_sym))
+            v = scheme(v, dt, lambda w: _rhs_sqrt_core(ws, w))
             v[1] *= v[1]
             return v
 
         return advance
     if mode.kind == "regularized":
         damp = heat_multiplier(grid, mode.eps)
-        f = lambda w: _rhs_regularized_core(grid, w, p, conv_sym, damp)
+        f = lambda w: _rhs_regularized_core(ws, w, damp)
     else:
-        f = lambda w: _rhs_core(grid, w, p, conv_sym)
+        f = lambda w: _rhs_core(ws, w)
     return lambda u, dt: scheme(u, dt, f)
 
 
@@ -248,19 +266,21 @@ def _record(
     the initial density's interior zero set.
 
     One rfft of the stacked (rho, A, sqrt(rho)) serves both the energies and
-    the central curvature, so a record makes 2 FFT calls.
+    the central curvature, so a record makes 2 FFT calls; sqrt(rho) and
+    max(rho) are each taken once.
     """
-    spectra = _energy_spectra(a, r)
-    report = energy(grid, a, r, spectra)
+    root, spectra = inputs = _energy_inputs(a, r)
+    report = energy(grid, a, r, inputs)
     dx = grid.dx
+    max_rho = float(np.max(r))
     zero_max = float(np.max(r[zero_mask])) if zero_mask.any() else None
     return DiagnosticRecord(
         t=t,
-        max_rho=float(np.max(r)),
+        max_rho=max_rho,
         min_rho=float(np.min(r)),
         min_A=float(np.min(a)),
         rho_xx_at_0=second_derivative_at_center(grid, r, spectra[0]),
-        supp_rho=tuple(support(grid, r)),
+        supp_rho=tuple(support(grid, r, support_threshold(max_rho))),
         supp_A=tuple(support(grid, a)),
         mass_rho=float(np.sum(r) * dx),
         mass_A=float(np.sum(a) * dx),

@@ -110,9 +110,34 @@ _TERM_NAMES = {
 }
 
 
-def _assemble(
-    grid: Grid, u: np.ndarray, p: ModelParams, conv_sym: np.ndarray, sqrt: bool
-) -> np.ndarray:
+class Workspace:
+    """Constants and work arrays of the right-side evaluations of one run.
+
+    The constants are the spectral multiplier rows (``ik``, ``ik*ik`` and the
+    kernel symbol) and the folded coupling ``mu*alpha``; the work arrays hold
+    the stacked spectra, their inverse transforms and the pointwise terms, for
+    the sqrt form's extra density row too, so one workspace serves every form.
+    A run builds one and drops it at its end: evaluations overwrite the work
+    arrays, so a workspace is never shared between runs or threads.
+    """
+
+    def __init__(self, grid: Grid, p: ModelParams, conv_sym: np.ndarray):
+        n, m = grid.n_points, grid.n_points // 2 + 1
+        self.n_points, self.p, self.conv_sym = n, p, conv_sym
+        self.ik = grid._ik
+        self.ik2 = self.ik * self.ik
+        self.mu_alpha = p.mu * p.alpha
+        self.fields = np.empty((3, n))  # sqrt form: A, eta, rho = eta^2
+        self.spectra = np.empty((3, m), dtype=complex)
+        self.deriv_spectra = np.empty((6, m), dtype=complex)
+        self.derivs = np.empty((6, n))
+        self.flux, self.pair = np.empty((2, n)), np.empty((2, n))
+        self.push, self.pressure, self.area, self.density_area = np.empty((4, n))
+        self.logistic, self.growth, self.transport, self.scratch = np.empty((4, n))
+        self.finite = np.empty((2, n), dtype=bool)
+
+
+def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
     """Right side of the stacked state ``u = (A, w)``, with w = rho, or w = eta
     and rho = eta^2 in the sqrt form.
 
@@ -129,36 +154,68 @@ def _assemble(
     eta > 0.
 
     One rfft of the stacked fields and one irfft of the stacked derivative and
-    average spectra feed the pointwise terms.
+    average spectra feed the pointwise terms, which are written into the work
+    arrays of ``ws``; only the returned array is new.
     """
-    n = grid.n_points
-    ik = grid._ik
+    p, ik, ik2 = ws.p, ws.ik, ws.ik2
     a, w = u
+    rows = 3 if sqrt else 2
+    uh, spec, d = ws.spectra[:rows], ws.deriv_spectra[: rows + 3], ws.derivs[: rows + 3]
     with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
-        rho = w * w if sqrt else w
-        uh = np.fft.rfft(np.stack((a, w, rho)) if sqrt else u)  # rows A, w[, rho]
-        rh = uh[-1]
-        extra = (rh * conv_sym, rh * ik) if sqrt else (rh * conv_sym,)
+        if sqrt:
+            fields = ws.fields
+            fields[:2] = u
+            rho = np.multiply(w, w, out=fields[2])
+            np.fft.rfft(fields, out=uh)  # rows A, eta, rho
+            np.multiply(uh[2], ik, out=spec[5])
+        else:
+            rho = w
+            np.fft.rfft(u, out=uh)  # rows A, rho
         # rows A_x, w_x, A_xx, w_xx, Gamma*rho[, rho_x]
-        d = np.fft.irfft(np.vstack((uh[:2] * ik, uh[:2] * (ik * ik), *extra)), n=n)
+        np.multiply(uh[:2], ik, out=spec[0:2])
+        np.multiply(uh[:2], ik2, out=spec[2:4])
+        np.multiply(uh[-1], ws.conv_sym, out=spec[4])
+        np.fft.irfft(spec, n=ws.n_points, out=d)
         ux, uxx, avg = d[0:2], d[2:4], d[4]
         rx = d[5] if sqrt else ux[1]
-        area_flux, w_flux = rho * uxx + rx * ux
+        flux = np.multiply(rho, uxx, out=ws.flux)
+        flux += np.multiply(rx, ux, out=ws.pair)
+        area_flux, w_flux = flux
 
-        local_push = rho - avg  # density excess over its nonlocal average
-        area_reaction = a * (p.alpha * rho - p.mu * p.alpha * local_push) + p.beta_tilde * a * (
-            1.0 - rho * a / p.K_tilde
-        )
-        g = p.beta * (1.0 - a * rho / p.K) - p.alpha * rho + p.mu * p.alpha * local_push
+        # The reactions, with the roundings of the plain expressions
+        #   a*(alpha*rho - mu*alpha*(rho - avg)) + beta_tilde*a*(1 - rho*a/K_tilde)
+        #   g = beta*(1 - a*rho/K) - alpha*rho + mu*alpha*(rho - avg)
+        # evaluated left to right: operands of a product or sum may swap,
+        # which is exact, but none is regrouped, so every bit is kept.
+        push = np.subtract(rho, avg, out=ws.push)
+        push *= ws.mu_alpha
+        pressure = np.multiply(p.alpha, rho, out=ws.pressure)
+        area_reaction = np.subtract(pressure, push, out=ws.area)
+        area_reaction *= a
+        density_area = np.multiply(rho, a, out=ws.density_area)
+        logistic = np.divide(density_area, p.K_tilde, out=ws.logistic)
+        np.subtract(1.0, logistic, out=logistic)
+        logistic *= np.multiply(p.beta_tilde, a, out=ws.scratch)
+        area_reaction += logistic
+        g = np.divide(density_area, p.K, out=ws.growth)
+        np.subtract(1.0, g, out=g)
+        g *= p.beta
+        g -= pressure
+        g += push
+        w_reaction = g
         if sqrt:
-            w_reaction = 0.5 * w * g
-            w_transport = w * ux[1] * ux[1] + w_flux
+            g *= np.multiply(0.5, w, out=ws.scratch)
+            w_transport = np.multiply(w, ux[1], out=ws.transport)
+            w_transport *= ux[1]
+            w_transport += w_flux
         else:
-            w_reaction = w * g
+            g *= w
             w_transport = w_flux
-        out = np.stack((area_reaction + area_flux, w_reaction + w_transport))
+        out = np.empty_like(u)
+        np.add(area_reaction, area_flux, out=out[0])
+        np.add(w_reaction, w_transport, out=out[1])
 
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out, out=ws.finite).all():
         terms = zip((area_reaction, area_flux, w_reaction, w_transport), _TERM_NAMES[sqrt])
         bad = (name for term, name in terms if not np.all(np.isfinite(term)))
         # finite terms whose sum overflows name no single term
@@ -166,24 +223,26 @@ def _assemble(
     return out
 
 
-def _rhs_core(grid: Grid, u: np.ndarray, p: ModelParams, conv_sym: np.ndarray) -> np.ndarray:
+def _rhs_core(ws: Workspace, u: np.ndarray) -> np.ndarray:
     """Original-system right side of the stacked (A, rho)."""
-    return _assemble(grid, u, p, conv_sym, sqrt=False)
+    return _assemble(ws, u, sqrt=False)
 
 
-def _rhs_sqrt_core(grid: Grid, u: np.ndarray, p: ModelParams, conv_sym: np.ndarray) -> np.ndarray:
+def _rhs_sqrt_core(ws: Workspace, u: np.ndarray) -> np.ndarray:
     """Square-root-form right side of the stacked (A, eta)."""
-    return _assemble(grid, u, p, conv_sym, sqrt=True)
+    return _assemble(ws, u, sqrt=True)
 
 
-def _rhs_regularized_core(
-    grid: Grid, u: np.ndarray, p: ModelParams, conv_sym: np.ndarray, damp: np.ndarray
-) -> np.ndarray:
+def _rhs_regularized_core(ws: Workspace, u: np.ndarray, damp: np.ndarray) -> np.ndarray:
     """Mollified right side: smooth the stacked (A, rho) by the heat multiplier
     ``damp``, assemble, smooth the result."""
-    n = grid.n_points
-    smoothed = np.fft.irfft(np.fft.rfft(u) * damp, n=n)
-    return np.fft.irfft(np.fft.rfft(_assemble(grid, smoothed, p, conv_sym, sqrt=False)) * damp, n=n)
+    n, uh = ws.n_points, ws.spectra[:2]
+    np.fft.rfft(u, out=uh)
+    uh *= damp
+    smoothed = np.fft.irfft(uh, n=n, out=ws.fields[:2])  # the original form leaves it alone
+    np.fft.rfft(_assemble(ws, smoothed, sqrt=False), out=uh)
+    uh *= damp
+    return np.fft.irfft(uh, n=n)
 
 
 def _fields(grid: Grid, d: np.ndarray) -> tuple[Field, Field]:
@@ -193,14 +252,14 @@ def _fields(grid: Grid, d: np.ndarray) -> tuple[Field, Field]:
 def rhs(s: State, p: ModelParams) -> tuple[Field, Field]:
     """Time derivatives (dA/dt, drho/dt) of the original system."""
     u = np.stack((s.A.values, s.rho.values))
-    return _fields(s.grid, _rhs_core(s.grid, u, p, p.kernel.symbol(s.grid)))
+    return _fields(s.grid, _rhs_core(Workspace(s.grid, p, p.kernel.symbol(s.grid)), u))
 
 
 def rhs_regularized(s: State, p: ModelParams, eps: float) -> tuple[Field, Field]:
     """Time derivatives of the heat-semigroup-mollified system (eps = 0 is rhs up to roundoff)."""
     u = np.stack((s.A.values, s.rho.values))
-    damp = heat_multiplier(s.grid, eps)
-    return _fields(s.grid, _rhs_regularized_core(s.grid, u, p, p.kernel.symbol(s.grid), damp))
+    ws = Workspace(s.grid, p, p.kernel.symbol(s.grid))
+    return _fields(s.grid, _rhs_regularized_core(ws, u, heat_multiplier(s.grid, eps)))
 
 
 def rhs_sqrt(t: float, A: Field, eta: Field, p: ModelParams) -> tuple[Field, Field]:
@@ -210,7 +269,7 @@ def rhs_sqrt(t: float, A: Field, eta: Field, p: ModelParams) -> tuple[Field, Fie
     if float(np.min(eta.values)) < 0.0:
         raise ValueError("eta must be nonnegative")
     u = np.stack((A.values, eta.values))
-    return _fields(A.grid, _rhs_sqrt_core(A.grid, u, p, p.kernel.symbol(A.grid)))
+    return _fields(A.grid, _rhs_sqrt_core(Workspace(A.grid, p, p.kernel.symbol(A.grid)), u))
 
 
 # ---------------------------------------------------------------------------
@@ -218,27 +277,30 @@ def rhs_sqrt(t: float, A: Field, eta: Field, p: ModelParams) -> tuple[Field, Fie
 # ---------------------------------------------------------------------------
 
 
-def _energy_spectra(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """rfft of the stacked (rho, A, sqrt(rho)); row 0 is the density spectrum."""
+def _energy_inputs(a: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(max(rho, 0)) and the rfft of the stacked (rho, A, sqrt(rho));
+    row 0 of the rfft is the density spectrum."""
+    root = np.sqrt(np.clip(rho, 0.0, None))
     with np.errstate(over="ignore"):
-        return np.fft.rfft(np.stack((rho, a, np.sqrt(np.clip(rho, 0.0, None)))))
+        return root, np.fft.rfft(np.stack((rho, a, root)))
 
 
 def energy(
-    grid: Grid, a: np.ndarray, rho: np.ndarray, spectra: np.ndarray | None = None
+    grid: Grid,
+    a: np.ndarray,
+    rho: np.ndarray,
+    inputs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EnergyReport:
     """Sobolev energies of the node values ``a`` and ``rho`` (density derivative order 3).
 
     One rfft of the stacked (rho, A, sqrt(rho)) and one irfft of the stacked
     derivative spectra give the three derivatives the energies need.  A
-    caller that holds that rfft already passes it as ``spectra``.
+    caller that holds ``_energy_inputs(a, rho)`` already passes it as
+    ``inputs``.
     """
     dx = grid.dx
     k2 = grid.k**2
-    root = np.sqrt(np.clip(rho, 0.0, None))
-    if spectra is None:
-        spectra = _energy_spectra(a, rho)
-    rh, ah, rooth = spectra
+    root, (rh, ah, rooth) = _energy_inputs(a, rho) if inputs is None else inputs
     with np.errstate(over="ignore"):  # energies may legitimately reach +inf
         # d^3 rho, d^2 A and d^2 sqrt(rho), with the multipliers of Grid.deriv_values
         r_m, a_m1, root_xx = np.fft.irfft(

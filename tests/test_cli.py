@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -280,6 +281,39 @@ class TestSweepCommand:
         assert pool_sizes == []
 
 
+# seed-0 series.csv SHA-256 of the benchmark's runs.  Byte-identical output
+# is part of every change's contract; a change that alters these bytes
+# updates the pin and says so.  Other numpy builds may round differently.
+SERIES_PINS = [
+    ("fig1-blowup", {}, "c8acb5060e84f05c8bde4e5e8c8557744620e20e0293c96062b60c7c11d5ad2a"),
+    ("fig2-support", {}, "14ec678b37b07c2d65b7d5e7dd21509b9e22f9b303e2d26190d06aa64ad17225"),
+    (
+        "fig2-support",
+        {"grid.N": "2048"},
+        "42398e036c1b8dfdfa1f1debae7772f7642ad5092f9977b90c3c5bf5d101bcfd",
+    ),
+    (
+        "fig2-support",
+        {"mode.kind": "sqrt", "run.record_every": "1"},
+        "7f9aa7a0948be5f638427f101b6e4cdd9cc9db79b9ca10ab782a4d150f915a30",
+    ),
+]
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6", reason="series bytes are pinned under numpy 2.4.6")
+@pytest.mark.parametrize(
+    "preset_name, overrides, sha256",
+    SERIES_PINS,
+    ids=["fig1-blowup", "fig2-support", "fig2-support-N2048", "fig2-support-sqrt-record1"],
+)
+def test_series_bytes_are_pinned(tmp_path, preset_name, overrides, sha256):
+    from xdiff.config import preset_with_overrides
+
+    config = preset_with_overrides(preset_name, dict(overrides, **{"run.output_dir": str(tmp_path)}))
+    cli.execute(config)
+    assert hashlib.sha256((tmp_path / "series.csv").read_bytes()).hexdigest() == sha256
+
+
 class TestDeterminism:
     def test_identical_series_bytes_for_repeated_tiny_runs(self, tmp_path):
         path1, out1 = write_config(tmp_path, "a.cfg", t_end="0.002", out=str(tmp_path / "o1"))
@@ -289,6 +323,29 @@ class TestDeterminism:
         b1 = (tmp_path / "o1" / "series.csv").read_bytes()
         b2 = (tmp_path / "o2" / "series.csv").read_bytes()
         assert b1 == b2
+
+    def test_snapshot_rows_render_each_value_with_seventeen_digits(self, tmp_path):
+        from xdiff.config import parse_config
+        from xdiff.grid import Field, make_grid
+        from xdiff.integrator import HaltReason, RunOutcome
+        from xdiff.model import State
+
+        grid = make_grid(1.0, 16)
+        specials = [-0.0, 5e-324, 0.1, 1.0 / 3.0, -2.5e300, 1e-310, 123456789.0, 1.0]
+        a = np.array(specials * 2)
+        rho = np.array(specials[::-1] * 2)
+        snap = State(t=0.0, A=Field(grid, a), rho=Field(grid, rho))
+        outcome = RunOutcome(HaltReason.REACHED_T_END, snap, [], [snap])
+        config = parse_config(TINY_CONFIG.format(t_end="0.0", snaps="0.0", out=tmp_path))
+        cli.write_outputs(outcome, config)
+        rows = ["x,A,rho"] + [
+            ",".join(format(v, ".17g") for v in (float(x), float(va), float(vr)))
+            for x, va, vr in zip(grid.x, a, rho)
+        ]
+        expected = ("\n".join(rows) + "\n").encode()
+        assert (tmp_path / "snapshot_0.csv").read_bytes() == expected
+        for text in (b",-0,", b"4.9406564584124654e-324", b"0.10000000000000001"):
+            assert text in expected
 
     def test_seventeen_digit_output(self, tmp_path):
         path, out = write_config(tmp_path, t_end="0.001")

@@ -116,13 +116,12 @@ class TestSymmetryDefect:
         assert symmetry_defect(np.sin(np.pi * g.x)) == pytest.approx(2.0)
 
     def test_matches_bruteforce_reflection_scan(self):
-        g = make_grid(1.0, 64)
-        vals = np.random.default_rng(3).normal(size=64)
-        brute = max(
-            abs(vals[j] - vals[(g.n_points - j) % g.n_points])
-            for j in range(g.n_points)
-        )
-        assert symmetry_defect(vals) == brute
+        # every length, odd ones and the self-paired single node included
+        rng = np.random.default_rng(3)
+        for n in range(1, 65):
+            vals = rng.normal(size=n)
+            brute = max(abs(vals[j] - vals[(n - j) % n]) for j in range(n))
+            assert symmetry_defect(vals) == brute, n
 
 
 class TestComparisonOde:

@@ -4,10 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xdiff.grid import Field, make_grid
-from xdiff.kernel import BoxKernel, mollify
+from xdiff.integrator import RunMode, _apply_positivity, step
+from xdiff.kernel import BoxKernel, heat_multiplier, mollify
 from xdiff.model import (
     ModelParams,
     State,
+    Workspace,
+    _rhs_core,
+    _rhs_regularized_core,
+    _rhs_sqrt_core,
     blowup_threshold,
     energy,
     rhs,
@@ -371,3 +376,119 @@ class TestAssemblyProperties:
         a = a_data.draw(band_limited(grid, even=False))
         _, drho = rhs(State(t=0.0, A=Field(grid, a), rho=Field(grid, rho)), PARAMS)
         assert np.all(drho.values[rho == 0.0] >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the workspace assembly against a straight-line oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_assemble(grid, u, p, conv_sym, sqrt):
+    """The right side as straight-line numpy expressions on fresh arrays, in
+    the operation order the workspace assembly must keep bit for bit."""
+    n, ik = grid.n_points, grid._ik
+    a, w = u
+    rho = w * w if sqrt else w
+    uh = np.fft.rfft(np.stack((a, w, rho)) if sqrt else u)
+    rh = uh[-1]
+    extra = (rh * conv_sym, rh * ik) if sqrt else (rh * conv_sym,)
+    d = np.fft.irfft(np.vstack((uh[:2] * ik, uh[:2] * (ik * ik), *extra)), n=n)
+    ux, uxx, avg = d[0:2], d[2:4], d[4]
+    rx = d[5] if sqrt else ux[1]
+    area_flux, w_flux = rho * uxx + rx * ux
+    local_push = rho - avg
+    area = a * (p.alpha * rho - p.mu * p.alpha * local_push) + p.beta_tilde * a * (
+        1.0 - rho * a / p.K_tilde
+    )
+    g = p.beta * (1.0 - a * rho / p.K) - p.alpha * rho + p.mu * p.alpha * local_push
+    if sqrt:
+        dw = 0.5 * w * g + (w * ux[1] * ux[1] + w_flux)
+    else:
+        dw = w * g + w_flux
+    return np.stack((area + area_flux, dw))
+
+
+def oracle_regularized(grid, u, p, conv_sym, damp):
+    n = grid.n_points
+    smoothed = np.fft.irfft(np.fft.rfft(u) * damp, n=n)
+    return np.fft.irfft(np.fft.rfft(oracle_assemble(grid, smoothed, p, conv_sym, False)) * damp, n=n)
+
+
+def oracle_step(grid, u, p, dt, mode):
+    """Classical RK4 on the oracle right side, then the positivity clip."""
+    conv_sym = p.kernel.symbol(grid)
+    if mode.kind == "regularized":
+        damp = heat_multiplier(grid, mode.eps)
+        f = lambda w: oracle_regularized(grid, w, p, conv_sym, damp)
+    else:
+        f = lambda w: oracle_assemble(grid, w, p, conv_sym, mode.kind == "sqrt")
+    if mode.kind == "sqrt":
+        u = np.stack((u[0], np.sqrt(np.clip(u[1], 0.0, None))))
+    k1 = f(u)
+    k2 = f(u + 0.5 * dt * k1)
+    k3 = f(u + 0.5 * dt * k2)
+    k4 = f(u + dt * k3)
+    v = u + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+    if mode.kind == "sqrt":
+        v[1] *= v[1]
+    return _apply_positivity(v, grid.dx)[0]
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@st.composite
+def nonnegative_state(draw):
+    """(grid, u): random nonnegative node values, some of them exactly zero."""
+    n = draw(st.sampled_from([16, 64, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 2.0), min_size=2, max_size=2)))
+    u = scales[:, None] * rng.random((2, n))
+    u[rng.random((2, n)) < draw(st.floats(0.0, 0.5))] = 0.0
+    return make_grid(1.0, n), u
+
+
+class TestAssemblyOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=nonnegative_state(), eps=EPS)
+    def test_every_form_matches_the_oracle_bit_for_bit(self, data, eps):
+        grid, u = data
+        conv_sym = PARAMS.kernel.symbol(grid)
+        damp = heat_multiplier(grid, eps)
+        ws = Workspace(grid, PARAMS, conv_sym)
+        # one workspace serves every form, in any order
+        for _ in range(2):
+            got = _rhs_core(ws, u)
+            assert same_bits(got, oracle_assemble(grid, u, PARAMS, conv_sym, False))
+            got = _rhs_sqrt_core(ws, u)
+            assert same_bits(got, oracle_assemble(grid, u, PARAMS, conv_sym, True))
+            got = _rhs_regularized_core(ws, u, damp)
+            assert same_bits(got, oracle_regularized(grid, u, PARAMS, conv_sym, damp))
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=nonnegative_state())
+    def test_successive_calls_return_distinct_arrays(self, data):
+        # RK4 holds k1..k4 at once, so no call may hand out or overwrite a work array
+        grid, u = data
+        conv_sym = PARAMS.kernel.symbol(grid)
+        ws = Workspace(grid, PARAMS, conv_sym)
+        damp = heat_multiplier(grid, 1e-3)
+        regularized = lambda ws, v: _rhs_regularized_core(ws, v, damp)
+        for core in (_rhs_core, _rhs_sqrt_core, regularized):
+            first = core(ws, u)
+            expected = first.copy()
+            second = core(ws, 0.5 * u)
+            assert not np.shares_memory(first, second)
+            assert same_bits(first, expected)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=nonnegative_state(), kind=st.sampled_from(["original", "regularized", "sqrt"]))
+    def test_step_matches_rk4_on_the_oracle(self, data, kind):
+        grid, u = data
+        mode = RunMode(kind, eps=1e-3) if kind == "regularized" else RunMode(kind)
+        dt = 0.1 * grid.dx**2 / max(1.0, float(np.max(u)))
+        s = State(t=0.0, A=Field(grid, u[0]), rho=Field(grid, u[1]))
+        got = step(s, PARAMS, dt, mode)
+        expected = oracle_step(grid, u, PARAMS, dt, mode)
+        assert same_bits(np.stack((got.A.values, got.rho.values)), expected)

@@ -269,7 +269,7 @@ def _record(
     the central curvature, so a record makes 2 FFT calls; sqrt(rho) and
     max(rho) are each taken once.
     """
-    root, spectra = inputs = _energy_inputs(a, r)
+    _, spectra = inputs = _energy_inputs(a, r)
     report = energy(grid, a, r, inputs)
     dx = grid.dx
     max_rho = float(np.max(r))

@@ -61,26 +61,18 @@ def second_derivative_at_center(
     return float((2.0 * np.sum(terms) - terms[0] - terms[-1]) / grid.n_points)
 
 
-def support_threshold(peak: float) -> float:
-    """Default support threshold of a field with maximum ``peak``.
-
-    It is relative because spectral representations of compactly supported
-    data carry roundoff-level ripples outside the true support.
-    """
-    return SUPPORT_THRESHOLD_SCALE * max(peak, 1.0)
-
-
 def support(grid: Grid, values: np.ndarray, threshold: Optional[float] = None) -> list[Interval]:
     """Maximal runs of nodes above ``threshold`` as closed intervals.
 
     Each run of consecutive nodes with values > threshold becomes the interval
     [x_first - dx/2, x_last + dx/2], clamped to the periodic cell.  The
-    threshold defaults to ``support_threshold`` of the field's maximum.  A
-    run crossing the periodic seam is reported as its two pieces inside
-    [-L, L]; a field above threshold everywhere yields [-L, L].
+    default threshold is relative because spectral representations of
+    compactly supported data carry roundoff-level ripples outside the true
+    support.  A run crossing the periodic seam is reported as its two pieces
+    inside [-L, L]; a field above threshold everywhere yields [-L, L].
     """
     if threshold is None:
-        threshold = support_threshold(float(np.max(values)))
+        threshold = SUPPORT_THRESHOLD_SCALE * max(float(np.max(values)), 1.0)
     if threshold <= 0:
         raise ValueError(f"support threshold must be positive, got {threshold}")
     above = values > threshold

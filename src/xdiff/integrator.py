@@ -19,13 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import (
-    DiagnosticRecord,
-    second_derivative_at_center,
-    support,
-    support_threshold,
-    symmetry_defect,
-)
+from .diagnostics import DiagnosticRecord, second_derivative_at_center, support, symmetry_defect
 from .grid import Field, Grid, InvalidValue, make_grid
 from .kernel import heat_multiplier, mollify
 from .model import (
@@ -34,7 +28,7 @@ from .model import (
     State,
     Workspace,
     energy,
-    _energy_inputs,
+    _energy_spectra,
     _rhs_core,
     _rhs_regularized_core,
     _rhs_sqrt_core,
@@ -188,19 +182,20 @@ def _rkl2(u: np.ndarray, dt: float, f: _Rhs) -> np.ndarray:
     Not the equivalent stage-value form mu_j Y_{j-1} + nu_j Y_{j-2} +
     (1 - mu_j - nu_j) u + ...: its rounded sum takes a subnormal u such as
     5e-324 below zero where the right side vanishes.  The increments are
-    updated in place, as is each right side f returns, which is a fresh array.
+    updated in place, and so is each stage's right side; the stage input y
+    and the product buffer are separate, so an f that returns its argument
+    or a view of it still gives the plain expressions' result.
     """
-    g = f(u)
-    g *= dt
+    g = dt * f(u)
     d = _RKL2_MU1 * g
-    d_old, y = np.zeros_like(d), np.empty_like(d)
+    d_old, y, term = np.zeros_like(d), np.empty_like(d), np.empty_like(d)
     for mu, nu, mu_t, gamma_t in _RKL2_ROWS:
         k = f(np.add(u, d, out=y))
         k *= mu_t * dt
         d_old *= nu
-        d_old += np.multiply(mu, d, out=y)
+        d_old += np.multiply(mu, d, out=term)
         d_old += k
-        d_old += np.multiply(gamma_t, g, out=y)
+        d_old += np.multiply(gamma_t, g, out=term)
         d_old, d = d, d_old
     return u + d
 
@@ -266,21 +261,19 @@ def _record(
     the initial density's interior zero set.
 
     One rfft of the stacked (rho, A, sqrt(rho)) serves both the energies and
-    the central curvature, so a record makes 2 FFT calls; sqrt(rho) and
-    max(rho) are each taken once.
+    the central curvature, so a record makes 2 FFT calls.
     """
-    _, spectra = inputs = _energy_inputs(a, r)
-    report = energy(grid, a, r, inputs)
+    spectra = _energy_spectra(a, r)
+    report = energy(grid, a, r, spectra)
     dx = grid.dx
-    max_rho = float(np.max(r))
     zero_max = float(np.max(r[zero_mask])) if zero_mask.any() else None
     return DiagnosticRecord(
         t=t,
-        max_rho=max_rho,
+        max_rho=float(np.max(r)),
         min_rho=float(np.min(r)),
         min_A=float(np.min(a)),
         rho_xx_at_0=second_derivative_at_center(grid, r, spectra[0]),
-        supp_rho=tuple(support(grid, r, support_threshold(max_rho))),
+        supp_rho=tuple(support(grid, r)),
         supp_A=tuple(support(grid, a)),
         mass_rho=float(np.sum(r) * dx),
         mass_A=float(np.sum(a) * dx),

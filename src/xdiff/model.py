@@ -115,9 +115,10 @@ class Workspace:
 
     The constants are the spectral multiplier rows (``ik``, ``ik*ik`` and the
     kernel symbol) and the folded coupling ``mu*alpha``; the work arrays hold
-    the stacked spectra, their inverse transforms and the pointwise terms, for
-    the sqrt form's extra density row too, so one workspace serves every form.
-    A run builds one and drops it at its end: evaluations overwrite the work
+    the sqrt form's stacked fields, the derivative spectra and the pointwise
+    terms, sized for the sqrt form's extra density row, so one workspace
+    serves every form.  The transforms return fresh arrays, because the
+    ``out=`` argument of ``np.fft`` needs numpy 2.  A run builds one and drops it at its end: evaluations overwrite the work
     arrays, so a workspace is never shared between runs or threads.
     """
 
@@ -128,9 +129,7 @@ class Workspace:
         self.ik2 = self.ik * self.ik
         self.mu_alpha = p.mu * p.alpha
         self.fields = np.empty((3, n))  # sqrt form: A, eta, rho = eta^2
-        self.spectra = np.empty((3, m), dtype=complex)
         self.deriv_spectra = np.empty((6, m), dtype=complex)
-        self.derivs = np.empty((6, n))
         self.flux, self.pair = np.empty((2, n)), np.empty((2, n))
         self.push, self.pressure, self.area, self.density_area = np.empty((4, n))
         self.logistic, self.growth, self.transport, self.scratch = np.empty((4, n))
@@ -155,27 +154,27 @@ def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
 
     One rfft of the stacked fields and one irfft of the stacked derivative and
     average spectra feed the pointwise terms, which are written into the work
-    arrays of ``ws``; only the returned array is new.
+    arrays of ``ws``; beside the transforms, only the returned array is new.
     """
     p, ik, ik2 = ws.p, ws.ik, ws.ik2
     a, w = u
     rows = 3 if sqrt else 2
-    uh, spec, d = ws.spectra[:rows], ws.deriv_spectra[: rows + 3], ws.derivs[: rows + 3]
+    spec = ws.deriv_spectra[: rows + 3]
     with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
         if sqrt:
             fields = ws.fields
             fields[:2] = u
             rho = np.multiply(w, w, out=fields[2])
-            np.fft.rfft(fields, out=uh)  # rows A, eta, rho
+            uh = np.fft.rfft(fields)  # rows A, eta, rho
             np.multiply(uh[2], ik, out=spec[5])
         else:
             rho = w
-            np.fft.rfft(u, out=uh)  # rows A, rho
+            uh = np.fft.rfft(u)  # rows A, rho
         # rows A_x, w_x, A_xx, w_xx, Gamma*rho[, rho_x]
         np.multiply(uh[:2], ik, out=spec[0:2])
         np.multiply(uh[:2], ik2, out=spec[2:4])
         np.multiply(uh[-1], ws.conv_sym, out=spec[4])
-        np.fft.irfft(spec, n=ws.n_points, out=d)
+        d = np.fft.irfft(spec, n=ws.n_points)
         ux, uxx, avg = d[0:2], d[2:4], d[4]
         rx = d[5] if sqrt else ux[1]
         flux = np.multiply(rho, uxx, out=ws.flux)
@@ -236,11 +235,11 @@ def _rhs_sqrt_core(ws: Workspace, u: np.ndarray) -> np.ndarray:
 def _rhs_regularized_core(ws: Workspace, u: np.ndarray, damp: np.ndarray) -> np.ndarray:
     """Mollified right side: smooth the stacked (A, rho) by the heat multiplier
     ``damp``, assemble, smooth the result."""
-    n, uh = ws.n_points, ws.spectra[:2]
-    np.fft.rfft(u, out=uh)
+    n = ws.n_points
+    uh = np.fft.rfft(u)
     uh *= damp
-    smoothed = np.fft.irfft(uh, n=n, out=ws.fields[:2])  # the original form leaves it alone
-    np.fft.rfft(_assemble(ws, smoothed, sqrt=False), out=uh)
+    smoothed = np.fft.irfft(uh, n=n)
+    uh = np.fft.rfft(_assemble(ws, smoothed, sqrt=False))
     uh *= damp
     return np.fft.irfft(uh, n=n)
 
@@ -277,30 +276,27 @@ def rhs_sqrt(t: float, A: Field, eta: Field, p: ModelParams) -> tuple[Field, Fie
 # ---------------------------------------------------------------------------
 
 
-def _energy_inputs(a: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(max(rho, 0)) and the rfft of the stacked (rho, A, sqrt(rho));
-    row 0 of the rfft is the density spectrum."""
-    root = np.sqrt(np.clip(rho, 0.0, None))
+def _energy_spectra(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """rfft of the stacked (rho, A, sqrt(rho)); row 0 is the density spectrum."""
     with np.errstate(over="ignore"):
-        return root, np.fft.rfft(np.stack((rho, a, root)))
+        return np.fft.rfft(np.stack((rho, a, np.sqrt(np.clip(rho, 0.0, None)))))
 
 
 def energy(
-    grid: Grid,
-    a: np.ndarray,
-    rho: np.ndarray,
-    inputs: tuple[np.ndarray, np.ndarray] | None = None,
+    grid: Grid, a: np.ndarray, rho: np.ndarray, spectra: np.ndarray | None = None
 ) -> EnergyReport:
     """Sobolev energies of the node values ``a`` and ``rho`` (density derivative order 3).
 
     One rfft of the stacked (rho, A, sqrt(rho)) and one irfft of the stacked
     derivative spectra give the three derivatives the energies need.  A
-    caller that holds ``_energy_inputs(a, rho)`` already passes it as
-    ``inputs``.
+    caller that holds that rfft already passes it as ``spectra``.
     """
     dx = grid.dx
     k2 = grid.k**2
-    root, (rh, ah, rooth) = _energy_inputs(a, rho) if inputs is None else inputs
+    root = np.sqrt(np.clip(rho, 0.0, None))
+    if spectra is None:
+        spectra = _energy_spectra(a, rho)
+    rh, ah, rooth = spectra
     with np.errstate(over="ignore"):  # energies may legitimately reach +inf
         # d^3 rho, d^2 A and d^2 sqrt(rho), with the multipliers of Grid.deriv_values
         r_m, a_m1, root_xx = np.fft.irfft(

@@ -23,6 +23,8 @@ from xdiff.integrator import (
     StepControl,
     _advance,
     _blowup_detected,
+    _RKL2_MU1,
+    _RKL2_ROWS,
     _record,
     _rkl2,
     cfl_dt,
@@ -224,8 +226,44 @@ class TestRkl2:
         err = [np.max(np.abs(sols[i] - sols[i + 1])) for i in range(2)]
         assert np.log2(err[0] / err[1]) >= 1.9
 
+    @pytest.mark.parametrize(
+        "f",
+        [lambda w: w, lambda w: w[...], lambda w: np.cos(w)],
+        ids=["returns-argument", "returns-view", "fresh"],
+    )
+    def test_in_place_increments_match_the_plain_increment_form(self, f):
+        # the stage input and the product buffer are work arrays; a right
+        # side that hands its argument back must not see them overwritten
+        u, dt = np.array([1.0, 0.5, 2.0, 5e-324]), 1e-2
+        u_before = u.copy()
+        g = dt * f(u)
+        d_old, d = 0.0, _RKL2_MU1 * g
+        for mu, nu, mu_t, gamma_t in _RKL2_ROWS:
+            d_old, d = d, mu * d + nu * d_old + mu_t * dt * f(u + d) + gamma_t * g
+        expected = u + d
+        assert _rkl2(u, dt, f).tobytes() == expected.tobytes()
+        assert u.tobytes() == u_before.tobytes()
+
 
 class TestRun:
+    @pytest.mark.parametrize(
+        "mode",
+        [RunMode(), RunMode("regularized", eps=1e-3), RunMode("sqrt")],
+        ids=["original", "regularized", "sqrt"],
+    )
+    def test_runs_on_the_numpy_1_fft_signatures(self, params, monkeypatch, mode):
+        # np.fft takes out= only from numpy 2; the package supports numpy 1.24
+        cfg = smooth_config(params, mode=mode)
+        expected = run(cfg)
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n=None, axis=-1, norm=None: rfft(a, n, axis, norm))
+        monkeypatch.setattr(
+            np.fft, "irfft", lambda a, n=None, axis=-1, norm=None: irfft(a, n, axis, norm)
+        )
+        out = run(cfg)
+        assert out.series == expected.series
+        assert np.array_equal(out.final_state.rho.values, expected.final_state.rho.values)
+
     def test_zero_t_end_returns_immediately(self, params):
         out = run(smooth_config(params, t_end=0.0))
         assert out.halt_reason is HaltReason.REACHED_T_END

@@ -118,8 +118,9 @@ class Workspace:
     the sqrt form's stacked fields, the derivative spectra and the pointwise
     terms, sized for the sqrt form's extra density row, so one workspace
     serves every form.  The transforms return fresh arrays, because the
-    ``out=`` argument of ``np.fft`` needs numpy 2.  A run builds one and drops it at its end: evaluations overwrite the work
-    arrays, so a workspace is never shared between runs or threads.
+    ``out=`` argument of ``np.fft`` needs numpy 2.  A run builds one and
+    drops it at its end: evaluations overwrite the work arrays, so a
+    workspace is never shared between runs or threads.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, conv_sym: np.ndarray):

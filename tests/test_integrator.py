@@ -256,7 +256,9 @@ class TestRun:
         cfg = smooth_config(params, mode=mode)
         expected = run(cfg)
         rfft, irfft = np.fft.rfft, np.fft.irfft
-        monkeypatch.setattr(np.fft, "rfft", lambda a, n=None, axis=-1, norm=None: rfft(a, n, axis, norm))
+        monkeypatch.setattr(
+            np.fft, "rfft", lambda a, n=None, axis=-1, norm=None: rfft(a, n, axis, norm)
+        )
         monkeypatch.setattr(
             np.fft, "irfft", lambda a, n=None, axis=-1, norm=None: irfft(a, n, axis, norm)
         )

@@ -150,8 +150,10 @@ def check_series(path: str, rho_linf_bound: float | None = None) -> list[str]:
 
     Returns a list of violation messages (empty when everything holds).  The
     density-sup envelope needs the model bound beta/(alpha*(1-mu)); it is
-    only checked when that number is supplied.
+    only checked when that number is supplied; it must be positive and finite.
     """
+    if rho_linf_bound is not None and not (math.isfinite(rho_linf_bound) and rho_linf_bound > 0):
+        raise ValueError(f"the density bound must be positive and finite, got {rho_linf_bound}")
     names = [name for name, _ in SERIES_COLUMNS]
     col = {name: i for i, name in enumerate(names)}
     rows, problems = [], []

@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .grid import Field, Grid, InvalidValue, make_grid, read_node_csv
+from .grid import Field, Grid, InvalidValue, read_node_csv
 from .integrator import RunMode, StepControl
 from .kernel import BoxKernel, SampledKernel, load_sampled_kernel
 from .model import ModelParams
@@ -26,6 +26,13 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # initial data
 # ---------------------------------------------------------------------------
+
+
+def _require_finite(spec, *names: str) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        if not np.isfinite(value):
+            raise InvalidValue(name, f"must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,7 @@ class PolyBump:
     r: int
 
     def __post_init__(self) -> None:
+        _require_finite(self, "amp", "a", "b")
         if not self.a < self.b:
             raise InvalidValue("b", f"must exceed a = {self.a}, got {self.b}")
         for name in ("p", "q", "r"):
@@ -61,6 +69,9 @@ class PolyBump:
 class Constant:
     c: float
 
+    def __post_init__(self) -> None:
+        _require_finite(self, "c")
+
     def sample(self, grid: Grid) -> Field:
         return Field(grid, np.full(grid.n_points, self.c))
 
@@ -74,6 +85,7 @@ class Cosine:
     mode: int
 
     def __post_init__(self) -> None:
+        _require_finite(self, "mean", "amp")
         if not (isinstance(self.mode, (int, np.integer)) and self.mode >= 0):
             raise InvalidValue("mode", f"must be a nonnegative integer, got {self.mode!r}")
 
@@ -237,7 +249,7 @@ class _Reader:
     def grid(self) -> Grid:
         """The run's mesh; Grid owns its checks, reported here against grid.L/grid.N."""
         try:
-            return make_grid(self.values["grid.L"], self.values["grid.N"])
+            return Grid(self.values["grid.L"], self.values["grid.N"])
         except InvalidValue as exc:
             key = {"half_length": "grid.L", "n_points": "grid.N"}[exc.field]
             raise self.error(key, exc.problem) from None

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, mirror
 
 SUPPORT_THRESHOLD_SCALE = 1e-9
 
@@ -46,18 +46,14 @@ def second_derivative_at_center(
 ) -> float:
     """Spectral second derivative of the density node values at the x = 0 node.
 
-    Only that node of the inverse transform is summed: x = 0 is node N/2, where
-    mode m carries the phase (-1)^m, and the real-FFT weights are 1 at m = 0
-    and at Nyquist and 2 elsewhere.  A caller that holds ``rfft(rho)`` already
+    Only that node of the inverse transform is summed: mode m carries the
+    grid's phase (-1)^m there, and the real-FFT weights are 1 at m = 0 and at
+    Nyquist and 2 elsewhere.  A caller that holds ``rfft(rho)`` already
     passes it as ``rho_hat``.
     """
-    j = grid.index_of_zero()
-    if abs(grid.x[j]) > 1e-12 * grid.half_length:
-        raise ValueError("grid has no node at x = 0")
     if rho_hat is None:
         rho_hat = np.fft.rfft(rho)
-    terms = -grid.k**2 * rho_hat.real
-    terms[1::2] *= -1.0
+    terms = grid.d2 * rho_hat.real * grid.phase
     return float((2.0 * np.sum(terms) - terms[0] - terms[-1]) / grid.n_points)
 
 
@@ -99,13 +95,8 @@ def support(grid: Grid, values: np.ndarray, threshold: Optional[float] = None) -
 
 
 def symmetry_defect(values: np.ndarray) -> float:
-    """Largest deviation from evenness about x = 0: max |f_j - f_{(N-j) mod N}|.
-
-    Node j pairs with node N - j and node 0 with itself, so the maximum runs
-    over j = 1..N//2 of the mirrored slices.
-    """
-    half = values.size // 2
-    return float(np.max(np.abs(values[1 : half + 1] - values[::-1][:half]), initial=0.0))
+    """Largest deviation from evenness about x = 0: max |f - f(-x)| over the nodes."""
+    return float(np.max(np.abs(values - mirror(values)), initial=0.0))
 
 
 def t_star(y0: float, theta: float) -> float:

@@ -33,8 +33,11 @@ class Grid:
     """Uniform mesh of ``n_points`` nodes on the periodic interval [-L, L].
 
     Nodes are x_j = -L + j*dx with dx = 2L/n_points; the right endpoint x = L
-    is identified with x = -L.  Spectral multipliers for the real FFT layout
-    are precomputed once and shared by all operations on the grid.
+    is identified with x = -L.  So x = 0 is node N/2, where rfft mode m carries
+    ``phase[m] = (-1)^m``, and the mirror x -> -x pairs node j with node
+    (N - j) mod N (:func:`mirror`).  The read-only real-FFT multipliers are built once per
+    grid: ``ik`` (the Nyquist-zeroed D), ``ik2`` (D(D .)), ``k2``, and ``d2``
+    to ``d4`` (the derivatives of order 2 to 4).
     """
 
     half_length: float
@@ -59,7 +62,11 @@ class Grid:
         k = (np.pi / self.half_length) * np.arange(self.n_points // 2 + 1, dtype=np.float64)
         ik = 1j * k
         ik[-1] = 0.0  # Nyquist mode dropped for odd-order derivatives on even N
-        for name, arr in (("x", x), ("k", k), ("_ik", ik)):
+        k2 = k**2
+        arrays = dict(x=x, k=k, k2=k2, phase=(-1.0) ** np.arange(k.size))
+        # multipliers of D, of D(D .) and of the derivatives of order 2 to 4
+        arrays.update(ik=ik, ik2=ik * ik, d2=-k2, d3=-ik * k2, d4=k**4)
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "dx", dx)
@@ -72,13 +79,13 @@ class Grid:
         """
         if order not in (1, 2, 3, 4):
             raise ValueError(f"derivative order must be 1..4, got {order}")
-        fh = np.fft.rfft(values)
-        mult = {1: self._ik, 2: -self.k**2, 3: -self._ik * self.k**2, 4: self.k**4}[order]
-        return np.fft.irfft(fh * mult, n=self.n_points)
+        mult = (self.ik, self.d2, self.d3, self.d4)[order - 1]
+        return np.fft.irfft(np.fft.rfft(values) * mult, n=self.n_points)
 
-    def index_of_zero(self) -> int:
-        """Node index of x = 0 (always n_points // 2 with this layout)."""
-        return self.n_points // 2
+
+def mirror(values: np.ndarray) -> np.ndarray:
+    """Node values at -x: entry j is ``values[(N - j) % N]`` for N nodes."""
+    return np.concatenate((values[:1], values[:0:-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,11 +108,6 @@ class Field:
             raise ValueError("field values must all be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-
-def make_grid(half_length: float, n_points: int) -> Grid:
-    """Build the uniform periodic mesh on [-half_length, half_length]."""
-    return Grid(half_length, n_points)
 
 
 def read_node_csv(path: str, grid: Grid) -> np.ndarray:

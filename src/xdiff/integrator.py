@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import DiagnosticRecord, second_derivative_at_center, support, symmetry_defect
-from .grid import Field, Grid, InvalidValue, make_grid
+from .grid import Field, Grid, InvalidValue
 from .kernel import heat_multiplier, mollify
 from .model import (
     ModelParams,
@@ -74,8 +74,8 @@ class RunMode:
             raise InvalidValue("kind", f"must be one of {', '.join(RUN_MODES)}, got {self.kind!r}")
         for name in ("eps", "delta"):
             value = getattr(self, name)
-            if value < 0:
-                raise InvalidValue(name, f"must be nonnegative, got {value}")
+            if not (np.isfinite(value) and value >= 0):
+                raise InvalidValue(name, f"must be nonnegative and finite, got {value}")
             if self.kind != "regularized" and value != 0.0:
                 raise InvalidValue(name, "only applies to the regularized mode")
 
@@ -334,7 +334,7 @@ def run(config) -> RunOutcome:
     bit-identical series on one platform: the loop is sequential and every
     reduction is a fixed-order numpy reduction.
     """
-    grid = make_grid(config.grid_L, config.grid_N)
+    grid = Grid(config.grid_L, config.grid_N)
     p: ModelParams = config.params
     ctrl: StepControl = config.ctrl
     mode: RunMode = config.mode

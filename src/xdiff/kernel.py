@@ -7,7 +7,8 @@ from typing import Union
 
 import numpy as np
 
-from .grid import Field, Grid, GridMismatchError, InvalidValue, read_node_csv
+from .diagnostics import symmetry_defect
+from .grid import Field, Grid, GridMismatchError, InvalidValue, mirror, read_node_csv
 
 EVENNESS_TOL = 1e-12
 
@@ -51,8 +52,7 @@ class SampledKernel:
         vals = self.samples.values
         if np.min(vals) < 0.0:
             raise ValueError("sampled kernel values must be nonnegative")
-        reflected = vals[(-np.arange(vals.size)) % vals.size]
-        defect = float(np.max(np.abs(vals - reflected)))
+        defect = symmetry_defect(vals)
         if defect > EVENNESS_TOL:
             raise ValueError(f"sampled kernel is not even (defect {defect:.3e})")
 
@@ -69,26 +69,21 @@ class SampledKernel:
     def symbol(self, grid: Grid) -> np.ndarray:
         if grid != self.samples.grid:
             raise GridMismatchError("sampled kernel lives on a different grid")
-        # Nodes start at -L, so the transform picks up the shift phase (-1)^m.
+        # Nodes start at -L, so the transform picks up the grid's phase (-1)^m.
         # The result is real for even kernels; roundoff imaginary parts dropped.
         sym = grid.dx * np.fft.rfft(self.samples.values)
-        sym *= (-1.0) ** np.arange(sym.size)
+        sym *= grid.phase
         return sym.real
 
 
 KernelSpec = Union[BoxKernel, SampledKernel]
 
 
-def kernel_l1_norm(k: KernelSpec) -> float:
-    """Total mass of the kernel; 2*half_width exactly for box kernels."""
-    return k.l1_norm()
-
-
 def heat_multiplier(grid: Grid, eps: float) -> np.ndarray:
     """Fourier multiplier exp(-eps*k^2) of the heat semigroup at time eps."""
     if eps < 0:
         raise ValueError(f"mollifier width eps must be nonnegative, got {eps}")
-    return np.exp(-eps * grid.k**2)
+    return np.exp(-eps * grid.k2)
 
 
 def mollify(f: Field, eps: float) -> Field:
@@ -111,5 +106,5 @@ def load_sampled_kernel(path: str, grid: Grid) -> SampledKernel:
     their even part (g(x) + g(-x))/2 to absorb asymmetric rounding in the file.
     """
     gs = read_node_csv(path, grid)
-    even = 0.5 * (gs + gs[(-np.arange(gs.size)) % gs.size])
+    even = 0.5 * (gs + mirror(gs))
     return SampledKernel(Field(grid, even), source_path=path)

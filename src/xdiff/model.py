@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, Grid, InvalidValue
-from .kernel import KernelSpec, heat_multiplier, kernel_l1_norm
+from .kernel import KernelSpec, heat_multiplier
 
 
 class NumericalFault(RuntimeError):
@@ -113,8 +113,8 @@ _TERM_NAMES = {
 class Workspace:
     """Constants and work arrays of the right-side evaluations of one run.
 
-    The constants are the spectral multiplier rows (``ik``, ``ik*ik`` and the
-    kernel symbol) and the folded coupling ``mu*alpha``; the work arrays hold
+    The constants are the grid (its multiplier rows ``ik`` and ``ik2``), the
+    kernel symbol and the folded coupling ``mu*alpha``; the work arrays hold
     the sqrt form's stacked fields, the derivative spectra and the pointwise
     terms, sized for the sqrt form's extra density row, so one workspace
     serves every form.  The transforms return fresh arrays, because the
@@ -124,10 +124,8 @@ class Workspace:
     """
 
     def __init__(self, grid: Grid, p: ModelParams, conv_sym: np.ndarray):
-        n, m = grid.n_points, grid.n_points // 2 + 1
-        self.n_points, self.p, self.conv_sym = n, p, conv_sym
-        self.ik = grid._ik
-        self.ik2 = self.ik * self.ik
+        n, m = grid.n_points, grid.k.size
+        self.grid, self.p, self.conv_sym = grid, p, conv_sym
         self.mu_alpha = p.mu * p.alpha
         self.fields = np.empty((3, n))  # sqrt form: A, eta, rho = eta^2
         self.deriv_spectra = np.empty((6, m), dtype=complex)
@@ -157,7 +155,7 @@ def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
     average spectra feed the pointwise terms, which are written into the work
     arrays of ``ws``; beside the transforms, only the returned array is new.
     """
-    p, ik, ik2 = ws.p, ws.ik, ws.ik2
+    p, ik, ik2 = ws.p, ws.grid.ik, ws.grid.ik2
     a, w = u
     rows = 3 if sqrt else 2
     spec = ws.deriv_spectra[: rows + 3]
@@ -175,7 +173,7 @@ def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
         np.multiply(uh[:2], ik, out=spec[0:2])
         np.multiply(uh[:2], ik2, out=spec[2:4])
         np.multiply(uh[-1], ws.conv_sym, out=spec[4])
-        d = np.fft.irfft(spec, n=ws.n_points)
+        d = np.fft.irfft(spec, n=ws.grid.n_points)
         ux, uxx, avg = d[0:2], d[2:4], d[4]
         rx = d[5] if sqrt else ux[1]
         flux = np.multiply(rho, uxx, out=ws.flux)
@@ -236,7 +234,7 @@ def _rhs_sqrt_core(ws: Workspace, u: np.ndarray) -> np.ndarray:
 def _rhs_regularized_core(ws: Workspace, u: np.ndarray, damp: np.ndarray) -> np.ndarray:
     """Mollified right side: smooth the stacked (A, rho) by the heat multiplier
     ``damp``, assemble, smooth the result."""
-    n = ws.n_points
+    n = ws.grid.n_points
     uh = np.fft.rfft(u)
     uh *= damp
     smoothed = np.fft.irfft(uh, n=n)
@@ -262,7 +260,7 @@ def rhs_regularized(s: State, p: ModelParams, eps: float) -> tuple[Field, Field]
     return _fields(s.grid, _rhs_regularized_core(ws, u, heat_multiplier(s.grid, eps)))
 
 
-def rhs_sqrt(t: float, A: Field, eta: Field, p: ModelParams) -> tuple[Field, Field]:
+def rhs_sqrt(A: Field, eta: Field, p: ModelParams) -> tuple[Field, Field]:
     """Time derivatives (dA/dt, deta/dt) of the square-root density form."""
     if A.grid != eta.grid:
         raise ValueError("A and eta must share one grid")
@@ -293,15 +291,14 @@ def energy(
     caller that holds that rfft already passes it as ``spectra``.
     """
     dx = grid.dx
-    k2 = grid.k**2
     root = np.sqrt(np.clip(rho, 0.0, None))
     if spectra is None:
         spectra = _energy_spectra(a, rho)
     rh, ah, rooth = spectra
     with np.errstate(over="ignore"):  # energies may legitimately reach +inf
-        # d^3 rho, d^2 A and d^2 sqrt(rho), with the multipliers of Grid.deriv_values
+        # d^3 rho, d^2 A and d^2 sqrt(rho)
         r_m, a_m1, root_xx = np.fft.irfft(
-            np.stack((rh * (-grid._ik * k2), ah * -k2, rooth * -k2)), n=grid.n_points
+            np.stack((rh * grid.d3, ah * grid.d2, rooth * grid.d2)), n=grid.n_points
         )
         e_tilde = 1.0 + float(
             np.sum(r_m**2) * dx + np.sum(rho**2) * dx + np.sum(a**2) * dx + np.sum(a_m1**2) * dx
@@ -316,5 +313,5 @@ def blowup_threshold(p: ModelParams) -> float:
     Initial data with second density derivative above this value at the
     central zero drive that derivative to infinity in finite time.
     """
-    return p.mu * p.beta * kernel_l1_norm(p.kernel) / (1.0 - p.mu)
+    return p.mu * p.beta * p.kernel.l1_norm() / (1.0 - p.mu)
 

@@ -24,9 +24,9 @@ import xdiff
 from xdiff.cli import SERIES_HEADER, main
 from xdiff.config import parse_config, preset, preset_with_overrides, render_config
 from xdiff.diagnostics import support, t_star
-from xdiff.grid import Field, make_grid
+from xdiff.grid import Field, Grid
 from xdiff.integrator import step
-from xdiff.kernel import kernel_l1_norm, mollify
+from xdiff.kernel import mollify
 from xdiff.model import ModelParams, State, blowup_threshold, rhs, rhs_regularized, rhs_sqrt
 
 RHO_SUP_BOUND = 1.5  # beta / (alpha (1 - mu)) for the reference parameters
@@ -192,7 +192,7 @@ def test_criterion_2_threshold_consistency():
     with criterion(2, "threshold consistency"):
         p = reference_params()
         thr = blowup_threshold(p)
-        assert thr == p.mu * p.beta * kernel_l1_norm(p.kernel) / (1.0 - p.mu)
+        assert thr == p.mu * p.beta * p.kernel.l1_norm() / (1.0 - p.mu)
         assert thr == pytest.approx(0.075, rel=1e-15)
         assert CURVATURE_AT_CENTER > thr
 
@@ -229,7 +229,7 @@ def test_fig1_density_support_at_every_snapshot(fig1):
     # last snapshot before blow-up: no spurious intervals on the zero set
     with criterion(3, "fig1 density support at every snapshot"):
         cfg = fig1["config"]
-        grid = make_grid(cfg.grid_L, cfg.grid_N)
+        grid = Grid(cfg.grid_L, cfg.grid_N)
         snaps = sorted(fig1["out_dir"].glob("snapshot_*.csv"))
         assert len(snaps) == len(cfg.snapshot_times)
         for path in snaps:
@@ -341,7 +341,7 @@ def test_criterion_6_positivity_and_clip_budget(which, request):
 def test_criterion_7_consistency_suite():
     with criterion(7, "evolution-form consistency"):
         p = reference_params()
-        g = make_grid(1.0, 128)
+        g = Grid(1.0, 128)
         ones = Field(g, np.ones(g.n_points))
 
         s = State(t=0.0, A=ones, rho=Field(g, 1.0 + 0.1 * np.cos(np.pi * g.x)))
@@ -351,7 +351,7 @@ def test_criterion_7_consistency_suite():
         assert np.max(np.abs(dr_reg.values - dr0.values)) <= 1e-9
 
         eta = Field(g, np.sqrt(s.rho.values))
-        _, de = rhs_sqrt(0.0, s.A, eta, p)
+        _, de = rhs_sqrt(s.A, eta, p)
         residual = 2.0 * eta.values * de.values - dr0.values
         assert np.max(np.abs(residual)) <= 1e-6 * np.max(np.abs(dr0.values))
 
@@ -363,13 +363,13 @@ def test_criterion_7_consistency_suite():
 def test_criterion_8_numerical_quality():
     with criterion(8, "numerical quality"):
         # exact spectral differentiation of a resolved mode
-        g = make_grid(1.0, 128)
+        g = Grid(1.0, 128)
         d = g.deriv_values(np.sin(3 * np.pi * g.x), 1)
         assert np.max(np.abs(d - 3 * np.pi * np.cos(3 * np.pi * g.x))) <= 1e-10
 
         # temporal self-convergence of the stepper on the smooth positive run
         p = reference_params()
-        g16 = make_grid(1.0, 16)
+        g16 = Grid(1.0, 16)
 
         def advance(dt, n_steps):
             s = State(

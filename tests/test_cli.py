@@ -87,9 +87,9 @@ class TestSampledKernelRun:
     def test_end_to_end_with_kernel_csv(self, tmp_path):
         import numpy as np
 
-        from xdiff.grid import make_grid
+        from xdiff.grid import Grid
 
-        g = make_grid(1.0, 16)
+        g = Grid(1.0, 16)
         gauss = 2.0 * np.exp(-(g.x**2) / 0.05)
         lines = ["x,gamma"] + [f"{float(x)!r},{float(v)!r}" for x, v in zip(g.x, gauss)]
         (tmp_path / "gamma.csv").write_text("\n".join(lines) + "\n")
@@ -167,6 +167,17 @@ class TestCheckCommand:
         assert check_series(path) == []  # not checkable without the bound
         problems = check_series(path, rho_linf_bound=1.5)
         assert any("increases while above" in p for p in problems)
+
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-inf", "0", "-1.5"])
+    def test_bound_must_be_positive_and_finite(self, tmp_path, capsys, bound):
+        # prev > nan is always false, so a nan bound would pass any series
+        rows = [self._row(0.0, max_rho=2.0), self._row(1.0, max_rho=2.01)]
+        path = self._series(tmp_path, rows)
+        assert main(["check", path, "--rho-linf-bound", "1.5"]) == 2
+        assert main(["check", path, f"--rho-linf-bound={bound}"]) == 1
+        assert "must be positive and finite" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            check_series(path, rho_linf_bound=float(bound))
 
     def test_envelope_cap_flagged(self, tmp_path):
         rows = [self._row(0.0, max_rho=1.0), self._row(1.0, max_rho=1.6)]
@@ -326,11 +337,11 @@ class TestDeterminism:
 
     def test_snapshot_rows_render_each_value_with_seventeen_digits(self, tmp_path):
         from xdiff.config import parse_config
-        from xdiff.grid import Field, make_grid
+        from xdiff.grid import Field, Grid
         from xdiff.integrator import HaltReason, RunOutcome
         from xdiff.model import State
 
-        grid = make_grid(1.0, 16)
+        grid = Grid(1.0, 16)
         specials = [-0.0, 5e-324, 0.1, 1.0 / 3.0, -2.5e300, 1e-310, 123456789.0, 1.0]
         a = np.array(specials * 2)
         rho = np.array(specials[::-1] * 2)

@@ -17,7 +17,7 @@ from xdiff.config import (
     preset_with_overrides,
     render_config,
 )
-from xdiff.grid import make_grid
+from xdiff.grid import Grid, InvalidValue
 from xdiff.integrator import RunMode, StepControl
 from xdiff.kernel import BoxKernel, load_sampled_kernel
 from xdiff.model import ModelParams
@@ -109,6 +109,35 @@ class TestParse:
         with pytest.raises(ConfigError, match="record_every"):
             parse_config(MINIMAL + "run.record_every = 0\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "section, key, problem",
+        [
+            ("mode.kind = regularized\nmode.eps = 0.01\nmode.delta = 0.001", "mode.eps",
+             "must be nonnegative and finite"),
+            ("mode.kind = regularized\nmode.eps = 0.01\nmode.delta = 0.001", "mode.delta",
+             "must be nonnegative and finite"),
+            ("rho0.kind = poly_bump\nrho0.amp = -140.0\nrho0.a = -0.5\nrho0.b = 0.5\n"
+             "rho0.p = 3\nrho0.q = 0\nrho0.r = 3", "rho0.amp", "must be finite"),
+            ("rho0.kind = poly_bump\nrho0.amp = -140.0\nrho0.a = -0.5\nrho0.b = 0.5\n"
+             "rho0.p = 3\nrho0.q = 0\nrho0.r = 3", "rho0.a", "must be finite"),
+            ("rho0.kind = constant\nrho0.c = 1.0", "rho0.c", "must be finite"),
+            ("rho0.kind = cosine\nrho0.mean = 1.0\nrho0.amp = 0.1\nrho0.mode = 1",
+             "rho0.mean", "must be finite"),
+            ("rho0.kind = cosine\nrho0.mean = 1.0\nrho0.amp = 0.1\nrho0.mode = 1",
+             "rho0.amp", "must be finite"),
+        ],
+    )
+    def test_nonfinite_number_rejected_with_its_key(self, section, key, problem, value):
+        base = MINIMAL
+        if section.startswith("rho0."):
+            base = MINIMAL.replace("rho0.kind = constant\nrho0.c = 1.0\n", "")
+        lines = (base + section).splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} ="))
+        lines[lineno - 1] = f"{key} = {value}"
+        with pytest.raises(ConfigError, match=rf"^line {lineno}: {key} {problem}, got"):
+            parse_config("\n".join(lines) + "\n")
+
     def test_poly_bump_and_mode_sections(self):
         text = MINIMAL.replace(
             "rho0.kind = constant\nrho0.c = 1.0",
@@ -126,12 +155,12 @@ class TestParse:
             "rho0.kind = cosine\nrho0.mean = 1.0\nrho0.amp = 0.1\nrho0.mode = 1",
         )
         cfg = parse_config(text)
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         sampled = cfg.rho0.sample(g)
-        assert sampled.values[g.index_of_zero()] == pytest.approx(1.1)
+        assert sampled.values[g.n_points // 2] == pytest.approx(1.1)
 
     def test_csv_initial_data_resolved_and_loaded(self, tmp_path):
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         lines = ["x,value"] + [f"{float(x)!r},{1.0 + 0.1 * float(np.cos(np.pi * x))!r}" for x in g.x]
         (tmp_path / "rho.csv").write_text("\n".join(lines) + "\n")
         text = MINIMAL.replace(
@@ -141,7 +170,7 @@ class TestParse:
         cfg = parse_config(text, base_dir=str(tmp_path))
         assert cfg.rho0.path == str(tmp_path / "rho.csv")
         sampled = cfg.rho0.sample(g)
-        assert sampled.values[g.index_of_zero()] == pytest.approx(1.1)
+        assert sampled.values[g.n_points // 2] == pytest.approx(1.1)
 
     def test_csv_node_mismatch_rejected(self, tmp_path):
         (tmp_path / "rho.csv").write_text("x,value\n0.0,1.0\n")
@@ -151,7 +180,7 @@ class TestParse:
         )
         cfg = parse_config(text, base_dir=str(tmp_path))
         with pytest.raises(ValueError, match="does not match"):
-            cfg.rho0.sample(make_grid(1.0, 64))
+            cfg.rho0.sample(Grid(1.0, 64))
 
 
 class TestInitialDataSpecs:
@@ -162,7 +191,7 @@ class TestInitialDataSpecs:
             PolyBump(1.0, -0.5, 0.5, 3, -1, 3)
 
     def test_poly_bump_vanishes_outside_window(self):
-        g = make_grid(1.0, 256)
+        g = Grid(1.0, 256)
         f = PolyBump(-140.0, -0.5, 0.5, 3, 0, 3).sample(g)
         outside = np.abs(g.x) > 0.5
         assert np.all(f.values[outside] == 0.0)
@@ -172,27 +201,44 @@ class TestInitialDataSpecs:
         with pytest.raises(ValueError):
             Cosine(1.0, 0.1, -2)
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda v: PolyBump(v, -0.5, 0.5, 3, 0, 3), "amp"),
+            (lambda v: PolyBump(1.0, v, 0.5, 3, 0, 3), "a"),
+            (lambda v: PolyBump(1.0, -0.5, v, 3, 0, 3), "b"),
+            (lambda v: Constant(v), "c"),
+            (lambda v: Cosine(v, 0.1, 1), "mean"),
+            (lambda v: Cosine(1.0, v, 1), "amp"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_numbers_rejected(self, build, field, value):
+        with pytest.raises(InvalidValue, match=f"^{field} must be finite") as exc:
+            build(value)
+        assert exc.value.field == field
+
 
 class TestPresets:
     def test_blowup_preset_center_values(self):
         cfg = preset("fig1-blowup")
-        g = make_grid(cfg.grid_L, cfg.grid_N)
+        g = Grid(cfg.grid_L, cfg.grid_N)
         rho0 = cfg.rho0.sample(g)
-        assert rho0.values[g.index_of_zero()] == 0.0
+        assert rho0.values[g.n_points // 2] == 0.0
         assert cfg.grid_N == 1024
         assert cfg.params.mu == 0.5
 
     def test_support_preset_center_value(self):
         cfg = preset("fig2-support")
-        g = make_grid(cfg.grid_L, cfg.grid_N)
+        g = Grid(cfg.grid_L, cfg.grid_N)
         rho0 = cfg.rho0.sample(g)
-        assert rho0.values[g.index_of_zero()] == pytest.approx(2.1875, abs=1e-12)
+        assert rho0.values[g.n_points // 2] == pytest.approx(2.1875, abs=1e-12)
 
     def test_support_preset_area_sits_inside_density(self):
         from xdiff.diagnostics import support
 
         cfg = preset("fig2-support")
-        g = make_grid(cfg.grid_L, cfg.grid_N)
+        g = Grid(cfg.grid_L, cfg.grid_N)
         a0 = support(g, cfg.A0.sample(g).values)
         r0 = support(g, cfg.rho0.sample(g).values)
         assert len(a0) == 1 and len(r0) == 1
@@ -280,7 +326,7 @@ def write_kernel_csv(directory, grid, width):
 @st.composite
 def run_configs(draw, kernel_dir=None, initial=INITIAL_DATA):
     """Random valid configurations; sampled kernels only when ``kernel_dir`` is given."""
-    grid = make_grid(draw(finite(0.1, 10.0)), 2 * draw(st.integers(8, 64)))
+    grid = Grid(draw(finite(0.1, 10.0)), 2 * draw(st.integers(8, 64)))
     if kernel_dir is not None and draw(st.booleans()):
         kernel = load_sampled_kernel(
             write_kernel_csv(kernel_dir, grid, draw(finite(1e-3, 1.0))), grid

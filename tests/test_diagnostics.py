@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xdiff.diagnostics import second_derivative_at_center, support, symmetry_defect, t_star
-from xdiff.grid import make_grid
+from xdiff.grid import Grid
 
 
 class TestSecondDerivativeAtCenter:
     def test_blowup_datum_curvature(self):
         # -2000(x+1/2)^3 x^2 (x-1/2)^3 = 31.25 x^2 + O(x^4) near the center
-        g = make_grid(1.0, 1024)
+        g = Grid(1.0, 1024)
         vals = np.where(
             np.abs(g.x) <= 0.5, -2000.0 * (g.x**2) * (g.x**2 - 0.25) ** 3, 0.0
         )
@@ -21,13 +21,13 @@ class TestSecondDerivativeAtCenter:
     def test_smooth_parabola_like_profile(self):
         # (2L/pi)^2 sin^2(pi x / 2L) equals x^2 + O(x^4) at the center and is
         # exactly periodic, so the spectral curvature there is exactly 2
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         b = np.pi / (2 * g.half_length)
         rho = (np.sin(b * g.x) / b) ** 2
         assert second_derivative_at_center(g, rho) == pytest.approx(2.0, abs=1e-6)
 
     def test_constant_has_zero_curvature(self):
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         assert abs(second_derivative_at_center(g, np.full(64, 3.0))) < 1e-12
 
     @pytest.mark.parametrize("n", [16, 64, 1024])
@@ -44,18 +44,18 @@ class TestSecondDerivativeAtCenter:
 
         for name in ("rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
-        g = make_grid(1.0, n)
+        g = Grid(1.0, n)
         rho = np.random.default_rng(n).normal(size=n)  # every mode, Nyquist included
         value = second_derivative_at_center(g, rho)
         assert calls == ["rfft"]
         monkeypatch.undo()
         full = g.deriv_values(rho, 2)
-        assert value == pytest.approx(full[g.index_of_zero()], abs=1e-14 * np.max(np.abs(full)))
+        assert value == pytest.approx(full[g.n_points // 2], abs=1e-14 * np.max(np.abs(full)))
 
 
 class TestSupport:
     def test_compact_bump_single_interval(self):
-        g = make_grid(1.0, 1024)
+        g = Grid(1.0, 1024)
         vals = np.where(np.abs(g.x) <= 0.5, -140.0 * (g.x**2 - 0.25) ** 3, 0.0)
         intervals = support(g, vals)
         assert len(intervals) == 1
@@ -64,15 +64,15 @@ class TestSupport:
         assert abs(hi - 0.5) <= 2 * g.dx
 
     def test_zero_field_has_empty_support(self):
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         assert support(g, np.zeros(64)) == []
 
     def test_positive_constant_covers_the_circle(self):
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         assert support(g, np.ones(64)) == [(-1.0, 1.0)]
 
     def test_two_bumps_give_two_intervals(self):
-        g = make_grid(1.0, 256)
+        g = Grid(1.0, 256)
         vals = np.zeros(256)
         vals[(g.x > -0.8) & (g.x < -0.6)] = 1.0
         vals[(g.x > 0.2) & (g.x < 0.5)] = 1.0
@@ -81,7 +81,7 @@ class TestSupport:
         assert intervals[0][1] < intervals[1][0]
 
     def test_seam_crossing_support_reports_clamped_pieces(self):
-        g = make_grid(1.0, 256)
+        g = Grid(1.0, 256)
         vals = np.where(np.abs(g.x) >= 0.9, 1.0, 0.0)
         intervals = support(g, vals)
         assert len(intervals) == 2
@@ -89,7 +89,7 @@ class TestSupport:
         assert intervals[1][1] == 1.0
 
     def test_relative_default_threshold(self):
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         vals = np.zeros(64)
         vals[10] = 1.0
         vals[40] = 1e-11  # below 1e-9 * max(f, 1)
@@ -97,7 +97,7 @@ class TestSupport:
         assert len(intervals) == 1
 
     def test_explicit_threshold(self):
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         vals = np.zeros(64)
         vals[10] = 1.0
         vals[40] = 0.5
@@ -108,11 +108,11 @@ class TestSupport:
 
 class TestSymmetryDefect:
     def test_even_field_has_zero_defect(self):
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         assert symmetry_defect(np.cos(np.pi * g.x)) == 0.0
 
     def test_odd_field_defect_is_twice_the_sup(self):
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         assert symmetry_defect(np.sin(np.pi * g.x)) == pytest.approx(2.0)
 
     def test_matches_bruteforce_reflection_scan(self):

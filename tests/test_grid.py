@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xdiff.grid import Field, make_grid
+from xdiff.diagnostics import symmetry_defect
+from xdiff.grid import Field, Grid, mirror
+from xdiff.kernel import EVENNESS_TOL, SampledKernel
 
 
 def band_limited(grid, rng, n_modes=6, offset=0.0):
@@ -15,49 +19,49 @@ def band_limited(grid, rng, n_modes=6, offset=0.0):
 
 class TestMakeGrid:
     def test_basic_layout(self):
-        g = make_grid(1.0, 16)
+        g = Grid(1.0, 16)
         assert g.dx == 0.125
         assert g.x[0] == -1.0
         assert np.all(np.diff(g.x) > 0)
-        assert g.x[g.index_of_zero()] == 0.0
+        assert g.x[g.n_points // 2] == 0.0
 
     def test_large_grid_spacing(self):
-        g = make_grid(1.0, 1024)
+        g = Grid(1.0, 1024)
         assert g.dx == pytest.approx(1.953125e-3, rel=0, abs=0)
         assert g.dx * g.n_points == pytest.approx(2.0, rel=1e-15)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            make_grid(1.0, 4)
+            Grid(1.0, 4)
         with pytest.raises(ValueError):
-            make_grid(1.0, 15)
+            Grid(1.0, 15)
         with pytest.raises(ValueError):
-            make_grid(1.0, 17)
+            Grid(1.0, 17)
         with pytest.raises(ValueError):
-            make_grid(0.0, 16)
+            Grid(0.0, 16)
         with pytest.raises(ValueError):
-            make_grid(-2.0, 16)
+            Grid(-2.0, 16)
 
     def test_grid_equality_is_by_value(self):
-        assert make_grid(1.0, 64) == make_grid(1.0, 64)
-        assert make_grid(1.0, 64) != make_grid(2.0, 64)
+        assert Grid(1.0, 64) == Grid(1.0, 64)
+        assert Grid(1.0, 64) != Grid(2.0, 64)
 
 
 class TestField:
     def test_length_mismatch_rejected(self):
-        g = make_grid(1.0, 16)
+        g = Grid(1.0, 16)
         with pytest.raises(ValueError):
             Field(g, np.zeros(17))
 
     def test_nonfinite_rejected(self):
-        g = make_grid(1.0, 16)
+        g = Grid(1.0, 16)
         bad = np.zeros(16)
         bad[3] = np.nan
         with pytest.raises(ValueError):
             Field(g, bad)
 
     def test_values_are_locked_copies(self):
-        g = make_grid(1.0, 16)
+        g = Grid(1.0, 16)
         src = np.ones(16)
         f = Field(g, src)
         src[0] = 7.0
@@ -68,30 +72,30 @@ class TestField:
 
 class TestDeriv:
     def test_constant_derivative_is_zero(self):
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         d = g.deriv_values(np.full(64, 3.7), 1)
         assert np.max(np.abs(d)) < 1e-14
 
     def test_first_derivative_of_resolved_mode(self):
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         d = g.deriv_values(np.sin(np.pi * g.x), 1)
         assert np.max(np.abs(d - np.pi * np.cos(np.pi * g.x))) <= 1e-10
 
     def test_second_derivative_of_mode_three(self):
-        g = make_grid(1.0, 128)
+        g = Grid(1.0, 128)
         d = g.deriv_values(np.sin(3 * np.pi * g.x), 2)
         expected = -((3 * np.pi) ** 2) * np.sin(3 * np.pi * g.x)
         assert np.max(np.abs(d - expected)) <= 1e-10
 
     def test_invalid_order_rejected(self):
-        g = make_grid(1.0, 16)
+        g = Grid(1.0, 16)
         with pytest.raises(ValueError):
             g.deriv_values(np.ones(16), 5)
         with pytest.raises(ValueError):
             g.deriv_values(np.ones(16), 0)
 
     def test_linearity(self):
-        g = make_grid(1.0, 128)
+        g = Grid(1.0, 128)
         rng = np.random.default_rng(7)
         f, h = band_limited(g, rng), band_limited(g, rng)
         a, b = 2.5, -1.25
@@ -100,7 +104,7 @@ class TestDeriv:
         assert np.max(np.abs(lhs - rhs)) < 1e-11
 
     def test_composition_matches_second_order(self):
-        g = make_grid(1.0, 128)
+        g = Grid(1.0, 128)
         f = band_limited(g, np.random.default_rng(11))
         twice = g.deriv_values(g.deriv_values(f.values, 1), 1)
         second = g.deriv_values(f.values, 2)
@@ -108,13 +112,13 @@ class TestDeriv:
         assert np.max(np.abs(twice - second)) <= 1e-8 * scale
 
     def test_derivative_integrates_to_zero(self):
-        g = make_grid(1.0, 128)
+        g = Grid(1.0, 128)
         rng = np.random.default_rng(3)
         f = rng.normal(size=128)  # arbitrary rough field
         assert abs(np.sum(g.deriv_values(f, 1)) * g.dx) <= 1e-10
 
     def test_even_field_maps_to_odd_then_even(self):
-        g = make_grid(1.0, 128)
+        g = Grid(1.0, 128)
         rng = np.random.default_rng(5)
         vals = np.zeros(128)
         for m in range(1, 9):
@@ -135,17 +139,17 @@ class TestIntegrateAndNorms:
     masses and energies, and the norms built on it."""
 
     def test_constant_measures_domain(self):
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         assert np.sum(np.ones(64)) * g.dx == pytest.approx(2.0, abs=1e-14)
-        g_half = make_grid(0.5, 64)
+        g_half = Grid(0.5, 64)
         assert np.sum(np.ones(64)) * g_half.dx == pytest.approx(1.0, abs=1e-14)
 
     def test_odd_function_integrates_to_zero(self):
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         assert abs(np.sum(np.sin(np.pi * g.x)) * g.dx) <= 1e-12
 
     def test_norms_of_constant(self):
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         v = np.ones(64)
         assert l2(g, v) == pytest.approx(np.sqrt(2.0), rel=1e-14)
         assert np.max(np.abs(v)) == 1.0
@@ -153,11 +157,76 @@ class TestIntegrateAndNorms:
 
     def test_l2_of_sine(self):
         # integral of sin^2 over a full period is half the domain length
-        g = make_grid(1.0, 128)
+        g = Grid(1.0, 128)
         assert l2(g, np.sin(np.pi * g.x)) == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_field(self):
-        g = make_grid(1.0, 16)
+        g = Grid(1.0, 16)
         v = np.zeros(16)
         assert (l2(g, v), np.max(np.abs(v)), np.min(v)) == (0.0, 0.0, 0.0)
 
+
+
+LAYOUT_ARRAYS = ("x", "k", "k2", "phase", "ik", "ik2", "d2", "d3", "d4")
+
+
+@st.composite
+def grids(draw):
+    """A grid over a random half length L > 0 and a random even N >= 16."""
+    half_length = draw(st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False))
+    return Grid(half_length, 2 * draw(st.integers(8, 1024)))
+
+
+class TestLayoutProperties:
+    """The layout every module reads from the grid: the x = 0 node, the
+    multipliers and the phase, and the mirror."""
+
+    @given(grids())
+    @settings(max_examples=200, deadline=None)
+    def test_node_half_n_sits_at_x_zero(self, g):
+        assert abs(g.x[g.n_points // 2]) <= 2 * np.spacing(g.half_length)
+
+    @given(grids())
+    @settings(max_examples=50, deadline=None)
+    def test_multipliers_equal_the_per_call_expressions_bit_for_bit(self, g):
+        k = g.k
+        ik = 1j * k
+        ik[-1] = 0.0
+        expected = {
+            "ik": ik,
+            "ik2": ik * ik,
+            "k2": k**2,
+            "d2": -k**2,
+            "d3": -ik * k**2,
+            "d4": k**4,
+            "phase": (-1.0) ** np.arange(k.size),
+        }
+        for name, want in expected.items():
+            got = getattr(g, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    @given(grids())
+    @settings(max_examples=20, deadline=None)
+    def test_layout_arrays_are_read_only(self, g):
+        for name in LAYOUT_ARRAYS:
+            arr = getattr(g, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    @given(grids(), st.integers(0, 2**32 - 1), st.floats(-17.0, -9.0))
+    @settings(max_examples=50, deadline=None)
+    def test_sampled_kernel_reports_the_reflection_defect(self, g, seed, log_scale):
+        n = g.n_points
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0.5, 1.5, n)
+        vals = base + base[(-np.arange(n)) % n] + 10.0**log_scale * rng.uniform(0.0, 1.0, n)
+        reflected = vals[(-np.arange(n)) % n]
+        defect = float(np.max(np.abs(vals - reflected)))
+        assert mirror(vals).tobytes() == reflected.tobytes()
+        assert symmetry_defect(vals) == defect
+        if defect > EVENNESS_TOL:
+            with pytest.raises(ValueError, match=f"defect {defect:.3e}"):
+                SampledKernel(Field(g, vals))
+        else:
+            SampledKernel(Field(g, vals))

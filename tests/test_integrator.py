@@ -14,7 +14,7 @@ from xdiff.config import (
     preset_with_overrides,
     render_config,
 )
-from xdiff.grid import Field, make_grid
+from xdiff.grid import Field, Grid, InvalidValue
 from xdiff.integrator import (
     RKL2_GAIN,
     RKL2_STAGES,
@@ -90,37 +90,43 @@ class TestRunModeValidation:
         with pytest.raises(ValueError):
             RunMode("original", eps=0.1)
 
+    @pytest.mark.parametrize("name", ["eps", "delta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_width_and_shift_rejected(self, name, value):
+        with pytest.raises(InvalidValue, match=f"{name} must be nonnegative and finite"):
+            RunMode("regularized", **{name: value})
+
 
 class TestCflDt:
     def test_reference_arithmetic(self, params):
         # the RK4 bound 0.25 dx^2 scaled by the ratio of the real stability
         # intervals, (s^2 + s - 2) / 2 = 54 for RKL2 over 2.7853 for RK4
-        g = make_grid(1.0, 1024)
+        g = Grid(1.0, 1024)
         dt = cfl_dt(g.dx, np.ones(1024), StepControl())
         assert RKL2_GAIN == pytest.approx(19.39, abs=5e-3)
         assert dt == 0.25 * g.dx**2 * RKL2_GAIN
         assert dt == pytest.approx(1.8489e-5, rel=1e-4)
 
     def test_zero_density_uses_dt_max(self, params):
-        g = make_grid(1.0, 1024)
+        g = Grid(1.0, 1024)
         assert cfl_dt(g.dx, np.zeros(1024), StepControl()) == StepControl().dt_max
 
     def test_reference_peak_density(self, params):
         # the steepest reference experiment peak; the resulting step sits
         # within an order of magnitude of the reported frame time scale
-        g = make_grid(1.0, 1024)
+        g = Grid(1.0, 1024)
         dt = cfl_dt(g.dx, np.full(1024, 2.1875), StepControl())
         assert dt == pytest.approx(8.4523e-6, rel=1e-4)
 
     def test_clamped_to_window(self, params):
-        g = make_grid(1.0, 16)
+        g = Grid(1.0, 16)
         ctrl = StepControl(dt_min=1e-6, dt_max=1e-3)
         assert cfl_dt(g.dx, np.full(16, 1e9), ctrl) == 1e-6
 
 
 class TestStep:
     def test_zero_state_unchanged(self, params):
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         s = state_of(g, np.zeros(64), np.zeros(64))
         out = step(s, params, 0.5)
         assert out.t == 0.5
@@ -144,7 +150,7 @@ class TestStep:
         a_next = a + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         r_next = r + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
 
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         out = step(state_of(g, np.ones(64), np.ones(64)), params, dt)
         assert np.max(np.abs(out.A.values - a_next)) <= 1e-14
         assert np.max(np.abs(out.rho.values - r_next)) <= 1e-14
@@ -153,7 +159,7 @@ class TestStep:
         assert out.rho.values[0] == pytest.approx(1 - 0.55e-4, abs=1e-8)
 
     def test_subtolerance_negative_entry_clipped(self, params):
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         r = np.full(64, 1e-8)
         r[10] = -5e-13
         out = step(state_of(g, np.zeros(64), r), params, 1e-8)
@@ -161,14 +167,14 @@ class TestStep:
         assert np.min(out.rho.values) >= 0.0
 
     def test_nonpositive_dt_rejected(self, params):
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         with pytest.raises(ValueError):
             step(state_of(g, np.ones(64), np.ones(64)), params, 0.0)
 
     def test_rk4_self_convergence_order(self, params):
         # smooth strictly positive run at fixed dt; Richardson order from the
         # dt, dt/2, dt/4 triple must be essentially four
-        g = make_grid(1.0, 16)
+        g = Grid(1.0, 16)
 
         def advance(dt, n_steps):
             s = state_of(g, np.ones(16), 1.0 + 0.1 * np.cos(np.pi * g.x))
@@ -213,7 +219,7 @@ class TestRkl2:
 
     def test_rkl2_self_convergence_order(self, params):
         # criterion 8's smooth strictly positive problem at N = 16, fixed dt
-        g = make_grid(1.0, 16)
+        g = Grid(1.0, 16)
         advance = _advance(g, params, params.kernel.symbol(g), RunMode(), _rkl2)
 
         def solve(dt, n_steps):
@@ -447,7 +453,7 @@ class TestRun:
         # this module, so a wrapper installed there sees each call
         import xdiff.integrator as integrator
 
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         a, r = np.ones(64), 1.0 + 0.1 * np.cos(np.pi * g.x)
         expected = _record(g, 0.0, a, r, np.zeros(64, dtype=bool))
         calls = []

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdiff.grid import Field, GridMismatchError, make_grid
-from xdiff.kernel import BoxKernel, SampledKernel, kernel_l1_norm, load_sampled_kernel, mollify
+from xdiff.grid import Field, Grid, GridMismatchError
+from xdiff.kernel import BoxKernel, SampledKernel, load_sampled_kernel, mollify
 
 
 def convolve(k, f):
@@ -18,13 +18,13 @@ def l2(grid, v):
 
 @pytest.fixture
 def grid():
-    return make_grid(1.0, 128)
+    return Grid(1.0, 128)
 
 
 class TestBoxKernel:
     def test_l1_norm_is_twice_half_width(self):
-        assert kernel_l1_norm(BoxKernel(0.05)) == 0.1
-        assert kernel_l1_norm(BoxKernel(0.5)) == 1.0
+        assert BoxKernel(0.05).l1_norm() == 0.1
+        assert BoxKernel(0.5).l1_norm() == 1.0
 
     def test_rejects_nonpositive_half_width(self):
         with pytest.raises(ValueError):
@@ -41,7 +41,7 @@ class TestBoxKernel:
     def test_symbol_matches_quadrature_of_the_indicator(self, half_length, n, fraction):
         # int_{-eps}^{eps} cos(k x) dx by composite Gauss-Legendre, panels of
         # phase width at most 2 at the largest wavenumber
-        g = make_grid(half_length, n)
+        g = Grid(half_length, n)
         eps = fraction * half_length
         panels = max(1, int(np.ceil(np.max(g.k) * eps)))
         nodes, weights = np.polynomial.legendre.leggauss(16)
@@ -83,14 +83,14 @@ class TestBoxKernel:
         rng = np.random.default_rng(9)
         f = Field(grid, rng.normal(size=grid.n_points))
         out = convolve(BoxKernel(0.3), f)
-        bound = kernel_l1_norm(BoxKernel(0.3)) * np.max(np.abs(f.values))
+        bound = BoxKernel(0.3).l1_norm() * np.max(np.abs(f.values))
         assert np.max(np.abs(out)) <= bound + 1e-12
 
 
 class TestSampledKernel:
     def test_zero_kernel_has_zero_mass(self, grid):
         k = SampledKernel(Field(grid, np.zeros(grid.n_points)))
-        assert kernel_l1_norm(k) == 0.0
+        assert k.l1_norm() == 0.0
 
     def test_rejects_negative_values(self, grid):
         vals = np.zeros(grid.n_points)
@@ -109,11 +109,11 @@ class TestSampledKernel:
         k = SampledKernel(Field(grid, gauss))
         f = Field(grid, np.full(grid.n_points, 2.0))
         out = convolve(k, f)
-        assert np.max(np.abs(out - 2.0 * kernel_l1_norm(k))) < 1e-12
+        assert np.max(np.abs(out - 2.0 * k.l1_norm())) < 1e-12
 
     def test_grid_mismatch_rejected(self, grid):
         k = SampledKernel(Field(grid, np.exp(-(grid.x**2))))
-        other = make_grid(1.0, 64)
+        other = Grid(1.0, 64)
         with pytest.raises(GridMismatchError):
             convolve(k, Field(other, np.ones(64)))
 
@@ -127,7 +127,7 @@ class TestSampledKernel:
         k = load_sampled_kernel(str(path), grid)
         refl = k.samples.values[(-np.arange(grid.n_points)) % grid.n_points]
         assert np.max(np.abs(k.samples.values - refl)) == 0.0
-        assert kernel_l1_norm(k) == pytest.approx(np.sum(base) * grid.dx, rel=1e-10)
+        assert k.l1_norm() == pytest.approx(np.sum(base) * grid.dx, rel=1e-10)
 
     def test_csv_grid_mismatch_rejected(self, grid, tmp_path):
         path = tmp_path / "kernel.csv"

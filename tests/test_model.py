@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdiff.grid import Field, make_grid
+from xdiff.grid import Field, Grid
 from xdiff.integrator import RunMode, _apply_positivity, step
 from xdiff.kernel import BoxKernel, heat_multiplier, mollify
 from xdiff.model import (
@@ -32,7 +32,7 @@ def params():
 
 @pytest.fixture
 def grid():
-    return make_grid(1.0, 128)
+    return Grid(1.0, 128)
 
 
 def constant_state(grid, a=1.0, r=1.0):
@@ -179,20 +179,20 @@ class TestRhsRegularized:
 class TestRhsSqrt:
     def test_zero_state_is_equilibrium(self, grid, params):
         zero = Field(grid, np.zeros(grid.n_points))
-        da, de = rhs_sqrt(0.0, zero, zero, params)
+        da, de = rhs_sqrt(zero, zero, params)
         assert np.all(da.values == 0.0)
         assert np.all(de.values == 0.0)
 
     def test_constant_state_hand_values(self, grid, params):
         ones = Field(grid, np.ones(grid.n_points))
-        da, de = rhs_sqrt(0.0, ones, ones, params)
+        da, de = rhs_sqrt(ones, ones, params)
         assert np.max(np.abs(da.values - 0.05)) <= 1e-12
         assert np.max(np.abs(de.values + 0.275)) <= 1e-12
 
     def test_even_inputs_give_even_outputs(self, grid, params):
         s = even_state(grid, seed=2)
         eta = Field(grid, np.sqrt(s.rho.values))
-        da, de = rhs_sqrt(0.0, s.A, eta, params)
+        da, de = rhs_sqrt(s.A, eta, params)
         assert np.max(np.abs(da.values - reflect(da.values))) <= 1e-10
         assert np.max(np.abs(de.values - reflect(de.values))) <= 1e-10
 
@@ -201,19 +201,19 @@ class TestRhsSqrt:
         a = Field(grid, np.ones(grid.n_points))
         eta = Field(grid, np.sqrt(rho.values))
         _, dr = rhs(State(t=0.0, A=a, rho=rho), params)
-        da_s, de = rhs_sqrt(0.0, a, eta, params)
+        da_s, de = rhs_sqrt(a, eta, params)
         lhs = 2.0 * eta.values * de.values
         assert np.max(np.abs(lhs - dr.values)) <= 1e-6 * np.max(np.abs(dr.values))
 
     def test_negative_eta_rejected(self, grid, params):
         bad = Field(grid, -np.ones(grid.n_points))
         with pytest.raises(ValueError):
-            rhs_sqrt(0.0, bad, bad, params)
+            rhs_sqrt(bad, bad, params)
 
 
 class TestEnergy:
     def test_constant_state_values(self):
-        g = make_grid(1.0, 64)
+        g = Grid(1.0, 64)
         s = constant_state(g)
         report = energy(g, s.A.values, s.rho.values)
         assert report.e_tilde == pytest.approx(5.0, abs=1e-12)
@@ -305,7 +305,7 @@ def draw_state(draw, even=False):
     """(grid, A, eta): eta and rho = eta^2 are both band-limited well below
     the grid's Nyquist mode, so spectral derivatives of rho*eta_x and
     rho*rho_x are exact up to roundoff."""
-    grid = make_grid(1.0, draw(st.sampled_from([64, 128])))
+    grid = Grid(1.0, draw(st.sampled_from([64, 128])))
     return grid, draw(band_limited(grid, even)), draw(band_limited(grid, even))
 
 
@@ -317,7 +317,7 @@ def derivatives(form, grid, a, eta, p, eps):
     elif form == "regularized":
         da, dw = rhs_regularized(State(t=0.0, A=A, rho=rho), p, eps)
     else:
-        da, dw = rhs_sqrt(0.0, A, Field(grid, eta), p)
+        da, dw = rhs_sqrt(A, Field(grid, eta), p)
     return da.values, dw.values
 
 
@@ -370,7 +370,7 @@ class TestAssemblyProperties:
         # where rho = 0 the density right side reduces to rho_x^2, so a clipped
         # cosine series, however steep its kink at the zero set, gains no
         # negative mass there
-        grid = make_grid(1.0, n)
+        grid = Grid(1.0, n)
         wave = sum(c * np.cos(m * np.pi * grid.x) for m, c in enumerate(cos, start=1))
         rho = np.clip(lift * sum(map(abs, cos)) + wave, 0.0, None)
         a = a_data.draw(band_limited(grid, even=False))
@@ -386,7 +386,7 @@ class TestAssemblyProperties:
 def oracle_assemble(grid, u, p, conv_sym, sqrt):
     """The right side as straight-line numpy expressions on fresh arrays, in
     the operation order the workspace assembly must keep bit for bit."""
-    n, ik = grid.n_points, grid._ik
+    n, ik = grid.n_points, grid.ik
     a, w = u
     rho = w * w if sqrt else w
     uh = np.fft.rfft(np.stack((a, w, rho)) if sqrt else u)
@@ -446,7 +446,7 @@ def nonnegative_state(draw):
     scales = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 2.0), min_size=2, max_size=2)))
     u = scales[:, None] * rng.random((2, n))
     u[rng.random((2, n)) < draw(st.floats(0.0, 0.5))] = 0.0
-    return make_grid(1.0, n), u
+    return Grid(1.0, n), u
 
 
 class TestAssemblyOracle:

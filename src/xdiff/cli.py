@@ -2,7 +2,8 @@
 
 Exit codes distinguish scientific outcomes from failures: 0 end time reached,
 3 blow-up detected, 4 step-size underflow, 2 numerical fault, 1 bad
-configuration or I/O.
+configuration or I/O.  ``check`` exits 5 on a series that fails an invariant;
+2 is also argparse's code for a usage error.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_CODE = {
     HaltReason.BLOWUP_DETECTED: 3,
     HaltReason.DT_UNDERFLOW: 4,
 }
+CHECK_FAILED = 5
 
 
 def _fmt(value: float) -> str:
@@ -85,6 +87,7 @@ def write_outputs(outcome: RunOutcome, config: RunConfig) -> None:
         ("halt_reason", outcome.halt_reason.value),
         ("final_t", _fmt(outcome.final_state.t)),
         ("steps", str(outcome.steps)),
+        ("rhs_evals", str(outcome.rhs_evals)),
         ("records", str(len(outcome.series))),
         ("initial_mass_rho", _fmt(outcome.initial_mass_rho)),
         ("initial_mass_A", _fmt(outcome.initial_mass_A)),
@@ -293,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
             if problems:
                 for problem in problems:
                     print(f"FAIL: {problem}")
-                return 2
+                return CHECK_FAILED
             print("ok: all series invariants hold")
             return 0
 

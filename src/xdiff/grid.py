@@ -57,6 +57,14 @@ class Grid:
         object.__setattr__(self, "n_points", int(n))
 
         dx = 2.0 * self.half_length / self.n_points
+        k_top = np.pi / self.half_length * (self.n_points // 2)  # the largest wavenumber
+        # a finite L can still overflow the spacing (L near the float maximum), or
+        # the wavenumbers up to their fourth power (a tiny L); Python floats
+        # overflow to inf without a warning
+        if not (np.isfinite(dx) and np.isfinite(k_top * k_top * k_top * k_top)):
+            raise InvalidValue(
+                "half_length", f"gives a non-finite spacing or wavenumbers on {n} points, got {L}"
+            )
         x = -self.half_length + dx * np.arange(self.n_points, dtype=np.float64)
         # Angular wavenumbers pi*m/L for the rfft modes m = 0..N/2.
         k = (np.pi / self.half_length) * np.arange(self.n_points // 2 + 1, dtype=np.float64)
@@ -70,17 +78,6 @@ class Grid:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "dx", dx)
-
-    def deriv_values(self, values: np.ndarray, order: int) -> np.ndarray:
-        """Fourier pseudo-spectral derivative of the given order (1..4) of node values.
-
-        Exact for modes resolved by the grid; the Nyquist coefficient is zeroed
-        for odd orders so the result of a real input stays real-symmetric.
-        """
-        if order not in (1, 2, 3, 4):
-            raise ValueError(f"derivative order must be 1..4, got {order}")
-        mult = (self.ik, self.d2, self.d3, self.d4)[order - 1]
-        return np.fft.irfft(np.fft.rfft(values) * mult, n=self.n_points)
 
 
 def mirror(values: np.ndarray) -> np.ndarray:

@@ -1,19 +1,22 @@
 """Explicit time advancement with degenerate-diffusion step control.
 
 A run steps one of the three evolution forms with RKL2 super-time-stepping
-(Meyer, Balsara & Aslam 2014): ``RKL2_STAGES`` stages, each the same
-pointwise right side, with a real-axis stability interval ``RKL2_GAIN`` times
-that of classical RK4.  The step size follows the diffusive stability
-restriction dt ~ dx^2 / max(rho), since the density weights the flux of both
-equations, scaled by that gain.  The public ``step`` is classical RK4, the
-fourth-order reference for fixed-step convergence checks.  Runs halt on
-reaching the end time, on the two-signal blow-up detector, on step-size
-underflow, or on loss of finiteness.
+(Meyer, Balsara & Aslam 2014), each stage the same pointwise right side.  An
+RKL2 step of s stages is stable on [-(s^2 + s - 2)/2, 0] of the real axis, so
+each step takes the size that accuracy, the snapshots and the end time allow,
+capped by the stability of ``S_CAP`` stages, and then the fewest stages that
+are stable at that size.  The diffusive unit is dx^2 / max(rho), since the
+density weights the flux of both equations.  The public ``step`` is
+classical RK4, the fourth-order reference for fixed-step convergence checks.
+Runs halt on reaching the end time, on the two-signal blow-up detector, on
+step-size underflow, or on loss of finiteness.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,11 +46,19 @@ RISE_WINDOW = 0.04  # trailing time, in units of 1/y0, over which the curvature 
 
 RUN_MODES = ("original", "regularized", "sqrt")
 
-RKL2_STAGES = 10
 RK4_REAL_STABILITY = 2.7853  # RK4 is stable on [-2.7853, 0] of the real axis
-# RKL2 with s stages is stable on [-(s^2 + s - 2)/2, 0]; its step is the RK4
-# step scaled by the ratio of the two intervals, 19.39 for s = 10
-RKL2_GAIN = (RKL2_STAGES**2 + RKL2_STAGES - 2) / (2.0 * RK4_REAL_STABILITY)
+S_CAP = 40  # most stages in one RKL2 step, bounding roundoff growth through them
+CHANGE_FRACTION = 0.005  # a step's first-order change of each row, over the row's maximum
+CURVATURE_FRACTION = 0.02  # a step's share of 1/y, y the central curvature, when y0 > 0
+
+
+def stability_interval(stages: int) -> float:
+    """Length (s^2 + s - 2)/2 of the real interval on which s-stage RKL2 is stable."""
+    return (stages * stages + stages - 2) / 2.0
+
+
+# the longest stable RKL2 step over the RK4 step, 294.0 at the cap
+RKL2_GAIN = stability_interval(S_CAP) / RK4_REAL_STABILITY
 
 
 class HaltReason(str, enum.Enum):
@@ -99,13 +110,17 @@ class StepControl:
 
 @dataclass
 class RunOutcome:
-    """Trajectory summary: halt reason, diagnostic series, snapshot states, budgets."""
+    """Trajectory summary: halt reason, diagnostic series, snapshot states, budgets.
+
+    ``rhs_evals`` counts the right-side evaluations, the stages of every step.
+    """
 
     halt_reason: HaltReason
     final_state: State
     series: list[DiagnosticRecord]
     snapshots: list[State]
     steps: int = 0
+    rhs_evals: int = 0
     initial_mass_rho: float = 0.0
     initial_mass_A: float = 0.0
     clipped_mass_rho: float = 0.0
@@ -113,18 +128,44 @@ class RunOutcome:
     fault_detail: str = ""
 
 
-def cfl_dt(dx: float, rho: np.ndarray, ctrl: StepControl) -> float:
-    """RKL2 step bound RKL2_GAIN * cfl_safety * dx^2 / max(rho), clamped to the dt window.
+def _rk4_dt(dx: float, rho: np.ndarray, ctrl: StepControl) -> float:
+    """Classical RK4's diffusive step bound ``cfl_safety * dx^2 / max(rho)``.
 
     The density bounds the diffusivity of both equations, so its maximum
     (floored to keep the pure-reaction regime at dt_max) sets the step.
-    ``cfl_safety * dx^2 / max(rho)`` is the RK4 bound; scaled by
-    ``RKL2_GAIN``, ``cfl_safety`` keeps its meaning as a fraction of the
-    stability limit.
     """
-    diffusivity = max(float(np.max(rho)), DIFFUSIVITY_FLOOR)
-    dt = ctrl.cfl_safety * dx**2 / diffusivity * RKL2_GAIN
-    return min(max(dt, ctrl.dt_min), ctrl.dt_max)
+    return ctrl.cfl_safety * dx**2 / max(float(np.max(rho)), DIFFUSIVITY_FLOOR)
+
+
+def cfl_dt(dx: float, rho: np.ndarray, ctrl: StepControl) -> float:
+    """RKL2 stability bound RKL2_GAIN * cfl_safety * dx^2 / max(rho), clamped to the dt window.
+
+    Scaled by ``RKL2_GAIN``, the RK4 bound becomes that of ``S_CAP`` stages,
+    and ``cfl_safety`` keeps its meaning as a fraction of the stability limit.
+    """
+    return min(max(_rk4_dt(dx, rho, ctrl) * RKL2_GAIN, ctrl.dt_min), ctrl.dt_max)
+
+
+def _stages(dx: float, rho: np.ndarray, ctrl: StepControl, dt: float) -> int:
+    """Fewest RKL2 stages, at least 2 and at most ``S_CAP``, that are stable at ``dt``.
+
+    s stages are stable up to ``stability_interval(s)`` forward-Euler units,
+    the RK4 bound over ``RK4_REAL_STABILITY``.
+    """
+    unit = _rk4_dt(dx, rho, ctrl) / RK4_REAL_STABILITY
+    return next((s for s in range(2, S_CAP) if unit * stability_interval(s) >= dt), S_CAP)
+
+
+def _change_dt(v: np.ndarray, f_v: np.ndarray) -> float:
+    """Step at which the first-order change ``dt * f(v)`` of each row of the
+    stepped state stays within ``CHANGE_FRACTION`` of the row's maximum.
+
+    Infinite when the right side vanishes.
+    """
+    sizes, rates = np.max(np.abs(v), axis=1), np.max(np.abs(f_v), axis=1)
+    # the ratio first: a subnormal row times the fraction would round to 0
+    ratios = [float(size) / float(rate) for size, rate in zip(sizes, rates) if rate > 0]
+    return CHANGE_FRACTION * min(ratios, default=math.inf)
 
 
 def _apply_positivity(u: np.ndarray, dx: float) -> tuple[np.ndarray, float, float]:
@@ -143,18 +184,25 @@ def _apply_positivity(u: np.ndarray, dx: float) -> tuple[np.ndarray, float, floa
 
 
 _Rhs = Callable[[np.ndarray], np.ndarray]
-_Scheme = Callable[[np.ndarray, float, _Rhs], np.ndarray]
-_Advance = Callable[[np.ndarray, float], np.ndarray]
+_Scheme = Callable[[np.ndarray, float, _Rhs, "np.ndarray | None", int], np.ndarray]
 
 
-def _rk4(u: np.ndarray, dt: float, f: _Rhs) -> np.ndarray:
-    k1 = f(u)
+def _rk4(
+    u: np.ndarray, dt: float, f: _Rhs, k1: np.ndarray | None = None, stages: int = 4
+) -> np.ndarray:
+    """Classical RK4 from the first stage ``k1 = f(u)``, evaluated here when not given.
+
+    ``stages`` is always 4; the argument only matches RKL2's signature.
+    """
+    if k1 is None:
+        k1 = f(u)
     k2 = f(u + 0.5 * dt * k1)
     k3 = f(u + 0.5 * dt * k2)
     k4 = f(u + dt * k3)
     return u + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+@functools.cache
 def _rkl2_table(s: int) -> tuple[float, tuple[tuple[float, float, float, float], ...]]:
     """``mu~_1`` and the rows ``(mu_j, nu_j, mu~_j, gamma~_j)``, j = 2..s, of RKL2.
 
@@ -172,11 +220,14 @@ def _rkl2_table(s: int) -> tuple[float, tuple[tuple[float, float, float, float],
     return b[1] * w1, tuple(rows)
 
 
-_RKL2_MU1, _RKL2_ROWS = _rkl2_table(RKL2_STAGES)
+def _rkl2(
+    u: np.ndarray, dt: float, f: _Rhs, f_u: np.ndarray | None = None, stages: int = S_CAP
+) -> np.ndarray:
+    """One RKL2 step of ``stages`` stages in increment form: d_j = Y_j - u, returning u + d_s.
 
-
-def _rkl2(u: np.ndarray, dt: float, f: _Rhs) -> np.ndarray:
-    """One RKL2 step in increment form: d_j = Y_j - u, returning u + d_s.
+    The first stage ``f_u = f(u)`` does not depend on dt, so a caller that
+    has it to choose dt passes it in, and the step scales it by dt in place;
+    otherwise it is evaluated here.
 
     d_j = mu_j d_{j-1} + nu_j d_{j-2} + mu~_j dt f(u + d_{j-1}) + gamma~_j dt f(u).
     Not the equivalent stage-value form mu_j Y_{j-1} + nu_j Y_{j-2} +
@@ -186,10 +237,15 @@ def _rkl2(u: np.ndarray, dt: float, f: _Rhs) -> np.ndarray:
     and the product buffer are separate, so an f that returns its argument
     or a view of it still gives the plain expressions' result.
     """
-    g = dt * f(u)
-    d = _RKL2_MU1 * g
+    mu1, rows = _rkl2_table(stages)
+    if f_u is None:
+        g = dt * f(u)
+    else:
+        g = f_u
+        g *= dt
+    d = mu1 * g
     d_old, y, term = np.zeros_like(d), np.empty_like(d), np.empty_like(d)
-    for mu, nu, mu_t, gamma_t in _RKL2_ROWS:
+    for mu, nu, mu_t, gamma_t in rows:
         k = f(np.add(u, d, out=y))
         k *= mu_t * dt
         d_old *= nu
@@ -200,40 +256,49 @@ def _rkl2(u: np.ndarray, dt: float, f: _Rhs) -> np.ndarray:
     return u + d
 
 
-def _advance(
-    grid: Grid, p: ModelParams, conv_sym: np.ndarray, mode: RunMode, scheme: _Scheme
-) -> _Advance:
-    """One ``scheme`` step of the stacked (A, rho) in the selected evolution form.
+class _Stepper:
+    """A ``scheme`` applied to one evolution form of the stacked (A, rho).
 
-    Called once per run (``_rkl2``) or per public ``step`` (``_rk4``), so the
+    Built once per run (``_rkl2``) or per public ``step`` (``_rk4``), so the
     right sides' workspace lives exactly as long as that run or step; the
     right sides are looked up at call time, so a wrapper installed on this
-    module's names sees every stage.  The sqrt form steps (A, eta) with
-    eta = sqrt(rho) and squares eta back afterwards.
+    module's names sees every stage, and ``evals`` counts them.  The sqrt
+    form steps (A, eta) with eta = sqrt(rho) and squares eta back afterwards.
     """
-    ws = Workspace(grid, p, conv_sym)
-    if mode.kind == "sqrt":
 
-        def advance(u: np.ndarray, dt: float) -> np.ndarray:
-            v = np.stack((u[0], np.sqrt(np.clip(u[1], 0.0, None))))
-            v = scheme(v, dt, lambda w: _rhs_sqrt_core(ws, w))
-            v[1] *= v[1]
-            return v
+    def __init__(
+        self, grid: Grid, p: ModelParams, conv_sym: np.ndarray, mode: RunMode, scheme: _Scheme
+    ):
+        ws = Workspace(grid, p, conv_sym)
+        self.scheme, self.sqrt, self.evals = scheme, mode.kind == "sqrt", 0
+        if self.sqrt:
+            self._rhs = lambda w: _rhs_sqrt_core(ws, w)
+        elif mode.kind == "regularized":
+            damp = heat_multiplier(grid, mode.eps)
+            self._rhs = lambda w: _rhs_regularized_core(ws, w, damp)
+        else:
+            self._rhs = lambda w: _rhs_core(ws, w)
 
-        return advance
-    if mode.kind == "regularized":
-        damp = heat_multiplier(grid, mode.eps)
-        f = lambda w: _rhs_regularized_core(ws, w, damp)
-    else:
-        f = lambda w: _rhs_core(ws, w)
-    return lambda u, dt: scheme(u, dt, f)
+    def f(self, w: np.ndarray) -> np.ndarray:
+        self.evals += 1
+        return self._rhs(w)
+
+    def stepped(self, u: np.ndarray) -> np.ndarray:
+        """The state the scheme advances: (A, eta) in the sqrt form, else ``u`` itself."""
+        if self.sqrt:
+            return np.stack((u[0], np.sqrt(np.clip(u[1], 0.0, None))))
+        return u
 
 
 def _step_arrays(
-    grid: Grid, u: np.ndarray, dt: float, advance: _Advance
+    grid: Grid, stepper: _Stepper, v: np.ndarray, f_v: np.ndarray | None, dt: float, stages: int
 ) -> tuple[np.ndarray, float, float]:
-    """One step of the stacked (A, rho) plus positivity; returns (u, clipped_A, clipped_rho)."""
-    u = advance(u, dt)
+    """One step of ``stages`` stages from the stepped state ``v`` and its right
+    side ``f_v`` (evaluated in the step when None), plus positivity; returns
+    (u, clipped_A, clipped_rho) of the stacked (A, rho)."""
+    u = stepper.scheme(v, dt, stepper.f, f_v, stages)
+    if stepper.sqrt:
+        u[1] *= u[1]
     if not np.all(np.isfinite(u)):
         raise NumericalFault("non-finite state after step")
     return _apply_positivity(u, grid.dx)
@@ -244,8 +309,9 @@ def step(s: State, p: ModelParams, dt: float, mode: RunMode = RunMode()) -> Stat
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = s.grid
-    advance = _advance(grid, p, p.kernel.symbol(grid), mode, _rk4)
-    u, _, _ = _step_arrays(grid, np.stack((s.A.values, s.rho.values)), dt, advance)
+    stepper = _Stepper(grid, p, p.kernel.symbol(grid), mode, _rk4)
+    v = stepper.stepped(np.stack((s.A.values, s.rho.values)))
+    u, _, _ = _step_arrays(grid, stepper, v, None, dt, 4)
     return State(t=s.t + dt, A=Field(grid, u[0]), rho=Field(grid, u[1]))
 
 
@@ -327,8 +393,13 @@ def _interior_zero_mask(r0: np.ndarray) -> np.ndarray:
 def run(config) -> RunOutcome:
     """Integrate a full configuration and collect diagnostics.
 
-    Advances with the diffusive CFL step, shortened where needed to end
-    exactly on each requested snapshot time and on the end time, records
+    Each step takes the largest size that the ``S_CAP``-stage stability
+    bound, ``dt_max``, ``CHANGE_FRACTION`` of each row's first-order change
+    and, for data with a positive initial central curvature,
+    ``CURVATURE_FRACTION`` of the curvature's time scale 1/y allow; a size
+    at ``dt_min`` counts toward the underflow halt.  The step is then
+    shortened where needed to end exactly on each requested snapshot time
+    and on the end time, and takes the fewest stable stages.  A run records
     every ``record_every`` steps, checks for blow-up after every step, and
     halts with the matching reason.  Identical configurations reproduce
     bit-identical series on one platform: the loop is sequential and every
@@ -353,7 +424,7 @@ def run(config) -> RunOutcome:
     u, clipped_a, clipped_rho = _apply_positivity(np.stack((a0, rho0)), grid.dx)
     t = 0.0
 
-    advance = _advance(grid, p, p.kernel.symbol(grid), mode, _rkl2)
+    stepper = _Stepper(grid, p, p.kernel.symbol(grid), mode, _rkl2)
     zero_mask = _interior_zero_mask(u[1])
     initial_mass_A = float(np.sum(u[0]) * grid.dx)
     initial_mass_rho = float(np.sum(u[1]) * grid.dx)
@@ -384,6 +455,7 @@ def run(config) -> RunOutcome:
             series=series,
             snapshots=snapshots,
             steps=steps,
+            rhs_evals=stepper.evals,
             initial_mass_rho=initial_mass_rho,
             initial_mass_A=initial_mass_A,
             clipped_mass_rho=clipped_rho,
@@ -396,20 +468,28 @@ def run(config) -> RunOutcome:
         if t >= config.t_end:
             return out(HaltReason.REACHED_T_END)
 
-        raw_dt = cfl_dt(grid.dx, u[1], ctrl)
-        if raw_dt == ctrl.dt_min:
-            consecutive_dt_min += 1
-            if consecutive_dt_min >= 2:
-                return out(HaltReason.DT_UNDERFLOW)
-        else:
-            consecutive_dt_min = 0
-
-        # the step ends exactly on the next snapshot time or the end time
-        target = pending_snaps[0] if pending_snaps else config.t_end
-        remaining = target - t
-        dt = min(raw_dt, remaining)
         try:
-            u, ca, cr = _step_arrays(grid, u, dt, advance)
+            # RKL2's first stage f(v) does not depend on dt, so it serves the step rule too
+            v = stepper.stepped(u)
+            f_v = stepper.f(v)
+            bound = min(cfl_dt(grid.dx, u[1], ctrl), _change_dt(v, f_v))
+            y0, y = curvatures[0], curvatures[-1]
+            if y0 > 0.0 and y > 0.0:
+                bound = min(bound, CURVATURE_FRACTION / y)
+            raw_dt = max(bound, ctrl.dt_min)
+            if raw_dt == ctrl.dt_min:
+                consecutive_dt_min += 1
+                if consecutive_dt_min >= 2:
+                    return out(HaltReason.DT_UNDERFLOW)
+            else:
+                consecutive_dt_min = 0
+
+            # the step ends exactly on the next snapshot time or the end time
+            target = pending_snaps[0] if pending_snaps else config.t_end
+            remaining = target - t
+            dt = min(raw_dt, remaining)
+            stages = _stages(grid.dx, u[1], ctrl, dt)
+            u, ca, cr = _step_arrays(grid, stepper, v, f_v, dt, stages)
         except NumericalFault as fault:
             fault_detail = str(fault)
             return out(HaltReason.NUMERICAL_FAULT)

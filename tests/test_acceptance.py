@@ -29,6 +29,8 @@ from xdiff.integrator import step
 from xdiff.kernel import mollify
 from xdiff.model import ModelParams, State, blowup_threshold, rhs, rhs_regularized, rhs_sqrt
 
+from spectral import derivative
+
 RHO_SUP_BOUND = 1.5  # beta / (alpha (1 - mu)) for the reference parameters
 CURVATURE_AT_CENTER = 62.5
 T_STAR_REFERENCE = 1.6009e-2
@@ -179,7 +181,7 @@ def test_criterion_1_halt_across_record_cadences():
 
 @pytest.mark.slow
 def test_criterion_1_rkl2_halt_agrees_with_rk4(fig1, rk4_run_loop):
-    # RKL2 takes about 19 times fewer steps than RK4 and halts within 1% of it
+    # RKL2 takes about 40 times fewer steps than RK4 and halts within 1% of it
     with criterion(1, "blow-up halt, RKL2 against RK4"):
         rk4 = xdiff.run(preset("fig1-blowup"))
         assert rk4.halt_reason is xdiff.HaltReason.BLOWUP_DETECTED, rk4.fault_detail
@@ -298,7 +300,7 @@ def test_criteria_3_and_4_agree_between_steppers(fig2, rk4_run_loop):
 
 
 def test_criterion_4_no_retreat_at_any_rkl2_step():
-    # the preset records every 10th of its 42 steps; recording each one
+    # the preset records every 10th of its 11 steps; recording each one
     # checks the hull at every step
     with criterion(4, "area hull never retreats at any RKL2 step"):
         out = xdiff.run(preset_with_overrides("fig2-support", {"run.record_every": "1"}))
@@ -364,7 +366,7 @@ def test_criterion_8_numerical_quality():
     with criterion(8, "numerical quality"):
         # exact spectral differentiation of a resolved mode
         g = Grid(1.0, 128)
-        d = g.deriv_values(np.sin(3 * np.pi * g.x), 1)
+        d = derivative(g, np.sin(3 * np.pi * g.x), g.ik)
         assert np.max(np.abs(d - 3 * np.pi * np.cos(3 * np.pi * g.x))) <= 1e-10
 
         # temporal self-convergence of the stepper on the smooth positive run

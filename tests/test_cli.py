@@ -6,6 +6,7 @@ import pytest
 
 from xdiff import cli
 from xdiff.cli import SERIES_HEADER, check_series, main
+from xdiff.config import parse_config
 
 TINY_CONFIG = """
 grid.L = 1.0
@@ -59,6 +60,14 @@ class TestRunCommand:
         text = (tmp_path / "out" / "outcome.txt").read_text()
         assert "halt_reason = reached_t_end" in text
         assert "final_t = " in text
+
+    def test_outcome_file_counts_the_right_sides(self, tmp_path):
+        path, out = write_config(tmp_path, t_end="0.001")
+        config = parse_config(path.read_text())
+        outcome = cli.execute(config)[1]
+        assert outcome.rhs_evals >= 2 * outcome.steps > 0  # every step takes 2 stages or more
+        text = (tmp_path / "out" / "outcome.txt").read_text()
+        assert f"steps = {outcome.steps}\nrhs_evals = {outcome.rhs_evals}\n" in text
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
@@ -146,6 +155,17 @@ class TestCheckCommand:
                       1.0, 1.0, 5.0, 3.0, 0.0)
         )
 
+    def test_usage_error_and_failing_series_exit_apart(self, tmp_path, capsys):
+        # argparse exits 2 on a bad command line; a failing series has its own 5
+        path = self._series(tmp_path, [self._row(0.0), self._row(0.0)])
+        for argv in (["check"], ["check", path, "--rho-linf-bound", "-inf"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage: xdiff check" in capsys.readouterr().err
+        assert main(["check", path]) == cli.CHECK_FAILED == 5
+        assert "FAIL: " in capsys.readouterr().out
+
     def test_healthy_series_passes(self, tmp_path):
         path = self._series(tmp_path, [self._row(0.0), self._row(1.0)])
         assert check_series(path) == []
@@ -155,7 +175,7 @@ class TestCheckCommand:
         path = self._series(tmp_path, [self._row(0.0), self._row(0.0)])
         problems = check_series(path)
         assert any("strictly increasing" in p for p in problems)
-        assert main(["check", path]) == 2
+        assert main(["check", path]) == 5
 
     def test_negative_minimum_flagged(self, tmp_path):
         path = self._series(tmp_path, [self._row(0.0, min_rho=-1e-3)])
@@ -173,7 +193,7 @@ class TestCheckCommand:
         # prev > nan is always false, so a nan bound would pass any series
         rows = [self._row(0.0, max_rho=2.0), self._row(1.0, max_rho=2.01)]
         path = self._series(tmp_path, rows)
-        assert main(["check", path, "--rho-linf-bound", "1.5"]) == 2
+        assert main(["check", path, "--rho-linf-bound", "1.5"]) == 5
         assert main(["check", path, f"--rho-linf-bound={bound}"]) == 1
         assert "must be positive and finite" in capsys.readouterr().err
         with pytest.raises(ValueError, match="must be positive and finite"):
@@ -194,13 +214,13 @@ class TestCheckCommand:
         path = tmp_path / "series.csv"
         path.write_text("")
         assert check_series(str(path)) == ["series has no header"]
-        assert main(["check", str(path)]) == 2
+        assert main(["check", str(path)]) == 5
 
     def test_ragged_row_reported(self, tmp_path):
         short = ",".join(self._row(1.0).split(",")[:5])
         path = self._series(tmp_path, [self._row(0.0), short])
         assert check_series(path) == ["row 2 has 5 cells, header has 14"]
-        assert main(["check", path]) == 2
+        assert main(["check", path]) == 5
 
     def test_non_numeric_cells_reported(self, tmp_path, capsys):
         cells = self._row(1.0).split(",")
@@ -210,7 +230,7 @@ class TestCheckCommand:
             "row 2 column t: 'abc' is not a number",
             "row 2 column min_A: '' is not a number",
         ]
-        assert main(["check", path]) == 2
+        assert main(["check", path]) == 5
         assert "FAIL: row 2 column t: 'abc' is not a number" in capsys.readouterr().out
 
     def test_nonfinite_diagnostic_flagged(self, tmp_path):
@@ -249,7 +269,7 @@ class TestSweepCommand:
         bad, _ = write_config(tmp_path, "bad.cfg", out=str(tmp_path / "o1"))
         bad.write_text(bad.read_text().replace("grid.N = 16", "grid.N = 15"))
         under, _ = write_config(tmp_path, "under.cfg", t_end="0.01", out=str(tmp_path / "o2"))
-        text = under.read_text().replace("grid.N = 16", "grid.N = 256")
+        text = under.read_text().replace("grid.N = 16", "grid.N = 1024")
         under.write_text(text + "ctrl.dt_min = 0.001\n")
         monkeypatch.setenv("XDIFF_THREADS", "1")
         assert main(["sweep", str(bad), str(under)]) == 4  # worst code: dt_underflow
@@ -296,17 +316,17 @@ class TestSweepCommand:
 # is part of every change's contract; a change that alters these bytes
 # updates the pin and says so.  Other numpy builds may round differently.
 SERIES_PINS = [
-    ("fig1-blowup", {}, "c8acb5060e84f05c8bde4e5e8c8557744620e20e0293c96062b60c7c11d5ad2a"),
-    ("fig2-support", {}, "14ec678b37b07c2d65b7d5e7dd21509b9e22f9b303e2d26190d06aa64ad17225"),
+    ("fig1-blowup", {}, "74c82d37ab01a00fd61ac31a673d731c6ec9719b6f7b8ab56140b40023cab115"),
+    ("fig2-support", {}, "710d48007b7a428360cb30251f5567fbcad2ca219078d3b7d1f90824dcc46804"),
     (
         "fig2-support",
         {"grid.N": "2048"},
-        "42398e036c1b8dfdfa1f1debae7772f7642ad5092f9977b90c3c5bf5d101bcfd",
+        "44aed1f243c1c733615637f5764f3ca4fd2e54a4200e541ca3c0c632d2a9c26c",
     ),
     (
         "fig2-support",
         {"mode.kind": "sqrt", "run.record_every": "1"},
-        "7f9aa7a0948be5f638427f101b6e4cdd9cc9db79b9ca10ab782a4d150f915a30",
+        "022eb58ad00c64ac852e4972a4c5e59d84b5d30920945ea659e5acd52952f95f",
     ),
 ]
 
@@ -336,7 +356,6 @@ class TestDeterminism:
         assert b1 == b2
 
     def test_snapshot_rows_render_each_value_with_seventeen_digits(self, tmp_path):
-        from xdiff.config import parse_config
         from xdiff.grid import Field, Grid
         from xdiff.integrator import HaltReason, RunOutcome
         from xdiff.model import State

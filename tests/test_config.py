@@ -60,6 +60,11 @@ class TestParse:
         with pytest.raises(ConfigError, match=r"line 3: grid.N must be even"):
             parse_config(text)
 
+    def test_overflowing_half_length_rejected_with_its_key(self):
+        text = MINIMAL.replace("grid.L = 1.0", "grid.L = 1e308")
+        with pytest.raises(ConfigError, match=r"line 2: grid.L gives a non-finite spacing"):
+            parse_config(text)
+
     def test_mu_out_of_range_rejected(self):
         text = MINIMAL.replace("params.mu = 0.5", "params.mu = 1.0")
         with pytest.raises(ConfigError, match=r"mu must satisfy 0 <= mu < 1"):

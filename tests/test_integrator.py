@@ -17,18 +17,18 @@ from xdiff.config import (
 from xdiff.grid import Field, Grid, InvalidValue
 from xdiff.integrator import (
     RKL2_GAIN,
-    RKL2_STAGES,
+    S_CAP,
     HaltReason,
     RunMode,
     StepControl,
-    _advance,
     _blowup_detected,
-    _RKL2_MU1,
-    _RKL2_ROWS,
     _record,
     _rkl2,
+    _rkl2_table,
+    _Stepper,
     cfl_dt,
     run,
+    stability_interval,
     step,
 )
 from xdiff.kernel import BoxKernel
@@ -100,12 +100,13 @@ class TestRunModeValidation:
 class TestCflDt:
     def test_reference_arithmetic(self, params):
         # the RK4 bound 0.25 dx^2 scaled by the ratio of the real stability
-        # intervals, (s^2 + s - 2) / 2 = 54 for RKL2 over 2.7853 for RK4
+        # intervals, (s^2 + s - 2) / 2 = 819 for RKL2 at the s = 40 cap over
+        # 2.7853 for RK4
         g = Grid(1.0, 1024)
         dt = cfl_dt(g.dx, np.ones(1024), StepControl())
-        assert RKL2_GAIN == pytest.approx(19.39, abs=5e-3)
+        assert RKL2_GAIN == pytest.approx(294.04, abs=5e-3)
         assert dt == 0.25 * g.dx**2 * RKL2_GAIN
-        assert dt == pytest.approx(1.8489e-5, rel=1e-4)
+        assert dt == pytest.approx(2.8042e-4, rel=1e-4)
 
     def test_zero_density_uses_dt_max(self, params):
         g = Grid(1.0, 1024)
@@ -116,7 +117,7 @@ class TestCflDt:
         # within an order of magnitude of the reported frame time scale
         g = Grid(1.0, 1024)
         dt = cfl_dt(g.dx, np.full(1024, 2.1875), StepControl())
-        assert dt == pytest.approx(8.4523e-6, rel=1e-4)
+        assert dt == pytest.approx(1.2819e-4, rel=1e-4)
 
     def test_clamped_to_window(self, params):
         g = Grid(1.0, 16)
@@ -195,21 +196,28 @@ class TestStep:
         assert order >= 3.5
 
 
-def rkl2_polynomial(z):
+def rkl2_polynomial(z, stages=S_CAP):
     """R(z) of one RKL2 step on y' = z y with dt = 1, through the coefficient table."""
     z = np.asarray(z, dtype=float)
-    return _rkl2(np.ones_like(z), 1.0, lambda w: z * w)
+    return _rkl2(np.ones_like(z), 1.0, lambda w: z * w, None, stages)
 
 
 class TestRkl2:
     def test_stable_on_its_real_interval(self):
-        # (s^2 + s - 2) / 2 = 54 for s = 10
-        assert (RKL2_STAGES**2 + RKL2_STAGES - 2) / 2 == 54
-        z = np.linspace(-54.0, 0.0, 54001)
+        # (s^2 + s - 2) / 2 = 819 for s = 40, the cap
+        assert stability_interval(S_CAP) == 819
+        z = np.linspace(-819.0, 0.0, 819001)
         r = rkl2_polynomial(z)
         assert np.max(np.abs(r)) <= 1.0 + 1e-12
         # just past the interval the even-degree polynomial leaves [-1, 1]
-        assert abs(float(rkl2_polynomial(-54.5))) > 1.0
+        assert abs(float(rkl2_polynomial(-819.5))) > 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(stages=st.integers(2, S_CAP), share=st.floats(0.0, 1.0))
+    def test_every_stage_count_is_stable_on_its_interval(self, stages, share):
+        # the step rule may pick any s in 2..S_CAP
+        z = -share * stability_interval(stages)
+        assert abs(float(rkl2_polynomial(z, stages))) <= 1.0 + 1e-12
 
     def test_second_order_taylor_agreement(self):
         for h in (1e-2, 1e-3):
@@ -220,12 +228,12 @@ class TestRkl2:
     def test_rkl2_self_convergence_order(self, params):
         # criterion 8's smooth strictly positive problem at N = 16, fixed dt
         g = Grid(1.0, 16)
-        advance = _advance(g, params, params.kernel.symbol(g), RunMode(), _rkl2)
+        stepper = _Stepper(g, params, params.kernel.symbol(g), RunMode(), _rkl2)
 
         def solve(dt, n_steps):
             u = np.stack((np.ones(16), 1.0 + 0.1 * np.cos(np.pi * g.x)))
             for _ in range(n_steps):
-                u = advance(u, dt)
+                u = _rkl2(u, dt, stepper.f)
             return u
 
         sols = [solve(5e-3 / 2**i, 2 * 2**i) for i in range(3)]
@@ -243,8 +251,9 @@ class TestRkl2:
         u, dt = np.array([1.0, 0.5, 2.0, 5e-324]), 1e-2
         u_before = u.copy()
         g = dt * f(u)
-        d_old, d = 0.0, _RKL2_MU1 * g
-        for mu, nu, mu_t, gamma_t in _RKL2_ROWS:
+        mu1, rows = _rkl2_table(S_CAP)
+        d_old, d = 0.0, mu1 * g
+        for mu, nu, mu_t, gamma_t in rows:
             d_old, d = d, mu * d + nu * d_old + mu_t * dt * f(u + d) + gamma_t * g
         expected = u + d
         assert _rkl2(u, dt, f).tobytes() == expected.tobytes()
@@ -345,6 +354,28 @@ class TestRun:
         assert out.snapshots[1].t == 5e-4
         assert out.snapshots[2].t == 1e-3
 
+    def test_a_step_shortened_to_a_snapshot_takes_fewer_stages(self, params, monkeypatch):
+        # each step takes the fewest stages stable at its size, so a step cut
+        # short to land on a snapshot time costs fewer right sides
+        import xdiff.integrator as integrator
+
+        taken = []
+        step_arrays = integrator._step_arrays
+
+        def recorded(grid, stepper, v, f_v, dt, stages):
+            taken.append((dt, stages))
+            return step_arrays(grid, stepper, v, f_v, dt, stages)
+
+        monkeypatch.setattr(integrator, "_step_arrays", recorded)
+        full = run(smooth_config(params, n=128))
+        assert full.rhs_evals == sum(s for _, s in taken)
+        (dt, stages), *_ = taken
+        taken.clear()
+        short = run(smooth_config(params, n=128, snapshot_times=(0.25 * dt,)))
+        assert short.rhs_evals == sum(s for _, s in taken)
+        assert short.snapshots[0].t == taken[0][0] == 0.25 * dt
+        assert 2 <= taken[0][1] < stages
+
     def test_snapshots_land_on_their_times(self):
         # steps are shortened to end on each snapshot time, so a snapshot
         # holds the state at its configured time, not at the end of the
@@ -396,7 +427,7 @@ class TestRun:
 
         monkeypatch.setattr(Field, "__post_init__", counted)
         runs = []
-        for t_end in (1e-4, 2e-2):
+        for t_end in (1e-4, 0.1):
             built.clear()
             cfg = smooth_config(
                 params, n=128, t_end=t_end, record_every=1, snapshot_times=(0.0, 1e-4)

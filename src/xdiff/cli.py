@@ -74,13 +74,16 @@ def write_outputs(outcome: RunOutcome, config: RunConfig) -> None:
     with open(os.path.join(out_dir, "series.csv"), "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    for k, snap in enumerate(outcome.snapshots):
-        # "%.17g" renders a Python float exactly as _fmt does; rows are
-        # streamed to the file, not joined first
-        columns = (snap.A.grid.x.tolist(), snap.A.values.tolist(), snap.rho.values.tolist())
+    # "%.17g" renders a Python float exactly as _fmt does; a run's snapshots
+    # share its grid, so the x column is rendered once, and rows are
+    # streamed to the file, not joined first
+    snapshots = outcome.snapshots
+    x_column = ["%.17g" % x for x in snapshots[0].grid.x.tolist()] if snapshots else []
+    for k, snap in enumerate(snapshots):
+        columns = (x_column, snap.A.values.tolist(), snap.rho.values.tolist())
         with open(os.path.join(out_dir, f"snapshot_{k}.csv"), "w", newline="\n") as fh:
             fh.write("x,A,rho\n")
-            fh.writelines("%.17g,%.17g,%.17g\n" % row for row in zip(*columns))
+            fh.writelines(map("%s,%.17g,%.17g\n".__mod__, zip(*columns)))
 
     zero_set = [r.zero_set_max_rho for r in outcome.series if r.zero_set_max_rho is not None]
     summary = [

@@ -68,30 +68,26 @@ def support(grid: Grid, values: np.ndarray, threshold: Optional[float] = None) -
     inside [-L, L]; a field above threshold everywhere yields [-L, L].
     """
     if threshold is None:
-        threshold = SUPPORT_THRESHOLD_SCALE * max(float(np.max(values)), 1.0)
+        threshold = SUPPORT_THRESHOLD_SCALE * max(float(values.max()), 1.0)
     if threshold <= 0:
         raise ValueError(f"support threshold must be positive, got {threshold}")
-    above = values > threshold
-    if not above.any():
+    # the run edges in one scan: with a node below threshold padded on each
+    # side, run k covers the nodes edges[2k] to edges[2k + 1] - 1
+    n = values.size
+    above = np.zeros(n + 2, dtype=bool)
+    np.greater(values, threshold, out=above[1:-1])
+    edges = (above[1:] != above[:-1]).nonzero()[0]
+    if edges.size == 0:
         return []
-    if above.all():
-        return [(-grid.half_length, grid.half_length)]
-
-    idx = np.nonzero(above)[0]
-    splits = np.nonzero(np.diff(idx) > 1)[0]
-    starts = np.concatenate(([idx[0]], idx[splits + 1]))
-    ends = np.concatenate((idx[splits], [idx[-1]]))
-    wraps = above[0] and above[-1]  # one run continues through the seam
-
-    half = 0.5 * grid.dx
-    intervals = []
-    for j0, j1 in zip(starts, ends):
-        lo = max(grid.x[j0] - half, -grid.half_length)
-        hi = grid.x[j1] + half
-        if wraps and j1 == grid.n_points - 1:
-            hi = grid.half_length
-        intervals.append((float(lo), float(min(hi, grid.half_length))))
-    return intervals
+    half, L = 0.5 * grid.dx, grid.half_length
+    lo = (grid.x[edges[0::2]] - half).tolist()
+    hi = (grid.x[edges[1::2] - 1] + half).tolist()
+    # nodes increase from x_0 = -L to x_{N-1} = L - dx, so only a run from
+    # node 0 reaches past -L, and only a run to node N - 1 can meet L; such a
+    # run continues through the seam when the first node is above too
+    lo[0] = max(lo[0], -L)
+    hi[-1] = L if edges[0] == 0 and edges[-1] == n else min(hi[-1], L)
+    return list(zip(lo, hi))
 
 
 def symmetry_defect(values: np.ndarray) -> float:

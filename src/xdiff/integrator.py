@@ -128,31 +128,34 @@ class RunOutcome:
     fault_detail: str = ""
 
 
-def _rk4_dt(dx: float, rho: np.ndarray, ctrl: StepControl) -> float:
+def _rk4_dt(dx: float, rho_max: float, ctrl: StepControl) -> float:
     """Classical RK4's diffusive step bound ``cfl_safety * dx^2 / max(rho)``.
 
     The density bounds the diffusivity of both equations, so its maximum
-    (floored to keep the pure-reaction regime at dt_max) sets the step.
+    ``rho_max`` (floored to keep the pure-reaction regime at dt_max) sets the
+    step.
     """
-    return ctrl.cfl_safety * dx**2 / max(float(np.max(rho)), DIFFUSIVITY_FLOOR)
+    return ctrl.cfl_safety * dx**2 / max(rho_max, DIFFUSIVITY_FLOOR)
 
 
-def cfl_dt(dx: float, rho: np.ndarray, ctrl: StepControl) -> float:
+def cfl_dt(dx: float, rho_max: float, ctrl: StepControl) -> float:
     """RKL2 stability bound RKL2_GAIN * cfl_safety * dx^2 / max(rho), clamped to the dt window.
 
     Scaled by ``RKL2_GAIN``, the RK4 bound becomes that of ``S_CAP`` stages,
     and ``cfl_safety`` keeps its meaning as a fraction of the stability limit.
+    A run takes the density maximum ``rho_max`` once per step for this bound
+    and for ``_stages``.
     """
-    return min(max(_rk4_dt(dx, rho, ctrl) * RKL2_GAIN, ctrl.dt_min), ctrl.dt_max)
+    return min(max(_rk4_dt(dx, rho_max, ctrl) * RKL2_GAIN, ctrl.dt_min), ctrl.dt_max)
 
 
-def _stages(dx: float, rho: np.ndarray, ctrl: StepControl, dt: float) -> int:
+def _stages(dx: float, rho_max: float, ctrl: StepControl, dt: float) -> int:
     """Fewest RKL2 stages, at least 2 and at most ``S_CAP``, that are stable at ``dt``.
 
     s stages are stable up to ``stability_interval(s)`` forward-Euler units,
     the RK4 bound over ``RK4_REAL_STABILITY``.
     """
-    unit = _rk4_dt(dx, rho, ctrl) / RK4_REAL_STABILITY
+    unit = _rk4_dt(dx, rho_max, ctrl) / RK4_REAL_STABILITY
     return next((s for s in range(2, S_CAP) if unit * stability_interval(s) >= dt), S_CAP)
 
 
@@ -184,15 +187,23 @@ def _apply_positivity(u: np.ndarray, dx: float) -> tuple[np.ndarray, float, floa
 
 
 _Rhs = Callable[[np.ndarray], np.ndarray]
-_Scheme = Callable[[np.ndarray, float, _Rhs, "np.ndarray | None", int], np.ndarray]
+_Scheme = Callable[
+    [np.ndarray, float, _Rhs, "np.ndarray | None", int, "np.ndarray | None"], np.ndarray
+]
 
 
 def _rk4(
-    u: np.ndarray, dt: float, f: _Rhs, k1: np.ndarray | None = None, stages: int = 4
+    u: np.ndarray,
+    dt: float,
+    f: _Rhs,
+    k1: np.ndarray | None = None,
+    stages: int = 4,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Classical RK4 from the first stage ``k1 = f(u)``, evaluated here when not given.
 
-    ``stages`` is always 4; the argument only matches RKL2's signature.
+    ``stages`` is always 4, and ``work`` is not used; both arguments only
+    match RKL2's signature.
     """
     if k1 is None:
         k1 = f(u)
@@ -221,13 +232,20 @@ def _rkl2_table(s: int) -> tuple[float, tuple[tuple[float, float, float, float],
 
 
 def _rkl2(
-    u: np.ndarray, dt: float, f: _Rhs, f_u: np.ndarray | None = None, stages: int = S_CAP
+    u: np.ndarray,
+    dt: float,
+    f: _Rhs,
+    f_u: np.ndarray | None = None,
+    stages: int = S_CAP,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """One RKL2 step of ``stages`` stages in increment form: d_j = Y_j - u, returning u + d_s.
 
     The first stage ``f_u = f(u)`` does not depend on dt, so a caller that
     has it to choose dt passes it in, and the step scales it by dt in place;
-    otherwise it is evaluated here.
+    otherwise it is evaluated here.  ``work`` stacks four arrays shaped like
+    ``u``: a run passes the same ones to every step, and a call without them
+    allocates its own.
 
     d_j = mu_j d_{j-1} + nu_j d_{j-2} + mu~_j dt f(u + d_{j-1}) + gamma~_j dt f(u).
     Not the equivalent stage-value form mu_j Y_{j-1} + nu_j Y_{j-2} +
@@ -243,8 +261,9 @@ def _rkl2(
     else:
         g = f_u
         g *= dt
-    d = mu1 * g
-    d_old, y, term = np.zeros_like(d), np.empty_like(d), np.empty_like(d)
+    d, d_old, y, term = [np.empty_like(u) for _ in range(4)] if work is None else work
+    np.multiply(mu1, g, out=d)
+    d_old.fill(0.0)
     for mu, nu, mu_t, gamma_t in rows:
         k = f(np.add(u, d, out=y))
         k *= mu_t * dt
@@ -260,9 +279,10 @@ class _Stepper:
     """A ``scheme`` applied to one evolution form of the stacked (A, rho).
 
     Built once per run (``_rkl2``) or per public ``step`` (``_rk4``), so the
-    right sides' workspace lives exactly as long as that run or step; the
-    right sides are looked up at call time, so a wrapper installed on this
-    module's names sees every stage, and ``evals`` counts them.  The sqrt
+    right sides' workspace and the scheme's work arrays live exactly as long
+    as that run or step; the right sides are looked up at call time, so a
+    wrapper installed on this module's names sees every stage, and ``evals``
+    counts them.  The sqrt
     form steps (A, eta) with eta = sqrt(rho) and squares eta back afterwards.
     """
 
@@ -271,6 +291,7 @@ class _Stepper:
     ):
         ws = Workspace(grid, p, conv_sym)
         self.scheme, self.sqrt, self.evals = scheme, mode.kind == "sqrt", 0
+        self.work = np.empty((4, 2, grid.n_points))
         if self.sqrt:
             self._rhs = lambda w: _rhs_sqrt_core(ws, w)
         elif mode.kind == "regularized":
@@ -296,7 +317,7 @@ def _step_arrays(
     """One step of ``stages`` stages from the stepped state ``v`` and its right
     side ``f_v`` (evaluated in the step when None), plus positivity; returns
     (u, clipped_A, clipped_rho) of the stacked (A, rho)."""
-    u = stepper.scheme(v, dt, stepper.f, f_v, stages)
+    u = stepper.scheme(v, dt, stepper.f, f_v, stages, stepper.work)
     if stepper.sqrt:
         u[1] *= u[1]
     if not np.all(np.isfinite(u)):
@@ -329,20 +350,20 @@ def _record(
     One rfft of the stacked (rho, A, sqrt(rho)) serves both the energies and
     the central curvature, so a record makes 2 FFT calls.
     """
-    spectra = _energy_spectra(a, r)
-    report = energy(grid, a, r, spectra)
+    fields, spectra = _energy_spectra(a, r)
+    report = energy(grid, a, r, (fields, spectra))
     dx = grid.dx
-    zero_max = float(np.max(r[zero_mask])) if zero_mask.any() else None
+    zero_max = float(r[zero_mask].max()) if zero_mask.any() else None
     return DiagnosticRecord(
         t=t,
-        max_rho=float(np.max(r)),
-        min_rho=float(np.min(r)),
-        min_A=float(np.min(a)),
+        max_rho=float(r.max()),
+        min_rho=float(r.min()),
+        min_A=float(a.min()),
         rho_xx_at_0=second_derivative_at_center(grid, r, spectra[0]),
         supp_rho=tuple(support(grid, r)),
         supp_A=tuple(support(grid, a)),
-        mass_rho=float(np.sum(r) * dx),
-        mass_A=float(np.sum(a) * dx),
+        mass_rho=float(r.sum() * dx),
+        mass_A=float(a.sum() * dx),
         e_tilde=report.e_tilde,
         e_sqrt=report.e_sqrt,
         symmetry_defect_rho=symmetry_defect(r),
@@ -472,7 +493,8 @@ def run(config) -> RunOutcome:
             # RKL2's first stage f(v) does not depend on dt, so it serves the step rule too
             v = stepper.stepped(u)
             f_v = stepper.f(v)
-            bound = min(cfl_dt(grid.dx, u[1], ctrl), _change_dt(v, f_v))
+            rho_max = float(u[1].max())
+            bound = min(cfl_dt(grid.dx, rho_max, ctrl), _change_dt(v, f_v))
             y0, y = curvatures[0], curvatures[-1]
             if y0 > 0.0 and y > 0.0:
                 bound = min(bound, CURVATURE_FRACTION / y)
@@ -488,7 +510,7 @@ def run(config) -> RunOutcome:
             target = pending_snaps[0] if pending_snaps else config.t_end
             remaining = target - t
             dt = min(raw_dt, remaining)
-            stages = _stages(grid.dx, u[1], ctrl, dt)
+            stages = _stages(grid.dx, rho_max, ctrl, dt)
             u, ca, cr = _step_arrays(grid, stepper, v, f_v, dt, stages)
         except NumericalFault as fault:
             fault_detail = str(fault)

@@ -113,25 +113,37 @@ _TERM_NAMES = {
 class Workspace:
     """Constants and work arrays of the right-side evaluations of one run.
 
-    The constants are the grid (its multiplier rows ``ik`` and ``ik2``), the
-    kernel symbol and the folded coupling ``mu*alpha``; the work arrays hold
-    the sqrt form's stacked fields, the derivative spectra and the pointwise
-    terms, sized for the sqrt form's extra density row, so one workspace
-    serves every form.  The transforms return fresh arrays, because the
-    ``out=`` argument of ``np.fft`` needs numpy 2.  A run builds one and
-    drops it at its end: evaluations overwrite the work arrays, so a
+    The constants are the grid, the reaction rates folded for the regrouped
+    reactions, and the spectral multipliers: ``ik`` and ``ik2`` stacked for
+    one product with both field rows, and the kernel symbol scaled by the
+    coupling ``mu*alpha``, so that its inverse transform is the coupling's
+    share of the pressure.  The work arrays hold the sqrt form's stacked
+    fields, the derivative spectra and the pointwise terms, sized for the
+    sqrt form's extra density row, so one workspace serves every form; the
+    views into them are cut once here.  The transforms return fresh arrays,
+    because the ``out=`` argument of ``np.fft`` needs numpy 2.  A run builds
+    one and drops it at its end: evaluations overwrite the work arrays, so a
     workspace is never shared between runs or threads.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, conv_sym: np.ndarray):
         n, m = grid.n_points, grid.k.size
-        self.grid, self.p, self.conv_sym = grid, p, conv_sym
-        self.mu_alpha = p.mu * p.alpha
+        self.grid, self.p, self.n = grid, p, n
+        # P = pressure_rate*rho + irfft(rho_hat*avg_sym) is alpha*rho - mu*alpha*(rho - Gamma*rho)
+        self.pressure_rate = p.alpha * (1.0 - p.mu)
+        self.area_crowding, self.density_crowding = p.beta_tilde / p.K_tilde, p.beta / p.K
+        # the multipliers of D and D(D .), once per row of (A, w), and the
+        # kernel symbol scaled by mu*alpha and D for the density row
+        self.ik_rows, self.ik2_rows = (np.stack((row, row)) for row in (grid.ik, grid.ik2))
+        self.avg_sym, self.ik = (p.mu * p.alpha) * conv_sym, grid.ik
         self.fields = np.empty((3, n))  # sqrt form: A, eta, rho = eta^2
-        self.deriv_spectra = np.empty((6, m), dtype=complex)
-        self.flux, self.pair = np.empty((2, n)), np.empty((2, n))
-        self.push, self.pressure, self.area, self.density_area = np.empty((4, n))
-        self.logistic, self.growth, self.transport, self.scratch = np.empty((4, n))
+        spectra = np.empty((6, m), dtype=complex)
+        # rows A_x, w_x, A_xx, w_xx, mu*alpha*Gamma*rho[, rho_x]
+        self.spectra = {False: spectra[:5], True: spectra}
+        self.first, self.second = spectra[0:2], spectra[2:4]
+        self.avg_spectrum, self.density_x_spectrum = spectra[4], spectra[5]
+        self.area_flux, self.w_flux, self.pressure, self.area = np.empty((4, n))
+        self.density_area, self.growth, self.transport, self.scratch = np.empty((4, n))
         self.finite = np.empty((2, n), dtype=bool)
 
 
@@ -151,65 +163,64 @@ def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
     flux, so that 2*eta*d(eta) reproduces the density equation wherever
     eta > 0.
 
-    One rfft of the stacked fields and one irfft of the stacked derivative and
-    average spectra feed the pointwise terms, which are written into the work
-    arrays of ``ws``; beside the transforms, only the returned array is new.
+    The reactions are regrouped around the pressure
+    P = alpha*(1 - mu)*rho + mu*alpha*(Gamma*rho), which is
+    alpha*rho - mu*alpha*(rho - Gamma*rho):
+
+        area reaction  a*(beta_tilde + P - (beta_tilde/K_tilde)*rho*a)
+        g              beta - P - (beta/K)*rho*a
+
+    the same model as the plain expressions, rounded differently; the factors
+    a and rho (or eta/2) are still applied last, so those terms are exactly
+    zero where a or rho vanishes.  One rfft of the stacked fields and one
+    irfft of the stacked derivative and average spectra feed the pointwise
+    terms, which are written into the work arrays of ``ws``; beside the
+    transforms, only the returned array is new.
     """
-    p, ik, ik2 = ws.p, ws.grid.ik, ws.grid.ik2
-    a, w = u
-    rows = 3 if sqrt else 2
-    spec = ws.deriv_spectra[: rows + 3]
+    p = ws.p
+    a, w = u[0], u[1]  # indexing: unpacking an array iterates it, which is slower
     with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
         if sqrt:
             fields = ws.fields
             fields[:2] = u
             rho = np.multiply(w, w, out=fields[2])
             uh = np.fft.rfft(fields)  # rows A, eta, rho
-            np.multiply(uh[2], ik, out=spec[5])
+            rho_hat = uh[2]
+            np.multiply(rho_hat, ws.ik, out=ws.density_x_spectrum)
         else:
             rho = w
             uh = np.fft.rfft(u)  # rows A, rho
-        # rows A_x, w_x, A_xx, w_xx, Gamma*rho[, rho_x]
-        np.multiply(uh[:2], ik, out=spec[0:2])
-        np.multiply(uh[:2], ik2, out=spec[2:4])
-        np.multiply(uh[-1], ws.conv_sym, out=spec[4])
-        d = np.fft.irfft(spec, n=ws.grid.n_points)
-        ux, uxx, avg = d[0:2], d[2:4], d[4]
-        rx = d[5] if sqrt else ux[1]
-        flux = np.multiply(rho, uxx, out=ws.flux)
-        flux += np.multiply(rx, ux, out=ws.pair)
-        area_flux, w_flux = flux
+            rho_hat = uh[1]
+        np.multiply(rho_hat, ws.avg_sym, out=ws.avg_spectrum)
+        np.multiply(uh[:2], ws.ik_rows, out=ws.first)
+        np.multiply(uh[:2], ws.ik2_rows, out=ws.second)
+        d = np.fft.irfft(ws.spectra[sqrt], n=ws.n)
+        ax, wx, axx, wxx, avg = d[0], d[1], d[2], d[3], d[4]
+        rx = d[5] if sqrt else wx
+        # row by row: a product of a row with a stack of rows is slower in numpy
+        area_flux = np.multiply(rho, axx, out=ws.area_flux)
+        area_flux += np.multiply(rx, ax, out=ws.scratch)
+        w_flux = np.multiply(rho, wxx, out=ws.w_flux)
+        w_flux += np.multiply(rx, wx, out=ws.scratch)
 
-        # The reactions, with the roundings of the plain expressions
-        #   a*(alpha*rho - mu*alpha*(rho - avg)) + beta_tilde*a*(1 - rho*a/K_tilde)
-        #   g = beta*(1 - a*rho/K) - alpha*rho + mu*alpha*(rho - avg)
-        # evaluated left to right: operands of a product or sum may swap,
-        # which is exact, but none is regrouped, so every bit is kept.
-        push = np.subtract(rho, avg, out=ws.push)
-        push *= ws.mu_alpha
-        pressure = np.multiply(p.alpha, rho, out=ws.pressure)
-        area_reaction = np.subtract(pressure, push, out=ws.area)
-        area_reaction *= a
+        pressure = np.multiply(rho, ws.pressure_rate, out=ws.pressure)
+        pressure += avg
         density_area = np.multiply(rho, a, out=ws.density_area)
-        logistic = np.divide(density_area, p.K_tilde, out=ws.logistic)
-        np.subtract(1.0, logistic, out=logistic)
-        logistic *= np.multiply(p.beta_tilde, a, out=ws.scratch)
-        area_reaction += logistic
-        g = np.divide(density_area, p.K, out=ws.growth)
-        np.subtract(1.0, g, out=g)
-        g *= p.beta
-        g -= pressure
-        g += push
+        area_reaction = np.add(pressure, p.beta_tilde, out=ws.area)
+        area_reaction -= np.multiply(density_area, ws.area_crowding, out=ws.scratch)
+        area_reaction *= a
+        g = np.subtract(p.beta, pressure, out=ws.growth)
+        g -= np.multiply(density_area, ws.density_crowding, out=ws.scratch)
         w_reaction = g
         if sqrt:
             g *= np.multiply(0.5, w, out=ws.scratch)
-            w_transport = np.multiply(w, ux[1], out=ws.transport)
-            w_transport *= ux[1]
+            w_transport = np.multiply(w, wx, out=ws.transport)
+            w_transport *= wx
             w_transport += w_flux
         else:
             g *= w
             w_transport = w_flux
-        out = np.empty_like(u)
+        out = np.empty(u.shape)
         np.add(area_reaction, area_flux, out=out[0])
         np.add(w_reaction, w_transport, out=out[1])
 
@@ -275,35 +286,43 @@ def rhs_sqrt(A: Field, eta: Field, p: ModelParams) -> tuple[Field, Field]:
 # ---------------------------------------------------------------------------
 
 
-def _energy_spectra(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """rfft of the stacked (rho, A, sqrt(rho)); row 0 is the density spectrum."""
+def _energy_spectra(a: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked (rho, A, sqrt(rho)) and its rfft, whose row 0 is the density
+    spectrum; a negative density node counts as 0 under the root."""
+    fields = np.empty((3, rho.size))
+    fields[0], fields[1] = rho, a
+    root = np.maximum(rho, 0.0, out=fields[2])
+    np.sqrt(root, out=root)
     with np.errstate(over="ignore"):
-        return np.fft.rfft(np.stack((rho, a, np.sqrt(np.clip(rho, 0.0, None)))))
+        return fields, np.fft.rfft(fields)
 
 
 def energy(
-    grid: Grid, a: np.ndarray, rho: np.ndarray, spectra: np.ndarray | None = None
+    grid: Grid,
+    a: np.ndarray,
+    rho: np.ndarray,
+    stacked: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EnergyReport:
     """Sobolev energies of the node values ``a`` and ``rho`` (density derivative order 3).
 
     One rfft of the stacked (rho, A, sqrt(rho)) and one irfft of the stacked
     derivative spectra give the three derivatives the energies need.  A
-    caller that holds that rfft already passes it as ``spectra``.
+    caller that holds ``_energy_spectra(a, rho)`` already passes it as
+    ``stacked``.
     """
+    fields, (rh, ah, rooth) = _energy_spectra(a, rho) if stacked is None else stacked
     dx = grid.dx
-    root = np.sqrt(np.clip(rho, 0.0, None))
-    if spectra is None:
-        spectra = _energy_spectra(a, rho)
-    rh, ah, rooth = spectra
+    spectra = np.empty((3, rh.size), dtype=complex)
     with np.errstate(over="ignore"):  # energies may legitimately reach +inf
         # d^3 rho, d^2 A and d^2 sqrt(rho)
-        r_m, a_m1, root_xx = np.fft.irfft(
-            np.stack((rh * grid.d3, ah * grid.d2, rooth * grid.d2)), n=grid.n_points
-        )
-        e_tilde = 1.0 + float(
-            np.sum(r_m**2) * dx + np.sum(rho**2) * dx + np.sum(a**2) * dx + np.sum(a_m1**2) * dx
-        )
-        e_sqrt = 1.0 + float(np.sum(root**2) * dx + np.sum(root_xx**2) * dx)
+        np.multiply(rh, grid.d3, out=spectra[0])
+        np.multiply(ah, grid.d2, out=spectra[1])
+        np.multiply(rooth, grid.d2, out=spectra[2])
+        derivatives = np.fft.irfft(spectra, n=grid.n_points)
+        r_m, a_m1, root_xx = np.square(derivatives, out=derivatives).sum(axis=1)
+        rho_2, a_2, root_2 = np.square(fields).sum(axis=1)
+        e_tilde = 1.0 + float(r_m * dx + rho_2 * dx + a_2 * dx + a_m1 * dx)
+        e_sqrt = 1.0 + float(root_2 * dx + root_xx * dx)
     return EnergyReport(e_tilde=e_tilde, e_sqrt=e_sqrt)
 
 

@@ -312,37 +312,65 @@ class TestSweepCommand:
         assert pool_sizes == []
 
 
-# seed-0 series.csv SHA-256 of the benchmark's runs.  Byte-identical output
-# is part of every change's contract; a change that alters these bytes
-# updates the pin and says so.  Other numpy builds may round differently.
+# seed-0 series.csv SHA-256 of the benchmark's runs, beside their exact
+# counts (steps, right-side evaluations, records).  Byte-identical output is
+# part of every change's contract; a change that alters these bytes updates
+# the pin and says so.  Other numpy builds may round differently, so only the
+# counts are checked there: a re-pinned hash with the same counts is a
+# rounding change, not a change to the step rule.
 SERIES_PINS = [
-    ("fig1-blowup", {}, "74c82d37ab01a00fd61ac31a673d731c6ec9719b6f7b8ab56140b40023cab115"),
-    ("fig2-support", {}, "710d48007b7a428360cb30251f5567fbcad2ca219078d3b7d1f90824dcc46804"),
+    (
+        "fig1-blowup",
+        {},
+        "e6868c2e2b3140fb58bcc27c2ad734a75a20af3e37ea6719cd41d3f0bf987266",
+        (93, 1387, 94),
+    ),
+    (
+        "fig2-support",
+        {},
+        "6873d500b2ed242f9fb0879a4b5a7fa81ec86192df6ee52a0e4785bc5fae9bf9",
+        (11, 216, 3),
+    ),
     (
         "fig2-support",
         {"grid.N": "2048"},
-        "44aed1f243c1c733615637f5764f3ca4fd2e54a4200e541ca3c0c632d2a9c26c",
+        "816f39883869641ced9256e7f23f94162d67539fa257f992b1ea258f7df15eb5",
+        (13, 459, 3),
     ),
     (
         "fig2-support",
         {"mode.kind": "sqrt", "run.record_every": "1"},
-        "022eb58ad00c64ac852e4972a4c5e59d84b5d30920945ea659e5acd52952f95f",
+        "5d43501a7d0eb3de13111a15f44b16e5a5dfd55de8ae72408339e9fcede4902a",
+        (11, 216, 12),
     ),
 ]
 
 
-@pytest.mark.skipif(np.__version__ != "2.4.6", reason="series bytes are pinned under numpy 2.4.6")
-@pytest.mark.parametrize(
-    "preset_name, overrides, sha256",
-    SERIES_PINS,
+@pytest.fixture(
+    scope="module",
+    params=SERIES_PINS,
     ids=["fig1-blowup", "fig2-support", "fig2-support-N2048", "fig2-support-sqrt-record1"],
 )
-def test_series_bytes_are_pinned(tmp_path, preset_name, overrides, sha256):
+def pinned_run(request, tmp_path_factory):
+    """(outcome, series.csv bytes, pinned SHA-256, pinned counts) of one pinned run."""
     from xdiff.config import preset_with_overrides
 
-    config = preset_with_overrides(preset_name, dict(overrides, **{"run.output_dir": str(tmp_path)}))
-    cli.execute(config)
-    assert hashlib.sha256((tmp_path / "series.csv").read_bytes()).hexdigest() == sha256
+    preset_name, overrides, sha256, counts = request.param
+    out = tmp_path_factory.mktemp("pinned")
+    config = preset_with_overrides(preset_name, dict(overrides, **{"run.output_dir": str(out)}))
+    _, outcome = cli.execute(config)
+    return outcome, (out / "series.csv").read_bytes(), sha256, counts
+
+
+def test_exact_counts_are_pinned(pinned_run):
+    outcome, _, _, counts = pinned_run
+    assert (outcome.steps, outcome.rhs_evals, len(outcome.series)) == counts
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6", reason="series bytes are pinned under numpy 2.4.6")
+def test_series_bytes_are_pinned(pinned_run):
+    _, series, sha256, _ = pinned_run
+    assert hashlib.sha256(series).hexdigest() == sha256
 
 
 class TestDeterminism:

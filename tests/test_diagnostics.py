@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xdiff.diagnostics import second_derivative_at_center, support, symmetry_defect, t_star
+from xdiff.diagnostics import (
+    SUPPORT_THRESHOLD_SCALE,
+    second_derivative_at_center,
+    support,
+    symmetry_defect,
+    t_star,
+)
 from xdiff.grid import Grid
 
 from spectral import derivative
@@ -106,6 +112,56 @@ class TestSupport:
         assert len(support(g, vals, threshold=0.75)) == 1
         with pytest.raises(ValueError):
             support(g, vals, threshold=0.0)
+
+
+def reference_support(grid, values, threshold=None):
+    """``support`` as a per-node scan: walk the nodes and close a run at its last node."""
+    if threshold is None:
+        threshold = SUPPORT_THRESHOLD_SCALE * max(max(values), 1.0)
+    n, L, half = len(values), grid.half_length, 0.5 * grid.dx
+    above = [v > threshold for v in values]
+    if not any(above):
+        return []
+    if all(above):
+        return [(-L, L)]
+    wraps = above[0] and above[-1]  # one run continues through the seam
+    intervals, j = [], 0
+    while j < n:
+        if not above[j]:
+            j += 1
+            continue
+        first = j
+        while j + 1 < n and above[j + 1]:
+            j += 1
+        lo = max(float(grid.x[first]) - half, -L)
+        hi = L if wraps and j == n - 1 else min(float(grid.x[j]) + half, L)
+        intervals.append((lo, hi))
+        j += 1
+    return intervals
+
+
+LEVELS = [0.0, 1e-12, 2e-9, 0.25, 1.0, 3.0]
+
+
+class TestSupportScan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.sampled_from([16, 18, 64, 256]).flatmap(
+            lambda n: st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n)
+        ),
+        threshold=st.one_of(st.none(), st.sampled_from(LEVELS[1:]), st.floats(1e-12, 4.0)),
+    )
+    @example(values=[1.0, 1.0] + [0.0] * 13 + [1.0], threshold=None)  # seam wrap
+    @example(values=[1.0] * 16, threshold=None)  # all nodes above
+    @example(values=[0.0] * 16, threshold=None)  # none above
+    @example(values=[1.0] + [0.0] * 15, threshold=None)  # single node 0
+    @example(values=[0.0] * 15 + [1.0], threshold=None)  # single node N - 1
+    @example(values=[1.0] + [0.0] * 14 + [1.0], threshold=0.5)  # both, explicit threshold
+    @example(values=[0.25 * (j % 5) for j in range(16)], threshold=0.5)
+    def test_matches_a_per_node_scan(self, values, threshold):
+        grid = Grid(1.0, len(values))
+        expected = reference_support(grid, values, threshold)
+        assert support(grid, np.array(values), threshold) == expected
 
 
 class TestSymmetryDefect:

@@ -103,26 +103,26 @@ class TestCflDt:
         # intervals, (s^2 + s - 2) / 2 = 819 for RKL2 at the s = 40 cap over
         # 2.7853 for RK4
         g = Grid(1.0, 1024)
-        dt = cfl_dt(g.dx, np.ones(1024), StepControl())
+        dt = cfl_dt(g.dx, 1.0, StepControl())
         assert RKL2_GAIN == pytest.approx(294.04, abs=5e-3)
         assert dt == 0.25 * g.dx**2 * RKL2_GAIN
         assert dt == pytest.approx(2.8042e-4, rel=1e-4)
 
     def test_zero_density_uses_dt_max(self, params):
         g = Grid(1.0, 1024)
-        assert cfl_dt(g.dx, np.zeros(1024), StepControl()) == StepControl().dt_max
+        assert cfl_dt(g.dx, 0.0, StepControl()) == StepControl().dt_max
 
     def test_reference_peak_density(self, params):
         # the steepest reference experiment peak; the resulting step sits
         # within an order of magnitude of the reported frame time scale
         g = Grid(1.0, 1024)
-        dt = cfl_dt(g.dx, np.full(1024, 2.1875), StepControl())
+        dt = cfl_dt(g.dx, 2.1875, StepControl())
         assert dt == pytest.approx(1.2819e-4, rel=1e-4)
 
     def test_clamped_to_window(self, params):
         g = Grid(1.0, 16)
         ctrl = StepControl(dt_min=1e-6, dt_max=1e-3)
-        assert cfl_dt(g.dx, np.full(16, 1e9), ctrl) == 1e-6
+        assert cfl_dt(g.dx, 1e9, ctrl) == 1e-6
 
 
 class TestStep:

@@ -381,33 +381,56 @@ class TestAssemblyProperties:
 
 
 # ---------------------------------------------------------------------------
-# the workspace assembly against a straight-line oracle
+# the workspace assembly against straight-line oracles: the regrouped
+# operation order bit for bit, and the plain expressions within roundoff
 # ---------------------------------------------------------------------------
 
 
-def oracle_assemble(grid, u, p, conv_sym, sqrt):
-    """The right side as straight-line numpy expressions on fresh arrays, in
-    the operation order the workspace assembly must keep bit for bit."""
+def oracle_transforms(grid, u, avg_sym, sqrt):
+    """(a, w, rho, u_x, u_xx, avg, rho_x) of the stacked ``u = (A, w)`` from one
+    rfft and one irfft, with avg the inverse transform of rho's spectrum times
+    ``avg_sym``."""
     n, ik = grid.n_points, grid.ik
     a, w = u
     rho = w * w if sqrt else w
     uh = np.fft.rfft(np.stack((a, w, rho)) if sqrt else u)
     rh = uh[-1]
-    extra = (rh * conv_sym, rh * ik) if sqrt else (rh * conv_sym,)
+    extra = (rh * avg_sym, rh * ik) if sqrt else (rh * avg_sym,)
     d = np.fft.irfft(np.vstack((uh[:2] * ik, uh[:2] * (ik * ik), *extra)), n=n)
     ux, uxx, avg = d[0:2], d[2:4], d[4]
-    rx = d[5] if sqrt else ux[1]
+    return a, w, rho, ux, uxx, avg, d[5] if sqrt else ux[1]
+
+
+def oracle_terms(grid, u, p, conv_sym, sqrt, regrouped=True):
+    """(area reaction, area flux, w reaction, w transport) as straight-line
+    numpy expressions on fresh arrays.
+
+    ``regrouped`` gives the operation order the workspace assembly must keep
+    bit for bit: the reactions around the pressure
+    P = alpha*(1 - mu)*rho + mu*alpha*(Gamma*rho), with mu*alpha folded into
+    the kernel symbol.  Otherwise the reactions are the model's plain
+    expressions, the second reference."""
+    avg_sym = p.mu * p.alpha * conv_sym if regrouped else conv_sym
+    a, w, rho, ux, uxx, avg, rx = oracle_transforms(grid, u, avg_sym, sqrt)
     area_flux, w_flux = rho * uxx + rx * ux
-    local_push = rho - avg
-    area = a * (p.alpha * rho - p.mu * p.alpha * local_push) + p.beta_tilde * a * (
-        1.0 - rho * a / p.K_tilde
-    )
-    g = p.beta * (1.0 - a * rho / p.K) - p.alpha * rho + p.mu * p.alpha * local_push
-    if sqrt:
-        dw = 0.5 * w * g + (w * ux[1] * ux[1] + w_flux)
+    if regrouped:
+        pressure = p.alpha * (1.0 - p.mu) * rho + avg
+        area = a * (p.beta_tilde + pressure - p.beta_tilde / p.K_tilde * (rho * a))
+        g = p.beta - pressure - p.beta / p.K * (rho * a)
     else:
-        dw = w * g + w_flux
-    return np.stack((area + area_flux, dw))
+        local_push = rho - avg
+        area = a * (p.alpha * rho - p.mu * p.alpha * local_push) + p.beta_tilde * a * (
+            1.0 - rho * a / p.K_tilde
+        )
+        g = p.beta * (1.0 - a * rho / p.K) - p.alpha * rho + p.mu * p.alpha * local_push
+    if sqrt:
+        return area, area_flux, 0.5 * w * g, w * ux[1] * ux[1] + w_flux
+    return area, area_flux, w * g, w_flux
+
+
+def oracle_assemble(grid, u, p, conv_sym, sqrt):
+    area, area_flux, w_reaction, w_transport = oracle_terms(grid, u, p, conv_sym, sqrt)
+    return np.stack((area + area_flux, w_reaction + w_transport))
 
 
 def oracle_regularized(grid, u, p, conv_sym, damp):
@@ -440,6 +463,23 @@ def same_bits(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
+ULP = np.finfo(float).eps
+
+
+def reaction_magnitudes(grid, u, p, conv_sym, sqrt):
+    """Max-norm bounds of the parts the plain reactions add up, one for the
+    area reaction and one for the w reaction: the scales in which their
+    roundoff is measured."""
+    a, w = u
+    rho = w * w if sqrt else w
+    avg = np.fft.irfft(np.fft.rfft(rho) * conv_sym, n=grid.n_points)
+    na, nw, nr, navg = (np.max(np.abs(x)) for x in (a, w, rho, avg))
+    coupling = p.alpha * nr + p.mu * p.alpha * (nr + navg)
+    area = na * coupling + p.beta_tilde * na * (1.0 + nr * na / p.K_tilde)
+    density = (0.5 if sqrt else 1.0) * nw * (p.beta * (1.0 + na * nr / p.K) + coupling)
+    return area, density
+
+
 @st.composite
 def nonnegative_state(draw):
     """(grid, u): random nonnegative node values, some of them exactly zero."""
@@ -467,6 +507,25 @@ class TestAssemblyOracle:
             assert same_bits(got, oracle_assemble(grid, u, PARAMS, conv_sym, True))
             got = _rhs_regularized_core(ws, u, damp)
             assert same_bits(got, oracle_regularized(grid, u, PARAMS, conv_sym, damp))
+
+    @pytest.mark.parametrize("form", FORMS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=nonnegative_state(), eps=EPS)
+    def test_regrouped_reactions_are_the_plain_expressions(self, form, data, eps):
+        # the regrouping is the same model: term by term, the regrouped order
+        # stays within a few ulps of the terms' magnitudes
+        grid, u = data
+        conv_sym = PARAMS.kernel.symbol(grid)
+        if form == "regularized":  # the assembly sees the smoothed state
+            u = np.fft.irfft(np.fft.rfft(u) * heat_multiplier(grid, eps), n=grid.n_points)
+        sqrt = form == "sqrt"
+        regrouped = oracle_terms(grid, u, PARAMS, conv_sym, sqrt)
+        plain = oracle_terms(grid, u, PARAMS, conv_sym, sqrt, regrouped=False)
+        # the fluxes are not regrouped
+        assert same_bits(regrouped[1], plain[1])
+        assert same_bits(regrouped[3], plain[3])
+        for k, scale in zip((0, 2), reaction_magnitudes(grid, u, PARAMS, conv_sym, sqrt)):
+            assert np.max(np.abs(regrouped[k] - plain[k])) <= 4 * ULP * scale
 
     @settings(max_examples=20, deadline=None)
     @given(data=nonnegative_state())

@@ -61,6 +61,8 @@ SERIES_COLUMNS = (
     ("sym_defect", attrgetter("symmetry_defect_rho")),
 )
 SERIES_HEADER = ",".join(name for name, _ in SERIES_COLUMNS)
+# "%.17g" renders a Python float exactly as _fmt does, so a row is one format
+SERIES_ROW = ",".join("%.17g" for _ in SERIES_COLUMNS)
 
 
 def write_outputs(outcome: RunOutcome, config: RunConfig) -> None:
@@ -70,13 +72,12 @@ def write_outputs(outcome: RunOutcome, config: RunConfig) -> None:
 
     lines = [SERIES_HEADER]
     for rec in outcome.series:
-        lines.append(",".join(_fmt(value(rec)) for _, value in SERIES_COLUMNS))
+        lines.append(SERIES_ROW % tuple(value(rec) for _, value in SERIES_COLUMNS))
     with open(os.path.join(out_dir, "series.csv"), "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    # "%.17g" renders a Python float exactly as _fmt does; a run's snapshots
-    # share its grid, so the x column is rendered once, and rows are
-    # streamed to the file, not joined first
+    # a run's snapshots share its grid, so the x column is rendered once, and
+    # rows are streamed to the file, not joined first
     snapshots = outcome.snapshots
     x_column = ["%.17g" % x for x in snapshots[0].grid.x.tolist()] if snapshots else []
     for k, snap in enumerate(snapshots):

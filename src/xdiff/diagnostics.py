@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Grid, mirror
+from .grid import Grid
 
 SUPPORT_THRESHOLD_SCALE = 1e-9
 
@@ -53,7 +53,7 @@ def second_derivative_at_center(
     """
     if rho_hat is None:
         rho_hat = np.fft.rfft(rho)
-    terms = grid.d2 * rho_hat.real * grid.phase
+    terms = grid.d2_phase * rho_hat.real
     return float((2.0 * np.sum(terms) - terms[0] - terms[-1]) / grid.n_points)
 
 
@@ -92,7 +92,8 @@ def support(grid: Grid, values: np.ndarray, threshold: Optional[float] = None) -
 
 def symmetry_defect(values: np.ndarray) -> float:
     """Largest deviation from evenness about x = 0: max |f - f(-x)| over the nodes."""
-    return float(np.max(np.abs(values - mirror(values)), initial=0.0))
+    # node 0 is its own mirror image; node j > 0 pairs with node N - j
+    return float(np.max(np.abs(values[1:] - values[:0:-1]), initial=0.0))
 
 
 def t_star(y0: float, theta: float) -> float:

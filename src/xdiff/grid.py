@@ -36,8 +36,9 @@ class Grid:
     is identified with x = -L.  So x = 0 is node N/2, where rfft mode m carries
     ``phase[m] = (-1)^m``, and the mirror x -> -x pairs node j with node
     (N - j) mod N (:func:`mirror`).  The read-only real-FFT multipliers are built once per
-    grid: ``ik`` (the Nyquist-zeroed D), ``ik2`` (D(D .)), ``k2``, and ``d2``
-    to ``d4`` (the derivatives of order 2 to 4).
+    grid: ``ik`` (the Nyquist-zeroed D), ``ik2`` (D(D .)), ``k2``, ``d2``
+    to ``d4`` (the derivatives of order 2 to 4), ``d2_phase`` (``d2`` times
+    ``phase``) and ``d3_d2_d2`` (the complex rows ``d3``, ``d2``, ``d2``).
     """
 
     half_length: float
@@ -74,6 +75,12 @@ class Grid:
         arrays = dict(x=x, k=k, k2=k2, phase=(-1.0) ** np.arange(k.size))
         # multipliers of D, of D(D .) and of the derivatives of order 2 to 4
         arrays.update(ik=ik, ik2=ik * ik, d2=-k2, d3=-ik * k2, d4=k**4)
+        # the x = 0 node's weights of d2, and the energies' rows, complex as
+        # numpy would cast them; both products are the per-row ones bit for bit
+        arrays.update(
+            d2_phase=arrays["d2"] * arrays["phase"],
+            d3_d2_d2=np.stack((arrays["d3"], arrays["d2"], arrays["d2"])).astype(complex),
+        )
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -31,10 +31,12 @@ from .model import (
     State,
     Workspace,
     energy,
+    _all_finite,
     _energy_spectra,
     _rhs_core,
     _rhs_regularized_core,
     _rhs_sqrt_core,
+    _unchecked,
 )
 
 DIFFUSIVITY_FLOOR = 1e-12
@@ -178,8 +180,8 @@ def _apply_positivity(u: np.ndarray, dx: float) -> tuple[np.ndarray, float, floa
     removed magnitude times ``dx``.
     """
     clipped = [0.0, 0.0]
-    for i, row in enumerate(u):
-        if float(np.min(row)) < 0.0:
+    for i, (row, low) in enumerate(zip(u, u.min(axis=1).tolist())):
+        if low < 0.0:
             negative = np.minimum(row, 0.0)
             row -= negative
             clipped[i] = float(-np.sum(negative)) * dx
@@ -295,7 +297,8 @@ class _Stepper:
         if self.sqrt:
             self._rhs = lambda w: _rhs_sqrt_core(ws, w)
         elif mode.kind == "regularized":
-            damp = heat_multiplier(grid, mode.eps)
+            # complex once: numpy would cast the real multiplier on every product
+            damp = heat_multiplier(grid, mode.eps).astype(complex)
             self._rhs = lambda w: _rhs_regularized_core(ws, w, damp)
         else:
             self._rhs = lambda w: _rhs_core(ws, w)
@@ -320,7 +323,7 @@ def _step_arrays(
     u = stepper.scheme(v, dt, stepper.f, f_v, stages, stepper.work)
     if stepper.sqrt:
         u[1] *= u[1]
-    if not np.all(np.isfinite(u)):
+    if not _all_finite(u):
         raise NumericalFault("non-finite state after step")
     return _apply_positivity(u, grid.dx)
 
@@ -332,7 +335,8 @@ def step(s: State, p: ModelParams, dt: float, mode: RunMode = RunMode()) -> Stat
     grid = s.grid
     stepper = _Stepper(grid, p, p.kernel.symbol(grid), mode, _rk4)
     v = stepper.stepped(np.stack((s.A.values, s.rho.values)))
-    u, _, _ = _step_arrays(grid, stepper, v, None, dt, 4)
+    with _unchecked():
+        u, _, _ = _step_arrays(grid, stepper, v, None, dt, 4)
     return State(t=s.t + dt, A=Field(grid, u[0]), rho=Field(grid, u[1]))
 
 
@@ -342,10 +346,11 @@ def step(s: State, p: ModelParams, dt: float, mode: RunMode = RunMode()) -> Stat
 
 
 def _record(
-    grid: Grid, t: float, a: np.ndarray, r: np.ndarray, zero_mask: np.ndarray
+    grid: Grid, t: float, a: np.ndarray, r: np.ndarray, zero_nodes: np.ndarray
 ) -> DiagnosticRecord:
-    """Diagnostics of the node values ``a``, ``r`` at time t; ``zero_mask`` marks
-    the initial density's interior zero set.
+    """Diagnostics of the node values ``a``, ``r`` at time t; ``zero_nodes``
+    selects the initial density's interior zero set, as node indices (a run
+    computes them once) or as a boolean mask.
 
     One rfft of the stacked (rho, A, sqrt(rho)) serves both the energies and
     the central curvature, so a record makes 2 FFT calls.
@@ -353,7 +358,8 @@ def _record(
     fields, spectra = _energy_spectra(a, r)
     report = energy(grid, a, r, (fields, spectra))
     dx = grid.dx
-    zero_max = float(r[zero_mask].max()) if zero_mask.any() else None
+    on_zero_set = r[zero_nodes]
+    zero_max = float(on_zero_set.max()) if on_zero_set.size else None
     return DiagnosticRecord(
         t=t,
         max_rho=float(r.max()),
@@ -446,14 +452,14 @@ def run(config) -> RunOutcome:
     t = 0.0
 
     stepper = _Stepper(grid, p, p.kernel.symbol(grid), mode, _rkl2)
-    zero_mask = _interior_zero_mask(u[1])
+    zero_nodes = np.flatnonzero(_interior_zero_mask(u[1]))
     initial_mass_A = float(np.sum(u[0]) * grid.dx)
     initial_mass_rho = float(np.sum(u[1]) * grid.dx)
 
     steps = 0
     consecutive_dt_min = 0
     fault_detail = ""
-    series = [_record(grid, t, u[0], u[1], zero_mask)]
+    series = [_record(grid, t, u[0], u[1], zero_nodes)]
     # the central curvature after every step, for the blow-up detector
     times, curvatures = [t], [series[0].rho_xx_at_0]
     snapshots: list[State] = []
@@ -469,7 +475,7 @@ def run(config) -> RunOutcome:
 
     def out(reason: HaltReason) -> RunOutcome:
         if series[-1].t < t:
-            series.append(_record(grid, t, u[0], u[1], zero_mask))
+            series.append(_record(grid, t, u[0], u[1], zero_nodes))
         return RunOutcome(
             halt_reason=reason,
             final_state=state(),
@@ -490,28 +496,30 @@ def run(config) -> RunOutcome:
             return out(HaltReason.REACHED_T_END)
 
         try:
-            # RKL2's first stage f(v) does not depend on dt, so it serves the step rule too
-            v = stepper.stepped(u)
-            f_v = stepper.f(v)
-            rho_max = float(u[1].max())
-            bound = min(cfl_dt(grid.dx, rho_max, ctrl), _change_dt(v, f_v))
-            y0, y = curvatures[0], curvatures[-1]
-            if y0 > 0.0 and y > 0.0:
-                bound = min(bound, CURVATURE_FRACTION / y)
-            raw_dt = max(bound, ctrl.dt_min)
-            if raw_dt == ctrl.dt_min:
-                consecutive_dt_min += 1
-                if consecutive_dt_min >= 2:
-                    return out(HaltReason.DT_UNDERFLOW)
-            else:
-                consecutive_dt_min = 0
+            # one error state per step: the evaluations and the step check finiteness
+            with _unchecked():
+                # RKL2's first stage f(v) does not depend on dt, so it serves the step rule too
+                v = stepper.stepped(u)
+                f_v = stepper.f(v)
+                rho_max = float(u[1].max())
+                bound = min(cfl_dt(grid.dx, rho_max, ctrl), _change_dt(v, f_v))
+                y0, y = curvatures[0], curvatures[-1]
+                if y0 > 0.0 and y > 0.0:
+                    bound = min(bound, CURVATURE_FRACTION / y)
+                raw_dt = max(bound, ctrl.dt_min)
+                if raw_dt == ctrl.dt_min:
+                    consecutive_dt_min += 1
+                    if consecutive_dt_min >= 2:
+                        return out(HaltReason.DT_UNDERFLOW)
+                else:
+                    consecutive_dt_min = 0
 
-            # the step ends exactly on the next snapshot time or the end time
-            target = pending_snaps[0] if pending_snaps else config.t_end
-            remaining = target - t
-            dt = min(raw_dt, remaining)
-            stages = _stages(grid.dx, rho_max, ctrl, dt)
-            u, ca, cr = _step_arrays(grid, stepper, v, f_v, dt, stages)
+                # the step ends exactly on the next snapshot time or the end time
+                target = pending_snaps[0] if pending_snaps else config.t_end
+                remaining = target - t
+                dt = min(raw_dt, remaining)
+                stages = _stages(grid.dx, rho_max, ctrl, dt)
+                u, ca, cr = _step_arrays(grid, stepper, v, f_v, dt, stages)
         except NumericalFault as fault:
             fault_detail = str(fault)
             return out(HaltReason.NUMERICAL_FAULT)
@@ -527,7 +535,7 @@ def run(config) -> RunOutcome:
 
         take_snapshots()
         if steps % config.record_every == 0:
-            series.append(_record(grid, t, u[0], u[1], zero_mask))
+            series.append(_record(grid, t, u[0], u[1], zero_nodes))
             curvature = series[-1].rho_xx_at_0
         else:
             curvature = second_derivative_at_center(grid, u[1])

@@ -11,6 +11,7 @@ assembly of the right side on the stacked state (A, rho) or (A, eta).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,7 +136,9 @@ class Workspace:
         # the multipliers of D and D(D .), once per row of (A, w), and the
         # kernel symbol scaled by mu*alpha and D for the density row
         self.ik_rows, self.ik2_rows = (np.stack((row, row)) for row in (grid.ik, grid.ik2))
-        self.avg_sym, self.ik = (p.mu * p.alpha) * conv_sym, grid.ik
+        # stored complex: numpy would cast the real symbol to these values on every product
+        self.avg_sym = ((p.mu * p.alpha) * conv_sym).astype(complex)
+        self.ik = grid.ik
         self.fields = np.empty((3, n))  # sqrt form: A, eta, rho = eta^2
         spectra = np.empty((6, m), dtype=complex)
         # rows A_x, w_x, A_xx, w_xx, mu*alpha*Gamma*rho[, rho_x]
@@ -144,7 +147,20 @@ class Workspace:
         self.avg_spectrum, self.density_x_spectrum = spectra[4], spectra[5]
         self.area_flux, self.w_flux, self.pressure, self.area = np.empty((4, n))
         self.density_area, self.growth, self.transport, self.scratch = np.empty((4, n))
-        self.finite = np.empty((2, n), dtype=bool)
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of ``x`` is finite, in one reduction when so: a
+    finite sum has only finite terms, and a sum that overflows leaves the
+    decision to the entries."""
+    return math.isfinite(x.sum()) or bool(np.isfinite(x).all())
+
+
+def _unchecked() -> np.errstate:
+    """numpy's error state around evaluations and steps: overflow and invalid
+    operations pass silently, because their results are checked for
+    finiteness and reported by name."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
@@ -176,55 +192,58 @@ def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
     irfft of the stacked derivative and average spectra feed the pointwise
     terms, which are written into the work arrays of ``ws``; beside the
     transforms, only the returned array is new.
+
+    The caller holds numpy's error state at ``_unchecked()``, once per run step
+    or public call rather than once here: an overflow surfaces as a
+    non-finite output, which this function reports by term.
     """
     p = ws.p
     a, w = u[0], u[1]  # indexing: unpacking an array iterates it, which is slower
-    with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
-        if sqrt:
-            fields = ws.fields
-            fields[:2] = u
-            rho = np.multiply(w, w, out=fields[2])
-            uh = np.fft.rfft(fields)  # rows A, eta, rho
-            rho_hat = uh[2]
-            np.multiply(rho_hat, ws.ik, out=ws.density_x_spectrum)
-        else:
-            rho = w
-            uh = np.fft.rfft(u)  # rows A, rho
-            rho_hat = uh[1]
-        np.multiply(rho_hat, ws.avg_sym, out=ws.avg_spectrum)
-        np.multiply(uh[:2], ws.ik_rows, out=ws.first)
-        np.multiply(uh[:2], ws.ik2_rows, out=ws.second)
-        d = np.fft.irfft(ws.spectra[sqrt], n=ws.n)
-        ax, wx, axx, wxx, avg = d[0], d[1], d[2], d[3], d[4]
-        rx = d[5] if sqrt else wx
-        # row by row: a product of a row with a stack of rows is slower in numpy
-        area_flux = np.multiply(rho, axx, out=ws.area_flux)
-        area_flux += np.multiply(rx, ax, out=ws.scratch)
-        w_flux = np.multiply(rho, wxx, out=ws.w_flux)
-        w_flux += np.multiply(rx, wx, out=ws.scratch)
+    if sqrt:
+        fields = ws.fields
+        fields[:2] = u
+        rho = np.multiply(w, w, out=fields[2])
+        uh = np.fft.rfft(fields)  # rows A, eta, rho
+        rho_hat = uh[2]
+        np.multiply(rho_hat, ws.ik, out=ws.density_x_spectrum)
+    else:
+        rho = w
+        uh = np.fft.rfft(u)  # rows A, rho
+        rho_hat = uh[1]
+    np.multiply(rho_hat, ws.avg_sym, out=ws.avg_spectrum)
+    np.multiply(uh[:2], ws.ik_rows, out=ws.first)
+    np.multiply(uh[:2], ws.ik2_rows, out=ws.second)
+    d = np.fft.irfft(ws.spectra[sqrt], n=ws.n)
+    ax, wx, axx, wxx, avg = d[0], d[1], d[2], d[3], d[4]
+    rx = d[5] if sqrt else wx
+    # row by row: a product of a row with a stack of rows is slower in numpy
+    area_flux = np.multiply(rho, axx, out=ws.area_flux)
+    area_flux += np.multiply(rx, ax, out=ws.scratch)
+    w_flux = np.multiply(rho, wxx, out=ws.w_flux)
+    w_flux += np.multiply(rx, wx, out=ws.scratch)
 
-        pressure = np.multiply(rho, ws.pressure_rate, out=ws.pressure)
-        pressure += avg
-        density_area = np.multiply(rho, a, out=ws.density_area)
-        area_reaction = np.add(pressure, p.beta_tilde, out=ws.area)
-        area_reaction -= np.multiply(density_area, ws.area_crowding, out=ws.scratch)
-        area_reaction *= a
-        g = np.subtract(p.beta, pressure, out=ws.growth)
-        g -= np.multiply(density_area, ws.density_crowding, out=ws.scratch)
-        w_reaction = g
-        if sqrt:
-            g *= np.multiply(0.5, w, out=ws.scratch)
-            w_transport = np.multiply(w, wx, out=ws.transport)
-            w_transport *= wx
-            w_transport += w_flux
-        else:
-            g *= w
-            w_transport = w_flux
-        out = np.empty(u.shape)
-        np.add(area_reaction, area_flux, out=out[0])
-        np.add(w_reaction, w_transport, out=out[1])
+    pressure = np.multiply(rho, ws.pressure_rate, out=ws.pressure)
+    pressure += avg
+    density_area = np.multiply(rho, a, out=ws.density_area)
+    area_reaction = np.add(pressure, p.beta_tilde, out=ws.area)
+    area_reaction -= np.multiply(density_area, ws.area_crowding, out=ws.scratch)
+    area_reaction *= a
+    g = np.subtract(p.beta, pressure, out=ws.growth)
+    g -= np.multiply(density_area, ws.density_crowding, out=ws.scratch)
+    w_reaction = g
+    if sqrt:
+        g *= np.multiply(0.5, w, out=ws.scratch)
+        w_transport = np.multiply(w, wx, out=ws.transport)
+        w_transport *= wx
+        w_transport += w_flux
+    else:
+        g *= w
+        w_transport = w_flux
+    out = np.empty(u.shape)
+    np.add(area_reaction, area_flux, out=out[0])
+    np.add(w_reaction, w_transport, out=out[1])
 
-    if not np.isfinite(out, out=ws.finite).all():
+    if not _all_finite(out):
         terms = zip((area_reaction, area_flux, w_reaction, w_transport), _TERM_NAMES[sqrt])
         bad = (name for term, name in terms if not np.all(np.isfinite(term)))
         # finite terms whose sum overflows name no single term
@@ -244,7 +263,10 @@ def _rhs_sqrt_core(ws: Workspace, u: np.ndarray) -> np.ndarray:
 
 def _rhs_regularized_core(ws: Workspace, u: np.ndarray, damp: np.ndarray) -> np.ndarray:
     """Mollified right side: smooth the stacked (A, rho) by the heat multiplier
-    ``damp``, assemble, smooth the result."""
+    ``damp``, assemble, smooth the result.
+
+    Callers pass ``damp`` as complex, the values numpy would otherwise cast
+    it to on each product."""
     n = ws.grid.n_points
     uh = np.fft.rfft(u)
     uh *= damp
@@ -261,14 +283,19 @@ def _fields(grid: Grid, d: np.ndarray) -> tuple[Field, Field]:
 def rhs(s: State, p: ModelParams) -> tuple[Field, Field]:
     """Time derivatives (dA/dt, drho/dt) of the original system."""
     u = np.stack((s.A.values, s.rho.values))
-    return _fields(s.grid, _rhs_core(Workspace(s.grid, p, p.kernel.symbol(s.grid)), u))
+    with _unchecked():
+        d = _rhs_core(Workspace(s.grid, p, p.kernel.symbol(s.grid)), u)
+    return _fields(s.grid, d)
 
 
 def rhs_regularized(s: State, p: ModelParams, eps: float) -> tuple[Field, Field]:
     """Time derivatives of the heat-semigroup-mollified system (eps = 0 is rhs up to roundoff)."""
     u = np.stack((s.A.values, s.rho.values))
     ws = Workspace(s.grid, p, p.kernel.symbol(s.grid))
-    return _fields(s.grid, _rhs_regularized_core(ws, u, heat_multiplier(s.grid, eps)))
+    damp = heat_multiplier(s.grid, eps).astype(complex)
+    with _unchecked():
+        d = _rhs_regularized_core(ws, u, damp)
+    return _fields(s.grid, d)
 
 
 def rhs_sqrt(A: Field, eta: Field, p: ModelParams) -> tuple[Field, Field]:
@@ -278,7 +305,9 @@ def rhs_sqrt(A: Field, eta: Field, p: ModelParams) -> tuple[Field, Field]:
     if float(np.min(eta.values)) < 0.0:
         raise ValueError("eta must be nonnegative")
     u = np.stack((A.values, eta.values))
-    return _fields(A.grid, _rhs_sqrt_core(Workspace(A.grid, p, p.kernel.symbol(A.grid)), u))
+    with _unchecked():
+        d = _rhs_sqrt_core(Workspace(A.grid, p, p.kernel.symbol(A.grid)), u)
+    return _fields(A.grid, d)
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +339,11 @@ def energy(
     caller that holds ``_energy_spectra(a, rho)`` already passes it as
     ``stacked``.
     """
-    fields, (rh, ah, rooth) = _energy_spectra(a, rho) if stacked is None else stacked
+    fields, spectra = _energy_spectra(a, rho) if stacked is None else stacked
     dx = grid.dx
-    spectra = np.empty((3, rh.size), dtype=complex)
     with np.errstate(over="ignore"):  # energies may legitimately reach +inf
-        # d^3 rho, d^2 A and d^2 sqrt(rho)
-        np.multiply(rh, grid.d3, out=spectra[0])
-        np.multiply(ah, grid.d2, out=spectra[1])
-        np.multiply(rooth, grid.d2, out=spectra[2])
-        derivatives = np.fft.irfft(spectra, n=grid.n_points)
+        # d^3 rho, d^2 A and d^2 sqrt(rho) in one product with the grid's block
+        derivatives = np.fft.irfft(spectra * grid.d3_d2_d2, n=grid.n_points)
         r_m, a_m1, root_xx = np.square(derivatives, out=derivatives).sum(axis=1)
         rho_2, a_2, root_2 = np.square(fields).sum(axis=1)
         e_tilde = 1.0 + float(r_m * dx + rho_2 * dx + a_2 * dx + a_m1 * dx)

@@ -25,6 +25,7 @@ from xdiff.integrator import (
     _record,
     _rkl2,
     _rkl2_table,
+    _step_arrays,
     _Stepper,
     cfl_dt,
     run,
@@ -32,7 +33,7 @@ from xdiff.integrator import (
     step,
 )
 from xdiff.kernel import BoxKernel
-from xdiff.model import ModelParams, State
+from xdiff.model import ModelParams, NumericalFault, State, _unchecked
 
 REFERENCE = dict(alpha=1.0, mu=0.5, beta=0.75, beta_tilde=0.5, K=1.0, K_tilde=0.5)
 
@@ -651,3 +652,53 @@ class TestRunProperties:
         for rec in out.series:
             assert rec.min_rho >= 0.0 and rec.min_A >= 0.0
             assert rec.symmetry_defect_rho <= 1e-12 * max(rec.max_rho, 1.0)
+
+
+class TestErrorState:
+    @pytest.mark.parametrize("kind", ["original", "regularized", "sqrt"])
+    def test_a_run_enters_one_error_state_per_step_beyond_its_records(
+        self, params, kind, monkeypatch
+    ):
+        # entering np.errstate costs microseconds, so a run holds one scope per
+        # step around all its evaluations; only the record path adds its own
+        import xdiff.integrator as integrator
+
+        entered = {"record": 0, "step": 0}
+        in_record = []
+        errstate, record = np.errstate, integrator._record
+
+        def counted_errstate(*args, **kwargs):
+            entered["record" if in_record else "step"] += 1
+            return errstate(*args, **kwargs)
+
+        def counted_record(*args):
+            in_record.append(True)
+            try:
+                return record(*args)
+            finally:
+                in_record.pop()
+
+        monkeypatch.setattr(np, "errstate", counted_errstate)
+        monkeypatch.setattr(integrator, "_record", counted_record)
+        mode = RunMode(kind, eps=1e-3) if kind == "regularized" else RunMode(kind)
+        # the snapshots split the run into several steps
+        out = run(smooth_config(params, mode=mode, snapshot_times=(2.5e-4, 5e-4, 7.5e-4)))
+        assert out.halt_reason is HaltReason.REACHED_T_END
+        assert out.rhs_evals > out.steps >= 4
+        assert entered["step"] == out.steps
+
+    def test_a_stepped_state_whose_sum_overflows_is_not_a_fault(self, params):
+        # one reduction checks the stepped state; when its sum overflows, the
+        # entries decide
+        g = Grid(1.0, 32)
+        big = np.full((2, 32), 1e307)
+        keep = lambda v, dt, f, f_v, stages, work: v.copy()
+        stepper = _Stepper(g, params, params.kernel.symbol(g), RunMode(), keep)
+        with _unchecked():
+            assert np.sum(big) == np.inf
+            u, clipped_a, clipped_rho = _step_arrays(g, stepper, big, None, 1e-6, 4)
+        assert u.tobytes() == big.tobytes()
+        assert clipped_a == clipped_rho == 0.0
+        big[1, 5] = np.inf
+        with _unchecked(), pytest.raises(NumericalFault, match="^non-finite state after step$"):
+            _step_arrays(g, stepper, big, None, 1e-6, 4)

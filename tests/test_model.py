@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from xdiff.integrator import RunMode, _apply_positivity, step
 from xdiff.kernel import BoxKernel, heat_multiplier, mollify
 from xdiff.model import (
     ModelParams,
+    NumericalFault,
     State,
     Workspace,
     _rhs_core,
@@ -553,3 +557,92 @@ class TestAssemblyOracle:
         got = step(s, PARAMS, dt, mode)
         expected = oracle_step(grid, u, PARAMS, dt, mode)
         assert same_bits(np.stack((got.A.values, got.rho.values)), expected)
+
+
+# ---------------------------------------------------------------------------
+# finiteness: the public entries own numpy's error state, and one reduction
+# decides only when the output's sum is finite
+# ---------------------------------------------------------------------------
+
+
+def uniform(grid, value):
+    return Field(grid, np.full(grid.n_points, value))
+
+
+OVERFLOWING_ENTRIES = {
+    "rhs": (lambda g: rhs(constant_state(g, r=1e160), PARAMS), "density reaction terms"),
+    "rhs_regularized": (
+        lambda g: rhs_regularized(constant_state(g, r=1e160), PARAMS, 1e-3),
+        "density reaction terms",
+    ),
+    # eta g / 2 overflows while the area reaction, in rho = eta^2, does not
+    "rhs_sqrt": (
+        lambda g: rhs_sqrt(uniform(g, 1.0), uniform(g, 1e110), PARAMS),
+        "eta reaction terms",
+    ),
+    "rhs_sqrt-square": (
+        lambda g: rhs_sqrt(uniform(g, 1.0), uniform(g, 1e160), PARAMS),
+        "area reaction terms (sqrt form)",
+    ),
+    "step": (lambda g: step(constant_state(g, r=1e160), PARAMS, 1e-6), "density reaction terms"),
+    "step-regularized": (
+        lambda g: step(constant_state(g, r=1e160), PARAMS, 1e-6, RunMode("regularized", eps=1e-3)),
+        "density reaction terms",
+    ),
+    "step-sqrt": (
+        lambda g: step(constant_state(g, r=1e220), PARAMS, 1e-6, RunMode("sqrt")),
+        "eta reaction terms",
+    ),
+    # eta = 1e80 passes the first stage; eta^2 overflows in the second
+    "step-sqrt-second-stage": (
+        lambda g: step(constant_state(g, r=1e160), PARAMS, 1e-6, RunMode("sqrt")),
+        "area reaction terms (sqrt form)",
+    ),
+}
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("entry", list(OVERFLOWING_ENTRIES))
+    def test_every_public_entry_fails_by_name_on_overflow(self, entry):
+        # no evaluation enters an error state of its own, so each public entry
+        # holds one: an overflow must surface as the named fault, never as a
+        # RuntimeWarning
+        call, term = OVERFLOWING_ENTRIES[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalFault, match=f"^non-finite values in {re.escape(term)}$"):
+                call(Grid(1.0, 16))
+
+    def test_finite_terms_whose_sum_overflows_are_not_a_fault(self):
+        # on the constant state rho = 1e154 the density row is about -1.3e308
+        # at every node: finite, though the row's sum is -inf
+        grid = Grid(1.0, 16)
+        s = constant_state(grid, r=1e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, drho = rhs(s, PARAMS)
+        assert np.all(np.isfinite(drho.values)) and np.all(drho.values < -1e308)
+        with np.errstate(over="ignore"):
+            assert np.sum(drho.values) == -np.inf
+
+    @pytest.mark.parametrize(
+        "a, r, term",
+        [(1.0, 1e155, "density reaction terms"), (1e155, 1.0, "area reaction terms")],
+    )
+    def test_a_single_non_finite_term_is_named(self, a, r, term):
+        # one term overflows and the others stay finite
+        grid = Grid(1.0, 16)
+        with pytest.raises(NumericalFault, match=f"^non-finite values in {term}$"):
+            rhs(constant_state(grid, a=a, r=r), PARAMS)
+
+    def test_evaluations_enter_no_error_state(self, monkeypatch):
+        entered = []
+        monkeypatch.setattr(np, "errstate", counting(entered, "errstate", np.errstate))
+        grid = Grid(1.0, 64)
+        u = np.stack((np.ones(64), 1.0 + 0.1 * np.cos(np.pi * grid.x)))
+        ws = Workspace(grid, PARAMS, PARAMS.kernel.symbol(grid))
+        damp = heat_multiplier(grid, 1e-3).astype(complex)
+        _rhs_core(ws, u)
+        _rhs_sqrt_core(ws, u)
+        _rhs_regularized_core(ws, u, damp)
+        assert entered == []

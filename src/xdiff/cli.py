@@ -76,15 +76,19 @@ def write_outputs(outcome: RunOutcome, config: RunConfig) -> None:
     with open(os.path.join(out_dir, "series.csv"), "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    # a run's snapshots share its grid, so the x column is rendered once, and
-    # rows are streamed to the file, not joined first
+    # a run's snapshots share its grid, so the x column and the file's format
+    # are built once; each file is one % over the flat (x, A, rho, ...) rows
     snapshots = outcome.snapshots
-    x_column = ["%.17g" % x for x in snapshots[0].grid.x.tolist()] if snapshots else []
+    if snapshots:
+        n = snapshots[0].grid.n_points
+        file_format = "x,A,rho\n" + "%s,%.17g,%.17g\n" * n
+        flat: list = [None] * (3 * n)
+        flat[0::3] = ["%.17g" % x for x in snapshots[0].grid.x.tolist()]
     for k, snap in enumerate(snapshots):
-        columns = (x_column, snap.A.values.tolist(), snap.rho.values.tolist())
+        flat[1::3] = snap.A.values.tolist()
+        flat[2::3] = snap.rho.values.tolist()
         with open(os.path.join(out_dir, f"snapshot_{k}.csv"), "w", newline="\n") as fh:
-            fh.write("x,A,rho\n")
-            fh.writelines(map("%s,%.17g,%.17g\n".__mod__, zip(*columns)))
+            fh.write(file_format % tuple(flat))
 
     zero_set = [r.zero_set_max_rho for r in outcome.series if r.zero_set_max_rho is not None]
     summary = [

@@ -1,15 +1,16 @@
 """Explicit time advancement with degenerate-diffusion step control.
 
-A run steps one of the three evolution forms with RKL2 super-time-stepping
-(Meyer, Balsara & Aslam 2014), each stage the same pointwise right side.  An
-RKL2 step of s stages is stable on [-(s^2 + s - 2)/2, 0] of the real axis, so
-each step takes the size that accuracy, the snapshots and the end time allow,
-capped by the stability of ``S_CAP`` stages, and then the fewest stages that
-are stable at that size.  The diffusive unit is dx^2 / max(rho), since the
-density weights the flux of both equations.  The public ``step`` is
-classical RK4, the fourth-order reference for fixed-step convergence checks.
-Runs halt on reaching the end time, on the two-signal blow-up detector, on
-step-size underflow, or on loss of finiteness.
+A run steps one of the three evolution forms with second-order damped RKC
+super-time-stepping (Sommeijer, Shampine & Verwer 1998), each stage the same
+pointwise right side.  A damped RKC step of s stages is stable on
+[-beta(s), 0] of the real axis, beta(s) about 0.653 s^2 at the damping
+``DAMPING``, so each step takes the size that accuracy, the snapshots and the
+end time allow, capped by the stability of ``S_CAP`` stages, and then the
+fewest stages that are stable at that size.  The diffusive unit is
+dx^2 / max(rho), since the density weights the flux of both equations.  The
+public ``step`` is classical RK4, the fourth-order reference for fixed-step
+convergence checks.  Runs halt on reaching the end time, on the two-signal
+blow-up detector, on step-size underflow, or on loss of finiteness.
 """
 
 from __future__ import annotations
@@ -49,18 +50,33 @@ RISE_WINDOW = 0.04  # trailing time, in units of 1/y0, over which the curvature 
 RUN_MODES = ("original", "regularized", "sqrt")
 
 RK4_REAL_STABILITY = 2.7853  # RK4 is stable on [-2.7853, 0] of the real axis
-S_CAP = 40  # most stages in one RKL2 step, bounding roundoff growth through them
+S_CAP = 40  # most stages in one RKC step, bounding roundoff growth through them
+DAMPING = 2.0 / 13.0  # RKC's epsilon, in w0 = 1 + epsilon / s^2: keeps |R| off 1 away from z = 0
 CHANGE_FRACTION = 0.005  # a step's first-order change of each row, over the row's maximum
 CURVATURE_FRACTION = 0.02  # a step's share of 1/y, y the central curvature, when y0 > 0
 
 
+def _chebyshev(s: int, x: float) -> tuple[list[float], list[float], list[float]]:
+    """T_j(x), T_j'(x) and T_j''(x) for j = 0..s, by the three-term recurrence."""
+    t, d1, d2 = [1.0, x], [0.0, 1.0], [0.0, 0.0]
+    for j in range(2, s + 1):
+        t.append(2.0 * x * t[j - 1] - t[j - 2])
+        d1.append(2.0 * t[j - 1] + 2.0 * x * d1[j - 1] - d1[j - 2])
+        d2.append(4.0 * d1[j - 1] + 2.0 * x * d2[j - 1] - d2[j - 2])
+    return t, d1, d2
+
+
+@functools.cache
 def stability_interval(stages: int) -> float:
-    """Length (s^2 + s - 2)/2 of the real interval on which s-stage RKL2 is stable."""
-    return (stages * stages + stages - 2) / 2.0
+    """Length beta(s) = (w0 + 1) T_s''(w0) / T_s'(w0) of the real interval on
+    which s-stage damped RKC is stable, with w0 = 1 + DAMPING / s^2."""
+    w0 = 1.0 + DAMPING / stages**2
+    _, d1, d2 = _chebyshev(stages, w0)
+    return (w0 + 1.0) * d2[stages] / d1[stages]
 
 
-# the longest stable RKL2 step over the RK4 step, 294.0 at the cap
-RKL2_GAIN = stability_interval(S_CAP) / RK4_REAL_STABILITY
+# the longest stable RKC step over the RK4 step, 375.1 at the cap
+RKC_GAIN = stability_interval(S_CAP) / RK4_REAL_STABILITY
 
 
 class HaltReason(str, enum.Enum):
@@ -141,18 +157,18 @@ def _rk4_dt(dx: float, rho_max: float, ctrl: StepControl) -> float:
 
 
 def cfl_dt(dx: float, rho_max: float, ctrl: StepControl) -> float:
-    """RKL2 stability bound RKL2_GAIN * cfl_safety * dx^2 / max(rho), clamped to the dt window.
+    """RKC stability bound RKC_GAIN * cfl_safety * dx^2 / max(rho), clamped to the dt window.
 
-    Scaled by ``RKL2_GAIN``, the RK4 bound becomes that of ``S_CAP`` stages,
+    Scaled by ``RKC_GAIN``, the RK4 bound becomes that of ``S_CAP`` stages,
     and ``cfl_safety`` keeps its meaning as a fraction of the stability limit.
     A run takes the density maximum ``rho_max`` once per step for this bound
     and for ``_stages``.
     """
-    return min(max(_rk4_dt(dx, rho_max, ctrl) * RKL2_GAIN, ctrl.dt_min), ctrl.dt_max)
+    return min(max(_rk4_dt(dx, rho_max, ctrl) * RKC_GAIN, ctrl.dt_min), ctrl.dt_max)
 
 
 def _stages(dx: float, rho_max: float, ctrl: StepControl, dt: float) -> int:
-    """Fewest RKL2 stages, at least 2 and at most ``S_CAP``, that are stable at ``dt``.
+    """Fewest RKC stages, at least 2 and at most ``S_CAP``, that are stable at ``dt``.
 
     s stages are stable up to ``stability_interval(s)`` forward-Euler units,
     the RK4 bound over ``RK4_REAL_STABILITY``.
@@ -205,7 +221,7 @@ def _rk4(
     """Classical RK4 from the first stage ``k1 = f(u)``, evaluated here when not given.
 
     ``stages`` is always 4, and ``work`` is not used; both arguments only
-    match RKL2's signature.
+    match RKC's signature.
     """
     if k1 is None:
         k1 = f(u)
@@ -216,24 +232,28 @@ def _rk4(
 
 
 @functools.cache
-def _rkl2_table(s: int) -> tuple[float, tuple[tuple[float, float, float, float], ...]]:
-    """``mu~_1`` and the rows ``(mu_j, nu_j, mu~_j, gamma~_j)``, j = 2..s, of RKL2.
+def _rkc_table(s: int) -> tuple[float, tuple[tuple[float, float, float, float], ...]]:
+    """``mu~_1`` and the rows ``(mu_j, nu_j, mu~_j, gamma~_j)``, j = 2..s, of damped RKC.
 
-    With w1 = 4 / (s^2 + s - 2), b_0 = b_1 = b_2 = 1/3 and
-    b_j = (j^2 + j - 2) / (2 j (j + 1)), the stability polynomial is
-    a_s + b_s P_s(1 + w1 z) for the Legendre polynomial P_s and a_j = 1 - b_j.
+    With w0 = 1 + DAMPING / s^2, w1 = T_s'(w0) / T_s''(w0),
+    b_j = T_j''(w0) / T_j'(w0)^2 for j >= 2 and b_0 = b_1 = b_2, the
+    stability polynomial is a_s + b_s T_s(w0 + w1 z) for the Chebyshev
+    polynomial T_s and a_j = 1 - b_j T_j(w0).
     """
-    w1 = 4.0 / (s * s + s - 2)
-    b = [1.0 / 3.0, 1.0 / 3.0] + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(2, s + 1)]
+    w0 = 1.0 + DAMPING / s**2
+    t, d1, d2 = _chebyshev(s, w0)
+    w1 = d1[s] / d2[s]
+    b = [d2[j] / d1[j] ** 2 for j in range(2, s + 1)]
+    b = [b[0], b[0]] + b
     rows = []
     for j in range(2, s + 1):
-        mu = (2 * j - 1) / j * b[j] / b[j - 1]
-        nu = -(j - 1) / j * b[j] / b[j - 2]
-        rows.append((mu, nu, mu * w1, -(1.0 - b[j - 1]) * mu * w1))
+        mu_t = 2.0 * b[j] * w1 / b[j - 1]
+        gamma_t = -(1.0 - b[j - 1] * t[j - 1]) * mu_t
+        rows.append((2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2], mu_t, gamma_t))
     return b[1] * w1, tuple(rows)
 
 
-def _rkl2(
+def _rkc(
     u: np.ndarray,
     dt: float,
     f: _Rhs,
@@ -241,7 +261,7 @@ def _rkl2(
     stages: int = S_CAP,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One RKL2 step of ``stages`` stages in increment form: d_j = Y_j - u, returning u + d_s.
+    """One damped RKC step of ``stages`` stages in increment form: d_j = Y_j - u, returning u + d_s.
 
     The first stage ``f_u = f(u)`` does not depend on dt, so a caller that
     has it to choose dt passes it in, and the step scales it by dt in place;
@@ -257,7 +277,7 @@ def _rkl2(
     and the product buffer are separate, so an f that returns its argument
     or a view of it still gives the plain expressions' result.
     """
-    mu1, rows = _rkl2_table(stages)
+    mu1, rows = _rkc_table(stages)
     if f_u is None:
         g = dt * f(u)
     else:
@@ -280,7 +300,7 @@ def _rkl2(
 class _Stepper:
     """A ``scheme`` applied to one evolution form of the stacked (A, rho).
 
-    Built once per run (``_rkl2``) or per public ``step`` (``_rk4``), so the
+    Built once per run (``_rkc``) or per public ``step`` (``_rk4``), so the
     right sides' workspace and the scheme's work arrays live exactly as long
     as that run or step; the right sides are looked up at call time, so a
     wrapper installed on this module's names sees every stage, and ``evals``
@@ -330,8 +350,8 @@ def _step_arrays(
 
 def step(s: State, p: ModelParams, dt: float, mode: RunMode = RunMode()) -> State:
     """Advance one classical RK4 step of the selected evolution form."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     grid = s.grid
     stepper = _Stepper(grid, p, p.kernel.symbol(grid), mode, _rk4)
     v = stepper.stepped(np.stack((s.A.values, s.rho.values)))
@@ -451,7 +471,7 @@ def run(config) -> RunOutcome:
     u, clipped_a, clipped_rho = _apply_positivity(np.stack((a0, rho0)), grid.dx)
     t = 0.0
 
-    stepper = _Stepper(grid, p, p.kernel.symbol(grid), mode, _rkl2)
+    stepper = _Stepper(grid, p, p.kernel.symbol(grid), mode, _rkc)
     zero_nodes = np.flatnonzero(_interior_zero_mask(u[1]))
     initial_mass_A = float(np.sum(u[0]) * grid.dx)
     initial_mass_rho = float(np.sum(u[1]) * grid.dx)
@@ -498,7 +518,7 @@ def run(config) -> RunOutcome:
         try:
             # one error state per step: the evaluations and the step check finiteness
             with _unchecked():
-                # RKL2's first stage f(v) does not depend on dt, so it serves the step rule too
+                # RKC's first stage f(v) does not depend on dt, so it serves the step rule too
                 v = stepper.stepped(u)
                 f_v = stepper.f(v)
                 rho_max = float(u[1].max())

@@ -273,7 +273,11 @@ def _rhs_regularized_core(ws: Workspace, u: np.ndarray, damp: np.ndarray) -> np.
     smoothed = np.fft.irfft(uh, n=n)
     uh = np.fft.rfft(_assemble(ws, smoothed, sqrt=False))
     uh *= damp
-    return np.fft.irfft(uh, n=n)
+    out = np.fft.irfft(uh, n=n)
+    # a finite assembled side may still overflow in the transform
+    if not _all_finite(out):
+        raise NumericalFault("non-finite values in smoothed right-hand side")
+    return out
 
 
 def _fields(grid: Grid, d: np.ndarray) -> tuple[Field, Field]:

@@ -117,12 +117,12 @@ def reference_params():
 
 @pytest.fixture
 def rk4_run_loop(monkeypatch):
-    """Runs step with classical RK4 at its own step bound, the run loop RKL2
-    replaced, as a reference for the RKL2 results."""
+    """Runs step with classical RK4 at its own step bound, the run loop RKC
+    replaced, as a reference for the RKC results."""
     import xdiff.integrator as integrator
 
-    monkeypatch.setattr(integrator, "_rkl2", integrator._rk4)
-    monkeypatch.setattr(integrator, "RKL2_GAIN", 1.0)
+    monkeypatch.setattr(integrator, "_rkc", integrator._rk4)
+    monkeypatch.setattr(integrator, "RKC_GAIN", 1.0)
 
 
 def test_criterion_1_blowup_reproduction(fig1):
@@ -180,13 +180,13 @@ def test_criterion_1_halt_across_record_cadences():
 
 
 @pytest.mark.slow
-def test_criterion_1_rkl2_halt_agrees_with_rk4(fig1, rk4_run_loop):
-    # RKL2 takes about 40 times fewer steps than RK4 and halts within 1% of it
-    with criterion(1, "blow-up halt, RKL2 against RK4"):
+def test_criterion_1_rkc_halt_agrees_with_rk4(fig1, rk4_run_loop):
+    # RKC takes about 40 times fewer steps than RK4 and halts within 1% of it
+    with criterion(1, "blow-up halt, RKC against RK4"):
         rk4 = xdiff.run(preset("fig1-blowup"))
         assert rk4.halt_reason is xdiff.HaltReason.BLOWUP_DETECTED, rk4.fault_detail
-        rkl2_halt = float(fig1["outcome"]["final_t"])
-        assert rkl2_halt == pytest.approx(rk4.final_state.t, rel=0.01)
+        rkc_halt = float(fig1["outcome"]["final_t"])
+        assert rkc_halt == pytest.approx(rk4.final_state.t, rel=0.01)
         assert int(fig1["outcome"]["steps"]) * 15 < rk4.steps
 
 
@@ -287,7 +287,7 @@ def test_criterion_4_expansion_under_refinement(fig2):
 
 def test_criteria_3_and_4_agree_between_steppers(fig2, rk4_run_loop):
     # RK4 at the same N gives the same advance and zero set
-    with criterion(4, "area support expansion, RK4 against RKL2"):
+    with criterion(4, "area support expansion, RK4 against RKC"):
         cfg = fig2["config"]
         dx = 2.0 * cfg.grid_L / cfg.grid_N
         rk4 = xdiff.run(preset("fig2-support"))
@@ -299,10 +299,10 @@ def test_criteria_3_and_4_agree_between_steppers(fig2, rk4_run_loop):
         assert float(fig2["outcome"]["max_rho_on_initial_zero_set"]) <= 1e-10
 
 
-def test_criterion_4_no_retreat_at_any_rkl2_step():
+def test_criterion_4_no_retreat_at_any_rkc_step():
     # the preset records every 10th of its 11 steps; recording each one
     # checks the hull at every step
-    with criterion(4, "area hull never retreats at any RKL2 step"):
+    with criterion(4, "area hull never retreats at any RKC step"):
         out = xdiff.run(preset_with_overrides("fig2-support", {"run.record_every": "1"}))
         assert out.halt_reason is xdiff.HaltReason.REACHED_T_END
         assert len(out.series) == out.steps + 1

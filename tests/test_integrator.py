@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,15 +18,16 @@ from xdiff.config import (
 )
 from xdiff.grid import Field, Grid, InvalidValue
 from xdiff.integrator import (
-    RKL2_GAIN,
+    DAMPING,
+    RKC_GAIN,
     S_CAP,
     HaltReason,
     RunMode,
     StepControl,
     _blowup_detected,
     _record,
-    _rkl2,
-    _rkl2_table,
+    _rkc,
+    _rkc_table,
     _step_arrays,
     _Stepper,
     cfl_dt,
@@ -101,13 +104,13 @@ class TestRunModeValidation:
 class TestCflDt:
     def test_reference_arithmetic(self, params):
         # the RK4 bound 0.25 dx^2 scaled by the ratio of the real stability
-        # intervals, (s^2 + s - 2) / 2 = 819 for RKL2 at the s = 40 cap over
+        # intervals, beta(40) = 1044.76 for damped RKC at the s = 40 cap over
         # 2.7853 for RK4
         g = Grid(1.0, 1024)
         dt = cfl_dt(g.dx, 1.0, StepControl())
-        assert RKL2_GAIN == pytest.approx(294.04, abs=5e-3)
-        assert dt == 0.25 * g.dx**2 * RKL2_GAIN
-        assert dt == pytest.approx(2.8042e-4, rel=1e-4)
+        assert RKC_GAIN == pytest.approx(375.10, abs=5e-3)
+        assert dt == 0.25 * g.dx**2 * RKC_GAIN
+        assert dt == pytest.approx(3.5772e-4, rel=1e-4)
 
     def test_zero_density_uses_dt_max(self, params):
         g = Grid(1.0, 1024)
@@ -118,7 +121,7 @@ class TestCflDt:
         # within an order of magnitude of the reported frame time scale
         g = Grid(1.0, 1024)
         dt = cfl_dt(g.dx, 2.1875, StepControl())
-        assert dt == pytest.approx(1.2819e-4, rel=1e-4)
+        assert dt == pytest.approx(1.6353e-4, rel=1e-4)
 
     def test_clamped_to_window(self, params):
         g = Grid(1.0, 16)
@@ -168,10 +171,12 @@ class TestStep:
         assert out.rho.values[10] == 0.0
         assert np.min(out.rho.values) >= 0.0
 
-    def test_nonpositive_dt_rejected(self, params):
+    @pytest.mark.parametrize("dt", [0.0, -1e-6, np.nan, np.inf])
+    def test_nonpositive_dt_rejected(self, params, dt):
+        # a bad argument is named as such, not as a fault of the model
         g = Grid(1.0, 64)
-        with pytest.raises(ValueError):
-            step(state_of(g, np.ones(64), np.ones(64)), params, 0.0)
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            step(state_of(g, np.ones(64), np.ones(64)), params, dt)
 
     def test_rk4_self_convergence_order(self, params):
         # smooth strictly positive run at fixed dt; Richardson order from the
@@ -197,44 +202,76 @@ class TestStep:
         assert order >= 3.5
 
 
-def rkl2_polynomial(z, stages=S_CAP):
-    """R(z) of one RKL2 step on y' = z y with dt = 1, through the coefficient table."""
+def rkc_polynomial(z, stages=S_CAP):
+    """R(z) of one RKC step on y' = z y with dt = 1, through the coefficient table."""
     z = np.asarray(z, dtype=float)
-    return _rkl2(np.ones_like(z), 1.0, lambda w: z * w, None, stages)
+    return _rkc(np.ones_like(z), 1.0, lambda w: z * w, None, stages)
 
 
-class TestRkl2:
+def rkc_closed_form(stages):
+    """(w0, w1, a_s, b_s, T_s) of damped RKC from the Chebyshev polynomial T_s."""
+    t_s = np.polynomial.Chebyshev.basis(stages)
+    w0 = 1.0 + DAMPING / stages**2
+    d1, d2 = t_s.deriv(1)(w0), t_s.deriv(2)(w0)
+    b_s = d2 / d1**2
+    return w0, d1 / d2, 1.0 - b_s * t_s(w0), b_s, t_s
+
+
+def rkc_interval_closed_form(stages):
+    """beta(s) = (w0 + 1) T_s''(w0) / T_s'(w0), with T_s(cosh th) = cosh(s th)."""
+    w0 = 1.0 + DAMPING / stages**2
+    th = math.acosh(w0)
+    d1 = stages * math.sinh(stages * th) / math.sinh(th)
+    d2 = stages * (
+        stages * math.cosh(stages * th) * math.sinh(th) - math.sinh(stages * th) * math.cosh(th)
+    ) / math.sinh(th) ** 3
+    return (w0 + 1.0) * d2 / d1
+
+
+class TestRkc:
     def test_stable_on_its_real_interval(self):
-        # (s^2 + s - 2) / 2 = 819 for s = 40, the cap
-        assert stability_interval(S_CAP) == 819
-        z = np.linspace(-819.0, 0.0, 819001)
-        r = rkl2_polynomial(z)
+        # beta(40) = 1044.76 for s = 40, the cap
+        beta = stability_interval(S_CAP)
+        assert beta == pytest.approx(rkc_interval_closed_form(S_CAP), rel=1e-14)
+        assert beta == pytest.approx(1044.76, abs=5e-3)
+        z = np.linspace(-beta, 0.0, 1044761)
+        r = rkc_polynomial(z)
         assert np.max(np.abs(r)) <= 1.0 + 1e-12
-        # just past the interval the even-degree polynomial leaves [-1, 1]
-        assert abs(float(rkl2_polynomial(-819.5))) > 1.0
+        # just past the interval T_s leaves [-1, 1] and |R| passes 1 (1.56)
+        assert abs(float(rkc_polynomial(-beta - 0.5))) > 1.0
 
     @settings(max_examples=200, deadline=None)
     @given(stages=st.integers(2, S_CAP), share=st.floats(0.0, 1.0))
     def test_every_stage_count_is_stable_on_its_interval(self, stages, share):
         # the step rule may pick any s in 2..S_CAP
         z = -share * stability_interval(stages)
-        assert abs(float(rkl2_polynomial(z, stages))) <= 1.0 + 1e-12
+        assert abs(float(rkc_polynomial(z, stages))) <= 1.0 + 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(stages=st.integers(2, S_CAP), share=st.floats(0.0, 1.0))
+    def test_table_reproduces_the_chebyshev_polynomial(self, stages, share):
+        # the three-term recurrence of the table is a_s + b_s T_s(w0 + w1 z)
+        z = -share * stability_interval(stages)
+        w0, w1, a_s, b_s, t_s = rkc_closed_form(stages)
+        assert float(rkc_polynomial(z, stages)) == pytest.approx(
+            a_s + b_s * t_s(w0 + w1 * z), abs=1e-10
+        )
 
     def test_second_order_taylor_agreement(self):
         for h in (1e-2, 1e-3):
             z = np.array([-h, h])
-            defect = rkl2_polynomial(z) - (1.0 + z + 0.5 * z * z)
+            defect = rkc_polynomial(z) - (1.0 + z + 0.5 * z * z)
             assert np.all(np.abs(defect) <= 0.2 * h**3)
 
-    def test_rkl2_self_convergence_order(self, params):
+    def test_rkc_self_convergence_order(self, params):
         # criterion 8's smooth strictly positive problem at N = 16, fixed dt
         g = Grid(1.0, 16)
-        stepper = _Stepper(g, params, params.kernel.symbol(g), RunMode(), _rkl2)
+        stepper = _Stepper(g, params, params.kernel.symbol(g), RunMode(), _rkc)
 
         def solve(dt, n_steps):
             u = np.stack((np.ones(16), 1.0 + 0.1 * np.cos(np.pi * g.x)))
             for _ in range(n_steps):
-                u = _rkl2(u, dt, stepper.f)
+                u = _rkc(u, dt, stepper.f)
             return u
 
         sols = [solve(5e-3 / 2**i, 2 * 2**i) for i in range(3)]
@@ -252,12 +289,12 @@ class TestRkl2:
         u, dt = np.array([1.0, 0.5, 2.0, 5e-324]), 1e-2
         u_before = u.copy()
         g = dt * f(u)
-        mu1, rows = _rkl2_table(S_CAP)
+        mu1, rows = _rkc_table(S_CAP)
         d_old, d = 0.0, mu1 * g
         for mu, nu, mu_t, gamma_t in rows:
             d_old, d = d, mu * d + nu * d_old + mu_t * dt * f(u + d) + gamma_t * g
         expected = u + d
-        assert _rkl2(u, dt, f).tobytes() == expected.tobytes()
+        assert _rkc(u, dt, f).tobytes() == expected.tobytes()
         assert u.tobytes() == u_before.tobytes()
 
 
@@ -525,7 +562,7 @@ class TestRun:
     def test_mollifier_undershoot_at_t0_is_counted(self):
         # the t = 0 clip is charged like a step's: fig2-support's mollified
         # data lose about 8e-9 of area and 8e-10 of density mass there, while
-        # its one RKL2 step clips about 1.6e-9 of area and 2e-11 of density mass
+        # its one RKC step clips about 1.5e-9 of area and 2e-11 of density mass
         cfg = preset_with_overrides(
             "fig2-support",
             {

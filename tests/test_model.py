@@ -575,6 +575,11 @@ OVERFLOWING_ENTRIES = {
         lambda g: rhs_regularized(constant_state(g, r=1e160), PARAMS, 1e-3),
         "density reaction terms",
     ),
+    # the assembled side is finite (about -1.3e308) and overflows when smoothed
+    "rhs_regularized-smoothed": (
+        lambda g: rhs_regularized(constant_state(g, r=1e154), PARAMS, 1e-3),
+        "smoothed right-hand side",
+    ),
     # eta g / 2 overflows while the area reaction, in rho = eta^2, does not
     "rhs_sqrt": (
         lambda g: rhs_sqrt(uniform(g, 1.0), uniform(g, 1e110), PARAMS),
@@ -588,6 +593,10 @@ OVERFLOWING_ENTRIES = {
     "step-regularized": (
         lambda g: step(constant_state(g, r=1e160), PARAMS, 1e-6, RunMode("regularized", eps=1e-3)),
         "density reaction terms",
+    ),
+    "step-regularized-smoothed": (
+        lambda g: step(constant_state(g, r=1e154), PARAMS, 1e-6, RunMode("regularized", eps=1e-3)),
+        "smoothed right-hand side",
     ),
     "step-sqrt": (
         lambda g: step(constant_state(g, r=1e220), PARAMS, 1e-6, RunMode("sqrt")),

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import os
 import typing
 from dataclasses import dataclass
@@ -39,8 +40,8 @@ def _require_finite(spec, *names: str) -> None:
 class PolyBump:
     """amp * (x - a)^p * x^q * (x - b)^r on [a, b], zero outside.
 
-    The closed-form polynomial is evaluated at the nodes and zeroed outside
-    the bump; the contact kink at the endpoints is left unmollified.
+    The closed-form polynomial is evaluated at the nodes inside the bump
+    only; the contact kink at the endpoints is left unmollified.
     """
 
     amp: float
@@ -60,9 +61,10 @@ class PolyBump:
                 raise InvalidValue(name, f"must be a nonnegative integer, got {v!r}")
 
     def sample(self, grid: Grid) -> Field:
-        x = grid.x
-        values = self.amp * (x - self.a) ** self.p * x**self.q * (x - self.b) ** self.r
-        return Field(grid, np.where((x >= self.a) & (x <= self.b), values, 0.0))
+        inside = (grid.x >= self.a) & (grid.x <= self.b)
+        x, values = grid.x[inside], np.zeros(grid.n_points)
+        values[inside] = self.amp * (x - self.a) ** self.p * x**self.q * (x - self.b) ** self.r
+        return Field(grid, values)
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,9 @@ class Cosine:
 
     def __post_init__(self) -> None:
         _require_finite(self, "mean", "amp")
+        # |mean| + |amp| bounds the samples; a Python float overflows to inf silently
+        if not math.isfinite(abs(self.mean) + abs(self.amp)):
+            raise InvalidValue("amp", f"must keep |mean| + |amp| finite, got {self.amp}")
         if not (isinstance(self.mode, (int, np.integer)) and self.mode >= 0):
             raise InvalidValue("mode", f"must be a nonnegative integer, got {self.mode!r}")
 

@@ -122,13 +122,17 @@ def read_node_csv(path: str, grid: Grid) -> np.ndarray:
     """
     xs, vs = [], []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].strip().startswith("#") or row[0].strip().lower() == "x":
                 continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: expected two columns 'x,value', got {row!r}")
-            xs.append(float(row[0]))
-            vs.append(float(row[1]))
+            try:
+                if len(row) != 2:
+                    raise ValueError(f"expected two columns 'x,value', got {row!r}")
+                xs.append(float(row[0]))
+                vs.append(float(row[1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(xs) != grid.n_points or not np.allclose(
         xs, grid.x, rtol=0.0, atol=1e-9 * grid.half_length
     ):

@@ -7,10 +7,12 @@ pointwise right side.  A damped RKC step of s stages is stable on
 ``DAMPING``, so each step takes the size that accuracy, the snapshots and the
 end time allow, capped by the stability of ``S_CAP`` stages, and then the
 fewest stages that are stable at that size.  The diffusive unit is
-dx^2 / max(rho), since the density weights the flux of both equations.  The
-public ``step`` is classical RK4, the fourth-order reference for fixed-step
-convergence checks.  Runs halt on reaching the end time, on the two-signal
-blow-up detector, on step-size underflow, or on loss of finiteness.
+dx^2 / max(rho), since the density weights the flux of both equations.
+``_Stepper`` maps each form to its right side, for runs and for the public
+``rhs`` and ``step``; ``step`` is classical RK4, the fourth-order reference
+for fixed-step convergence checks.  Runs halt on reaching the end time, on
+the two-signal blow-up detector, on step-size underflow, or on loss of
+finiteness.
 """
 
 from __future__ import annotations
@@ -298,21 +300,18 @@ def _rkc(
 
 
 class _Stepper:
-    """A ``scheme`` applied to one evolution form of the stacked (A, rho).
+    """The right side of one evolution form of the stacked (A, rho).
 
-    Built once per run (``_rkc``) or per public ``step`` (``_rk4``), so the
-    right sides' workspace and the scheme's work arrays live exactly as long
-    as that run or step; the right sides are looked up at call time, so a
-    wrapper installed on this module's names sees every stage, and ``evals``
-    counts them.  The sqrt
-    form steps (A, eta) with eta = sqrt(rho) and squares eta back afterwards.
+    Built once per run or public ``rhs`` or ``step`` call, so the workspace
+    and the step's work arrays live exactly as long as that call; the right
+    sides are looked up at call time, so a wrapper installed on this module's
+    names sees every stage, and ``evals`` counts them.  The sqrt form steps
+    (A, eta) with eta = sqrt(rho) and squares eta back afterwards.
     """
 
-    def __init__(
-        self, grid: Grid, p: ModelParams, conv_sym: np.ndarray, mode: RunMode, scheme: _Scheme
-    ):
-        ws = Workspace(grid, p, conv_sym)
-        self.scheme, self.sqrt, self.evals = scheme, mode.kind == "sqrt", 0
+    def __init__(self, grid: Grid, p: ModelParams, mode: RunMode):
+        ws = Workspace(grid, p)
+        self.grid, self.sqrt, self.evals = grid, mode.kind == "sqrt", 0
         self.work = np.empty((4, 2, grid.n_points))
         if self.sqrt:
             self._rhs = lambda w: _rhs_sqrt_core(ws, w)
@@ -335,17 +334,32 @@ class _Stepper:
 
 
 def _step_arrays(
-    grid: Grid, stepper: _Stepper, v: np.ndarray, f_v: np.ndarray | None, dt: float, stages: int
+    stepper: _Stepper,
+    scheme: _Scheme,
+    v: np.ndarray,
+    f_v: np.ndarray | None,
+    dt: float,
+    stages: int,
 ) -> tuple[np.ndarray, float, float]:
-    """One step of ``stages`` stages from the stepped state ``v`` and its right
-    side ``f_v`` (evaluated in the step when None), plus positivity; returns
-    (u, clipped_A, clipped_rho) of the stacked (A, rho)."""
-    u = stepper.scheme(v, dt, stepper.f, f_v, stages, stepper.work)
+    """One ``scheme`` step of ``stages`` stages from the stepped state ``v`` and
+    its right side ``f_v`` (evaluated in the step when None), plus positivity;
+    returns (u, clipped_A, clipped_rho) of the stacked (A, rho)."""
+    u = scheme(v, dt, stepper.f, f_v, stages, stepper.work)
     if stepper.sqrt:
         u[1] *= u[1]
     if not _all_finite(u):
         raise NumericalFault("non-finite state after step")
-    return _apply_positivity(u, grid.dx)
+    return _apply_positivity(u, stepper.grid.dx)
+
+
+def rhs(s: State, p: ModelParams, mode: RunMode = RunMode()) -> tuple[Field, Field]:
+    """Time derivatives (dA/dt, drho/dt) of the selected evolution form at ``s``; in the
+    sqrt form (dA/dt, deta/dt) at eta = sqrt(max(rho, 0)), the state a sqrt run steps."""
+    grid = s.grid
+    stepper = _Stepper(grid, p, mode)
+    with _unchecked():
+        d = stepper.f(stepper.stepped(np.stack((s.A.values, s.rho.values))))
+    return Field(grid, d[0]), Field(grid, d[1])
 
 
 def step(s: State, p: ModelParams, dt: float, mode: RunMode = RunMode()) -> State:
@@ -353,10 +367,10 @@ def step(s: State, p: ModelParams, dt: float, mode: RunMode = RunMode()) -> Stat
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     grid = s.grid
-    stepper = _Stepper(grid, p, p.kernel.symbol(grid), mode, _rk4)
+    stepper = _Stepper(grid, p, mode)
     v = stepper.stepped(np.stack((s.A.values, s.rho.values)))
     with _unchecked():
-        u, _, _ = _step_arrays(grid, stepper, v, None, dt, 4)
+        u, _, _ = _step_arrays(stepper, _rk4, v, None, dt, 4)
     return State(t=s.t + dt, A=Field(grid, u[0]), rho=Field(grid, u[1]))
 
 
@@ -457,13 +471,20 @@ def run(config) -> RunOutcome:
     ctrl: StepControl = config.ctrl
     mode: RunMode = config.mode
 
-    rho0 = config.rho0.sample(grid).values
-    a0 = config.A0.sample(grid).values
-    if mode.kind == "regularized":
-        rho0, a0 = rho0 + mode.delta, a0 + mode.delta
-    for name, values in (("rho0", rho0), ("A0", a0)):
-        if float(np.min(values)) < -POSITIVITY_TOL:
-            raise ValueError(f"{name} must be nonnegative (min {float(np.min(values)):.3e})")
+    initial = []
+    for name, spec in (("rho0", config.rho0), ("A0", config.A0)):
+        try:
+            values = spec.sample(grid).values
+        except ValueError as exc:  # a non-finite sample, or a CSV file that does not fit
+            raise ValueError(f"{name}: {exc}") from None
+        # in Python floats, which overflow to inf where numpy's shift and sum would warn
+        low = float(np.min(values)) + mode.delta
+        if low < -POSITIVITY_TOL:
+            raise ValueError(f"{name} must be nonnegative (min {low:.3e})")
+        if not math.isfinite((sum(values.tolist()) + grid.n_points * mode.delta) * grid.dx):
+            raise ValueError(f"{name} is too large: its mass on the grid overflows")
+        initial.append(values + mode.delta if mode.kind == "regularized" else values)
+    rho0, a0 = initial
     if mode.kind == "regularized":
         # checked before smoothing: the mollifier's truncation undershoot is
         # not the data's, and is clipped and counted below like a step's
@@ -471,7 +492,7 @@ def run(config) -> RunOutcome:
     u, clipped_a, clipped_rho = _apply_positivity(np.stack((a0, rho0)), grid.dx)
     t = 0.0
 
-    stepper = _Stepper(grid, p, p.kernel.symbol(grid), mode, _rkc)
+    stepper = _Stepper(grid, p, mode)
     zero_nodes = np.flatnonzero(_interior_zero_mask(u[1]))
     initial_mass_A = float(np.sum(u[0]) * grid.dx)
     initial_mass_rho = float(np.sum(u[1]) * grid.dx)
@@ -539,7 +560,7 @@ def run(config) -> RunOutcome:
                 remaining = target - t
                 dt = min(raw_dt, remaining)
                 stages = _stages(grid.dx, rho_max, ctrl, dt)
-                u, ca, cr = _step_arrays(grid, stepper, v, f_v, dt, stages)
+                u, ca, cr = _step_arrays(stepper, _rkc, v, f_v, dt, stages)
         except NumericalFault as fault:
             fault_detail = str(fault)
             return out(HaltReason.NUMERICAL_FAULT)

@@ -2,11 +2,11 @@
 
 The original system couples a density equation with porous-medium diffusion
 to an area equation with density-weighted cross-diffusion, both driven by
-logistic reactions and a nonlocal density average.  Two companion forms are
-provided: a mollified variant (all fields smoothed by the periodic heat
+logistic reactions and a nonlocal density average.  Two companion forms
+exist: a mollified variant (all fields smoothed by the periodic heat
 semigroup, with the whole right side smoothed again) and the square-root
-density form used for uniqueness-style cross-checks.  All three share one
-assembly of the right side on the stacked state (A, rho) or (A, eta).
+density form used for uniqueness-style cross-checks.  All three share the
+assembly here, on the stacked arrays; ``xdiff.integrator`` owns the forms.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, Grid, InvalidValue
-from .kernel import KernelSpec, heat_multiplier
+from .kernel import KernelSpec
 
 
 class NumericalFault(RuntimeError):
@@ -90,7 +90,7 @@ class EnergyReport:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides (array level on the stacked state; Field wrappers below)
+# right-hand sides (array level on the stacked state)
 # ---------------------------------------------------------------------------
 
 # Fault names of the four assembled terms, in checking order: area reaction,
@@ -116,18 +116,18 @@ class Workspace:
 
     The constants are the grid, the reaction rates folded for the regrouped
     reactions, and the spectral multipliers: ``ik`` and ``ik2`` stacked for
-    one product with both field rows, and the kernel symbol scaled by the
-    coupling ``mu*alpha``, so that its inverse transform is the coupling's
-    share of the pressure.  The work arrays hold the sqrt form's stacked
-    fields, the derivative spectra and the pointwise terms, sized for the
-    sqrt form's extra density row, so one workspace serves every form; the
-    views into them are cut once here.  The transforms return fresh arrays,
-    because the ``out=`` argument of ``np.fft`` needs numpy 2.  A run builds
-    one and drops it at its end: evaluations overwrite the work arrays, so a
-    workspace is never shared between runs or threads.
+    one product with both field rows, and the kernel's symbol on the grid
+    scaled by the coupling ``mu*alpha``, so that its inverse transform is the
+    coupling's share of the pressure.  The work arrays hold the sqrt form's
+    stacked fields, the derivative spectra and the pointwise terms, sized for
+    the sqrt form's extra density row, so one workspace serves every form;
+    the views into them are cut once here.  The transforms return fresh
+    arrays, because the ``out=`` argument of ``np.fft`` needs numpy 2.  A run
+    or public call builds one and drops it at its end: evaluations overwrite
+    the work arrays, so a workspace is never shared between runs or threads.
     """
 
-    def __init__(self, grid: Grid, p: ModelParams, conv_sym: np.ndarray):
+    def __init__(self, grid: Grid, p: ModelParams):
         n, m = grid.n_points, grid.k.size
         self.grid, self.p, self.n = grid, p, n
         # P = pressure_rate*rho + irfft(rho_hat*avg_sym) is alpha*rho - mu*alpha*(rho - Gamma*rho)
@@ -137,7 +137,7 @@ class Workspace:
         # kernel symbol scaled by mu*alpha and D for the density row
         self.ik_rows, self.ik2_rows = (np.stack((row, row)) for row in (grid.ik, grid.ik2))
         # stored complex: numpy would cast the real symbol to these values on every product
-        self.avg_sym = ((p.mu * p.alpha) * conv_sym).astype(complex)
+        self.avg_sym = ((p.mu * p.alpha) * p.kernel.symbol(grid)).astype(complex)
         self.ik = grid.ik
         self.fields = np.empty((3, n))  # sqrt form: A, eta, rho = eta^2
         spectra = np.empty((6, m), dtype=complex)
@@ -278,40 +278,6 @@ def _rhs_regularized_core(ws: Workspace, u: np.ndarray, damp: np.ndarray) -> np.
     if not _all_finite(out):
         raise NumericalFault("non-finite values in smoothed right-hand side")
     return out
-
-
-def _fields(grid: Grid, d: np.ndarray) -> tuple[Field, Field]:
-    return Field(grid, d[0]), Field(grid, d[1])
-
-
-def rhs(s: State, p: ModelParams) -> tuple[Field, Field]:
-    """Time derivatives (dA/dt, drho/dt) of the original system."""
-    u = np.stack((s.A.values, s.rho.values))
-    with _unchecked():
-        d = _rhs_core(Workspace(s.grid, p, p.kernel.symbol(s.grid)), u)
-    return _fields(s.grid, d)
-
-
-def rhs_regularized(s: State, p: ModelParams, eps: float) -> tuple[Field, Field]:
-    """Time derivatives of the heat-semigroup-mollified system (eps = 0 is rhs up to roundoff)."""
-    u = np.stack((s.A.values, s.rho.values))
-    ws = Workspace(s.grid, p, p.kernel.symbol(s.grid))
-    damp = heat_multiplier(s.grid, eps).astype(complex)
-    with _unchecked():
-        d = _rhs_regularized_core(ws, u, damp)
-    return _fields(s.grid, d)
-
-
-def rhs_sqrt(A: Field, eta: Field, p: ModelParams) -> tuple[Field, Field]:
-    """Time derivatives (dA/dt, deta/dt) of the square-root density form."""
-    if A.grid != eta.grid:
-        raise ValueError("A and eta must share one grid")
-    if float(np.min(eta.values)) < 0.0:
-        raise ValueError("eta must be nonnegative")
-    u = np.stack((A.values, eta.values))
-    with _unchecked():
-        d = _rhs_sqrt_core(Workspace(A.grid, p, p.kernel.symbol(A.grid)), u)
-    return _fields(A.grid, d)
 
 
 # ---------------------------------------------------------------------------

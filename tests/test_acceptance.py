@@ -25,9 +25,9 @@ from xdiff.cli import SERIES_HEADER, main
 from xdiff.config import parse_config, preset, preset_with_overrides, render_config
 from xdiff.diagnostics import support, t_star
 from xdiff.grid import Field, Grid
-from xdiff.integrator import step
+from xdiff.integrator import RunMode, rhs, step
 from xdiff.kernel import mollify
-from xdiff.model import ModelParams, State, blowup_threshold, rhs, rhs_regularized, rhs_sqrt
+from xdiff.model import ModelParams, State, blowup_threshold
 
 from spectral import derivative
 
@@ -35,6 +35,10 @@ RHO_SUP_BOUND = 1.5  # beta / (alpha (1 - mu)) for the reference parameters
 CURVATURE_AT_CENTER = 62.5
 T_STAR_REFERENCE = 1.6009e-2
 AREA_EDGE_ADVANCE = 0.05  # measured 0.0703 at N = 1024, 0.0693 at N = 2048
+# the RK4 run loop's fig2-support area edge advance at N = 2048, 71 cells of
+# 2/2048 on each side: measured with the patch of ``rk4_run_loop`` below
+# (3,183 steps, about 3 s on 2 shared vCPUs), too slow to rerun in the suite
+RK4_AREA_EDGE_ADVANCE_2048 = 0.0693359375
 
 
 @contextmanager
@@ -299,6 +303,20 @@ def test_criteria_3_and_4_agree_between_steppers(fig2, rk4_run_loop):
         assert float(fig2["outcome"]["max_rho_on_initial_zero_set"]) <= 1e-10
 
 
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="RKC's N = 2048 area advance, 0.0674, is two cells short of RK4's",
+)
+def test_area_advance_agrees_with_rk4_at_n2048():
+    # the N = 1024 comparison above, one grid finer, against the pinned RK4 value
+    out = xdiff.run(preset_with_overrides("fig2-support", {"grid.N": "2048"}))
+    assert out.halt_reason is xdiff.HaltReason.REACHED_T_END
+    dx = 2.0 * out.final_state.grid.half_length / 2048
+    advance, _ = area_edge_motion(run_hulls(out))
+    assert np.all(np.abs(advance - RK4_AREA_EDGE_ADVANCE_2048) <= dx), advance
+
+
 def test_criterion_4_no_retreat_at_any_rkc_step():
     # the preset records every 10th of its 11 steps; recording each one
     # checks the hull at every step
@@ -348,12 +366,12 @@ def test_criterion_7_consistency_suite():
 
         s = State(t=0.0, A=ones, rho=Field(g, 1.0 + 0.1 * np.cos(np.pi * g.x)))
         da0, dr0 = rhs(s, p)
-        da_reg, dr_reg = rhs_regularized(s, p, 0.0)
+        da_reg, dr_reg = rhs(s, p, RunMode("regularized", eps=0.0))
         assert np.max(np.abs(da_reg.values - da0.values)) <= 1e-9
         assert np.max(np.abs(dr_reg.values - dr0.values)) <= 1e-9
 
         eta = Field(g, np.sqrt(s.rho.values))
-        _, de = rhs_sqrt(s.A, eta, p)
+        _, de = rhs(State(t=0.0, A=s.A, rho=Field(g, eta.values**2)), p, RunMode("sqrt"))
         residual = 2.0 * eta.values * de.values - dr0.values
         assert np.max(np.abs(residual)) <= 1e-6 * np.max(np.abs(dr0.values))
 

@@ -113,6 +113,30 @@ class TestSampledKernelRun:
         assert (tmp_path / "out" / "series.csv").exists()
 
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("rho0.kind = constant\nrho0.c = 1.0", "rho0.kind = csv\nrho0.path = data.csv"),
+            (
+                "params.kernel.kind = box\nparams.kernel.half_width = 0.05",
+                "params.kernel.kind = sampled\nparams.kernel.csv = data.csv",
+            ),
+        ],
+        ids=["initial-data", "kernel"],
+    )
+    def test_a_bad_csv_cell_is_reported_with_file_and_line(self, tmp_path, capsys, section, key):
+        (tmp_path / "data.csv").write_text("x,value\n-1.0,0.5\n-0.875,abc\n")
+        path, out = write_config(tmp_path, t_end="0.001")
+        path.write_text(path.read_text().replace(section, key))
+        assert main(["run", str(path)]) == 1
+        where = f"{tmp_path / 'data.csv'}: line 3: could not convert string to float: 'abc'"
+        err = capsys.readouterr().err
+        if key.startswith("rho0"):
+            assert err == f"error: rho0: {where}\n"
+        else:
+            assert err == f"error: line 11: params.kernel.csv cannot be loaded: {where}\n"
+
+
 class TestPresetCommand:
     def test_unknown_preset_exits_one(self, tmp_path):
         assert main(["preset", "fig9", "--out", str(tmp_path / "o")]) == 1

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,30 @@ class TestInitialDataSpecs:
         outside = np.abs(g.x) > 0.5
         assert np.all(f.values[outside] == 0.0)
         assert np.all(f.values[~outside] >= 0.0)
+
+    def test_poly_bump_is_evaluated_inside_its_window_only(self):
+        # outside [a, b] this polynomial overflows; its values there are zeros
+        g = Grid(1.0, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = PolyBump(-1e300, -0.5, 0.5, 400, 0, 1).sample(g)
+        inside = (g.x >= -0.5) & (g.x <= 0.5)
+        x = g.x[inside]
+        assert np.all(f.values[~inside] == 0.0)
+        expected = -1e300 * (x + 0.5) ** 400 * x**0 * (x - 0.5) ** 1
+        assert f.values[inside].tobytes() == expected.tobytes()
+
+    def test_cosine_whose_samples_overflow_rejected_with_its_key(self):
+        # |mean| + |amp| bounds the samples; here mean + amp overflows at x = 0
+        with pytest.raises(InvalidValue, match="^amp must keep") as exc:
+            Cosine(1e308, 1e308, 1)
+        assert exc.value.field == "amp"
+        text = MINIMAL.replace(
+            "rho0.kind = constant\nrho0.c = 1.0",
+            "rho0.kind = cosine\nrho0.mean = 1e308\nrho0.amp = 1e308\nrho0.mode = 1",
+        )
+        with pytest.raises(ConfigError, match=r"^line 14: rho0.amp must keep \|mean\| \+ \|amp\|"):
+            parse_config(text)
 
     def test_cosine_mode_must_be_integer(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from xdiff.config import (
     ConfigError,
     Constant,
     Cosine,
+    CsvData,
     PolyBump,
     RunConfig,
     parse_config,
@@ -266,7 +268,7 @@ class TestRkc:
     def test_rkc_self_convergence_order(self, params):
         # criterion 8's smooth strictly positive problem at N = 16, fixed dt
         g = Grid(1.0, 16)
-        stepper = _Stepper(g, params, params.kernel.symbol(g), RunMode(), _rkc)
+        stepper = _Stepper(g, params, RunMode())
 
         def solve(dt, n_steps):
             u = np.stack((np.ones(16), 1.0 + 0.1 * np.cos(np.pi * g.x)))
@@ -400,9 +402,9 @@ class TestRun:
         taken = []
         step_arrays = integrator._step_arrays
 
-        def recorded(grid, stepper, v, f_v, dt, stages):
+        def recorded(stepper, scheme, v, f_v, dt, stages):
             taken.append((dt, stages))
-            return step_arrays(grid, stepper, v, f_v, dt, stages)
+            return step_arrays(stepper, scheme, v, f_v, dt, stages)
 
         monkeypatch.setattr(integrator, "_step_arrays", recorded)
         full = run(smooth_config(params, n=128))
@@ -427,6 +429,36 @@ class TestRun:
         cfg = smooth_config(params, rho0=Constant(-1.0))
         with pytest.raises(ValueError):
             run(cfg)
+
+    @pytest.mark.parametrize(
+        "key, mode",
+        [
+            ("rho0", RunMode()),
+            ("rho0", RunMode("sqrt")),
+            ("rho0", RunMode("regularized", eps=1e-3)),
+            ("A0", RunMode()),
+            # the shift alone overflows the node sum of rho0 = 1 + 0.1 cos(pi x)
+            ("rho0", RunMode("regularized", eps=1e-3, delta=1e308)),
+        ],
+    )
+    def test_initial_data_whose_mass_overflows_fail_by_name(self, params, key, mode):
+        # 16 nodes of 1e308 sum to inf: rejected before smoothing and before
+        # the t = 0 record, with no numpy warning on the way
+        data = {} if mode.delta else {key: Constant(1e308)}
+        cfg = smooth_config(params, n=16, mode=mode, **data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{key} is too large: its mass on the grid"):
+                run(cfg)
+
+    def test_non_finite_samples_fail_by_name(self, params, tmp_path):
+        g = Grid(1.0, 16)
+        values = np.ones(16)
+        values[5] = np.inf
+        path = tmp_path / "a0.csv"
+        path.write_text("".join(f"{x!r},{v!r}\n" for x, v in zip(g.x.tolist(), values.tolist())))
+        with pytest.raises(ValueError, match="^A0: field values must all be finite$"):
+            run(smooth_config(params, n=16, A0=CsvData(str(path))))
 
     def test_mollifier_undershoot_is_clipped_not_rejected(self, params):
         # eps = 1e-6 smooths these compact bumps with a truncated heat kernel
@@ -730,12 +762,12 @@ class TestErrorState:
         g = Grid(1.0, 32)
         big = np.full((2, 32), 1e307)
         keep = lambda v, dt, f, f_v, stages, work: v.copy()
-        stepper = _Stepper(g, params, params.kernel.symbol(g), RunMode(), keep)
+        stepper = _Stepper(g, params, RunMode())
         with _unchecked():
             assert np.sum(big) == np.inf
-            u, clipped_a, clipped_rho = _step_arrays(g, stepper, big, None, 1e-6, 4)
+            u, clipped_a, clipped_rho = _step_arrays(stepper, keep, big, None, 1e-6, 4)
         assert u.tobytes() == big.tobytes()
         assert clipped_a == clipped_rho == 0.0
         big[1, 5] = np.inf
         with _unchecked(), pytest.raises(NumericalFault, match="^non-finite state after step$"):
-            _step_arrays(g, stepper, big, None, 1e-6, 4)
+            _step_arrays(stepper, keep, big, None, 1e-6, 4)

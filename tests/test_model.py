@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xdiff.grid import Field, Grid
-from xdiff.integrator import RunMode, _apply_positivity, step
+from xdiff.integrator import RunMode, _apply_positivity, rhs, step
 from xdiff.kernel import BoxKernel, heat_multiplier, mollify
 from xdiff.model import (
     ModelParams,
@@ -19,9 +19,6 @@ from xdiff.model import (
     _rhs_sqrt_core,
     blowup_threshold,
     energy,
-    rhs,
-    rhs_regularized,
-    rhs_sqrt,
 )
 
 from spectral import derivative
@@ -152,13 +149,13 @@ class TestRhsRegularized:
     def test_zero_width_matches_original(self, grid, params):
         s = even_state(grid, seed=1)
         da0, dr0 = rhs(s, params)
-        da, dr = rhs_regularized(s, params, 0.0)
+        da, dr = rhs(s, params, RunMode("regularized", eps=0.0))
         assert np.max(np.abs(da.values - da0.values)) <= 1e-9
         assert np.max(np.abs(dr.values - dr0.values)) <= 1e-9
 
     def test_constants_are_fixed_points_of_smoothing(self, grid, params):
         for eps in (0.001, 0.05, 1.0):
-            da, dr = rhs_regularized(constant_state(grid), params, eps)
+            da, dr = rhs(constant_state(grid), params, RunMode("regularized", eps=eps))
             assert np.max(np.abs(da.values - 0.05)) <= 1e-12
             assert np.max(np.abs(dr.values + 0.55)) <= 1e-12
 
@@ -170,7 +167,7 @@ class TestRhsRegularized:
             rho=Field(grid, np.abs(rng.normal(1.0, 0.4, grid.n_points))),
         )
         eps = 0.01
-        _, dr_reg = rhs_regularized(rough, params, eps)
+        _, dr_reg = rhs(rough, params, RunMode("regularized", eps=eps))
         smoothed = State(
             t=0.0, A=mollify(rough.A, eps), rho=mollify(rough.rho, eps)
         )
@@ -179,26 +176,27 @@ class TestRhsRegularized:
 
     def test_negative_width_rejected(self, grid, params):
         with pytest.raises(ValueError):
-            rhs_regularized(constant_state(grid), params, -0.01)
+            rhs(constant_state(grid), params, RunMode("regularized", eps=-0.01))
 
 
 class TestRhsSqrt:
     def test_zero_state_is_equilibrium(self, grid, params):
         zero = Field(grid, np.zeros(grid.n_points))
-        da, de = rhs_sqrt(zero, zero, params)
+        da, de = rhs(State(t=0.0, A=zero, rho=zero), params, RunMode("sqrt"))
         assert np.all(da.values == 0.0)
         assert np.all(de.values == 0.0)
 
     def test_constant_state_hand_values(self, grid, params):
         ones = Field(grid, np.ones(grid.n_points))
-        da, de = rhs_sqrt(ones, ones, params)
+        da, de = rhs(State(t=0.0, A=ones, rho=ones), params, RunMode("sqrt"))
         assert np.max(np.abs(da.values - 0.05)) <= 1e-12
         assert np.max(np.abs(de.values + 0.275)) <= 1e-12
 
     def test_even_inputs_give_even_outputs(self, grid, params):
         s = even_state(grid, seed=2)
         eta = Field(grid, np.sqrt(s.rho.values))
-        da, de = rhs_sqrt(s.A, eta, params)
+        rho = Field(grid, eta.values**2)
+        da, de = rhs(State(t=0.0, A=s.A, rho=rho), params, RunMode("sqrt"))
         assert np.max(np.abs(da.values - reflect(da.values))) <= 1e-10
         assert np.max(np.abs(de.values - reflect(de.values))) <= 1e-10
 
@@ -207,14 +205,9 @@ class TestRhsSqrt:
         a = Field(grid, np.ones(grid.n_points))
         eta = Field(grid, np.sqrt(rho.values))
         _, dr = rhs(State(t=0.0, A=a, rho=rho), params)
-        da_s, de = rhs_sqrt(a, eta, params)
+        da_s, de = rhs(State(t=0.0, A=a, rho=Field(grid, eta.values**2)), params, RunMode("sqrt"))
         lhs = 2.0 * eta.values * de.values
         assert np.max(np.abs(lhs - dr.values)) <= 1e-6 * np.max(np.abs(dr.values))
-
-    def test_negative_eta_rejected(self, grid, params):
-        bad = Field(grid, -np.ones(grid.n_points))
-        with pytest.raises(ValueError):
-            rhs_sqrt(bad, bad, params)
 
 
 class TestEnergy:
@@ -316,14 +309,14 @@ def draw_state(draw, even=False):
 
 
 def derivatives(form, grid, a, eta, p, eps):
-    """(dA, d(second field)) in one form; the sqrt form takes eta, the others rho = eta^2."""
+    """(dA, d(second field)) in one form at rho = eta^2; the sqrt form steps eta."""
     A, rho = Field(grid, a), Field(grid, eta * eta)
     if form == "original":
         da, dw = rhs(State(t=0.0, A=A, rho=rho), p)
     elif form == "regularized":
-        da, dw = rhs_regularized(State(t=0.0, A=A, rho=rho), p, eps)
+        da, dw = rhs(State(t=0.0, A=A, rho=rho), p, RunMode("regularized", eps=eps))
     else:
-        da, dw = rhs_sqrt(A, Field(grid, eta), p)
+        da, dw = rhs(State(t=0.0, A=A, rho=rho), p, RunMode("sqrt"))
     return da.values, dw.values
 
 
@@ -502,7 +495,7 @@ class TestAssemblyOracle:
         grid, u = data
         conv_sym = PARAMS.kernel.symbol(grid)
         damp = heat_multiplier(grid, eps)
-        ws = Workspace(grid, PARAMS, conv_sym)
+        ws = Workspace(grid, PARAMS)
         # one workspace serves every form, in any order
         for _ in range(2):
             got = _rhs_core(ws, u)
@@ -511,6 +504,17 @@ class TestAssemblyOracle:
             assert same_bits(got, oracle_assemble(grid, u, PARAMS, conv_sym, True))
             got = _rhs_regularized_core(ws, u, damp)
             assert same_bits(got, oracle_regularized(grid, u, PARAMS, conv_sym, damp))
+        # so does the public entry of every form; the sqrt form steps eta = sqrt(rho)
+        s = State(t=0.0, A=Field(grid, u[0]), rho=Field(grid, u[1]))
+        v = np.stack((u[0], np.sqrt(u[1])))
+        expected = {
+            RunMode(): oracle_assemble(grid, u, PARAMS, conv_sym, False),
+            RunMode("sqrt"): oracle_assemble(grid, v, PARAMS, conv_sym, True),
+            RunMode("regularized", eps=eps): oracle_regularized(grid, u, PARAMS, conv_sym, damp),
+        }
+        for mode, want in expected.items():
+            da, dw = rhs(s, PARAMS, mode)
+            assert same_bits(np.stack((da.values, dw.values)), want)
 
     @pytest.mark.parametrize("form", FORMS)
     @settings(max_examples=60, deadline=None)
@@ -536,8 +540,7 @@ class TestAssemblyOracle:
     def test_successive_calls_return_distinct_arrays(self, data):
         # RK4 holds k1..k4 at once, so no call may hand out or overwrite a work array
         grid, u = data
-        conv_sym = PARAMS.kernel.symbol(grid)
-        ws = Workspace(grid, PARAMS, conv_sym)
+        ws = Workspace(grid, PARAMS)
         damp = heat_multiplier(grid, 1e-3)
         regularized = lambda ws, v: _rhs_regularized_core(ws, v, damp)
         for core in (_rhs_core, _rhs_sqrt_core, regularized):
@@ -565,29 +568,21 @@ class TestAssemblyOracle:
 # ---------------------------------------------------------------------------
 
 
-def uniform(grid, value):
-    return Field(grid, np.full(grid.n_points, value))
-
-
 OVERFLOWING_ENTRIES = {
     "rhs": (lambda g: rhs(constant_state(g, r=1e160), PARAMS), "density reaction terms"),
     "rhs_regularized": (
-        lambda g: rhs_regularized(constant_state(g, r=1e160), PARAMS, 1e-3),
+        lambda g: rhs(constant_state(g, r=1e160), PARAMS, RunMode("regularized", eps=1e-3)),
         "density reaction terms",
     ),
     # the assembled side is finite (about -1.3e308) and overflows when smoothed
     "rhs_regularized-smoothed": (
-        lambda g: rhs_regularized(constant_state(g, r=1e154), PARAMS, 1e-3),
+        lambda g: rhs(constant_state(g, r=1e154), PARAMS, RunMode("regularized", eps=1e-3)),
         "smoothed right-hand side",
     ),
     # eta g / 2 overflows while the area reaction, in rho = eta^2, does not
     "rhs_sqrt": (
-        lambda g: rhs_sqrt(uniform(g, 1.0), uniform(g, 1e110), PARAMS),
+        lambda g: rhs(constant_state(g, r=1e220), PARAMS, RunMode("sqrt")),
         "eta reaction terms",
-    ),
-    "rhs_sqrt-square": (
-        lambda g: rhs_sqrt(uniform(g, 1.0), uniform(g, 1e160), PARAMS),
-        "area reaction terms (sqrt form)",
     ),
     "step": (lambda g: step(constant_state(g, r=1e160), PARAMS, 1e-6), "density reaction terms"),
     "step-regularized": (
@@ -649,7 +644,7 @@ class TestFiniteness:
         monkeypatch.setattr(np, "errstate", counting(entered, "errstate", np.errstate))
         grid = Grid(1.0, 64)
         u = np.stack((np.ones(64), 1.0 + 0.1 * np.cos(np.pi * grid.x)))
-        ws = Workspace(grid, PARAMS, PARAMS.kernel.symbol(grid))
+        ws = Workspace(grid, PARAMS)
         damp = heat_multiplier(grid, 1e-3).astype(complex)
         _rhs_core(ws, u)
         _rhs_sqrt_core(ws, u)

@@ -37,8 +37,9 @@ class Grid:
     ``phase[m] = (-1)^m``, and the mirror x -> -x pairs node j with node
     (N - j) mod N (:func:`mirror`).  The read-only real-FFT multipliers are built once per
     grid: ``ik`` (the Nyquist-zeroed D), ``ik2`` (D(D .)), ``k2``, ``d2``
-    to ``d4`` (the derivatives of order 2 to 4), ``d2_phase`` (``d2`` times
-    ``phase``) and ``d3_d2_d2`` (the complex rows ``d3``, ``d2``, ``d2``).
+    and ``d3`` (the derivatives of order 2 and 3), ``d2_phase`` (``d2``
+    times ``phase``) and ``energy_weights`` (the energies' Parseval weights,
+    see :func:`xdiff.model.energy`).
     """
 
     half_length: float
@@ -60,9 +61,10 @@ class Grid:
         dx = 2.0 * self.half_length / self.n_points
         k_top = np.pi / self.half_length * (self.n_points // 2)  # the largest wavenumber
         # a finite L can still overflow the spacing (L near the float maximum), or
-        # the wavenumbers up to their fourth power (a tiny L); Python floats
-        # overflow to inf without a warning
-        if not (np.isfinite(dx) and np.isfinite(k_top * k_top * k_top * k_top)):
+        # the energy weights, twice the wavenumbers' sixth power (a tiny L);
+        # Python floats overflow to inf without a warning
+        k_cube = k_top * k_top * k_top
+        if not (np.isfinite(dx) and np.isfinite(2.0 * (1.0 + k_cube * k_cube))):
             raise InvalidValue(
                 "half_length", f"gives a non-finite spacing or wavenumbers on {n} points, got {L}"
             )
@@ -73,13 +75,17 @@ class Grid:
         ik[-1] = 0.0  # Nyquist mode dropped for odd-order derivatives on even N
         k2 = k**2
         arrays = dict(x=x, k=k, k2=k2, phase=(-1.0) ** np.arange(k.size))
-        # multipliers of D, of D(D .) and of the derivatives of order 2 to 4
-        arrays.update(ik=ik, ik2=ik * ik, d2=-k2, d3=-ik * k2, d4=k**4)
-        # the x = 0 node's weights of d2, and the energies' rows, complex as
-        # numpy would cast them; both products are the per-row ones bit for bit
+        # multipliers of D, of D(D .) and of the derivatives of order 2 and 3
+        arrays.update(ik=ik, ik2=ik * ik, d2=-k2, d3=-ik * k2)
+        # the real-FFT weights w_m, 1 at m = 0 and at Nyquist and 2 elsewhere
+        w = np.full(k.size, 2.0)
+        w[[0, -1]] = 1.0
+        # the x = 0 node's weights of d2 (the per-row product bit for bit), and
+        # w_m (1 + |d_m|^2) for the energies' rows with d = d3, d2, d2, once for
+        # a mode's real and once for its imaginary part
+        rows = w * (1.0 + np.stack((np.abs(arrays["d3"]) ** 2, k2 * k2, k2 * k2)))
         arrays.update(
-            d2_phase=arrays["d2"] * arrays["phase"],
-            d3_d2_d2=np.stack((arrays["d3"], arrays["d2"], arrays["d2"])).astype(complex),
+            d2_phase=arrays["d2"] * arrays["phase"], energy_weights=np.repeat(rows, 2, axis=1)
         )
         for name, arr in arrays.items():
             arr.setflags(write=False)

@@ -77,10 +77,6 @@ def stability_interval(stages: int) -> float:
     return (w0 + 1.0) * d2[stages] / d1[stages]
 
 
-# the longest stable RKC step over the RK4 step, 375.1 at the cap
-RKC_GAIN = stability_interval(S_CAP) / RK4_REAL_STABILITY
-
-
 class HaltReason(str, enum.Enum):
     REACHED_T_END = "reached_t_end"
     BLOWUP_DETECTED = "blowup_detected"
@@ -148,34 +144,26 @@ class RunOutcome:
     fault_detail: str = ""
 
 
-def _rk4_dt(dx: float, rho_max: float, ctrl: StepControl) -> float:
-    """Classical RK4's diffusive step bound ``cfl_safety * dx^2 / max(rho)``.
-
-    The density bounds the diffusivity of both equations, so its maximum
-    ``rho_max`` (floored to keep the pure-reaction regime at dt_max) sets the
-    step.
-    """
-    return ctrl.cfl_safety * dx**2 / max(rho_max, DIFFUSIVITY_FLOOR)
+def _euler_unit(dx: float, rho_max: float, ctrl: StepControl) -> float:
+    """The forward-Euler diffusive unit ``cfl_safety * dx^2 / max(rho) / RK4_REAL_STABILITY``:
+    the density bounds the diffusivity of both equations, its maximum ``rho_max``
+    floored to keep the pure-reaction regime at dt_max, and ``cfl_safety`` is a
+    fraction of classical RK4's stability limit, ``RK4_REAL_STABILITY`` units."""
+    return ctrl.cfl_safety * dx**2 / max(rho_max, DIFFUSIVITY_FLOOR) / RK4_REAL_STABILITY
 
 
 def cfl_dt(dx: float, rho_max: float, ctrl: StepControl) -> float:
-    """RKC stability bound RKC_GAIN * cfl_safety * dx^2 / max(rho), clamped to the dt window.
-
-    Scaled by ``RKC_GAIN``, the RK4 bound becomes that of ``S_CAP`` stages,
-    and ``cfl_safety`` keeps its meaning as a fraction of the stability limit.
-    A run takes the density maximum ``rho_max`` once per step for this bound
-    and for ``_stages``.
-    """
-    return min(max(_rk4_dt(dx, rho_max, ctrl) * RKC_GAIN, ctrl.dt_min), ctrl.dt_max)
+    """RKC stability bound, the ``S_CAP``-stage interval in forward-Euler units,
+    clamped to the dt window.  A run takes the density maximum ``rho_max``
+    once per step for this bound and for ``_stages``."""
+    bound = _euler_unit(dx, rho_max, ctrl) * stability_interval(S_CAP)
+    return min(max(bound, ctrl.dt_min), ctrl.dt_max)
 
 
 def _stages(dx: float, rho_max: float, ctrl: StepControl, dt: float) -> int:
-    """Fewest RKC stages, at least 2 and at most ``S_CAP``, that are stable at ``dt``.
-
-    s stages are stable up to ``stability_interval(s)`` forward-Euler units,
-    the RK4 bound over ``RK4_REAL_STABILITY``.
-    """
-    unit = _rk4_dt(dx, rho_max, ctrl) / RK4_REAL_STABILITY
+    """Fewest RKC stages, at least 2 and at most ``S_CAP``, that are stable at ``dt``:
+    s stages are stable up to ``stability_interval(s)`` forward-Euler units."""
+    unit = _euler_unit(dx, rho_max, ctrl)
     return next((s for s in range(2, S_CAP) if unit * stability_interval(s) >= dt), S_CAP)
 
 
@@ -387,10 +375,10 @@ def _record(
     computes them once) or as a boolean mask.
 
     One rfft of the stacked (rho, A, sqrt(rho)) serves both the energies and
-    the central curvature, so a record makes 2 FFT calls.
+    the central curvature, so a record makes 1 FFT call.
     """
-    fields, spectra = _energy_spectra(a, r)
-    report = energy(grid, a, r, (fields, spectra))
+    spectra = _energy_spectra(a, r)
+    report = energy(grid, a, r, spectra)
     dx = grid.dx
     on_zero_set = r[zero_nodes]
     zero_max = float(on_zero_set.max()) if on_zero_set.size else None
@@ -481,8 +469,13 @@ def run(config) -> RunOutcome:
         low = float(np.min(values)) + mode.delta
         if low < -POSITIVITY_TOL:
             raise ValueError(f"{name} must be nonnegative (min {low:.3e})")
-        if not math.isfinite((sum(values.tolist()) + grid.n_points * mode.delta) * grid.dx):
+        total = sum(values.tolist()) + grid.n_points * mode.delta
+        if not math.isfinite(total * grid.dx):
             raise ValueError(f"{name} is too large: its mass on the grid overflows")
+        # every rfft mode is at most the node sum, so the central curvature's
+        # N/2 + 1 terms k^2 |rho_hat|, doubled, stay below this bound
+        if name == "rho0" and not math.isfinite(total * float(grid.k2[-1]) * 2 * grid.n_points):
+            raise ValueError("rho0 is too large: its central curvature on the grid overflows")
         initial.append(values + mode.delta if mode.kind == "regularized" else values)
     rho0, a0 = initial
     if mode.kind == "regularized":

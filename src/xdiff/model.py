@@ -116,9 +116,9 @@ class Workspace:
 
     The constants are the grid, the reaction rates folded for the regrouped
     reactions, and the spectral multipliers: ``ik`` and ``ik2`` stacked for
-    one product with both field rows, and the kernel's symbol on the grid
-    scaled by the coupling ``mu*alpha``, so that its inverse transform is the
-    coupling's share of the pressure.  The work arrays hold the sqrt form's
+    one product with both field rows, and the pressure's symbol
+    alpha*(1 - mu) + mu*alpha*Gamma^ from the kernel's symbol on the grid, which
+    turns the density into the pressure P.  The work arrays hold the sqrt form's
     stacked fields, the derivative spectra and the pointwise terms, sized for
     the sqrt form's extra density row, so one workspace serves every form;
     the views into them are cut once here.  The transforms return fresh
@@ -130,22 +130,20 @@ class Workspace:
     def __init__(self, grid: Grid, p: ModelParams):
         n, m = grid.n_points, grid.k.size
         self.grid, self.p, self.n = grid, p, n
-        # P = pressure_rate*rho + irfft(rho_hat*avg_sym) is alpha*rho - mu*alpha*(rho - Gamma*rho)
-        self.pressure_rate = p.alpha * (1.0 - p.mu)
         self.area_crowding, self.density_crowding = p.beta_tilde / p.K_tilde, p.beta / p.K
-        # the multipliers of D and D(D .), once per row of (A, w), and the
-        # kernel symbol scaled by mu*alpha and D for the density row
+        # the multipliers of D and D(D .), once per row of (A, w)
         self.ik_rows, self.ik2_rows = (np.stack((row, row)) for row in (grid.ik, grid.ik2))
-        # stored complex: numpy would cast the real symbol to these values on every product
-        self.avg_sym = ((p.mu * p.alpha) * p.kernel.symbol(grid)).astype(complex)
-        self.ik = grid.ik
+        # P = irfft(rho_hat*pressure_sym) is alpha*rho - mu*alpha*(rho - Gamma*rho); stored
+        # complex: numpy would cast the real symbol to these values on every product
+        symbol = p.alpha * (1.0 - p.mu) + (p.mu * p.alpha) * p.kernel.symbol(grid)
+        self.pressure_sym = symbol.astype(complex)
         self.fields = np.empty((3, n))  # sqrt form: A, eta, rho = eta^2
         spectra = np.empty((6, m), dtype=complex)
-        # rows A_x, w_x, A_xx, w_xx, mu*alpha*Gamma*rho[, rho_x]
+        # rows A_x, w_x, A_xx, w_xx, P[, rho_x]
         self.spectra = {False: spectra[:5], True: spectra}
         self.first, self.second = spectra[0:2], spectra[2:4]
-        self.avg_spectrum, self.density_x_spectrum = spectra[4], spectra[5]
-        self.area_flux, self.w_flux, self.pressure, self.area = np.empty((4, n))
+        self.pressure_spectrum, self.density_x_spectrum = spectra[4], spectra[5]
+        self.area_flux, self.w_flux, self.area = np.empty((3, n))
         self.density_area, self.growth, self.transport, self.scratch = np.empty((4, n))
 
 
@@ -181,7 +179,8 @@ def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
 
     The reactions are regrouped around the pressure
     P = alpha*(1 - mu)*rho + mu*alpha*(Gamma*rho), which is
-    alpha*rho - mu*alpha*(rho - Gamma*rho):
+    alpha*rho - mu*alpha*(rho - Gamma*rho) and the inverse transform of the
+    density spectrum times the workspace's pressure symbol:
 
         area reaction  a*(beta_tilde + P - (beta_tilde/K_tilde)*rho*a)
         g              beta - P - (beta/K)*rho*a
@@ -189,7 +188,7 @@ def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
     the same model as the plain expressions, rounded differently; the factors
     a and rho (or eta/2) are still applied last, so those terms are exactly
     zero where a or rho vanishes.  One rfft of the stacked fields and one
-    irfft of the stacked derivative and average spectra feed the pointwise
+    irfft of the stacked derivative and pressure spectra feed the pointwise
     terms, which are written into the work arrays of ``ws``; beside the
     transforms, only the returned array is new.
 
@@ -205,16 +204,16 @@ def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
         rho = np.multiply(w, w, out=fields[2])
         uh = np.fft.rfft(fields)  # rows A, eta, rho
         rho_hat = uh[2]
-        np.multiply(rho_hat, ws.ik, out=ws.density_x_spectrum)
+        np.multiply(rho_hat, ws.grid.ik, out=ws.density_x_spectrum)
     else:
         rho = w
         uh = np.fft.rfft(u)  # rows A, rho
         rho_hat = uh[1]
-    np.multiply(rho_hat, ws.avg_sym, out=ws.avg_spectrum)
+    np.multiply(rho_hat, ws.pressure_sym, out=ws.pressure_spectrum)
     np.multiply(uh[:2], ws.ik_rows, out=ws.first)
     np.multiply(uh[:2], ws.ik2_rows, out=ws.second)
     d = np.fft.irfft(ws.spectra[sqrt], n=ws.n)
-    ax, wx, axx, wxx, avg = d[0], d[1], d[2], d[3], d[4]
+    ax, wx, axx, wxx, pressure = d[0], d[1], d[2], d[3], d[4]
     rx = d[5] if sqrt else wx
     # row by row: a product of a row with a stack of rows is slower in numpy
     area_flux = np.multiply(rho, axx, out=ws.area_flux)
@@ -222,8 +221,6 @@ def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
     w_flux = np.multiply(rho, wxx, out=ws.w_flux)
     w_flux += np.multiply(rx, wx, out=ws.scratch)
 
-    pressure = np.multiply(rho, ws.pressure_rate, out=ws.pressure)
-    pressure += avg
     density_area = np.multiply(rho, a, out=ws.density_area)
     area_reaction = np.add(pressure, p.beta_tilde, out=ws.area)
     area_reaction -= np.multiply(density_area, ws.area_crowding, out=ws.scratch)
@@ -285,39 +282,39 @@ def _rhs_regularized_core(ws: Workspace, u: np.ndarray, damp: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 
 
-def _energy_spectra(a: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked (rho, A, sqrt(rho)) and its rfft, whose row 0 is the density
+def _energy_spectra(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The rfft of the stacked (rho, A, sqrt(rho)), whose row 0 is the density
     spectrum; a negative density node counts as 0 under the root."""
     fields = np.empty((3, rho.size))
     fields[0], fields[1] = rho, a
     root = np.maximum(rho, 0.0, out=fields[2])
     np.sqrt(root, out=root)
     with np.errstate(over="ignore"):
-        return fields, np.fft.rfft(fields)
+        return np.fft.rfft(fields)
 
 
 def energy(
-    grid: Grid,
-    a: np.ndarray,
-    rho: np.ndarray,
-    stacked: tuple[np.ndarray, np.ndarray] | None = None,
+    grid: Grid, a: np.ndarray, rho: np.ndarray, spectra: np.ndarray | None = None
 ) -> EnergyReport:
     """Sobolev energies of the node values ``a`` and ``rho`` (density derivative order 3).
 
-    One rfft of the stacked (rho, A, sqrt(rho)) and one irfft of the stacked
-    derivative spectra give the three derivatives the energies need.  A
-    caller that holds ``_energy_spectra(a, rho)`` already passes it as
-    ``stacked``.
+    By Parseval, from the rfft X of the stacked (rho, A, sqrt(rho)) alone: a
+    row's node sum of f^2 + (d f)^2 is N times the sum over modes of
+    w_m (1 + |d_m|^2) |X_m / N|^2, ``grid.energy_weights``.  Scaled before
+    squaring, a square overflows no earlier than in node space, and with every
+    weight at least 1 an overflow gives +inf, never nan.  A caller that holds
+    ``_energy_spectra(a, rho)`` already passes it as ``spectra``.
     """
-    fields, spectra = _energy_spectra(a, rho) if stacked is None else stacked
-    dx = grid.dx
+    spectra = _energy_spectra(a, rho) if spectra is None else spectra
+    # on the real and imaginary parts: a complex product of inf would meet a 0
+    power = spectra.view(np.float64) / grid.n_points
     with np.errstate(over="ignore"):  # energies may legitimately reach +inf
-        # d^3 rho, d^2 A and d^2 sqrt(rho) in one product with the grid's block
-        derivatives = np.fft.irfft(spectra * grid.d3_d2_d2, n=grid.n_points)
-        r_m, a_m1, root_xx = np.square(derivatives, out=derivatives).sum(axis=1)
-        rho_2, a_2, root_2 = np.square(fields).sum(axis=1)
-        e_tilde = 1.0 + float(r_m * dx + rho_2 * dx + a_2 * dx + a_m1 * dx)
-        e_sqrt = 1.0 + float(root_2 * dx + root_xx * dx)
+        np.square(power, out=power)
+        power *= grid.energy_weights
+        rho_m, a_m, root_m = power.sum(axis=1)
+        length = grid.n_points * grid.dx
+        e_tilde = 1.0 + float(rho_m * length + a_m * length)
+        e_sqrt = 1.0 + float(root_m * length)
     return EnergyReport(e_tilde=e_tilde, e_sqrt=e_sqrt)
 
 

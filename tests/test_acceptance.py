@@ -126,7 +126,8 @@ def rk4_run_loop(monkeypatch):
     import xdiff.integrator as integrator
 
     monkeypatch.setattr(integrator, "_rkc", integrator._rk4)
-    monkeypatch.setattr(integrator, "RKC_GAIN", 1.0)
+    # the stability bound in forward-Euler units becomes RK4's real interval
+    monkeypatch.setattr(integrator, "stability_interval", lambda s: integrator.RK4_REAL_STABILITY)
 
 
 def test_criterion_1_blowup_reproduction(fig1):
@@ -155,6 +156,19 @@ def test_criterion_1_blowup_at_n512():
         out = xdiff.run(preset_with_overrides("fig1-blowup", {"grid.N": "512"}))
         assert out.halt_reason is xdiff.HaltReason.BLOWUP_DETECTED, out.fault_detail
         assert out.final_state.t <= 1.5 * t_star(CURVATURE_AT_CENTER, 0.075)
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="the sqrt form at N = 512 clips 4.5e-9 of area mass in 3 steps, over the budget",
+)
+def test_sqrt_form_blowup_at_n512():
+    # the original form blows up at N = 512 (above), and the sqrt form does at
+    # N = 1024; at N = 512 the sqrt form halts numerical_fault at t = 8.26e-5
+    out = xdiff.run(preset_with_overrides("fig1-blowup", {"grid.N": "512", "mode.kind": "sqrt"}))
+    assert out.halt_reason is xdiff.HaltReason.BLOWUP_DETECTED, out.fault_detail
+    assert out.final_state.t <= 1.5 * t_star(CURVATURE_AT_CENTER, 0.075)
 
 
 @pytest.mark.slow

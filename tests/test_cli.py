@@ -346,25 +346,25 @@ SERIES_PINS = [
     (
         "fig1-blowup",
         {},
-        "56103d577f6e96950d6cdfa4ee94df74046453aae01a884630103c99976e856f",
+        "80653b58160ac29b52a84140654a3d7142a524d5f95b9c29c17ee6eb3a68305f",
         (93, 1256, 94),
     ),
     (
         "fig2-support",
         {},
-        "faf8a73cbebd753dc3c648e1e9983868c01cc54ee570fe439b83d21488a4776a",
+        "8b595cb6edb3d6a648ff98f39b805ee2cc801d4ccada6b8222c490e0bed8e123",
         (11, 193, 3),
     ),
     (
         "fig2-support",
         {"grid.N": "2048"},
-        "f72b5038dcfe36224264c01dbc089e20914d88aad3a46acb719747ed6c5fe7ef",
+        "ea924f131ff190e8f9699d7ac032dc8c284d29362b3b135eb59bb4cd8a11dfcd",
         (11, 382, 3),
     ),
     (
         "fig2-support",
         {"mode.kind": "sqrt", "run.record_every": "1"},
-        "e54debf5aaa5457fc73d6303c25a778d4a3cd3fbbf82d12249716e9e3bc0ec56",
+        "4d6364eaf1b5661b5b5bff4c9f96579d59cde2f01f5d3f499b8128207dc011ff",
         (11, 193, 12),
     ),
 ]

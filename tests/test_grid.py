@@ -173,7 +173,7 @@ class TestIntegrateAndNorms:
 
 
 
-LAYOUT_ARRAYS = ("x", "k", "k2", "phase", "ik", "ik2", "d2", "d3", "d4")
+LAYOUT_ARRAYS = ("x", "k", "k2", "phase", "ik", "ik2", "d2", "d3", "d2_phase", "energy_weights")
 
 
 @st.composite
@@ -204,12 +204,22 @@ class TestLayoutProperties:
             "k2": k**2,
             "d2": -k**2,
             "d3": -ik * k**2,
-            "d4": k**4,
             "phase": (-1.0) ** np.arange(k.size),
         }
         for name, want in expected.items():
             got = getattr(g, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    @given(grids())
+    @settings(max_examples=50, deadline=None)
+    def test_energy_weights_are_the_parseval_weights(self, g):
+        # w_m (1 + |d_m|^2) for d = d3, d2, d2, each repeated for a mode's real
+        # and imaginary part; at least 1, so no overflowing square meets a 0
+        w = np.where((g.k == 0) | (g.k == g.k[-1]), 1.0, 2.0)
+        rows = [w * (1.0 + np.abs(d) ** 2) for d in (g.d3, g.d2, g.d2)]
+        assert np.allclose(g.energy_weights[:, 0::2], rows, rtol=1e-15, atol=0.0)
+        assert g.energy_weights[:, 0::2].tobytes() == g.energy_weights[:, 1::2].tobytes()
+        assert np.all(g.energy_weights >= 1.0)
 
     @given(grids())
     @settings(max_examples=20, deadline=None)

@@ -21,7 +21,7 @@ from xdiff.config import (
 from xdiff.grid import Field, Grid, InvalidValue
 from xdiff.integrator import (
     DAMPING,
-    RKC_GAIN,
+    RK4_REAL_STABILITY,
     S_CAP,
     HaltReason,
     RunMode,
@@ -70,6 +70,11 @@ def smooth_config(params, n=64, t_end=1e-3, mode=RunMode(), **kw):
     return RunConfig(**defaults)
 
 
+# finite data with a finite mass on the grid, whose t = 0 record overflows in
+# the central curvature (N = 16) or meets inf - inf there (N = 64)
+HUGE_DATA = [(Cosine(1e307, 1e307, 1), 16), (Cosine(1e306, 1e306, 3), 64)]
+
+
 class TestStepControlValidation:
     def test_defaults_are_valid(self):
         ctrl = StepControl()
@@ -105,13 +110,13 @@ class TestRunModeValidation:
 
 class TestCflDt:
     def test_reference_arithmetic(self, params):
-        # the RK4 bound 0.25 dx^2 scaled by the ratio of the real stability
-        # intervals, beta(40) = 1044.76 for damped RKC at the s = 40 cap over
-        # 2.7853 for RK4
+        # the forward-Euler unit, RK4's bound 0.25 dx^2 over its real interval
+        # 2.7853, times beta(40) = 1044.76 for damped RKC at the s = 40 cap:
+        # 375.10 RK4 steps
         g = Grid(1.0, 1024)
         dt = cfl_dt(g.dx, 1.0, StepControl())
-        assert RKC_GAIN == pytest.approx(375.10, abs=5e-3)
-        assert dt == 0.25 * g.dx**2 * RKC_GAIN
+        assert stability_interval(S_CAP) / RK4_REAL_STABILITY == pytest.approx(375.10, abs=5e-3)
+        assert dt == 0.25 * g.dx**2 / 1.0 / RK4_REAL_STABILITY * stability_interval(S_CAP)
         assert dt == pytest.approx(3.5772e-4, rel=1e-4)
 
     def test_zero_density_uses_dt_max(self, params):
@@ -451,6 +456,27 @@ class TestRun:
             with pytest.raises(ValueError, match=f"^{key} is too large: its mass on the grid"):
                 run(cfg)
 
+    @pytest.mark.parametrize("rho0, n", HUGE_DATA)
+    def test_initial_density_whose_curvature_overflows_fails_by_name(self, params, rho0, n):
+        cfg = smooth_config(params, n=n, rho0=rho0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match="^rho0 is too large: its central curvature on the grid overflows$"
+            ):
+                run(cfg)
+
+    @pytest.mark.parametrize("a0, n", HUGE_DATA)
+    def test_huge_area_data_record_and_then_fault_by_name(self, params, a0, n):
+        # the area feeds no curvature: its energies are +inf at t = 0, and its
+        # reaction overflows in the first step
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run(smooth_config(params, n=n, A0=a0))
+        assert out.halt_reason is HaltReason.NUMERICAL_FAULT
+        assert out.fault_detail == "non-finite values in area reaction terms"
+        assert out.series[0].e_tilde == np.inf
+
     def test_non_finite_samples_fail_by_name(self, params, tmp_path):
         g = Grid(1.0, 16)
         values = np.ones(16)
@@ -548,10 +574,10 @@ class TestRun:
         assert last.e_tilde == report.e_tilde
         assert last.e_sqrt == report.e_sqrt
 
-    def test_a_record_makes_two_fft_calls(self, params, monkeypatch):
-        # one rfft of the stacked (rho, A, sqrt(rho)) feeds both the energies
-        # and the central curvature, which are still called by their names in
-        # this module, so a wrapper installed there sees each call
+    def test_a_record_makes_one_fft_call(self, params, monkeypatch):
+        # one rfft of the stacked (rho, A, sqrt(rho)) feeds both the energies,
+        # by Parseval, and the central curvature, which are still called by
+        # their names in this module, so a wrapper installed there sees each call
         import xdiff.integrator as integrator
 
         g = Grid(1.0, 64)
@@ -572,7 +598,7 @@ class TestRun:
             monkeypatch.setattr(module, name, counted)
         record = _record(g, 0.0, a, r, np.zeros(64, dtype=bool))
         assert record == expected
-        assert sorted(c for c in calls if "fft" in c) == ["irfft", "rfft"]
+        assert [c for c in calls if "fft" in c] == ["rfft"]
         assert calls.count("energy") == calls.count("second_derivative_at_center") == 1
 
     def test_clip_budget_flags_numerical_fault(self, params):

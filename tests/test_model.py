@@ -219,15 +219,15 @@ class TestEnergy:
         assert report.e_sqrt == pytest.approx(3.0, abs=1e-12)
 
     def test_one_spectral_pass(self, grid, monkeypatch):
-        # one rfft of the stacked (rho, A, sqrt(rho)), one irfft of the three
-        # derivative spectra, and the same energies as one derivative at a time
+        # one rfft of the stacked (rho, A, sqrt(rho)), summed by Parseval, and
+        # the same energies as one derivative at a time in node space
         calls = []
         for name in ("rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counting(calls, name, getattr(np.fft, name)))
         s = even_state(grid)
         a, r = s.A.values, s.rho.values
         report = energy(grid, a, r)
-        assert calls == ["rfft", "irfft"]
+        assert calls == ["rfft"]
         monkeypatch.undo()
 
         dx = grid.dx
@@ -237,6 +237,18 @@ class TestEnergy:
         e_sqrt = 1 + dx * (np.sum(root**2) + np.sum(derivative(grid, root, grid.d2) ** 2))
         assert report.e_tilde == pytest.approx(e_tilde, rel=1e-13)
         assert report.e_sqrt == pytest.approx(e_sqrt, rel=1e-13)
+
+    def test_an_overflowing_square_makes_the_energy_infinite(self):
+        # the squares of rho = 1e160 overflow, those of sqrt(rho) = 1e80 do
+        # not; scaled before squaring and weighted by at least 1, the sums give
+        # +inf and the finite value the node sums give, with no warning
+        grid = Grid(1.0, 16)
+        s = constant_state(grid, r=1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = energy(grid, s.A.values, s.rho.values)
+        assert report.e_tilde == np.inf
+        assert report.e_sqrt == pytest.approx(2e160, rel=1e-15)
 
 
 class TestThresholdsAndBounds:
@@ -404,14 +416,15 @@ def oracle_terms(grid, u, p, conv_sym, sqrt, regrouped=True):
 
     ``regrouped`` gives the operation order the workspace assembly must keep
     bit for bit: the reactions around the pressure
-    P = alpha*(1 - mu)*rho + mu*alpha*(Gamma*rho), with mu*alpha folded into
-    the kernel symbol.  Otherwise the reactions are the model's plain
-    expressions, the second reference."""
-    avg_sym = p.mu * p.alpha * conv_sym if regrouped else conv_sym
+    P = alpha*(1 - mu)*rho + mu*alpha*(Gamma*rho), the inverse transform of
+    the density spectrum times the symbol alpha*(1 - mu) + mu*alpha*Gamma^.
+    Otherwise the reactions are the model's plain expressions, the second
+    reference."""
+    avg_sym = p.alpha * (1.0 - p.mu) + p.mu * p.alpha * conv_sym if regrouped else conv_sym
     a, w, rho, ux, uxx, avg, rx = oracle_transforms(grid, u, avg_sym, sqrt)
     area_flux, w_flux = rho * uxx + rx * ux
     if regrouped:
-        pressure = p.alpha * (1.0 - p.mu) * rho + avg
+        pressure = avg
         area = a * (p.beta_tilde + pressure - p.beta_tilde / p.K_tilde * (rho * a))
         g = p.beta - pressure - p.beta / p.K * (rho * a)
     else:

@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from operator import attrgetter
 
-from .config import ConfigError, RunConfig, parse_config, preset, preset_with_overrides
+from .config import ConfigError, RunConfig, parse_config, preset_with_overrides
 from .integrator import HaltReason, RunOutcome, run
 
 EXIT_CODE = {
@@ -289,9 +289,7 @@ def main(argv: list[str] | None = None) -> int:
             overrides = _parse_overrides(args.override)
             if args.out:
                 overrides["run.output_dir"] = args.out
-            config = preset(args.name) if not overrides else preset_with_overrides(
-                args.name, overrides
-            )
+            config = preset_with_overrides(args.name, overrides)
             code, outcome = execute(config)
             print(
                 f"{args.name}: {outcome.halt_reason.value} at t = "

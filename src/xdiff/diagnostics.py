@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, mirror
 
 SUPPORT_THRESHOLD_SCALE = 1e-9
 
@@ -92,8 +92,7 @@ def support(grid: Grid, values: np.ndarray, threshold: Optional[float] = None) -
 
 def symmetry_defect(values: np.ndarray) -> float:
     """Largest deviation from evenness about x = 0: max |f - f(-x)| over the nodes."""
-    # node 0 is its own mirror image; node j > 0 pairs with node N - j
-    return float(np.max(np.abs(values[1:] - values[:0:-1]), initial=0.0))
+    return float(np.max(np.abs(values - mirror(values))))
 
 
 def t_star(y0: float, theta: float) -> float:

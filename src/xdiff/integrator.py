@@ -4,15 +4,15 @@ A run steps one of the three evolution forms with second-order damped RKC
 super-time-stepping (Sommeijer, Shampine & Verwer 1998), each stage the same
 pointwise right side.  A damped RKC step of s stages is stable on
 [-beta(s), 0] of the real axis, beta(s) about 0.653 s^2 at the damping
-``DAMPING``, so each step takes the size that accuracy, the snapshots and the
-end time allow, capped by the stability of ``S_CAP`` stages, and then the
-fewest stages that are stable at that size.  The diffusive unit is
-dx^2 / max(rho), since the density weights the flux of both equations.
-``_Stepper`` maps each form to its right side, for runs and for the public
-``rhs`` and ``step``; ``step`` is classical RK4, the fourth-order reference
-for fixed-step convergence checks.  Runs halt on reaching the end time, on
-the two-signal blow-up detector, on step-size underflow, or on loss of
-finiteness.
+``DAMPING``, so ``_step_size`` gives each step the size that accuracy, the
+snapshots and the end time allow, capped by the stability of ``S_CAP``
+stages, and then the fewest stages that are stable at that size.  The
+diffusive unit is dx^2 / max(rho), since the density weights the flux of
+both equations.  ``_Stepper`` maps each form to its right side, for runs and
+for the public ``rhs`` and ``step``; ``step`` is classical RK4, the
+fourth-order reference for fixed-step convergence checks.  Runs halt on
+reaching the end time, on the two-signal blow-up detector, on step-size
+underflow, or on loss of finiteness.
 """
 
 from __future__ import annotations
@@ -154,29 +154,40 @@ def _euler_unit(dx: float, rho_max: float, ctrl: StepControl) -> float:
 
 def cfl_dt(dx: float, rho_max: float, ctrl: StepControl) -> float:
     """RKC stability bound, the ``S_CAP``-stage interval in forward-Euler units,
-    clamped to the dt window.  A run takes the density maximum ``rho_max``
-    once per step for this bound and for ``_stages``."""
+    clamped to the dt window."""
     bound = _euler_unit(dx, rho_max, ctrl) * stability_interval(S_CAP)
     return min(max(bound, ctrl.dt_min), ctrl.dt_max)
 
 
-def _stages(dx: float, rho_max: float, ctrl: StepControl, dt: float) -> int:
-    """Fewest RKC stages, at least 2 and at most ``S_CAP``, that are stable at ``dt``:
-    s stages are stable up to ``stability_interval(s)`` forward-Euler units."""
-    unit = _euler_unit(dx, rho_max, ctrl)
-    return next((s for s in range(2, S_CAP) if unit * stability_interval(s) >= dt), S_CAP)
+def _step_size(
+    dx: float,
+    ctrl: StepControl,
+    v: np.ndarray,
+    f_v: np.ndarray,
+    rho_max: float,
+    ys: list[float],
+    remaining: float,
+) -> tuple[float, int, bool]:
+    """The step rule, its one owner: ``(dt, stages, at_floor)`` for a step from
+    the stepped state ``v``, its right side ``f_v`` and the density maximum.
 
-
-def _change_dt(v: np.ndarray, f_v: np.ndarray) -> float:
-    """Step at which the first-order change ``dt * f(v)`` of each row of the
-    stepped state stays within ``CHANGE_FRACTION`` of the row's maximum.
-
-    Infinite when the right side vanishes.
+    dt = min(cfl_dt, CHANGE_FRACTION * min over rows of max|v| / max|f(v)|,
+    CURVATURE_FRACTION / y when the first and latest central curvatures y0
+    and y in ``ys`` are positive), floored at ``dt_min`` (``at_floor``: the
+    underflow rule), then cut to the ``remaining`` time to the next snapshot
+    or the end.  ``stages`` is the fewest in [2, S_CAP] stable at dt.
     """
     sizes, rates = np.max(np.abs(v), axis=1), np.max(np.abs(f_v), axis=1)
     # the ratio first: a subnormal row times the fraction would round to 0
     ratios = [float(size) / float(rate) for size, rate in zip(sizes, rates) if rate > 0]
-    return CHANGE_FRACTION * min(ratios, default=math.inf)
+    bound = min(cfl_dt(dx, rho_max, ctrl), CHANGE_FRACTION * min(ratios, default=math.inf))
+    if ys[0] > 0.0 and ys[-1] > 0.0:
+        bound = min(bound, CURVATURE_FRACTION / ys[-1])
+    floored = max(bound, ctrl.dt_min)
+    dt = min(floored, remaining)
+    unit = _euler_unit(dx, rho_max, ctrl)
+    stages = next((s for s in range(2, S_CAP) if unit * stability_interval(s) >= dt), S_CAP)
+    return dt, stages, floored == ctrl.dt_min
 
 
 def _apply_positivity(u: np.ndarray, dx: float) -> tuple[np.ndarray, float, float]:
@@ -371,17 +382,14 @@ def _record(
     grid: Grid, t: float, a: np.ndarray, r: np.ndarray, zero_nodes: np.ndarray
 ) -> DiagnosticRecord:
     """Diagnostics of the node values ``a``, ``r`` at time t; ``zero_nodes``
-    selects the initial density's interior zero set, as node indices (a run
-    computes them once) or as a boolean mask.
+    holds the node indices of the initial density's interior zero set.
 
     One rfft of the stacked (rho, A, sqrt(rho)) serves both the energies and
     the central curvature, so a record makes 1 FFT call.
     """
     spectra = _energy_spectra(a, r)
     report = energy(grid, a, r, spectra)
-    dx = grid.dx
-    on_zero_set = r[zero_nodes]
-    zero_max = float(on_zero_set.max()) if on_zero_set.size else None
+    zero_max = float(r[zero_nodes].max()) if zero_nodes.size else None
     return DiagnosticRecord(
         t=t,
         max_rho=float(r.max()),
@@ -390,8 +398,8 @@ def _record(
         rho_xx_at_0=second_derivative_at_center(grid, r, spectra[0]),
         supp_rho=tuple(support(grid, r)),
         supp_A=tuple(support(grid, a)),
-        mass_rho=float(r.sum() * dx),
-        mass_A=float(a.sum() * dx),
+        mass_rho=float(r.sum() * grid.dx),
+        mass_A=float(a.sum() * grid.dx),
         e_tilde=report.e_tilde,
         e_sqrt=report.e_sqrt,
         symmetry_defect_rho=symmetry_defect(r),
@@ -428,34 +436,32 @@ def _blowup_detected(ts: list[float], ys: list[float]) -> bool:
     return True
 
 
-def _interior_zero_mask(r0: np.ndarray) -> np.ndarray:
-    """Nodes where the initial density vanishes, one support-adjacent cell excluded.
+def _interior_zero_nodes(r0: np.ndarray) -> np.ndarray:
+    """Node indices where the initial density vanishes, one support-adjacent cell excluded.
 
     Band-limited interpolation smears a compact-support kink over one cell,
     so nodes touching the initial support do not count as zero set.
     """
     positive = r0 > 0.0
     adjacent = np.roll(positive, 1) | np.roll(positive, -1)
-    return (r0 == 0.0) & ~adjacent
+    return np.flatnonzero((r0 == 0.0) & ~adjacent)
 
 
 def run(config) -> RunOutcome:
     """Integrate a full configuration and collect diagnostics.
 
-    Each step takes the largest size that the ``S_CAP``-stage stability
-    bound, ``dt_max``, ``CHANGE_FRACTION`` of each row's first-order change
-    and, for data with a positive initial central curvature,
-    ``CURVATURE_FRACTION`` of the curvature's time scale 1/y allow; a size
-    at ``dt_min`` counts toward the underflow halt.  The step is then
-    shortened where needed to end exactly on each requested snapshot time
-    and on the end time, and takes the fewest stable stages.  A run records
-    every ``record_every`` steps, checks for blow-up after every step, and
-    halts with the matching reason.  Identical configurations reproduce
+    Each step takes the size and stage count of ``_step_size``, the one owner
+    of the step rule; two sizes in a row at ``dt_min`` halt on underflow.  A
+    run records every ``record_every`` steps and checks for blow-up after
+    every step.  Every halt breaks to one tail, which records the final state
+    unless the last step was recorded and builds the outcome.  On one step a
+    clip-budget fault precedes the snapshots, the snapshots the blow-up
+    detector, and the detector the end time.  Identical configurations give
     bit-identical series on one platform: the loop is sequential and every
     reduction is a fixed-order numpy reduction.
     """
     grid = Grid(config.grid_L, config.grid_N)
-    p: ModelParams = config.params
+    dx = grid.dx
     ctrl: StepControl = config.ctrl
     mode: RunMode = config.mode
 
@@ -470,7 +476,7 @@ def run(config) -> RunOutcome:
         if low < -POSITIVITY_TOL:
             raise ValueError(f"{name} must be nonnegative (min {low:.3e})")
         total = sum(values.tolist()) + grid.n_points * mode.delta
-        if not math.isfinite(total * grid.dx):
+        if not math.isfinite(total * dx):
             raise ValueError(f"{name} is too large: its mass on the grid overflows")
         # every rfft mode is at most the node sum, so the central curvature's
         # N/2 + 1 terms k^2 |rho_hat|, doubled, stay below this bound
@@ -482,53 +488,35 @@ def run(config) -> RunOutcome:
         # checked before smoothing: the mollifier's truncation undershoot is
         # not the data's, and is clipped and counted below like a step's
         rho0, a0 = (mollify(Field(grid, v), mode.eps).values for v in (rho0, a0))
-    u, clipped_a, clipped_rho = _apply_positivity(np.stack((a0, rho0)), grid.dx)
+    u, clipped_a, clipped_rho = _apply_positivity(np.stack((a0, rho0)), dx)
     t = 0.0
 
-    stepper = _Stepper(grid, p, mode)
-    zero_nodes = np.flatnonzero(_interior_zero_mask(u[1]))
-    initial_mass_A = float(np.sum(u[0]) * grid.dx)
-    initial_mass_rho = float(np.sum(u[1]) * grid.dx)
+    stepper = _Stepper(grid, config.params, mode)
+    zero_nodes = _interior_zero_nodes(u[1])
+    initial_mass_A = float(np.sum(u[0]) * dx)
+    initial_mass_rho = float(np.sum(u[1]) * dx)
+    initial_mass = initial_mass_rho + initial_mass_A
 
-    steps = 0
-    consecutive_dt_min = 0
+    steps = consecutive_dt_min = 0
     fault_detail = ""
     series = [_record(grid, t, u[0], u[1], zero_nodes)]
     # the central curvature after every step, for the blow-up detector
     times, curvatures = [t], [series[0].rho_xx_at_0]
     snapshots: list[State] = []
     pending_snaps = sorted(config.snapshot_times)
-
-    def state() -> State:
-        return State(t=t, A=Field(grid, u[0]), rho=Field(grid, u[1]))
-
-    def take_snapshots() -> None:
-        while pending_snaps and t >= pending_snaps[0]:
-            snapshots.append(state())
-            pending_snaps.pop(0)
-
-    def out(reason: HaltReason) -> RunOutcome:
-        if series[-1].t < t:
-            series.append(_record(grid, t, u[0], u[1], zero_nodes))
-        return RunOutcome(
-            halt_reason=reason,
-            final_state=state(),
-            series=series,
-            snapshots=snapshots,
-            steps=steps,
-            rhs_evals=stepper.evals,
-            initial_mass_rho=initial_mass_rho,
-            initial_mass_A=initial_mass_A,
-            clipped_mass_rho=clipped_rho,
-            clipped_mass_A=clipped_a,
-            fault_detail=fault_detail,
-        )
-
-    take_snapshots()
     while True:
+        while pending_snaps and t >= pending_snaps[0]:
+            snapshots.append(State(t=t, A=Field(grid, u[0]), rho=Field(grid, u[1])))
+            pending_snaps.pop(0)
+        if steps and _blowup_detected(times, curvatures):
+            reason = HaltReason.BLOWUP_DETECTED
+            break
         if t >= config.t_end:
-            return out(HaltReason.REACHED_T_END)
+            reason = HaltReason.REACHED_T_END
+            break
 
+        # the step ends exactly on the next snapshot time or the end time
+        target = pending_snaps[0] if pending_snaps else config.t_end
         try:
             # one error state per step: the evaluations and the step check finiteness
             with _unchecked():
@@ -536,38 +524,25 @@ def run(config) -> RunOutcome:
                 v = stepper.stepped(u)
                 f_v = stepper.f(v)
                 rho_max = float(u[1].max())
-                bound = min(cfl_dt(grid.dx, rho_max, ctrl), _change_dt(v, f_v))
-                y0, y = curvatures[0], curvatures[-1]
-                if y0 > 0.0 and y > 0.0:
-                    bound = min(bound, CURVATURE_FRACTION / y)
-                raw_dt = max(bound, ctrl.dt_min)
-                if raw_dt == ctrl.dt_min:
-                    consecutive_dt_min += 1
-                    if consecutive_dt_min >= 2:
-                        return out(HaltReason.DT_UNDERFLOW)
-                else:
-                    consecutive_dt_min = 0
-
-                # the step ends exactly on the next snapshot time or the end time
-                target = pending_snaps[0] if pending_snaps else config.t_end
-                remaining = target - t
-                dt = min(raw_dt, remaining)
-                stages = _stages(grid.dx, rho_max, ctrl, dt)
+                dt, stages, at_floor = _step_size(dx, ctrl, v, f_v, rho_max, curvatures, target - t)
+                consecutive_dt_min = consecutive_dt_min + 1 if at_floor else 0
+                if consecutive_dt_min >= 2:
+                    reason = HaltReason.DT_UNDERFLOW
+                    break
                 u, ca, cr = _step_arrays(stepper, _rkc, v, f_v, dt, stages)
         except NumericalFault as fault:
-            fault_detail = str(fault)
-            return out(HaltReason.NUMERICAL_FAULT)
-        t = target if dt == remaining else t + dt
+            reason, fault_detail = HaltReason.NUMERICAL_FAULT, str(fault)
+            break
+        t = target if dt == target - t else t + dt
         steps += 1
         clipped_a += ca
         clipped_rho += cr
 
-        initial_mass = initial_mass_rho + initial_mass_A
         if initial_mass > 0 and clipped_rho + clipped_a > CLIP_BUDGET_FRACTION * initial_mass:
             fault_detail = "clipped mass exceeded the per-run budget"
-            return out(HaltReason.NUMERICAL_FAULT)
+            reason = HaltReason.NUMERICAL_FAULT
+            break
 
-        take_snapshots()
         if steps % config.record_every == 0:
             series.append(_record(grid, t, u[0], u[1], zero_nodes))
             curvature = series[-1].rho_xx_at_0
@@ -575,5 +550,19 @@ def run(config) -> RunOutcome:
             curvature = second_derivative_at_center(grid, u[1])
         times.append(t)
         curvatures.append(curvature)
-        if _blowup_detected(times, curvatures):
-            return out(HaltReason.BLOWUP_DETECTED)
+
+    if series[-1].t < t:
+        series.append(_record(grid, t, u[0], u[1], zero_nodes))
+    return RunOutcome(
+        halt_reason=reason,
+        final_state=State(t=t, A=Field(grid, u[0]), rho=Field(grid, u[1])),
+        series=series,
+        snapshots=snapshots,
+        steps=steps,
+        rhs_evals=stepper.evals,
+        initial_mass_rho=initial_mass_rho,
+        initial_mass_A=initial_mass_A,
+        clipped_mass_rho=clipped_rho,
+        clipped_mass_A=clipped_a,
+        fault_detail=fault_detail,
+    )

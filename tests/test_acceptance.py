@@ -394,6 +394,30 @@ def test_criterion_7_consistency_suite():
         assert np.max(np.abs(dr_c.values + 0.55)) <= 1e-12
 
 
+def test_evolution_forms_converge_along_the_fig2_trajectory():
+    # criterion 7 compares the forms' right sides at one state; this compares
+    # the final states of whole fig2-support runs.  The mollified form is
+    # first order in its width eps at any N, and the sqrt form converges to
+    # the original under refinement.
+    def final(n, **mode):
+        overrides = {"grid.N": str(n), **{f"mode.{k}": str(v) for k, v in mode.items()}}
+        out = xdiff.run(preset_with_overrides("fig2-support", overrides))
+        assert out.halt_reason is xdiff.HaltReason.REACHED_T_END, out.fault_detail
+        return out.final_state.rho.values, out.final_state.A.values
+
+    original = {n: final(n) for n in (512, 1024)}
+
+    def gaps(n, **mode):
+        return [float(np.max(np.abs(x - y))) for x, y in zip(final(n, **mode), original[n])]
+
+    mollified = [gaps(1024, kind="regularized", eps=eps) for eps in (1e-5, 1e-6, 1e-7)]
+    sqrt = [gaps(n, kind="sqrt") for n in (512, 1024)]
+    assert min(mollified[-1] + sqrt[-1]) > 0.0
+    for wide, narrow in zip(mollified, mollified[1:]):
+        assert all(w >= 9.0 * m for w, m in zip(wide, narrow)), mollified
+    assert all(c >= 4.0 * f for c, f in zip(*sqrt)), sqrt
+
+
 def test_criterion_8_numerical_quality():
     with criterion(8, "numerical quality"):
         # exact spectral differentiation of a resolved mode

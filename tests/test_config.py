@@ -406,6 +406,7 @@ class TestKeyTableProperties:
 
     @pytest.mark.parametrize("name", ["fig1-blowup", "fig2-support"])
     def test_overriding_each_key_with_its_own_value_is_identity(self, name):
+        assert preset_with_overrides(name, {}) == preset(name)
         for key, value in rendered_pairs(preset(name)).items():
             assert preset_with_overrides(name, {key: value}) == preset(name), key
 

@@ -421,6 +421,16 @@ class TestRun:
         assert short.snapshots[0].t == taken[0][0] == 0.25 * dt
         assert 2 <= taken[0][1] < stages
 
+    def test_the_detector_wins_over_the_end_time_on_one_step(self):
+        # fig1 at N = 512 halts on the detector at this time; with the end time
+        # set to it, the last step lands on both, and the detector is read first
+        t_halt = 0.00495437609652217
+        cfg = preset_with_overrides("fig1-blowup", {"grid.N": "512", "run.t_end": repr(t_halt)})
+        out = run(cfg)
+        assert out.halt_reason is HaltReason.BLOWUP_DETECTED
+        assert out.final_state.t == t_halt
+        assert (out.steps, len(out.series)) == (95, 96)
+
     def test_snapshots_land_on_their_times(self):
         # steps are shortened to end on each snapshot time, so a snapshot
         # holds the state at its configured time, not at the end of the
@@ -582,7 +592,7 @@ class TestRun:
 
         g = Grid(1.0, 64)
         a, r = np.ones(64), 1.0 + 0.1 * np.cos(np.pi * g.x)
-        expected = _record(g, 0.0, a, r, np.zeros(64, dtype=bool))
+        expected = _record(g, 0.0, a, r, np.empty(0, dtype=int))
         calls = []
         for module, name in (
             (np.fft, "rfft"),
@@ -596,7 +606,7 @@ class TestRun:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        record = _record(g, 0.0, a, r, np.zeros(64, dtype=bool))
+        record = _record(g, 0.0, a, r, np.empty(0, dtype=int))
         assert record == expected
         assert [c for c in calls if "fft" in c] == ["rfft"]
         assert calls.count("energy") == calls.count("second_derivative_at_center") == 1

@@ -56,6 +56,8 @@ S_CAP = 40  # most stages in one RKC step, bounding roundoff growth through them
 DAMPING = 2.0 / 13.0  # RKC's epsilon, in w0 = 1 + epsilon / s^2: keeps |R| off 1 away from z = 0
 CHANGE_FRACTION = 0.005  # a step's first-order change of each row, over the row's maximum
 CURVATURE_FRACTION = 0.02  # a step's share of 1/y, y the central curvature, when y0 > 0
+ERROR_RTOL = 3e-3  # relative tolerance of RKC's error estimate, which may lengthen a step
+ERROR_AREL = 3e-5  # share of its row's maximum below which a node's error weight stops shrinking
 
 
 def _chebyshev(s: int, x: float) -> tuple[list[float], list[float], list[float]]:
@@ -159,6 +161,41 @@ def cfl_dt(dx: float, rho_max: float, ctrl: StepControl) -> float:
     return min(max(bound, ctrl.dt_min), ctrl.dt_max)
 
 
+def _error_ratio(
+    last: tuple[np.ndarray, np.ndarray, float],
+    v: np.ndarray,
+    f_v: np.ndarray,
+    sizes: np.ndarray,
+    work: np.ndarray,
+) -> float:
+    """RMS over both rows of RKC's weighted error estimate for the step from ``last`` to ``v``.
+
+    ``last`` holds the stepped state, its right side and the size of the step
+    that ended at ``v``; ``f_v`` is the right side at ``v`` and ``sizes`` its
+    rows' maxima of |v|.  The estimate 0.8 (v_n - v_n+1) + 0.4 dt_n (f(v_n) +
+    f(v_n+1)) (Sommeijer, Shampine & Verwer 1998) is weighted by
+    ERROR_RTOL (ERROR_AREL max|v_n+1| + max(v_n, v_n+1)), the first term per
+    row; both states are clipped nonnegative, so max(v_n, v_n+1) is that of
+    their magnitudes.  The constant factors are applied to the RMS, and the
+    rest is built in the first two arrays of ``work``, the step's work
+    arrays, which are free between steps.  A zero weight, from a row that is
+    zero at both ends, gives inf.
+    """
+    v_last, f_last, dt_last = last
+    est, scale = work[0], work[1]
+    np.add(f_last, f_v, out=est)
+    est *= 0.5 * dt_last
+    np.subtract(v_last, v, out=scale)
+    est += scale
+    np.maximum(v_last, v, out=scale)
+    scale += ERROR_AREL * sizes[:, None]
+    if scale.min() == 0.0:
+        return math.inf
+    est /= scale
+    flat = est.reshape(-1)
+    return 0.8 / ERROR_RTOL * math.sqrt(float(np.dot(flat, flat)) / flat.size)
+
+
 def _step_size(
     dx: float,
     ctrl: StepControl,
@@ -167,11 +204,17 @@ def _step_size(
     rho_max: float,
     ys: list[float],
     remaining: float,
+    last: tuple[np.ndarray, np.ndarray, float] | None,
+    work: np.ndarray,
 ) -> tuple[float, int, bool]:
     """The step rule, its one owner: ``(dt, stages, at_floor)`` for a step from
     the stepped state ``v``, its right side ``f_v`` and the density maximum.
 
-    dt = min(cfl_dt, CHANGE_FRACTION * min over rows of max|v| / max|f(v)|,
+    The accuracy bound is CHANGE_FRACTION * min over rows of max|v| / max|f(v)|,
+    lengthened, never shortened, to the size RKC's error estimate proposes for
+    the step that ended at ``v``, dt_n clamp(0.8 err^(-1/3), 0.2, 10) with err
+    from ``_error_ratio`` (``last`` is None on a run's first step, which takes
+    the change rule alone).  dt = min(cfl_dt, the accuracy bound,
     CURVATURE_FRACTION / y when the first and latest central curvatures y0
     and y in ``ys`` are positive), floored at ``dt_min`` (``at_floor``: the
     underflow rule), then cut to the ``remaining`` time to the next snapshot
@@ -180,7 +223,13 @@ def _step_size(
     sizes, rates = np.max(np.abs(v), axis=1), np.max(np.abs(f_v), axis=1)
     # the ratio first: a subnormal row times the fraction would round to 0
     ratios = [float(size) / float(rate) for size, rate in zip(sizes, rates) if rate > 0]
-    bound = min(cfl_dt(dx, rho_max, ctrl), CHANGE_FRACTION * min(ratios, default=math.inf))
+    accuracy = CHANGE_FRACTION * min(ratios, default=math.inf)
+    if last is not None:
+        err = _error_ratio(last, v, f_v, sizes, work)
+        # an estimate that overflowed to inf or NaN gives the smallest factor
+        factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.8 * err ** (-1.0 / 3.0)))
+        accuracy = max(accuracy, last[2] * factor)
+    bound = min(cfl_dt(dx, rho_max, ctrl), accuracy)
     if ys[0] > 0.0 and ys[-1] > 0.0:
         bound = min(bound, CURVATURE_FRACTION / ys[-1])
     floored = max(bound, ctrl.dt_min)
@@ -385,26 +434,30 @@ def _record(
     holds the node indices of the initial density's interior zero set.
 
     One rfft of the stacked (rho, A, sqrt(rho)) serves both the energies and
-    the central curvature, so a record makes 1 FFT call.
+    the central curvature, so a record makes 1 FFT call.  A huge but finite
+    state may overflow in a sum; the record holds its own error state, so such
+    values come out non-finite without a warning, and the run faults on a
+    non-finite curvature.
     """
-    spectra = _energy_spectra(a, r)
-    report = energy(grid, a, r, spectra)
-    zero_max = float(r[zero_nodes].max()) if zero_nodes.size else None
-    return DiagnosticRecord(
-        t=t,
-        max_rho=float(r.max()),
-        min_rho=float(r.min()),
-        min_A=float(a.min()),
-        rho_xx_at_0=second_derivative_at_center(grid, r, spectra[0]),
-        supp_rho=tuple(support(grid, r)),
-        supp_A=tuple(support(grid, a)),
-        mass_rho=float(r.sum() * grid.dx),
-        mass_A=float(a.sum() * grid.dx),
-        e_tilde=report.e_tilde,
-        e_sqrt=report.e_sqrt,
-        symmetry_defect_rho=symmetry_defect(r),
-        zero_set_max_rho=zero_max,
-    )
+    with _unchecked():
+        spectra = _energy_spectra(a, r)
+        report = energy(grid, a, r, spectra)
+        zero_max = float(r[zero_nodes].max()) if zero_nodes.size else None
+        return DiagnosticRecord(
+            t=t,
+            max_rho=float(r.max()),
+            min_rho=float(r.min()),
+            min_A=float(a.min()),
+            rho_xx_at_0=second_derivative_at_center(grid, r, spectra[0]),
+            supp_rho=tuple(support(grid, r)),
+            supp_A=tuple(support(grid, a)),
+            mass_rho=float(r.sum() * grid.dx),
+            mass_A=float(a.sum() * grid.dx),
+            e_tilde=report.e_tilde,
+            e_sqrt=report.e_sqrt,
+            symmetry_defect_rho=symmetry_defect(r),
+            zero_set_max_rho=zero_max,
+        )
 
 
 def _blowup_detected(ts: list[float], ys: list[float]) -> bool:
@@ -499,6 +552,9 @@ def run(config) -> RunOutcome:
 
     steps = consecutive_dt_min = 0
     fault_detail = ""
+    # the stepped state, its right side and the size of the last step, for its error estimate
+    last: tuple[np.ndarray, np.ndarray, float] | None = None
+    f_last = np.empty_like(u)
     series = [_record(grid, t, u[0], u[1], zero_nodes)]
     # the central curvature after every step, for the blow-up detector
     times, curvatures = [t], [series[0].rho_xx_at_0]
@@ -518,36 +574,42 @@ def run(config) -> RunOutcome:
         # the step ends exactly on the next snapshot time or the end time
         target = pending_snaps[0] if pending_snaps else config.t_end
         try:
-            # one error state per step: the evaluations and the step check finiteness
+            # one error state per step: the evaluations, the step and its
+            # diagnostics check finiteness
             with _unchecked():
-                # RKC's first stage f(v) does not depend on dt, so it serves the step rule too
+                # RKC's first stage f(v) does not depend on dt, so it serves the
+                # step rule too, and the error estimate of the step before
                 v = stepper.stepped(u)
                 f_v = stepper.f(v)
                 rho_max = float(u[1].max())
-                dt, stages, at_floor = _step_size(dx, ctrl, v, f_v, rho_max, curvatures, target - t)
+                dt, stages, at_floor = _step_size(
+                    dx, ctrl, v, f_v, rho_max, curvatures, target - t, last, stepper.work
+                )
                 consecutive_dt_min = consecutive_dt_min + 1 if at_floor else 0
                 if consecutive_dt_min >= 2:
                     reason = HaltReason.DT_UNDERFLOW
                     break
+                # copied before the step: RKC scales its first stage in place
+                np.copyto(f_last, f_v)
                 u, ca, cr = _step_arrays(stepper, _rkc, v, f_v, dt, stages)
+                last = (v, f_last, dt)
+                t = target if dt == target - t else t + dt
+                steps += 1
+                clipped_a += ca
+                clipped_rho += cr
+                over_budget = clipped_rho + clipped_a > CLIP_BUDGET_FRACTION * initial_mass
+                if initial_mass > 0 and over_budget:
+                    raise NumericalFault("clipped mass exceeded the per-run budget")
+                if steps % config.record_every == 0:
+                    series.append(_record(grid, t, u[0], u[1], zero_nodes))
+                    curvature = series[-1].rho_xx_at_0
+                else:
+                    curvature = second_derivative_at_center(grid, u[1])
+                if not math.isfinite(curvature):
+                    raise NumericalFault("non-finite central curvature after step")
         except NumericalFault as fault:
             reason, fault_detail = HaltReason.NUMERICAL_FAULT, str(fault)
             break
-        t = target if dt == target - t else t + dt
-        steps += 1
-        clipped_a += ca
-        clipped_rho += cr
-
-        if initial_mass > 0 and clipped_rho + clipped_a > CLIP_BUDGET_FRACTION * initial_mass:
-            fault_detail = "clipped mass exceeded the per-run budget"
-            reason = HaltReason.NUMERICAL_FAULT
-            break
-
-        if steps % config.record_every == 0:
-            series.append(_record(grid, t, u[0], u[1], zero_nodes))
-            curvature = series[-1].rho_xx_at_0
-        else:
-            curvature = second_derivative_at_center(grid, u[1])
         times.append(t)
         curvatures.append(curvature)
 

@@ -130,6 +130,16 @@ def rk4_run_loop(monkeypatch):
     monkeypatch.setattr(integrator, "stability_interval", lambda s: integrator.RK4_REAL_STABILITY)
 
 
+def test_rk4_run_loop_is_pinned(rk4_run_loop):
+    # the reference sits at RK4's stability bound, not at the accuracy rule,
+    # so a change to that rule leaves it where it is
+    out = xdiff.run(preset_with_overrides("fig2-support", {"grid.N": "512"}))
+    assert out.halt_reason is xdiff.HaltReason.REACHED_T_END
+    assert (out.steps, out.rhs_evals) == (200, 800)
+    advance, _ = area_edge_motion(run_hulls(out))
+    assert advance.tolist() == [0.078125, 0.078125]
+
+
 def test_criterion_1_blowup_reproduction(fig1):
     with criterion(1, "blow-up reproduction"):
         assert fig1["code"] == 3, "preset must exit with the blow-up code"
@@ -332,7 +342,7 @@ def test_area_advance_agrees_with_rk4_at_n2048():
 
 
 def test_criterion_4_no_retreat_at_any_rkc_step():
-    # the preset records every 10th of its 11 steps; recording each one
+    # the preset records every 10th of its 10 steps; recording each one
     # checks the hull at every step
     with criterion(4, "area hull never retreats at any RKC step"):
         out = xdiff.run(preset_with_overrides("fig2-support", {"run.record_every": "1"}))

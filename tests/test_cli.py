@@ -346,26 +346,26 @@ SERIES_PINS = [
     (
         "fig1-blowup",
         {},
-        "80653b58160ac29b52a84140654a3d7142a524d5f95b9c29c17ee6eb3a68305f",
-        (93, 1256, 94),
+        "95746c9d38a28dd2faf705dda17d17d6d4cf6d5d8dc34199d205152224eca71c",
+        (60, 966, 61),
     ),
     (
         "fig2-support",
         {},
-        "8b595cb6edb3d6a648ff98f39b805ee2cc801d4ccada6b8222c490e0bed8e123",
-        (11, 193, 3),
+        "a8d8e17324c6e78121f9211910251140a977c53a3857b880970c4fdcdf608171",
+        (10, 188, 2),
     ),
     (
         "fig2-support",
         {"grid.N": "2048"},
-        "ea924f131ff190e8f9699d7ac032dc8c284d29362b3b135eb59bb4cd8a11dfcd",
-        (11, 382, 3),
+        "ff3a4130329b19242b9b661cd964738da934912613424ae2221a9eaac08e788b",
+        (10, 373, 2),
     ),
     (
         "fig2-support",
         {"mode.kind": "sqrt", "run.record_every": "1"},
-        "4d6364eaf1b5661b5b5bff4c9f96579d59cde2f01f5d3f499b8128207dc011ff",
-        (11, 193, 12),
+        "7e91516701d05b2c1dc0e1d9cfb31992d616ee68a46eb9c65afe9682f966b7c9",
+        (10, 188, 11),
     ),
 ]
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from xdiff.config import (
     ConfigError,
@@ -20,6 +21,7 @@ from xdiff.config import (
 )
 from xdiff.grid import Field, Grid, InvalidValue
 from xdiff.integrator import (
+    CURVATURE_FRACTION,
     DAMPING,
     RK4_REAL_STABILITY,
     S_CAP,
@@ -27,10 +29,12 @@ from xdiff.integrator import (
     RunMode,
     StepControl,
     _blowup_detected,
+    _error_ratio,
     _record,
     _rkc,
     _rkc_table,
     _step_arrays,
+    _step_size,
     _Stepper,
     cfl_dt,
     run,
@@ -305,6 +309,79 @@ class TestRkc:
         assert u.tobytes() == u_before.tobytes()
 
 
+class TestErrorEstimate:
+    @pytest.mark.parametrize("stages", [2, 10, S_CAP])
+    def test_the_estimate_of_an_rkc_step_scales_as_dt_cubed(self, stages):
+        # y' = lam y: one RKC step's estimate is O(dt^3), so halving dt
+        # divides the weighted error by 8
+        lam = -50.0
+        f = lambda w: lam * w
+        v = np.array([[1.0, 0.5, 0.25], [2.0, 1.0, 0.5]])
+        work = np.empty((4, *v.shape))
+        errs = []
+        for dt in (4e-3, 2e-3, 1e-3):
+            v_next = _rkc(v, dt, f, stages=stages)
+            sizes = np.abs(v_next).max(axis=1)
+            errs.append(_error_ratio((v, f(v), dt), v_next, f(v_next), sizes, work))
+        orders = [math.log2(coarse / fine) for coarse, fine in zip(errs, errs[1:])]
+        assert orders == pytest.approx([3.0, 3.0], abs=0.1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        v=arrays(np.float64, (2, 16), elements=st.floats(0.0, 1e3)),
+        f_v=arrays(np.float64, (2, 16), elements=st.floats(-1e4, 1e4)),
+        v_last=arrays(np.float64, (2, 16), elements=st.floats(0.0, 1e3)),
+        f_last=arrays(np.float64, (2, 16), elements=st.floats(-1e4, 1e4)),
+        dt_last=st.floats(1e-12, 1e-2),
+        y=st.floats(-1e3, 1e6),
+        remaining=st.floats(1e-12, 1.0),
+    )
+    # an error of 3e-10, whose factor 0.8 err^(-1/3) is clamped to 10
+    @example(
+        v=np.ones((2, 16)),
+        f_v=np.ones((2, 16)),
+        v_last=np.full((2, 16), 1.0 + 1e-12),
+        f_last=-np.ones((2, 16)),
+        dt_last=6e-4,
+        y=-1.0,
+        remaining=1.0,
+    )
+    def test_the_estimate_only_lengthens_a_step_by_at_most_ten(
+        self, v, f_v, v_last, f_last, dt_last, y, remaining
+    ):
+        # without a previous step the rule is the change rule alone; with one,
+        # the step is at least that, at most ten times the previous one or
+        # that, and within every cap
+        dx, ctrl, rho_max, ys = 2.0 / 16, StepControl(), float(v[1].max()), [62.5, y]
+        work = np.empty((4, 2, 16))
+        with _unchecked():
+            base, _, _ = _step_size(dx, ctrl, v, f_v, rho_max, ys, remaining, None, work)
+            last = (v_last, f_last, dt_last)
+            dt, _, _ = _step_size(dx, ctrl, v, f_v, rho_max, ys, remaining, last, work)
+        assert base <= dt <= max(base, 10.0 * dt_last)
+        assert dt <= min(cfl_dt(dx, rho_max, ctrl), remaining)
+        if y > 0.0:
+            assert dt <= max(CURVATURE_FRACTION / y, ctrl.dt_min)
+
+    def test_the_estimate_adds_no_evaluation(self, monkeypatch):
+        # the estimate reads the next step's first stage, so a run's right
+        # sides are exactly the stages its steps took
+        import xdiff.integrator as integrator
+
+        taken = []
+        step_size = integrator._step_size
+
+        def recorded(*args):
+            taken.append(step_size(*args))
+            return taken[-1]
+
+        monkeypatch.setattr(integrator, "_step_size", recorded)
+        out = run(preset_with_overrides("fig1-blowup", {"grid.N": "512"}))
+        assert out.halt_reason is HaltReason.BLOWUP_DETECTED
+        assert len(taken) == out.steps
+        assert out.rhs_evals == sum(stages for _, stages, _ in taken)
+
+
 class TestRun:
     @pytest.mark.parametrize(
         "mode",
@@ -424,12 +501,12 @@ class TestRun:
     def test_the_detector_wins_over_the_end_time_on_one_step(self):
         # fig1 at N = 512 halts on the detector at this time; with the end time
         # set to it, the last step lands on both, and the detector is read first
-        t_halt = 0.00495437609652217
+        t_halt = 0.00495494142717834
         cfg = preset_with_overrides("fig1-blowup", {"grid.N": "512", "run.t_end": repr(t_halt)})
         out = run(cfg)
         assert out.halt_reason is HaltReason.BLOWUP_DETECTED
         assert out.final_state.t == t_halt
-        assert (out.steps, len(out.series)) == (95, 96)
+        assert (out.steps, len(out.series)) == (64, 65)
 
     def test_snapshots_land_on_their_times(self):
         # steps are shortened to end on each snapshot time, so a snapshot
@@ -486,6 +563,26 @@ class TestRun:
         assert out.halt_reason is HaltReason.NUMERICAL_FAULT
         assert out.fault_detail == "non-finite values in area reaction terms"
         assert out.series[0].e_tilde == np.inf
+
+    @pytest.mark.parametrize("record_every", [1, 1000], ids=["recorded", "per-step"])
+    def test_a_finite_step_whose_curvature_overflows_faults_by_name(
+        self, params, monkeypatch, record_every
+    ):
+        # a finite stepped density whose Nyquist mode overflows the central
+        # curvature: the step's error state holds the curvature too, so the
+        # run faults by name with no numpy warning
+        import xdiff.integrator as integrator
+
+        huge = np.stack((np.ones(16), np.where(np.arange(16) % 2, 1e307, 0.0)))
+        monkeypatch.setattr(integrator, "_rkc", lambda u, dt, f, f_u, stages, work: huge.copy())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run(smooth_config(params, n=16, record_every=record_every))
+        assert out.halt_reason is HaltReason.NUMERICAL_FAULT
+        assert out.fault_detail == "non-finite central curvature after step"
+        assert out.steps == 1
+        assert out.series[-1].t == out.final_state.t
+        assert not math.isfinite(out.series[-1].rho_xx_at_0)
 
     def test_non_finite_samples_fail_by_name(self, params, tmp_path):
         g = Grid(1.0, 16)

@@ -166,7 +166,6 @@ def _error_ratio(
     v: np.ndarray,
     f_v: np.ndarray,
     sizes: np.ndarray,
-    work: np.ndarray,
 ) -> float:
     """RMS over both rows of RKC's weighted error estimate for the step from ``last`` to ``v``.
 
@@ -176,18 +175,14 @@ def _error_ratio(
     f(v_n+1)) (Sommeijer, Shampine & Verwer 1998) is weighted by
     ERROR_RTOL (ERROR_AREL max|v_n+1| + max(v_n, v_n+1)), the first term per
     row; both states are clipped nonnegative, so max(v_n, v_n+1) is that of
-    their magnitudes.  The constant factors are applied to the RMS, and the
-    rest is built in the first two arrays of ``work``, the step's work
-    arrays, which are free between steps.  A zero weight, from a row that is
-    zero at both ends, gives inf.
+    their magnitudes.  The constant factors are applied to the RMS.  A zero
+    weight, from a row that is zero at both ends, gives inf.
     """
     v_last, f_last, dt_last = last
-    est, scale = work[0], work[1]
-    np.add(f_last, f_v, out=est)
+    est = f_last + f_v
     est *= 0.5 * dt_last
-    np.subtract(v_last, v, out=scale)
-    est += scale
-    np.maximum(v_last, v, out=scale)
+    est += v_last - v
+    scale = np.maximum(v_last, v)
     scale += ERROR_AREL * sizes[:, None]
     if scale.min() == 0.0:
         return math.inf
@@ -205,7 +200,6 @@ def _step_size(
     ys: list[float],
     remaining: float,
     last: tuple[np.ndarray, np.ndarray, float] | None,
-    work: np.ndarray,
 ) -> tuple[float, int, bool]:
     """The step rule, its one owner: ``(dt, stages, at_floor)`` for a step from
     the stepped state ``v``, its right side ``f_v`` and the density maximum.
@@ -225,7 +219,7 @@ def _step_size(
     ratios = [float(size) / float(rate) for size, rate in zip(sizes, rates) if rate > 0]
     accuracy = CHANGE_FRACTION * min(ratios, default=math.inf)
     if last is not None:
-        err = _error_ratio(last, v, f_v, sizes, work)
+        err = _error_ratio(last, v, f_v, sizes)
         # an estimate that overflowed to inf or NaN gives the smallest factor
         factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.8 * err ** (-1.0 / 3.0)))
         accuracy = max(accuracy, last[2] * factor)
@@ -314,10 +308,10 @@ def _rkc(
     """One damped RKC step of ``stages`` stages in increment form: d_j = Y_j - u, returning u + d_s.
 
     The first stage ``f_u = f(u)`` does not depend on dt, so a caller that
-    has it to choose dt passes it in, and the step scales it by dt in place;
-    otherwise it is evaluated here.  ``work`` stacks four arrays shaped like
-    ``u``: a run passes the same ones to every step, and a call without them
-    allocates its own.
+    has it to choose dt passes it in; otherwise it is evaluated here.  The
+    step writes neither ``u`` nor ``f_u``.  ``work`` stacks four arrays shaped
+    like ``u``: a run passes the same ones to every step, and a call without
+    them allocates its own.
 
     d_j = mu_j d_{j-1} + nu_j d_{j-2} + mu~_j dt f(u + d_{j-1}) + gamma~_j dt f(u).
     Not the equivalent stage-value form mu_j Y_{j-1} + nu_j Y_{j-2} +
@@ -328,11 +322,7 @@ def _rkc(
     or a view of it still gives the plain expressions' result.
     """
     mu1, rows = _rkc_table(stages)
-    if f_u is None:
-        g = dt * f(u)
-    else:
-        g = f_u
-        g *= dt
+    g = dt * (f(u) if f_u is None else f_u)
     d, d_old, y, term = [np.empty_like(u) for _ in range(4)] if work is None else work
     np.multiply(mu1, g, out=d)
     d_old.fill(0.0)
@@ -546,20 +536,17 @@ def run(config) -> RunOutcome:
 
     stepper = _Stepper(grid, config.params, mode)
     zero_nodes = _interior_zero_nodes(u[1])
-    initial_mass_A = float(np.sum(u[0]) * dx)
-    initial_mass_rho = float(np.sum(u[1]) * dx)
-    initial_mass = initial_mass_rho + initial_mass_A
 
     steps = consecutive_dt_min = 0
     fault_detail = ""
     # the stepped state, its right side and the size of the last step, for its error estimate
     last: tuple[np.ndarray, np.ndarray, float] | None = None
-    f_last = np.empty_like(u)
     series = [_record(grid, t, u[0], u[1], zero_nodes)]
+    initial_mass = series[0].mass_rho + series[0].mass_A
     # the central curvature after every step, for the blow-up detector
     times, curvatures = [t], [series[0].rho_xx_at_0]
     snapshots: list[State] = []
-    pending_snaps = sorted(config.snapshot_times)
+    pending_snaps = list(config.snapshot_times)
     while True:
         while pending_snaps and t >= pending_snaps[0]:
             snapshots.append(State(t=t, A=Field(grid, u[0]), rho=Field(grid, u[1])))
@@ -583,16 +570,14 @@ def run(config) -> RunOutcome:
                 f_v = stepper.f(v)
                 rho_max = float(u[1].max())
                 dt, stages, at_floor = _step_size(
-                    dx, ctrl, v, f_v, rho_max, curvatures, target - t, last, stepper.work
+                    dx, ctrl, v, f_v, rho_max, curvatures, target - t, last
                 )
                 consecutive_dt_min = consecutive_dt_min + 1 if at_floor else 0
                 if consecutive_dt_min >= 2:
                     reason = HaltReason.DT_UNDERFLOW
                     break
-                # copied before the step: RKC scales its first stage in place
-                np.copyto(f_last, f_v)
                 u, ca, cr = _step_arrays(stepper, _rkc, v, f_v, dt, stages)
-                last = (v, f_last, dt)
+                last = (v, f_v, dt)
                 t = target if dt == target - t else t + dt
                 steps += 1
                 clipped_a += ca
@@ -622,8 +607,8 @@ def run(config) -> RunOutcome:
         snapshots=snapshots,
         steps=steps,
         rhs_evals=stepper.evals,
-        initial_mass_rho=initial_mass_rho,
-        initial_mass_A=initial_mass_A,
+        initial_mass_rho=series[0].mass_rho,
+        initial_mass_A=series[0].mass_A,
         clipped_mass_rho=clipped_rho,
         clipped_mass_A=clipped_a,
         fault_detail=fault_detail,

@@ -284,13 +284,14 @@ def _rhs_regularized_core(ws: Workspace, u: np.ndarray, damp: np.ndarray) -> np.
 
 def _energy_spectra(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """The rfft of the stacked (rho, A, sqrt(rho)), whose row 0 is the density
-    spectrum; a negative density node counts as 0 under the root."""
+    spectrum; a negative density node counts as 0 under the root.  The
+    transform of a huge state may overflow, so the caller holds the error
+    state."""
     fields = np.empty((3, rho.size))
     fields[0], fields[1] = rho, a
     root = np.maximum(rho, 0.0, out=fields[2])
     np.sqrt(root, out=root)
-    with np.errstate(over="ignore"):
-        return np.fft.rfft(fields)
+    return np.fft.rfft(fields)
 
 
 def energy(
@@ -305,10 +306,10 @@ def energy(
     weight at least 1 an overflow gives +inf, never nan.  A caller that holds
     ``_energy_spectra(a, rho)`` already passes it as ``spectra``.
     """
-    spectra = _energy_spectra(a, rho) if spectra is None else spectra
-    # on the real and imaginary parts: a complex product of inf would meet a 0
-    power = spectra.view(np.float64) / grid.n_points
     with np.errstate(over="ignore"):  # energies may legitimately reach +inf
+        spectra = _energy_spectra(a, rho) if spectra is None else spectra
+        # on the real and imaginary parts: a complex product of inf would meet a 0
+        power = spectra.view(np.float64) / grid.n_points
         np.square(power, out=power)
         power *= grid.energy_weights
         rho_m, a_m, root_m = power.sum(axis=1)

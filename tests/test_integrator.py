@@ -31,6 +31,7 @@ from xdiff.integrator import (
     _blowup_detected,
     _error_ratio,
     _record,
+    _rk4,
     _rkc,
     _rkc_table,
     _step_arrays,
@@ -308,6 +309,20 @@ class TestRkc:
         assert _rkc(u, dt, f).tobytes() == expected.tobytes()
         assert u.tobytes() == u_before.tobytes()
 
+    @pytest.mark.parametrize(
+        "scheme, stages", [(_rkc, 2), (_rkc, S_CAP), (_rk4, 4)], ids=["rkc-2", "rkc-cap", "rk4"]
+    )
+    def test_a_step_writes_none_of_its_inputs(self, params, scheme, stages):
+        # a run keeps the stepped state and its first stage for the next
+        # step's error estimate, so the step must leave both as they were
+        g = Grid(1.0, 32)
+        stepper = _Stepper(g, params, RunMode())
+        u = np.stack((np.ones(32), 1.0 + 0.1 * np.cos(np.pi * g.x)))
+        f_u = stepper.f(u)
+        before = u.tobytes(), f_u.tobytes()
+        scheme(u, 1e-4, stepper.f, f_u, stages, stepper.work)
+        assert (u.tobytes(), f_u.tobytes()) == before
+
 
 class TestErrorEstimate:
     @pytest.mark.parametrize("stages", [2, 10, S_CAP])
@@ -317,14 +332,21 @@ class TestErrorEstimate:
         lam = -50.0
         f = lambda w: lam * w
         v = np.array([[1.0, 0.5, 0.25], [2.0, 1.0, 0.5]])
-        work = np.empty((4, *v.shape))
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
             v_next = _rkc(v, dt, f, stages=stages)
             sizes = np.abs(v_next).max(axis=1)
-            errs.append(_error_ratio((v, f(v), dt), v_next, f(v_next), sizes, work))
+            errs.append(_error_ratio((v, f(v), dt), v_next, f(v_next), sizes))
         orders = [math.log2(coarse / fine) for coarse, fine in zip(errs, errs[1:])]
         assert orders == pytest.approx([3.0, 3.0], abs=0.1)
+
+    def test_the_estimate_writes_none_of_its_inputs(self):
+        v_last, f_last = np.array([[1.0, 0.5], [2.0, 1.0]]), np.array([[-3.0, 1.0], [0.5, -2.0]])
+        v, f_v = 0.9 * v_last, 1.1 * f_last
+        arrays = (v_last, f_last, v, f_v)
+        before = [a.tobytes() for a in arrays]
+        _error_ratio((v_last, f_last, 1e-3), v, f_v, np.abs(v).max(axis=1))
+        assert [a.tobytes() for a in arrays] == before
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -353,11 +375,10 @@ class TestErrorEstimate:
         # the step is at least that, at most ten times the previous one or
         # that, and within every cap
         dx, ctrl, rho_max, ys = 2.0 / 16, StepControl(), float(v[1].max()), [62.5, y]
-        work = np.empty((4, 2, 16))
         with _unchecked():
-            base, _, _ = _step_size(dx, ctrl, v, f_v, rho_max, ys, remaining, None, work)
+            base, _, _ = _step_size(dx, ctrl, v, f_v, rho_max, ys, remaining, None)
             last = (v_last, f_last, dt_last)
-            dt, _, _ = _step_size(dx, ctrl, v, f_v, rho_max, ys, remaining, last, work)
+            dt, _, _ = _step_size(dx, ctrl, v, f_v, rho_max, ys, remaining, last)
         assert base <= dt <= max(base, 10.0 * dt_last)
         assert dt <= min(cfl_dt(dx, rho_max, ctrl), remaining)
         if y > 0.0:
@@ -416,6 +437,8 @@ class TestRun:
         assert out.final_state.t == pytest.approx(1e-3, abs=0)
         ts = [rec.t for rec in out.series]
         assert all(b > a for a, b in zip(ts, ts[1:]))
+        first = out.series[0]
+        assert (out.initial_mass_rho, out.initial_mass_A) == (first.mass_rho, first.mass_A)
 
     def test_determinism_bitwise(self, params):
         cfg = smooth_config(params)
@@ -888,6 +911,8 @@ class TestErrorState:
         assert out.halt_reason is HaltReason.REACHED_T_END
         assert out.rhs_evals > out.steps >= 4
         assert entered["step"] == out.steps
+        # the record's own scope and the energies'
+        assert entered["record"] == 2 * len(out.series)
 
     def test_a_stepped_state_whose_sum_overflows_is_not_a_fault(self, params):
         # one reduction checks the stepped state; when its sum overflows, the

@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from .grid import Field, Grid, InvalidValue, read_node_csv
-from .integrator import RunMode, StepControl
+from .integrator import RunMode
 from .kernel import BoxKernel, SampledKernel, load_sampled_kernel
 from .model import ModelParams
 
@@ -127,7 +127,6 @@ class RunConfig:
     rho0: InitialDataSpec
     A0: InitialDataSpec
     mode: RunMode
-    ctrl: StepControl
     t_end: float
     record_every: int = 10
     snapshot_times: tuple[float, ...] = ()
@@ -327,7 +326,7 @@ def render_config(config: RunConfig) -> str:
 # presets
 # ---------------------------------------------------------------------------
 
-# what differs between the presets; both share the grid, parameters and controls
+# what differs between the presets; both share the grid, parameters and mode
 _PRESETS = {
     "fig1-blowup": dict(
         rho0=PolyBump(amp=-2000.0, a=-0.5, b=0.5, p=3, q=2, r=3),
@@ -365,7 +364,6 @@ def preset(name: str) -> RunConfig:
         params=ModelParams(alpha=1.0, mu=0.5, beta=0.75, beta_tilde=0.5, K=1.0, K_tilde=0.5,
                            kernel=BoxKernel(0.05)),
         mode=RunMode(),
-        ctrl=StepControl(),
         output_dir=f"{name}-out",
         **_PRESETS[name],
     )

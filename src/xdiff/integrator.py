@@ -52,8 +52,11 @@ RISE_WINDOW = 0.04  # trailing time, in units of 1/y0, over which the curvature 
 RUN_MODES = ("original", "regularized", "sqrt")
 
 RK4_REAL_STABILITY = 2.7853  # RK4 is stable on [-2.7853, 0] of the real axis
+CFL_SAFETY = 0.25  # the forward-Euler unit's share of classical RK4's stability limit
 S_CAP = 40  # most stages in one RKC step, bounding roundoff growth through them
 DAMPING = 2.0 / 13.0  # RKC's epsilon, in w0 = 1 + epsilon / s^2: keeps |R| off 1 away from z = 0
+DT_MAX = 1e-2  # longest step, the stability bound where the density vanishes
+DT_MIN = 1e-14  # smallest step; two in a row halt on underflow
 CHANGE_FRACTION = 0.005  # a step's first-order change of each row, over the row's maximum
 CURVATURE_FRACTION = 0.02  # a step's share of 1/y, y the central curvature, when y0 > 0
 ERROR_RTOL = 3e-3  # relative tolerance of RKC's error estimate, which may lengthen a step
@@ -109,23 +112,6 @@ class RunMode:
                 raise InvalidValue(name, "only applies to the regularized mode")
 
 
-@dataclass(frozen=True)
-class StepControl:
-    """Step-size policy."""
-
-    cfl_safety: float = 0.25
-    dt_min: float = 1e-14
-    dt_max: float = 1e-2
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise InvalidValue("cfl_safety", f"must be in (0, 1], got {self.cfl_safety}")
-        if not self.dt_min > 0.0:
-            raise InvalidValue("dt_min", f"must be positive, got {self.dt_min}")
-        if not self.dt_max > self.dt_min:
-            raise InvalidValue("dt_max", f"must exceed dt_min = {self.dt_min}, got {self.dt_max}")
-
-
 @dataclass
 class RunOutcome:
     """Trajectory summary: halt reason, diagnostic series, snapshot states, budgets.
@@ -146,19 +132,18 @@ class RunOutcome:
     fault_detail: str = ""
 
 
-def _euler_unit(dx: float, rho_max: float, ctrl: StepControl) -> float:
-    """The forward-Euler diffusive unit ``cfl_safety * dx^2 / max(rho) / RK4_REAL_STABILITY``:
+def _euler_unit(dx: float, rho_max: float) -> float:
+    """The forward-Euler diffusive unit ``CFL_SAFETY * dx^2 / max(rho) / RK4_REAL_STABILITY``:
     the density bounds the diffusivity of both equations, its maximum ``rho_max``
-    floored to keep the pure-reaction regime at dt_max, and ``cfl_safety`` is a
+    floored to keep the pure-reaction regime at DT_MAX, and ``CFL_SAFETY`` is a
     fraction of classical RK4's stability limit, ``RK4_REAL_STABILITY`` units."""
-    return ctrl.cfl_safety * dx**2 / max(rho_max, DIFFUSIVITY_FLOOR) / RK4_REAL_STABILITY
+    return CFL_SAFETY * dx**2 / max(rho_max, DIFFUSIVITY_FLOOR) / RK4_REAL_STABILITY
 
 
-def cfl_dt(dx: float, rho_max: float, ctrl: StepControl) -> float:
+def cfl_dt(dx: float, rho_max: float) -> float:
     """RKC stability bound, the ``S_CAP``-stage interval in forward-Euler units,
-    clamped to the dt window."""
-    bound = _euler_unit(dx, rho_max, ctrl) * stability_interval(S_CAP)
-    return min(max(bound, ctrl.dt_min), ctrl.dt_max)
+    capped at DT_MAX."""
+    return min(_euler_unit(dx, rho_max) * stability_interval(S_CAP), DT_MAX)
 
 
 def _error_ratio(
@@ -171,7 +156,7 @@ def _error_ratio(
 
     ``last`` holds the stepped state, its right side and the size of the step
     that ended at ``v``; ``f_v`` is the right side at ``v`` and ``sizes`` its
-    rows' maxima of |v|.  The estimate 0.8 (v_n - v_n+1) + 0.4 dt_n (f(v_n) +
+    rows' maxima.  The estimate 0.8 (v_n - v_n+1) + 0.4 dt_n (f(v_n) +
     f(v_n+1)) (Sommeijer, Shampine & Verwer 1998) is weighted by
     ERROR_RTOL (ERROR_AREL max|v_n+1| + max(v_n, v_n+1)), the first term per
     row; both states are clipped nonnegative, so max(v_n, v_n+1) is that of
@@ -193,7 +178,6 @@ def _error_ratio(
 
 def _step_size(
     dx: float,
-    ctrl: StepControl,
     v: np.ndarray,
     f_v: np.ndarray,
     rho_max: float,
@@ -204,17 +188,19 @@ def _step_size(
     """The step rule, its one owner: ``(dt, stages, at_floor)`` for a step from
     the stepped state ``v``, its right side ``f_v`` and the density maximum.
 
-    The accuracy bound is CHANGE_FRACTION * min over rows of max|v| / max|f(v)|,
+    The accuracy bound is CHANGE_FRACTION * min over rows of max v / max|f(v)|,
     lengthened, never shortened, to the size RKC's error estimate proposes for
     the step that ended at ``v``, dt_n clamp(0.8 err^(-1/3), 0.2, 10) with err
     from ``_error_ratio`` (``last`` is None on a run's first step, which takes
     the change rule alone).  dt = min(cfl_dt, the accuracy bound,
     CURVATURE_FRACTION / y when the first and latest central curvatures y0
-    and y in ``ys`` are positive), floored at ``dt_min`` (``at_floor``: the
+    and y in ``ys`` are positive), floored at DT_MIN (``at_floor``: the
     underflow rule), then cut to the ``remaining`` time to the next snapshot
     or the end.  ``stages`` is the fewest in [2, S_CAP] stable at dt.
     """
-    sizes, rates = np.max(np.abs(v), axis=1), np.max(np.abs(f_v), axis=1)
+    # every stepped state is clipped nonnegative; a row whose maximum is -0.0
+    # holds only zeros, so its rate is 0 and it drops out of the ratios
+    sizes, rates = v.max(axis=1), np.max(np.abs(f_v), axis=1)
     # the ratio first: a subnormal row times the fraction would round to 0
     ratios = [float(size) / float(rate) for size, rate in zip(sizes, rates) if rate > 0]
     accuracy = CHANGE_FRACTION * min(ratios, default=math.inf)
@@ -223,14 +209,14 @@ def _step_size(
         # an estimate that overflowed to inf or NaN gives the smallest factor
         factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.8 * err ** (-1.0 / 3.0)))
         accuracy = max(accuracy, last[2] * factor)
-    bound = min(cfl_dt(dx, rho_max, ctrl), accuracy)
+    bound = min(cfl_dt(dx, rho_max), accuracy)
     if ys[0] > 0.0 and ys[-1] > 0.0:
         bound = min(bound, CURVATURE_FRACTION / ys[-1])
-    floored = max(bound, ctrl.dt_min)
+    floored = max(bound, DT_MIN)
     dt = min(floored, remaining)
-    unit = _euler_unit(dx, rho_max, ctrl)
+    unit = _euler_unit(dx, rho_max)
     stages = next((s for s in range(2, S_CAP) if unit * stability_interval(s) >= dt), S_CAP)
-    return dt, stages, floored == ctrl.dt_min
+    return dt, stages, floored == DT_MIN
 
 
 def _apply_positivity(u: np.ndarray, dx: float) -> tuple[np.ndarray, float, float]:
@@ -249,9 +235,7 @@ def _apply_positivity(u: np.ndarray, dx: float) -> tuple[np.ndarray, float, floa
 
 
 _Rhs = Callable[[np.ndarray], np.ndarray]
-_Scheme = Callable[
-    [np.ndarray, float, _Rhs, "np.ndarray | None", int, "np.ndarray | None"], np.ndarray
-]
+_Scheme = Callable[[np.ndarray, float, _Rhs, "np.ndarray | None", int], np.ndarray]
 
 
 def _rk4(
@@ -260,12 +244,10 @@ def _rk4(
     f: _Rhs,
     k1: np.ndarray | None = None,
     stages: int = 4,
-    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Classical RK4 from the first stage ``k1 = f(u)``, evaluated here when not given.
 
-    ``stages`` is always 4, and ``work`` is not used; both arguments only
-    match RKC's signature.
+    ``stages`` is always 4; it only matches RKC's signature.
     """
     if k1 is None:
         k1 = f(u)
@@ -303,15 +285,12 @@ def _rkc(
     f: _Rhs,
     f_u: np.ndarray | None = None,
     stages: int = S_CAP,
-    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """One damped RKC step of ``stages`` stages in increment form: d_j = Y_j - u, returning u + d_s.
 
     The first stage ``f_u = f(u)`` does not depend on dt, so a caller that
     has it to choose dt passes it in; otherwise it is evaluated here.  The
-    step writes neither ``u`` nor ``f_u``.  ``work`` stacks four arrays shaped
-    like ``u``: a run passes the same ones to every step, and a call without
-    them allocates its own.
+    step writes neither ``u`` nor ``f_u``, only the four arrays it allocates.
 
     d_j = mu_j d_{j-1} + nu_j d_{j-2} + mu~_j dt f(u + d_{j-1}) + gamma~_j dt f(u).
     Not the equivalent stage-value form mu_j Y_{j-1} + nu_j Y_{j-2} +
@@ -323,7 +302,7 @@ def _rkc(
     """
     mu1, rows = _rkc_table(stages)
     g = dt * (f(u) if f_u is None else f_u)
-    d, d_old, y, term = [np.empty_like(u) for _ in range(4)] if work is None else work
+    d, d_old, y, term = (np.empty_like(u) for _ in range(4))
     np.multiply(mu1, g, out=d)
     d_old.fill(0.0)
     for mu, nu, mu_t, gamma_t in rows:
@@ -341,16 +320,15 @@ class _Stepper:
     """The right side of one evolution form of the stacked (A, rho).
 
     Built once per run or public ``rhs`` or ``step`` call, so the workspace
-    and the step's work arrays live exactly as long as that call; the right
-    sides are looked up at call time, so a wrapper installed on this module's
-    names sees every stage, and ``evals`` counts them.  The sqrt form steps
+    lives exactly as long as that call; the right sides are looked up at
+    call time, so a wrapper installed on this module's names sees every
+    stage, and ``evals`` counts them.  The sqrt form steps
     (A, eta) with eta = sqrt(rho) and squares eta back afterwards.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, mode: RunMode):
         ws = Workspace(grid, p)
         self.grid, self.sqrt, self.evals = grid, mode.kind == "sqrt", 0
-        self.work = np.empty((4, 2, grid.n_points))
         if self.sqrt:
             self._rhs = lambda w: _rhs_sqrt_core(ws, w)
         elif mode.kind == "regularized":
@@ -382,7 +360,7 @@ def _step_arrays(
     """One ``scheme`` step of ``stages`` stages from the stepped state ``v`` and
     its right side ``f_v`` (evaluated in the step when None), plus positivity;
     returns (u, clipped_A, clipped_rho) of the stacked (A, rho)."""
-    u = scheme(v, dt, stepper.f, f_v, stages, stepper.work)
+    u = scheme(v, dt, stepper.f, f_v, stages)
     if stepper.sqrt:
         u[1] *= u[1]
     if not _all_finite(u):
@@ -494,7 +472,7 @@ def run(config) -> RunOutcome:
     """Integrate a full configuration and collect diagnostics.
 
     Each step takes the size and stage count of ``_step_size``, the one owner
-    of the step rule; two sizes in a row at ``dt_min`` halt on underflow.  A
+    of the step rule; two sizes in a row at DT_MIN halt on underflow.  A
     run records every ``record_every`` steps and checks for blow-up after
     every step.  Every halt breaks to one tail, which records the final state
     unless the last step was recorded and builds the outcome.  On one step a
@@ -505,7 +483,6 @@ def run(config) -> RunOutcome:
     """
     grid = Grid(config.grid_L, config.grid_N)
     dx = grid.dx
-    ctrl: StepControl = config.ctrl
     mode: RunMode = config.mode
 
     initial = []
@@ -569,9 +546,7 @@ def run(config) -> RunOutcome:
                 v = stepper.stepped(u)
                 f_v = stepper.f(v)
                 rho_max = float(u[1].max())
-                dt, stages, at_floor = _step_size(
-                    dx, ctrl, v, f_v, rho_max, curvatures, target - t, last
-                )
+                dt, stages, at_floor = _step_size(dx, v, f_v, rho_max, curvatures, target - t, last)
                 consecutive_dt_min = consecutive_dt_min + 1 if at_floor else 0
                 if consecutive_dt_min >= 2:
                     reason = HaltReason.DT_UNDERFLOW

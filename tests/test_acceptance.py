@@ -182,22 +182,21 @@ def test_sqrt_form_blowup_at_n512():
 
 
 @pytest.mark.slow
-def test_criterion_1_halt_across_record_cadences():
+def test_criterion_1_halt_across_record_cadences(monkeypatch):
     # the detector reads the curvature after every step, so the record
     # cadence does not move the halt
+    import xdiff.integrator as integrator
+
     bound = 1.5 * t_star(CURVATURE_AT_CENTER, 0.075)
-    ladder = ((512, "0.1", (1, 10, 100)), (512, "0.25", (1, 10, 100)), (1024, "0.25", (1, 100)))
+    ladder = ((512, 0.1, (1, 10, 100)), (512, 0.25, (1, 10, 100)), (1024, 0.25, (1, 100)))
     with criterion(1, "blow-up halt across record cadences"):
         for n, safety, cadences in ladder:
+            monkeypatch.setattr(integrator, "CFL_SAFETY", safety)
             halts = []
             for every in cadences:
-                overrides = {
-                    "grid.N": str(n),
-                    "ctrl.cfl_safety": safety,
-                    "run.record_every": str(every),
-                }
+                overrides = {"grid.N": str(n), "run.record_every": str(every)}
                 out = xdiff.run(preset_with_overrides("fig1-blowup", overrides))
-                case = f"N = {n}, cfl_safety = {safety}, record_every = {every}"
+                case = f"N = {n}, CFL_SAFETY = {safety}, record_every = {every}"
                 halted = out.halt_reason is xdiff.HaltReason.BLOWUP_DETECTED
                 assert halted, (case, out.fault_detail)
                 t_halt = out.final_state.t

@@ -40,7 +40,7 @@ FFTS_PER_RHS = {"original": 2, "regularized": 6, "sqrt": 2}
 
 def traced_run(tracer, run_id, mode, t_end):
     from xdiff.config import Constant, Cosine, RunConfig
-    from xdiff.integrator import StepControl, run
+    from xdiff.integrator import run
     from xdiff.kernel import BoxKernel
     from xdiff.model import ModelParams
 
@@ -54,7 +54,6 @@ def traced_run(tracer, run_id, mode, t_end):
         rho0=Cosine(1.0, 0.1, 1),
         A0=Constant(1.0),
         mode=mode,
-        ctrl=StepControl(dt_max=1e-4),
         t_end=t_end,
         record_every=10**6,  # only the initial and the final record
         snapshot_times=(),
@@ -68,9 +67,12 @@ def traced_run(tracer, run_id, mode, t_end):
 
 
 @pytest.mark.parametrize("kind", sorted(FFTS_PER_RHS))
-def test_hooks_see_every_stage_of_a_run(kind):
+def test_hooks_see_every_stage_of_a_run(kind, monkeypatch):
+    import xdiff.integrator as integrator
     from xdiff.integrator import RunMode
 
+    # short steps, so that the longer run takes more of them
+    monkeypatch.setattr(integrator, "DT_MAX", 1e-4)
     mode = RunMode(kind, eps=1e-3) if kind == "regularized" else RunMode(kind)
     tracer = hooks.Tracer()
     short, short_layers, short_ffts = traced_run(tracer, 0, mode, 3e-4)

@@ -19,7 +19,7 @@ from xdiff.config import (
     render_config,
 )
 from xdiff.grid import Grid, InvalidValue
-from xdiff.integrator import RunMode, StepControl
+from xdiff.integrator import RunMode
 from xdiff.kernel import BoxKernel, load_sampled_kernel
 from xdiff.model import ModelParams
 
@@ -48,7 +48,6 @@ class TestParse:
         assert cfg.grid_N == 64
         assert cfg.params.kernel == BoxKernel(0.05)
         assert cfg.mode.kind == "original"
-        assert cfg.ctrl.cfl_safety == 0.25
         assert cfg.record_every == 10
         assert cfg.snapshot_times == ()
 
@@ -76,10 +75,19 @@ class TestParse:
             parse_config(MINIMAL + "params.gamma = 2.0\n")
 
     @pytest.mark.parametrize(
-        "key", ["positivity_tol", "clip_policy", "blowup_cap", "curvature_growth_factor"]
+        "key",
+        [
+            "positivity_tol",
+            "clip_policy",
+            "blowup_cap",
+            "curvature_growth_factor",
+            "cfl_safety",
+            "dt_min",
+            "dt_max",
+        ],
     )
-    def test_fixed_halt_and_positivity_rules_take_no_key(self, key):
-        # the blow-up and positivity rules are fixed; no key sets them
+    def test_fixed_halt_positivity_and_step_rules_take_no_key(self, key):
+        # the blow-up, positivity and step rules are fixed; no key sets them
         lineno = MINIMAL.count("\n") + 1
         with pytest.raises(ConfigError, match=rf"line {lineno}: unknown key 'ctrl.{key}'"):
             parse_config(MINIMAL + f"ctrl.{key} = 1.0\n")
@@ -334,16 +342,6 @@ MODES = st.one_of(
 )
 
 
-@st.composite
-def step_controls(draw):
-    dt_min = draw(finite(1e-16, 1e-3))
-    return StepControl(
-        cfl_safety=draw(finite(0.0, 1.0, exclude_min=True)),
-        dt_min=dt_min,
-        dt_max=draw(finite(dt_min, 1.0, exclude_min=True)),
-    )
-
-
 def write_kernel_csv(directory, grid, width):
     """A Gaussian sampled kernel for ``grid``, as a file the config can name."""
     path = os.path.join(directory, f"kernel-{grid.n_points}-{grid.half_length!r}-{width!r}.csv")
@@ -380,7 +378,6 @@ def run_configs(draw, kernel_dir=None, initial=INITIAL_DATA):
         rho0=draw(initial),
         A0=draw(initial),
         mode=draw(MODES),
-        ctrl=draw(step_controls()),
         t_end=t_end,
         record_every=draw(st.integers(1, 1000)),
         snapshot_times=tuple(draw(st.lists(finite(0.0, t_end), max_size=4))),

@@ -23,11 +23,12 @@ from xdiff.grid import Field, Grid, InvalidValue
 from xdiff.integrator import (
     CURVATURE_FRACTION,
     DAMPING,
+    DT_MAX,
+    DT_MIN,
     RK4_REAL_STABILITY,
     S_CAP,
     HaltReason,
     RunMode,
-    StepControl,
     _blowup_detected,
     _error_ratio,
     _record,
@@ -65,7 +66,6 @@ def smooth_config(params, n=64, t_end=1e-3, mode=RunMode(), **kw):
         rho0=Cosine(1.0, 0.1, 1),
         A0=Constant(1.0),
         mode=mode,
-        ctrl=StepControl(),
         t_end=t_end,
         record_every=5,
         snapshot_times=(),
@@ -78,21 +78,6 @@ def smooth_config(params, n=64, t_end=1e-3, mode=RunMode(), **kw):
 # finite data with a finite mass on the grid, whose t = 0 record overflows in
 # the central curvature (N = 16) or meets inf - inf there (N = 64)
 HUGE_DATA = [(Cosine(1e307, 1e307, 1), 16), (Cosine(1e306, 1e306, 3), 64)]
-
-
-class TestStepControlValidation:
-    def test_defaults_are_valid(self):
-        ctrl = StepControl()
-        assert ctrl.cfl_safety == 0.25
-        assert ctrl.dt_min == 1e-14
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            StepControl(cfl_safety=0.0)
-        with pytest.raises(ValueError):
-            StepControl(cfl_safety=1.5)
-        with pytest.raises(ValueError):
-            StepControl(dt_min=1e-2, dt_max=1e-3)
 
 
 class TestRunModeValidation:
@@ -119,26 +104,31 @@ class TestCflDt:
         # 2.7853, times beta(40) = 1044.76 for damped RKC at the s = 40 cap:
         # 375.10 RK4 steps
         g = Grid(1.0, 1024)
-        dt = cfl_dt(g.dx, 1.0, StepControl())
+        dt = cfl_dt(g.dx, 1.0)
         assert stability_interval(S_CAP) / RK4_REAL_STABILITY == pytest.approx(375.10, abs=5e-3)
         assert dt == 0.25 * g.dx**2 / 1.0 / RK4_REAL_STABILITY * stability_interval(S_CAP)
         assert dt == pytest.approx(3.5772e-4, rel=1e-4)
 
     def test_zero_density_uses_dt_max(self, params):
         g = Grid(1.0, 1024)
-        assert cfl_dt(g.dx, 0.0, StepControl()) == StepControl().dt_max
+        assert cfl_dt(g.dx, 0.0) == DT_MAX
 
     def test_reference_peak_density(self, params):
         # the steepest reference experiment peak; the resulting step sits
         # within an order of magnitude of the reported frame time scale
         g = Grid(1.0, 1024)
-        dt = cfl_dt(g.dx, 2.1875, StepControl())
+        dt = cfl_dt(g.dx, 2.1875)
         assert dt == pytest.approx(1.6353e-4, rel=1e-4)
 
-    def test_clamped_to_window(self, params):
+    def test_the_step_rule_floors_a_bound_below_dt_min(self, params):
+        # cfl_dt does not floor; the step rule's one floor raises its bound
+        # to DT_MIN and reports it for the underflow halt
         g = Grid(1.0, 16)
-        ctrl = StepControl(dt_min=1e-6, dt_max=1e-3)
-        assert cfl_dt(g.dx, 1e9, ctrl) == 1e-6
+        v, f_v = np.ones((2, 16)), np.zeros((2, 16))
+        assert cfl_dt(g.dx, 1e15) < DT_MIN
+        dt, stages, at_floor = _step_size(g.dx, v, f_v, 1e15, [0.0], 1.0, None)
+        assert (dt, at_floor) == (DT_MIN, True)
+        assert stages == S_CAP
 
 
 class TestStep:
@@ -320,7 +310,7 @@ class TestRkc:
         u = np.stack((np.ones(32), 1.0 + 0.1 * np.cos(np.pi * g.x)))
         f_u = stepper.f(u)
         before = u.tobytes(), f_u.tobytes()
-        scheme(u, 1e-4, stepper.f, f_u, stages, stepper.work)
+        scheme(u, 1e-4, stepper.f, f_u, stages)
         assert (u.tobytes(), f_u.tobytes()) == before
 
 
@@ -374,15 +364,15 @@ class TestErrorEstimate:
         # without a previous step the rule is the change rule alone; with one,
         # the step is at least that, at most ten times the previous one or
         # that, and within every cap
-        dx, ctrl, rho_max, ys = 2.0 / 16, StepControl(), float(v[1].max()), [62.5, y]
+        dx, rho_max, ys = 2.0 / 16, float(v[1].max()), [62.5, y]
         with _unchecked():
-            base, _, _ = _step_size(dx, ctrl, v, f_v, rho_max, ys, remaining, None)
+            base, _, _ = _step_size(dx, v, f_v, rho_max, ys, remaining, None)
             last = (v_last, f_last, dt_last)
-            dt, _, _ = _step_size(dx, ctrl, v, f_v, rho_max, ys, remaining, last)
+            dt, _, _ = _step_size(dx, v, f_v, rho_max, ys, remaining, last)
         assert base <= dt <= max(base, 10.0 * dt_last)
-        assert dt <= min(cfl_dt(dx, rho_max, ctrl), remaining)
+        assert dt <= min(cfl_dt(dx, rho_max), remaining)
         if y > 0.0:
-            assert dt <= max(CURVATURE_FRACTION / y, ctrl.dt_min)
+            assert dt <= max(CURVATURE_FRACTION / y, DT_MIN)
 
     def test_the_estimate_adds_no_evaluation(self, monkeypatch):
         # the estimate reads the next step's first stage, so a run's right
@@ -465,14 +455,29 @@ class TestRun:
     def test_dt_underflow_halt(self, params):
         cfg = smooth_config(
             params,
-            rho0=Constant(200.0),
-            ctrl=StepControl(dt_min=1e-3, dt_max=2e-3),
+            rho0=Constant(1e15),
             n=16,
             t_end=1.0,
         )
         out = run(cfg)
         assert out.halt_reason is HaltReason.DT_UNDERFLOW
         assert out.steps == 1
+
+    @pytest.mark.parametrize("mode", [RunMode(), RunMode("sqrt")], ids=["original", "sqrt"])
+    def test_a_negative_zero_row_steps_as_a_zero_row(self, params, mode):
+        # the step rule takes each row's maximum without abs, since every
+        # stepped state is clipped nonnegative; an all -0.0 area row has
+        # maximum -0.0 and no rate, and must step exactly as +0.0 does
+        neg, pos = (
+            run(smooth_config(params, A0=Constant(c), mode=mode, t_end=0.05, record_every=1))
+            for c in (-0.0, 0.0)
+        )
+        assert (neg.steps, neg.rhs_evals) == (pos.steps, pos.rhs_evals)
+        assert pos.steps > 2
+        # the t = 0 record differs only in the sign of the zero minimum it reports
+        assert math.copysign(1.0, neg.series[0].min_A) == -1.0
+        assert neg.series[0] == pos.series[0]
+        assert [repr(r) for r in neg.series[1:]] == [repr(r) for r in pos.series[1:]]
 
     @pytest.mark.parametrize(
         "mode, rho0, term",
@@ -597,7 +602,7 @@ class TestRun:
         import xdiff.integrator as integrator
 
         huge = np.stack((np.ones(16), np.where(np.arange(16) % 2, 1e307, 0.0)))
-        monkeypatch.setattr(integrator, "_rkc", lambda u, dt, f, f_u, stages, work: huge.copy())
+        monkeypatch.setattr(integrator, "_rkc", lambda u, dt, f, f_u, stages: huge.copy())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = run(smooth_config(params, n=16, record_every=record_every))
@@ -919,7 +924,7 @@ class TestErrorState:
         # entries decide
         g = Grid(1.0, 32)
         big = np.full((2, 32), 1e307)
-        keep = lambda v, dt, f, f_v, stages, work: v.copy()
+        keep = lambda v, dt, f, f_v, stages: v.copy()
         stepper = _Stepper(g, params, RunMode())
         with _unchecked():
             assert np.sum(big) == np.inf

@@ -115,35 +115,32 @@ class Workspace:
     """Constants and work arrays of the right-side evaluations of one run.
 
     The constants are the grid, the reaction rates folded for the regrouped
-    reactions, and the spectral multipliers: ``ik`` and ``ik2`` stacked for
-    one product with both field rows, and the pressure's symbol
-    alpha*(1 - mu) + mu*alpha*Gamma^ from the kernel's symbol on the grid, which
-    turns the density into the pressure P.  The work arrays hold the sqrt form's
-    stacked fields, the derivative spectra and the pointwise terms, sized for
-    the sqrt form's extra density row, so one workspace serves every form;
-    the views into them are cut once here.  The transforms return fresh
-    arrays, because the ``out=`` argument of ``np.fft`` needs numpy 2.  A run
-    or public call builds one and drops it at its end: evaluations overwrite
-    the work arrays, so a workspace is never shared between runs or threads.
+    reactions, the area face flux's factor 1/(2 dx^2), and the pressure's
+    symbol alpha*(1 - mu) + mu*alpha*Gamma^ from the kernel's symbol on the
+    grid, which turns the density into the pressure P.  The work arrays hold
+    the sqrt form's stacked (eta, rho), the spectra of the second row's
+    derivatives and of the pressure, and the pointwise terms, sized for the
+    sqrt form's extra density row, so one workspace serves every form; the
+    views into them are cut once here.  The transforms return fresh arrays,
+    because the ``out=`` argument of ``np.fft`` needs numpy 2.  A run or public
+    call builds one and drops it at its end: evaluations overwrite the work
+    arrays, so a workspace is never shared between runs or threads.
     """
 
     def __init__(self, grid: Grid, p: ModelParams):
         n, m = grid.n_points, grid.k.size
         self.grid, self.p, self.n = grid, p, n
         self.area_crowding, self.density_crowding = p.beta_tilde / p.K_tilde, p.beta / p.K
-        # the multipliers of D and D(D .), once per row of (A, w)
-        self.ik_rows, self.ik2_rows = (np.stack((row, row)) for row in (grid.ik, grid.ik2))
+        self.face_scale = 0.5 / (grid.dx * grid.dx)
         # P = irfft(rho_hat*pressure_sym) is alpha*rho - mu*alpha*(rho - Gamma*rho); stored
         # complex: numpy would cast the real symbol to these values on every product
         symbol = p.alpha * (1.0 - p.mu) + (p.mu * p.alpha) * p.kernel.symbol(grid)
         self.pressure_sym = symbol.astype(complex)
-        self.fields = np.empty((3, n))  # sqrt form: A, eta, rho = eta^2
-        spectra = np.empty((6, m), dtype=complex)
-        # rows A_x, w_x, A_xx, w_xx, P[, rho_x]
-        self.spectra = {False: spectra[:5], True: spectra}
-        self.first, self.second = spectra[0:2], spectra[2:4]
-        self.pressure_spectrum, self.density_x_spectrum = spectra[4], spectra[5]
-        self.area_flux, self.w_flux, self.area = np.empty((3, n))
+        self.fields = np.empty((2, n))  # sqrt form: eta, rho = eta^2
+        spectra = np.empty((4, m), dtype=complex)
+        # rows w_x, w_xx, P[, rho_x]
+        self.spectra = {False: spectra[:3], True: spectra}
+        self.area_flux, self.w_flux, self.area, self.face = np.empty((4, n))
         self.density_area, self.growth, self.transport, self.scratch = np.empty((4, n))
 
 
@@ -168,14 +165,19 @@ def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
     All nonlinear terms are assembled pointwise from the raw fields, so every
     term carrying a factor of the state vanishes exactly on the nodes where
     that state vanishes; this is what preserves the discrete zero set of the
-    density and keeps the area confined to the density support.  Both rows
-    share one flux, d/dx(rho * du/dx) expanded as rho*u_xx + rho_x*u_x with
-    u_xx = D(D u) for the Nyquist-zeroed spectral derivative D: its quadrature
-    is exactly zero because D is antisymmetric, and where rho = 0 the density
-    flux reduces to rho_x^2 >= 0.  With the density growth rate g, the density
-    equation reads rho*g + flux and the eta equation eta*g/2 + eta*eta_x^2 +
-    flux, so that 2*eta*d(eta) reproduces the density equation wherever
-    eta > 0.
+    density and keeps the area confined to the density support.  The rows
+    discretize the flux d/dx(rho * du/dx) in two ways.  The area row takes it
+    on cell faces, (F[j+1/2] - F[j-1/2])/dx with
+    F[j+1/2] = (rho[j] + rho[j+1])/2 * (A[j+1] - A[j])/dx: second order in
+    space, it telescopes to zero mass, it is even bit for bit for even data,
+    and at a node where A = 0 and rho >= 0 it is a sum of nonnegative terms,
+    so the area gains no negative mass outside its support.  The second row
+    keeps the spectral flux rho*w_xx + rho_x*w_x with w_xx = D(D w) for the
+    Nyquist-zeroed spectral derivative D: its quadrature is exactly zero
+    because D is antisymmetric, and where rho = 0 the density flux reduces to
+    rho_x^2 >= 0.  With the density growth rate g, the density equation reads
+    rho*g + flux and the eta equation eta*g/2 + eta*eta_x^2 + flux, so that
+    2*eta*d(eta) reproduces the density equation wherever eta > 0.
 
     The reactions are regrouped around the pressure
     P = alpha*(1 - mu)*rho + mu*alpha*(Gamma*rho), which is
@@ -187,49 +189,58 @@ def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
 
     the same model as the plain expressions, rounded differently; the factors
     a and rho (or eta/2) are still applied last, so those terms are exactly
-    zero where a or rho vanishes.  One rfft of the stacked fields and one
-    irfft of the stacked derivative and pressure spectra feed the pointwise
-    terms, which are written into the work arrays of ``ws``; beside the
-    transforms, only the returned array is new.
+    zero where a or rho vanishes.  The area's spectrum is never formed: one
+    rfft of w (of the stacked eta and rho in the sqrt form) and one irfft of
+    the stacked w_x, w_xx, P (and rho_x) spectra feed the pointwise terms,
+    which are written into the work arrays of ``ws``; beside the transforms,
+    only the returned array is new.
 
     The caller holds numpy's error state at ``_unchecked()``, once per run step
     or public call rather than once here: an overflow surfaces as a
     non-finite output, which this function reports by term.
     """
-    p = ws.p
+    p, grid = ws.p, ws.grid
     a, w = u[0], u[1]  # indexing: unpacking an array iterates it, which is slower
+    spectra = ws.spectra[sqrt]
     if sqrt:
         fields = ws.fields
-        fields[:2] = u
-        rho = np.multiply(w, w, out=fields[2])
-        uh = np.fft.rfft(fields)  # rows A, eta, rho
-        rho_hat = uh[2]
-        np.multiply(rho_hat, ws.grid.ik, out=ws.density_x_spectrum)
+        fields[0] = w
+        rho = np.multiply(w, w, out=fields[1])
+        wh = np.fft.rfft(fields)  # rows eta, rho
+        w_hat, rho_hat = wh[0], wh[1]
+        np.multiply(rho_hat, grid.ik, out=spectra[3])
     else:
         rho = w
-        uh = np.fft.rfft(u)  # rows A, rho
-        rho_hat = uh[1]
-    np.multiply(rho_hat, ws.pressure_sym, out=ws.pressure_spectrum)
-    np.multiply(uh[:2], ws.ik_rows, out=ws.first)
-    np.multiply(uh[:2], ws.ik2_rows, out=ws.second)
-    d = np.fft.irfft(ws.spectra[sqrt], n=ws.n)
-    ax, wx, axx, wxx, pressure = d[0], d[1], d[2], d[3], d[4]
-    rx = d[5] if sqrt else wx
-    # row by row: a product of a row with a stack of rows is slower in numpy
-    area_flux = np.multiply(rho, axx, out=ws.area_flux)
-    area_flux += np.multiply(rx, ax, out=ws.scratch)
+        w_hat = rho_hat = np.fft.rfft(w)
+    np.multiply(w_hat, grid.ik, out=spectra[0])
+    np.multiply(w_hat, grid.ik2, out=spectra[1])
+    np.multiply(rho_hat, ws.pressure_sym, out=spectra[2])
+    d = np.fft.irfft(spectra, n=ws.n)
+    wx, wxx, pressure = d[0], d[1], d[2]
+    rx = d[3] if sqrt else wx
+    # face j lies between nodes j and j + 1, and face N - 1 wraps to node 0
+    face, scratch = ws.face, ws.scratch
+    np.subtract(a[1:], a[:-1], out=face[:-1])
+    face[-1] = a[0] - a[-1]
+    np.add(rho[1:], rho[:-1], out=scratch[:-1])
+    scratch[-1] = rho[0] + rho[-1]
+    face *= scratch
+    area_flux = ws.area_flux
+    np.subtract(face[1:], face[:-1], out=area_flux[1:])
+    area_flux[0] = face[0] - face[-1]
+    area_flux *= ws.face_scale
     w_flux = np.multiply(rho, wxx, out=ws.w_flux)
-    w_flux += np.multiply(rx, wx, out=ws.scratch)
+    w_flux += np.multiply(rx, wx, out=scratch)
 
     density_area = np.multiply(rho, a, out=ws.density_area)
     area_reaction = np.add(pressure, p.beta_tilde, out=ws.area)
-    area_reaction -= np.multiply(density_area, ws.area_crowding, out=ws.scratch)
+    area_reaction -= np.multiply(density_area, ws.area_crowding, out=scratch)
     area_reaction *= a
     g = np.subtract(p.beta, pressure, out=ws.growth)
-    g -= np.multiply(density_area, ws.density_crowding, out=ws.scratch)
+    g -= np.multiply(density_area, ws.density_crowding, out=scratch)
     w_reaction = g
     if sqrt:
-        g *= np.multiply(0.5, w, out=ws.scratch)
+        g *= np.multiply(0.5, w, out=scratch)
         w_transport = np.multiply(w, wx, out=ws.transport)
         w_transport *= wx
         w_transport += w_flux

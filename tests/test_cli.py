@@ -345,26 +345,26 @@ SERIES_PINS = [
     (
         "fig1-blowup",
         {},
-        "95746c9d38a28dd2faf705dda17d17d6d4cf6d5d8dc34199d205152224eca71c",
-        (60, 966, 61),
+        "287f93e660824afe0cb9070e73c62e43f828fb3f9f5e743be798caf5822f1083",
+        (58, 947, 59),
     ),
     (
         "fig2-support",
         {},
-        "a8d8e17324c6e78121f9211910251140a977c53a3857b880970c4fdcdf608171",
-        (10, 188, 2),
+        "cd2524f2eada77a3bfb1c499f8ee23b47d03df4148b699bc0b94349989ad6048",
+        (9, 178, 2),
     ),
     (
         "fig2-support",
         {"grid.N": "2048"},
-        "ff3a4130329b19242b9b661cd964738da934912613424ae2221a9eaac08e788b",
+        "5b7e624a925258ac349ed48f0f4ea3033eab827225eda0f5f0458d2c8fe83839",
         (10, 373, 2),
     ),
     (
         "fig2-support",
         {"mode.kind": "sqrt", "run.record_every": "1"},
-        "7e91516701d05b2c1dc0e1d9cfb31992d616ee68a46eb9c65afe9682f966b7c9",
-        (10, 188, 11),
+        "18dc8d319a491a93cb45fedf070b8527db7e35c9b86a35faf32adfa387203c52",
+        (9, 178, 10),
     ),
 ]
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdiff.grid import Field, Grid
+from xdiff.grid import Field, Grid, mirror
 from xdiff.integrator import RunMode, _apply_positivity, rhs, step
 from xdiff.kernel import BoxKernel, heat_multiplier, mollify
 from xdiff.model import (
@@ -396,18 +396,24 @@ class TestAssemblyProperties:
 
 
 def oracle_transforms(grid, u, avg_sym, sqrt):
-    """(a, w, rho, u_x, u_xx, avg, rho_x) of the stacked ``u = (A, w)`` from one
-    rfft and one irfft, with avg the inverse transform of rho's spectrum times
-    ``avg_sym``."""
+    """(a, w, rho, w_x, w_xx, avg, rho_x) of the stacked ``u = (A, w)`` from one
+    rfft of w (of w and rho in the sqrt form) and one irfft, with avg the
+    inverse transform of rho's spectrum times ``avg_sym``."""
     n, ik = grid.n_points, grid.ik
     a, w = u
     rho = w * w if sqrt else w
-    uh = np.fft.rfft(np.stack((a, w, rho)) if sqrt else u)
-    rh = uh[-1]
-    extra = (rh * avg_sym, rh * ik) if sqrt else (rh * avg_sym,)
-    d = np.fft.irfft(np.vstack((uh[:2] * ik, uh[:2] * (ik * ik), *extra)), n=n)
-    ux, uxx, avg = d[0:2], d[2:4], d[4]
-    return a, w, rho, ux, uxx, avg, d[5] if sqrt else ux[1]
+    wh = np.fft.rfft(np.stack((w, rho)) if sqrt else w)
+    wh, rh = (wh[0], wh[1]) if sqrt else (wh, wh)
+    extra = (rh * ik,) if sqrt else ()
+    d = np.fft.irfft(np.vstack((wh * ik, wh * (ik * ik), rh * avg_sym, *extra)), n=n)
+    return a, w, rho, d[0], d[1], d[2], d[3] if sqrt else d[0]
+
+
+def oracle_face_flux(grid, a, rho):
+    """The area flux on cell faces, (F[j+1/2] - F[j-1/2])/dx with
+    F[j+1/2] = (rho[j] + rho[j+1])/2 * (a[j+1] - a[j])/dx, by periodic rolls."""
+    face = (rho + np.roll(rho, -1)) * (np.roll(a, -1) - a)
+    return (face - np.roll(face, 1)) * (0.5 / (grid.dx * grid.dx))
 
 
 def oracle_terms(grid, u, p, conv_sym, sqrt, regrouped=True):
@@ -421,8 +427,9 @@ def oracle_terms(grid, u, p, conv_sym, sqrt, regrouped=True):
     Otherwise the reactions are the model's plain expressions, the second
     reference."""
     avg_sym = p.alpha * (1.0 - p.mu) + p.mu * p.alpha * conv_sym if regrouped else conv_sym
-    a, w, rho, ux, uxx, avg, rx = oracle_transforms(grid, u, avg_sym, sqrt)
-    area_flux, w_flux = rho * uxx + rx * ux
+    a, w, rho, wx, wxx, avg, rx = oracle_transforms(grid, u, avg_sym, sqrt)
+    area_flux = oracle_face_flux(grid, a, rho)
+    w_flux = rho * wxx + rx * wx
     if regrouped:
         pressure = avg
         area = a * (p.beta_tilde + pressure - p.beta_tilde / p.K_tilde * (rho * a))
@@ -434,7 +441,7 @@ def oracle_terms(grid, u, p, conv_sym, sqrt, regrouped=True):
         )
         g = p.beta * (1.0 - a * rho / p.K) - p.alpha * rho + p.mu * p.alpha * local_push
     if sqrt:
-        return area, area_flux, 0.5 * w * g, w * ux[1] * ux[1] + w_flux
+        return area, area_flux, 0.5 * w * g, w * wx * wx + w_flux
     return area, area_flux, w * g, w_flux
 
 
@@ -573,6 +580,50 @@ class TestAssemblyOracle:
         got = step(s, PARAMS, dt, mode)
         expected = oracle_step(grid, u, PARAMS, dt, mode)
         assert same_bits(np.stack((got.A.values, got.rho.values)), expected)
+
+
+# ---------------------------------------------------------------------------
+# the area row's face flux, as one evaluation leaves it in its workspace
+# ---------------------------------------------------------------------------
+
+
+def assembled_area_flux(grid, u, sqrt):
+    """The area flux that one original-form (or sqrt-form) evaluation of
+    ``u`` assembles."""
+    ws = Workspace(grid, PARAMS)
+    (_rhs_sqrt_core if sqrt else _rhs_core)(ws, u)
+    return ws.area_flux.copy()
+
+
+class TestAreaFaceFlux:
+    @pytest.mark.parametrize("sqrt", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(data=nonnegative_state())
+    def test_telescopes_to_zero_mass(self, sqrt, data):
+        # the faces cancel in pairs; what is left is the rounding of each
+        # entry's difference and product and of the sum
+        grid, u = data
+        flux = assembled_area_flux(grid, u, sqrt)
+        assert abs(np.sum(flux)) <= (grid.n_points + 2) * ULP * np.sum(np.abs(flux))
+
+    @pytest.mark.parametrize("sqrt", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(data=nonnegative_state())
+    def test_nonnegative_where_the_area_vanishes(self, sqrt, data):
+        # the drawn A and rho are >= 0 with some nodes exactly 0: where A = 0
+        # the flux is a sum of products of nonnegative factors
+        grid, u = data
+        flux = assembled_area_flux(grid, u, sqrt)
+        assert np.all(flux[u[0] == 0.0] >= 0.0)
+
+    @pytest.mark.parametrize("sqrt", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(data=nonnegative_state())
+    def test_even_data_give_a_bitwise_even_flux(self, sqrt, data):
+        grid, u = data
+        even = np.stack([np.maximum(row, mirror(row)) for row in u])
+        flux = assembled_area_flux(grid, even, sqrt)
+        assert same_bits(flux, mirror(flux))
 
 
 # ---------------------------------------------------------------------------

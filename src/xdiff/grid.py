@@ -36,10 +36,10 @@ class Grid:
     is identified with x = -L.  So x = 0 is node N/2, where rfft mode m carries
     ``phase[m] = (-1)^m``, and the mirror x -> -x pairs node j with node
     (N - j) mod N (:func:`mirror`).  The read-only real-FFT multipliers are built once per
-    grid: ``ik`` (the Nyquist-zeroed D), ``ik2`` (D(D .)), ``k2``, ``d2``
-    and ``d3`` (the derivatives of order 2 and 3), ``d2_phase`` (``d2``
-    times ``phase``) and ``energy_weights`` (the energies' Parseval weights,
-    see :func:`xdiff.model.energy`).
+    grid: ``ik`` (the Nyquist-zeroed D), ``k2``, ``d2`` and ``d3`` (the
+    derivatives of order 2 and 3), ``d2_phase`` (``d2`` times ``phase``) and
+    ``energy_weights`` (the energies' Parseval weights, see
+    :func:`xdiff.model.energy`).
     """
 
     half_length: float
@@ -75,8 +75,8 @@ class Grid:
         ik[-1] = 0.0  # Nyquist mode dropped for odd-order derivatives on even N
         k2 = k**2
         arrays = dict(x=x, k=k, k2=k2, phase=(-1.0) ** np.arange(k.size))
-        # multipliers of D, of D(D .) and of the derivatives of order 2 and 3
-        arrays.update(ik=ik, ik2=ik * ik, d2=-k2, d3=-ik * k2)
+        # multipliers of D and of the derivatives of order 2 and 3
+        arrays.update(ik=ik, d2=-k2, d3=-ik * k2)
         # the real-FFT weights w_m, 1 at m = 0 and at Nyquist and 2 elsewhere
         w = np.full(k.size, 2.0)
         w[[0, -1]] = 1.0

@@ -7,12 +7,14 @@ pointwise right side.  A damped RKC step of s stages is stable on
 ``DAMPING``, so ``_step_size`` gives each step the size that accuracy, the
 snapshots and the end time allow, capped by the stability of ``S_CAP``
 stages, and then the fewest stages that are stable at that size.  The
-diffusive unit is dx^2 / max(rho), since the density weights the flux of
-both equations.  ``_Stepper`` maps each form to its right side, for runs and
-for the public ``rhs`` and ``step``; ``step`` is classical RK4, the
-fourth-order reference for fixed-step convergence checks.  Runs halt on
-reaching the end time, on the two-signal blow-up detector, on step-size
-underflow, or on loss of finiteness.
+diffusive unit is dx^2 / (4 max(rho)): the density weights the flux of both
+equations, and both rows' flux symbols are at most (2/dx)^2, the area's on
+its faces and the density's under its capped spectral derivative.
+``_Stepper`` maps each form to its right side, for runs and for the public
+``rhs`` and ``step``; ``step`` is classical RK4, the fourth-order reference
+for fixed-step convergence checks.  Runs halt on reaching the end time, on
+the two-signal blow-up detector, on step-size underflow, or on loss of
+finiteness.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .model import (
     _rhs_regularized_core,
     _rhs_sqrt_core,
     _unchecked,
+    flux_wavenumber,
 )
 
 DIFFUSIVITY_FLOOR = 1e-12
@@ -133,11 +136,18 @@ class RunOutcome:
 
 
 def _euler_unit(dx: float, rho_max: float) -> float:
-    """The forward-Euler diffusive unit ``CFL_SAFETY * dx^2 / max(rho) / RK4_REAL_STABILITY``:
-    the density bounds the diffusivity of both equations, its maximum ``rho_max``
-    floored to keep the pure-reaction regime at DT_MAX, and ``CFL_SAFETY`` is a
-    fraction of classical RK4's stability limit, ``RK4_REAL_STABILITY`` units."""
-    return CFL_SAFETY * dx**2 / max(rho_max, DIFFUSIVITY_FLOOR) / RK4_REAL_STABILITY
+    """The forward-Euler diffusive unit: the share ``CFL_SAFETY * pi^2 /
+    RK4_REAL_STABILITY`` (0.886) of one over the flux's spectral radius bound
+    max(rho) k^2, k = ``flux_wavenumber(dx)`` = 2/dx.
+
+    The density bounds the diffusivity of both equations, its maximum
+    ``rho_max`` floored to keep the pure-reaction regime at DT_MAX, and k
+    bounds both rows' flux symbols, the density's capped multiplier and the
+    area's face flux.  The share is what ``CFL_SAFETY`` of classical RK4's
+    stability limit gave a flux differentiated exactly up to pi/dx."""
+    k = flux_wavenumber(dx)
+    spectral_radius = max(rho_max, DIFFUSIVITY_FLOOR) * k * k
+    return CFL_SAFETY * math.pi**2 / RK4_REAL_STABILITY / spectral_radius
 
 
 def cfl_dt(dx: float, rho_max: float) -> float:

@@ -111,13 +111,27 @@ _TERM_NAMES = {
 }
 
 
+def flux_wavenumber(dx: float) -> float:
+    """2/dx, the largest wavenumber the density flux differentiates.
+
+    Its square is the area face flux's largest symbol, 4/dx^2, so with the
+    density row's multiplier capped here both rows' flux symbols are at most
+    (2/dx)^2, the bound the step rule's stability unit reads."""
+    return 2.0 / dx
+
+
 class Workspace:
     """Constants and work arrays of the right-side evaluations of one run.
 
     The constants are the grid, the reaction rates folded for the regrouped
-    reactions, the area face flux's factor 1/(2 dx^2), and the pressure's
+    reactions, the area face flux's factor 1/(2 dx^2), the density flux's
+    derivative multiplier ``ik``, D = i min(k, 2/dx) (``flux_wavenumber``)
+    with the Nyquist mode zeroed, and ``ik2``, D*D, and the pressure's
     symbol alpha*(1 - mu) + mu*alpha*Gamma^ from the kernel's symbol on the
-    grid, which turns the density into the pressure P.  The work arrays hold
+    grid, which turns the density into the pressure P.  D is exact on the
+    modes with k <= 2/dx, the lower 64%, and caps the rest, so the density
+    row is no stiffer than the area's face flux; the grid's exact ``ik``
+    serves the diagnostics.  The work arrays hold
     the sqrt form's stacked (eta, rho), the spectra of the second row's
     derivatives and of the pressure, and the pointwise terms, sized for the
     sqrt form's extra density row, so one workspace serves every form; the
@@ -132,6 +146,9 @@ class Workspace:
         self.grid, self.p, self.n = grid, p, n
         self.area_crowding, self.density_crowding = p.beta_tilde / p.K_tilde, p.beta / p.K
         self.face_scale = 0.5 / (grid.dx * grid.dx)
+        ik = 1j * np.minimum(grid.k, flux_wavenumber(grid.dx))
+        ik[-1] = 0.0  # Nyquist mode dropped, as in the grid's exact D
+        self.ik, self.ik2 = ik, ik * ik
         # P = irfft(rho_hat*pressure_sym) is alpha*rho - mu*alpha*(rho - Gamma*rho); stored
         # complex: numpy would cast the real symbol to these values on every product
         symbol = p.alpha * (1.0 - p.mu) + (p.mu * p.alpha) * p.kernel.symbol(grid)
@@ -172,10 +189,12 @@ def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
     space, it telescopes to zero mass, it is even bit for bit for even data,
     and at a node where A = 0 and rho >= 0 it is a sum of nonnegative terms,
     so the area gains no negative mass outside its support.  The second row
-    keeps the spectral flux rho*w_xx + rho_x*w_x with w_xx = D(D w) for the
-    Nyquist-zeroed spectral derivative D: its quadrature is exactly zero
-    because D is antisymmetric, and where rho = 0 the density flux reduces to
-    rho_x^2 >= 0.  With the density growth rate g, the density equation reads
+    keeps the spectral flux rho*w_xx + rho_x*w_x with w_x = D w, w_xx = D(D w)
+    and rho_x = D rho for the workspace's capped derivative D = i min(k, 2/dx),
+    Nyquist zeroed: its quadrature is exactly zero because D is
+    antisymmetric, where rho = 0 one D serving both terms reduces the density
+    flux to (D rho)^2 >= 0, and its largest symbol is the area row's, 4/dx^2.
+    With the density growth rate g, the density equation reads
     rho*g + flux and the eta equation eta*g/2 + eta*eta_x^2 + flux, so that
     2*eta*d(eta) reproduces the density equation wherever eta > 0.
 
@@ -199,7 +218,7 @@ def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
     or public call rather than once here: an overflow surfaces as a
     non-finite output, which this function reports by term.
     """
-    p, grid = ws.p, ws.grid
+    p = ws.p
     a, w = u[0], u[1]  # indexing: unpacking an array iterates it, which is slower
     spectra = ws.spectra[sqrt]
     if sqrt:
@@ -208,12 +227,12 @@ def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
         rho = np.multiply(w, w, out=fields[1])
         wh = np.fft.rfft(fields)  # rows eta, rho
         w_hat, rho_hat = wh[0], wh[1]
-        np.multiply(rho_hat, grid.ik, out=spectra[3])
+        np.multiply(rho_hat, ws.ik, out=spectra[3])
     else:
         rho = w
         w_hat = rho_hat = np.fft.rfft(w)
-    np.multiply(w_hat, grid.ik, out=spectra[0])
-    np.multiply(w_hat, grid.ik2, out=spectra[1])
+    np.multiply(w_hat, ws.ik, out=spectra[0])
+    np.multiply(w_hat, ws.ik2, out=spectra[1])
     np.multiply(rho_hat, ws.pressure_sym, out=spectra[2])
     d = np.fft.irfft(spectra, n=ws.n)
     wx, wxx, pressure = d[0], d[1], d[2]

@@ -345,26 +345,26 @@ SERIES_PINS = [
     (
         "fig1-blowup",
         {},
-        "287f93e660824afe0cb9070e73c62e43f828fb3f9f5e743be798caf5822f1083",
-        (58, 947, 59),
+        "0db4800dfea291e45f040c363da3827805aa1c1842a9fad753b0a7840df5c109",
+        (58, 620, 59),
     ),
     (
         "fig2-support",
         {},
-        "cd2524f2eada77a3bfb1c499f8ee23b47d03df4148b699bc0b94349989ad6048",
-        (9, 178, 2),
+        "4eca2fd862874663fbb17ba3a7587aec8c1fbba9b780fd4b902960dc6b5c8468",
+        (9, 115, 2),
     ),
     (
         "fig2-support",
         {"grid.N": "2048"},
-        "5b7e624a925258ac349ed48f0f4ea3033eab827225eda0f5f0458d2c8fe83839",
-        (10, 373, 2),
+        "67417deec0088d50ff74446a8d981545a31a0d09e69e5108db2ac4efbdb7dcda",
+        (10, 238, 2),
     ),
     (
         "fig2-support",
         {"mode.kind": "sqrt", "run.record_every": "1"},
-        "18dc8d319a491a93cb45fedf070b8527db7e35c9b86a35faf32adfa387203c52",
-        (9, 178, 10),
+        "f0239208b94770122d237affec572775ee38d21e5de4129ade9f109b00011e4b",
+        (9, 115, 10),
     ),
 ]
 

@@ -173,7 +173,7 @@ class TestIntegrateAndNorms:
 
 
 
-LAYOUT_ARRAYS = ("x", "k", "k2", "phase", "ik", "ik2", "d2", "d3", "d2_phase", "energy_weights")
+LAYOUT_ARRAYS = ("x", "k", "k2", "phase", "ik", "d2", "d3", "d2_phase", "energy_weights")
 
 
 @st.composite
@@ -200,7 +200,6 @@ class TestLayoutProperties:
         ik[-1] = 0.0
         expected = {
             "ik": ik,
-            "ik2": ik * ik,
             "k2": k**2,
             "d2": -k**2,
             "d3": -ik * k**2,

@@ -31,6 +31,7 @@ from xdiff.integrator import (
     RunMode,
     _blowup_detected,
     _error_ratio,
+    _euler_unit,
     _record,
     _rk4,
     _rkc,
@@ -100,14 +101,35 @@ class TestRunModeValidation:
 
 class TestCflDt:
     def test_reference_arithmetic(self, params):
-        # the forward-Euler unit, RK4's bound 0.25 dx^2 over its real interval
-        # 2.7853, times beta(40) = 1044.76 for damped RKC at the s = 40 cap:
-        # 375.10 RK4 steps
+        # the forward-Euler unit, the share 0.25 pi^2 / 2.7853 (RK4's real
+        # interval) over the flux bound max(rho) (2/dx)^2, times
+        # beta(40) = 1044.76 for damped RKC at the s = 40 cap: 375.10 RK4 steps
         g = Grid(1.0, 1024)
         dt = cfl_dt(g.dx, 1.0)
         assert stability_interval(S_CAP) / RK4_REAL_STABILITY == pytest.approx(375.10, abs=5e-3)
-        assert dt == 0.25 * g.dx**2 / 1.0 / RK4_REAL_STABILITY * stability_interval(S_CAP)
-        assert dt == pytest.approx(3.5772e-4, rel=1e-4)
+        k = 2.0 / g.dx
+        assert dt == 0.25 * np.pi**2 / RK4_REAL_STABILITY / (1.0 * k * k) * stability_interval(S_CAP)
+        assert dt == pytest.approx(8.8264e-4, rel=1e-4)
+
+    @pytest.mark.parametrize("kind", ["original", "sqrt"])
+    @pytest.mark.parametrize("name", ["fig1-blowup", "fig2-support"])
+    def test_the_unit_keeps_its_share_of_the_spectral_radius(self, name, kind):
+        # power iteration on the central-difference Jacobian of the right side
+        # at the preset's initial state: the unit times the largest eigenvalue
+        # magnitude stays within the design share 0.25 pi^2 / 2.7853 = 0.886,
+        # and reaches most of it, so the bound is the wall that binds
+        cfg = preset_with_overrides(name, {"grid.N": "512", "mode.kind": kind})
+        grid = Grid(cfg.grid_L, cfg.grid_N)
+        u = np.stack((cfg.A0.sample(grid).values, cfg.rho0.sample(grid).values))
+        stepper = _Stepper(grid, cfg.params, cfg.mode)
+        v = stepper.stepped(u)
+        x, h = np.random.default_rng(0).standard_normal(v.shape), 1e-7
+        with _unchecked():
+            for _ in range(200):
+                x /= np.linalg.norm(x)
+                x = (stepper.f(v + h * x) - stepper.f(v - h * x)) / (2.0 * h)
+        share = _euler_unit(grid.dx, float(u[1].max())) * float(np.linalg.norm(x))
+        assert 0.85 <= share <= 0.886
 
     def test_zero_density_uses_dt_max(self, params):
         g = Grid(1.0, 1024)
@@ -118,7 +140,7 @@ class TestCflDt:
         # within an order of magnitude of the reported frame time scale
         g = Grid(1.0, 1024)
         dt = cfl_dt(g.dx, 2.1875)
-        assert dt == pytest.approx(1.6353e-4, rel=1e-4)
+        assert dt == pytest.approx(4.0349e-4, rel=1e-4)
 
     def test_the_step_rule_floors_a_bound_below_dt_min(self, params):
         # cfl_dt does not floor; the step rule's one floor raises its bound
@@ -439,12 +461,16 @@ class TestRun:
         assert np.array_equal(out1.final_state.rho.values, out2.final_state.rho.values)
 
     def test_positivity_under_clipping(self, params):
+        # the original and sqrt forms clip (next to) nothing on these data; the
+        # mollifier's heat multiplier is not a positive operator, so the
+        # mollified form undershoots both zero sets at t = 0 and in every step
         cfg = smooth_config(
             params,
             rho0=PolyBump(-140.0, -0.5, 0.5, 3, 0, 3),
             A0=PolyBump(-2000.0, -0.3, 0.3, 3, 0, 3),
             n=512,
             t_end=2e-4,
+            mode=RunMode("regularized", eps=1e-6),
         )
         out = run(cfg)
         assert out.halt_reason is HaltReason.REACHED_T_END
@@ -529,12 +555,12 @@ class TestRun:
     def test_the_detector_wins_over_the_end_time_on_one_step(self):
         # fig1 at N = 512 halts on the detector at this time; with the end time
         # set to it, the last step lands on both, and the detector is read first
-        t_halt = 0.004954957738181835
+        t_halt = 0.004951605144497184
         cfg = preset_with_overrides("fig1-blowup", {"grid.N": "512", "run.t_end": repr(t_halt)})
         out = run(cfg)
         assert out.halt_reason is HaltReason.BLOWUP_DETECTED
         assert out.final_state.t == t_halt
-        assert (out.steps, len(out.series)) == (58, 59)
+        assert (out.steps, len(out.series)) == (60, 61)
 
     def test_snapshots_land_on_their_times(self):
         # steps are shortened to end on each snapshot time, so a snapshot

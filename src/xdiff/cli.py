@@ -127,19 +127,18 @@ def _run_config_file(path: str) -> int:
 
 
 def _sweep_workers(n_configs: int) -> int:
-    """Worker count for a sweep: XDIFF_THREADS or the CPU count, at most one per config.
+    """Worker count for a sweep: the CPUs this process may run on, at most one per config.
 
-    With the fork start method the pool forks every worker at the first
-    submit, so an uncapped count would start processes with nothing to run.
+    The affinity mask counts where the platform has one, so ``taskset`` or a
+    cpuset limits the workers.  With the fork start method the pool forks
+    every worker at the first submit, so an uncapped count would start
+    processes with nothing to run.
     """
-    workers = os.environ.get("XDIFF_THREADS")
-    if not workers:
-        return min(n_configs, os.cpu_count() or 1)
-    try:
-        requested = int(workers)
-    except ValueError:
-        raise ValueError(f"XDIFF_THREADS must be an integer, got {workers!r}") from None
-    return min(n_configs, max(1, requested))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(n_configs, cpus)
 
 
 def _sweep_one(path: str) -> int:

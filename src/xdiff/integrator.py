@@ -94,25 +94,18 @@ class HaltReason(str, enum.Enum):
 
 @dataclass(frozen=True)
 class RunMode:
-    """Which evolution form a run integrates.
-
-    ``regularized`` smooths fields with width ``eps`` and starts from data
-    shifted up by ``delta`` (the shift enters only through the initial data).
-    """
+    """Which evolution form a run integrates; ``regularized`` smooths fields with width ``eps``."""
 
     kind: str = "original"
     eps: float = 0.0
-    delta: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in RUN_MODES:
             raise InvalidValue("kind", f"must be one of {', '.join(RUN_MODES)}, got {self.kind!r}")
-        for name in ("eps", "delta"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise InvalidValue(name, f"must be nonnegative and finite, got {value}")
-            if self.kind != "regularized" and value != 0.0:
-                raise InvalidValue(name, "only applies to the regularized mode")
+        if not (np.isfinite(self.eps) and self.eps >= 0):
+            raise InvalidValue("eps", f"must be nonnegative and finite, got {self.eps}")
+        if self.kind != "regularized" and self.eps != 0.0:
+            raise InvalidValue("eps", "only applies to the regularized mode")
 
 
 @dataclass
@@ -245,22 +238,14 @@ def _apply_positivity(u: np.ndarray, dx: float) -> tuple[np.ndarray, float, floa
 
 
 _Rhs = Callable[[np.ndarray], np.ndarray]
-_Scheme = Callable[[np.ndarray, float, _Rhs, "np.ndarray | None", int], np.ndarray]
+_Scheme = Callable[[np.ndarray, float, _Rhs, np.ndarray, int], np.ndarray]
 
 
-def _rk4(
-    u: np.ndarray,
-    dt: float,
-    f: _Rhs,
-    k1: np.ndarray | None = None,
-    stages: int = 4,
-) -> np.ndarray:
-    """Classical RK4 from the first stage ``k1 = f(u)``, evaluated here when not given.
+def _rk4(u: np.ndarray, dt: float, f: _Rhs, k1: np.ndarray, stages: int = 4) -> np.ndarray:
+    """Classical RK4 from the first stage ``k1 = f(u)``.
 
     ``stages`` is always 4; it only matches RKC's signature.
     """
-    if k1 is None:
-        k1 = f(u)
     k2 = f(u + 0.5 * dt * k1)
     k3 = f(u + 0.5 * dt * k2)
     k4 = f(u + dt * k3)
@@ -289,18 +274,12 @@ def _rkc_table(s: int) -> tuple[float, tuple[tuple[float, float, float, float], 
     return b[1] * w1, tuple(rows)
 
 
-def _rkc(
-    u: np.ndarray,
-    dt: float,
-    f: _Rhs,
-    f_u: np.ndarray | None = None,
-    stages: int = S_CAP,
-) -> np.ndarray:
+def _rkc(u: np.ndarray, dt: float, f: _Rhs, f_u: np.ndarray, stages: int) -> np.ndarray:
     """One damped RKC step of ``stages`` stages in increment form: d_j = Y_j - u, returning u + d_s.
 
-    The first stage ``f_u = f(u)`` does not depend on dt, so a caller that
-    has it to choose dt passes it in; otherwise it is evaluated here.  The
-    step writes neither ``u`` nor ``f_u``, only the four arrays it allocates.
+    The first stage ``f_u = f(u)`` does not depend on dt, so the caller,
+    which chooses dt with it, passes it in.  The step writes neither ``u``
+    nor ``f_u``, only the four arrays it allocates.
 
     d_j = mu_j d_{j-1} + nu_j d_{j-2} + mu~_j dt f(u + d_{j-1}) + gamma~_j dt f(u).
     Not the equivalent stage-value form mu_j Y_{j-1} + nu_j Y_{j-2} +
@@ -311,7 +290,7 @@ def _rkc(
     or a view of it still gives the plain expressions' result.
     """
     mu1, rows = _rkc_table(stages)
-    g = dt * (f(u) if f_u is None else f_u)
+    g = dt * f_u
     d, d_old, y, term = (np.empty_like(u) for _ in range(4))
     np.multiply(mu1, g, out=d)
     d_old.fill(0.0)
@@ -363,13 +342,13 @@ def _step_arrays(
     stepper: _Stepper,
     scheme: _Scheme,
     v: np.ndarray,
-    f_v: np.ndarray | None,
+    f_v: np.ndarray,
     dt: float,
     stages: int,
 ) -> tuple[np.ndarray, float, float]:
     """One ``scheme`` step of ``stages`` stages from the stepped state ``v`` and
-    its right side ``f_v`` (evaluated in the step when None), plus positivity;
-    returns (u, clipped_A, clipped_rho) of the stacked (A, rho)."""
+    its right side ``f_v``, plus positivity; returns (u, clipped_A,
+    clipped_rho) of the stacked (A, rho)."""
     u = scheme(v, dt, stepper.f, f_v, stages)
     if stepper.sqrt:
         u[1] *= u[1]
@@ -396,7 +375,7 @@ def step(s: State, p: ModelParams, dt: float, mode: RunMode = RunMode()) -> Stat
     stepper = _Stepper(grid, p, mode)
     v = stepper.stepped(np.stack((s.A.values, s.rho.values)))
     with _unchecked():
-        u, _, _ = _step_arrays(stepper, _rk4, v, None, dt, 4)
+        u, _, _ = _step_arrays(stepper, _rk4, v, stepper.f(v), dt, 4)
     return State(t=s.t + dt, A=Field(grid, u[0]), rho=Field(grid, u[1]))
 
 
@@ -501,22 +480,22 @@ def run(config) -> RunOutcome:
             values = spec.sample(grid).values
         except ValueError as exc:  # a non-finite sample, or a CSV file that does not fit
             raise ValueError(f"{name}: {exc}") from None
-        # in Python floats, which overflow to inf where numpy's shift and sum would warn
-        low = float(np.min(values)) + mode.delta
+        # in Python floats, which overflow to inf where numpy's sum would warn
+        low = float(np.min(values))
         if low < -POSITIVITY_TOL:
             raise ValueError(f"{name} must be nonnegative (min {low:.3e})")
-        total = sum(values.tolist()) + grid.n_points * mode.delta
+        total = sum(values.tolist())
         if not math.isfinite(total * dx):
             raise ValueError(f"{name} is too large: its mass on the grid overflows")
         # every rfft mode is at most the node sum, so the central curvature's
         # N/2 + 1 terms k^2 |rho_hat|, doubled, stay below this bound
         if name == "rho0" and not math.isfinite(total * float(grid.k2[-1]) * 2 * grid.n_points):
             raise ValueError("rho0 is too large: its central curvature on the grid overflows")
-        initial.append(values + mode.delta if mode.kind == "regularized" else values)
+        initial.append(values)
     rho0, a0 = initial
     if mode.kind == "regularized":
-        # checked before smoothing: the mollifier's truncation undershoot is
-        # not the data's, and is clipped and counted below like a step's
+        # checked before smoothing, a positive operator; a dip within the
+        # tolerance is clipped and counted below like a step's
         rho0, a0 = (mollify(Field(grid, v), mode.eps).values for v in (rho0, a0))
     u, clipped_a, clipped_rho = _apply_positivity(np.stack((a0, rho0)), dx)
     t = 0.0

@@ -80,18 +80,22 @@ KernelSpec = Union[BoxKernel, SampledKernel]
 
 
 def heat_multiplier(grid: Grid, eps: float) -> np.ndarray:
-    """Fourier multiplier exp(-eps*k^2) of the heat semigroup at time eps."""
+    """Fourier multiplier exp(-eps*(2/dx*sin(k*dx/2))^2) of the 3-point Laplacian's
+    heat semigroup at time eps.
+
+    That generator has nonnegative off-diagonal entries and zero row sums, so
+    the semigroup is a positive operator and keeps the mass, for every eps.
+    """
     if eps < 0:
         raise ValueError(f"mollifier width eps must be nonnegative, got {eps}")
-    return np.exp(-eps * grid.k2)
+    return np.exp(-eps * (2.0 / grid.dx * np.sin(grid.k * grid.dx / 2.0)) ** 2)
 
 
 def mollify(f: Field, eps: float) -> Field:
-    """Heat-semigroup smoothing: multiply mode k by exp(-eps*k^2).
+    """Heat-semigroup smoothing: multiply each mode by ``heat_multiplier``.
 
-    eps = 0 returns the field unchanged.  The mean is preserved exactly;
-    nonnegativity is preserved once exp(-eps*k_max^2) sits below roundoff
-    (for smaller eps the truncated kernel can undershoot by truncation error).
+    eps = 0 returns the field unchanged.  The mean is preserved exactly, and
+    nonnegative data stay nonnegative up to the transforms' roundoff.
     """
     damp = heat_multiplier(f.grid, eps)
     if eps == 0:

@@ -3,8 +3,8 @@
 The original system couples a density equation with porous-medium diffusion
 to an area equation with density-weighted cross-diffusion, both driven by
 logistic reactions and a nonlocal density average.  Two companion forms
-exist: a mollified variant (all fields smoothed by the periodic heat
-semigroup, with the whole right side smoothed again) and the square-root
+exist: a mollified variant (all fields smoothed by the 3-point Laplacian's
+heat semigroup, with the whole right side smoothed again) and the square-root
 density form used for uniqueness-style cross-checks.  All three share the
 assembly here, on the stacked arrays; ``xdiff.integrator`` owns the forms.
 """

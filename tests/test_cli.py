@@ -272,29 +272,26 @@ class TestCheckCommand:
 
 
 class TestSweepCommand:
-    def test_sweep_runs_all_configs(self, tmp_path, monkeypatch):
+    def test_sweep_runs_all_configs(self, tmp_path):
         p1, _ = write_config(tmp_path, "a.cfg", t_end="0.0005", out=str(tmp_path / "o1"))
         p2, _ = write_config(tmp_path, "b.cfg", t_end="0.0005", out=str(tmp_path / "o2"))
-        monkeypatch.setenv("XDIFF_THREADS", "2")
         assert main(["sweep", str(p1), str(p2)]) == 0
         assert (tmp_path / "o1" / "series.csv").exists()
         assert (tmp_path / "o2" / "series.csv").exists()
 
-    def test_sweep_propagates_config_errors(self, tmp_path, monkeypatch):
+    def test_sweep_propagates_config_errors(self, tmp_path):
         p1, _ = write_config(tmp_path, "a.cfg", t_end="0.0005", out=str(tmp_path / "o1"))
         bad = tmp_path / "bad.cfg"
         bad.write_text("grid.N = 15\n")
-        monkeypatch.setenv("XDIFF_THREADS", "1")
         assert main(["sweep", str(p1), str(bad)]) == 1
 
-    def test_sweep_isolates_a_bad_config(self, tmp_path, monkeypatch, capfd):
+    def test_sweep_isolates_a_bad_config(self, tmp_path, capfd):
         # the bad file comes first: its error must not stop the run after it
         bad, _ = write_config(tmp_path, "bad.cfg", out=str(tmp_path / "o1"))
         bad.write_text(bad.read_text().replace("grid.N = 16", "grid.N = 15"))
         under, _ = write_config(tmp_path, "under.cfg", t_end="0.01", out=str(tmp_path / "o2"))
         text = under.read_text().replace("grid.N = 16", "grid.N = 1024")
         under.write_text(text.replace("rho0.c = 1.0", "rho0.c = 1e15"))
-        monkeypatch.setenv("XDIFF_THREADS", "1")
         assert main(["sweep", str(bad), str(under)]) == 4  # worst code: dt_underflow
         assert f"{bad}: error: line 3: grid.N must be even, got 15" in capfd.readouterr().err
         assert (tmp_path / "o2" / "series.csv").exists()
@@ -321,18 +318,24 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         return sizes
 
-    @pytest.mark.parametrize("threads, expected", [("500", 2), ("1", 1), ("0", 1), ("", 2)])
-    def test_workers_capped_at_config_count(self, pool_sizes, monkeypatch, threads, expected):
-        monkeypatch.setenv("XDIFF_THREADS", threads)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    @pytest.mark.parametrize("cpus, expected", [(8, 2), (2, 2), (1, 1)])
+    def test_workers_capped_at_usable_cpus_and_config_count(
+        self, pool_sizes, monkeypatch, cpus, expected
+    ):
+        # the affinity mask, not the machine's CPU count, bounds the pool
+        mask = set(range(cpus))
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: mask, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
         assert main(["sweep", "a.cfg", "b.cfg"]) == 0
         assert pool_sizes == [expected]
 
-    def test_non_integer_thread_count_named(self, pool_sizes, monkeypatch, capsys):
-        monkeypatch.setenv("XDIFF_THREADS", "many")
-        assert main(["sweep", "a.cfg", "b.cfg"]) == 1
-        assert "XDIFF_THREADS must be an integer, got 'many'" in capsys.readouterr().err
-        assert pool_sizes == []
+    @pytest.mark.parametrize("cpus, expected", [(8, 2), (1, 1), (None, 1)])
+    def test_workers_fall_back_to_the_cpu_count(self, pool_sizes, monkeypatch, cpus, expected):
+        # where the platform has no affinity mask, and os.cpu_count may not know
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert main(["sweep", "a.cfg", "b.cfg"]) == 0
+        assert pool_sizes == [expected]
 
 
 # seed-0 series.csv SHA-256 of the benchmark's runs, beside their exact

@@ -1,4 +1,5 @@
 import os
+import re
 import warnings
 
 import numpy as np
@@ -92,6 +93,14 @@ class TestParse:
         with pytest.raises(ConfigError, match=rf"line {lineno}: unknown key 'ctrl.{key}'"):
             parse_config(MINIMAL + f"ctrl.{key} = 1.0\n")
 
+    def test_the_mode_takes_no_initial_data_shift(self):
+        # a shifted datum is a CsvData file; the mode has only its kind and width
+        text = MINIMAL + "mode.kind = regularized\nmode.eps = 0.01\nmode.delta = 0.001\n"
+        lineno = text.count("\n")
+        with pytest.raises(ConfigError, match=rf"^line {lineno}: unknown key 'mode.delta'$"):
+            parse_config(text)
+        assert len(render_config(preset("fig1-blowup")).splitlines()) == 30
+
     def test_kind_specific_keys_fail_closed(self):
         # a poly_bump key together with kind = constant must be rejected
         with pytest.raises(ConfigError, match="unknown key"):
@@ -127,9 +136,7 @@ class TestParse:
     @pytest.mark.parametrize(
         "section, key, problem",
         [
-            ("mode.kind = regularized\nmode.eps = 0.01\nmode.delta = 0.001", "mode.eps",
-             "must be nonnegative and finite"),
-            ("mode.kind = regularized\nmode.eps = 0.01\nmode.delta = 0.001", "mode.delta",
+            ("mode.kind = regularized\nmode.eps = 0.01", "mode.eps",
              "must be nonnegative and finite"),
             ("rho0.kind = poly_bump\nrho0.amp = -140.0\nrho0.a = -0.5\nrho0.b = 0.5\n"
              "rho0.p = 3\nrho0.q = 0\nrho0.r = 3", "rho0.amp", "must be finite"),
@@ -158,7 +165,7 @@ class TestParse:
             "rho0.kind = poly_bump\nrho0.amp = -140.0\nrho0.a = -0.5\n"
             "rho0.b = 0.5\nrho0.p = 3\nrho0.q = 0\nrho0.r = 3",
         )
-        text += "mode.kind = regularized\nmode.eps = 0.01\nmode.delta = 0.001\n"
+        text += "mode.kind = regularized\nmode.eps = 0.01\n"
         cfg = parse_config(text)
         assert cfg.rho0 == PolyBump(-140.0, -0.5, 0.5, 3, 0, 3)
         assert cfg.mode.eps == 0.01
@@ -316,6 +323,17 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match="unknown key"):
             preset_with_overrides("fig1-blowup", {"grid.M": "12"})
 
+    def test_readme_example_is_a_config_with_every_key(self):
+        # the README's one ini block documents the format: it must parse,
+        # and set exactly the keys its configuration renders, so the docs
+        # cannot drift from the key table
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            (block,) = re.findall(r"^```ini\n(.*?)^```", fh.read(), flags=re.M | re.S)
+        keys = [line.split("=", 1)[0].strip() for line in block.splitlines()]
+        rendered = render_config(parse_config(block)).splitlines()
+        assert keys == [line.split(" = ", 1)[0] for line in rendered]
+
 
 def finite(lo, hi, **kw):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
@@ -338,7 +356,7 @@ INITIAL_DATA = st.one_of(
 MODES = st.one_of(
     st.just(RunMode()),
     st.just(RunMode("sqrt")),
-    st.builds(RunMode, st.just("regularized"), finite(0.0, 1.0), finite(0.0, 1.0)),
+    st.builds(RunMode, st.just("regularized"), finite(0.0, 1.0)),
 )
 
 

@@ -44,7 +44,7 @@ from xdiff.integrator import (
     stability_interval,
     step,
 )
-from xdiff.kernel import BoxKernel
+from xdiff.kernel import BoxKernel, mollify
 from xdiff.model import ModelParams, NumericalFault, State, _unchecked
 
 REFERENCE = dict(alpha=1.0, mu=0.5, beta=0.75, beta_tilde=0.5, K=1.0, K_tilde=0.5)
@@ -84,7 +84,7 @@ HUGE_DATA = [(Cosine(1e307, 1e307, 1), 16), (Cosine(1e306, 1e306, 3), 64)]
 class TestRunModeValidation:
     def test_kinds(self):
         assert RunMode().kind == "original"
-        assert RunMode("regularized", eps=0.1, delta=0.01).eps == 0.1
+        assert RunMode("regularized", eps=0.1).eps == 0.1
         with pytest.raises(ValueError):
             RunMode("implicit")
         with pytest.raises(ValueError):
@@ -92,11 +92,10 @@ class TestRunModeValidation:
         with pytest.raises(ValueError):
             RunMode("original", eps=0.1)
 
-    @pytest.mark.parametrize("name", ["eps", "delta"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_nonfinite_width_and_shift_rejected(self, name, value):
-        with pytest.raises(InvalidValue, match=f"{name} must be nonnegative and finite"):
-            RunMode("regularized", **{name: value})
+    def test_nonfinite_width_rejected(self, value):
+        with pytest.raises(InvalidValue, match="eps must be nonnegative and finite"):
+            RunMode("regularized", eps=value)
 
 
 class TestCflDt:
@@ -229,7 +228,8 @@ class TestStep:
 def rkc_polynomial(z, stages=S_CAP):
     """R(z) of one RKC step on y' = z y with dt = 1, through the coefficient table."""
     z = np.asarray(z, dtype=float)
-    return _rkc(np.ones_like(z), 1.0, lambda w: z * w, None, stages)
+    u, f = np.ones_like(z), lambda w: z * w
+    return _rkc(u, 1.0, f, f(u), stages)
 
 
 def rkc_closed_form(stages):
@@ -295,7 +295,7 @@ class TestRkc:
         def solve(dt, n_steps):
             u = np.stack((np.ones(16), 1.0 + 0.1 * np.cos(np.pi * g.x)))
             for _ in range(n_steps):
-                u = _rkc(u, dt, stepper.f)
+                u = _rkc(u, dt, stepper.f, stepper.f(u), S_CAP)
             return u
 
         sols = [solve(5e-3 / 2**i, 2 * 2**i) for i in range(3)]
@@ -318,7 +318,7 @@ class TestRkc:
         for mu, nu, mu_t, gamma_t in rows:
             d_old, d = d, mu * d + nu * d_old + mu_t * dt * f(u + d) + gamma_t * g
         expected = u + d
-        assert _rkc(u, dt, f).tobytes() == expected.tobytes()
+        assert _rkc(u, dt, f, f(u), S_CAP).tobytes() == expected.tobytes()
         assert u.tobytes() == u_before.tobytes()
 
     @pytest.mark.parametrize(
@@ -346,7 +346,7 @@ class TestErrorEstimate:
         v = np.array([[1.0, 0.5, 0.25], [2.0, 1.0, 0.5]])
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
-            v_next = _rkc(v, dt, f, stages=stages)
+            v_next = _rkc(v, dt, f, f(v), stages)
             sizes = np.abs(v_next).max(axis=1)
             errs.append(_error_ratio((v, f(v), dt), v_next, f(v_next), sizes))
         orders = [math.log2(coarse / fine) for coarse, fine in zip(errs, errs[1:])]
@@ -583,15 +583,12 @@ class TestRun:
             ("rho0", RunMode("sqrt")),
             ("rho0", RunMode("regularized", eps=1e-3)),
             ("A0", RunMode()),
-            # the shift alone overflows the node sum of rho0 = 1 + 0.1 cos(pi x)
-            ("rho0", RunMode("regularized", eps=1e-3, delta=1e308)),
         ],
     )
     def test_initial_data_whose_mass_overflows_fail_by_name(self, params, key, mode):
         # 16 nodes of 1e308 sum to inf: rejected before smoothing and before
         # the t = 0 record, with no numpy warning on the way
-        data = {} if mode.delta else {key: Constant(1e308)}
-        cfg = smooth_config(params, n=16, mode=mode, **data)
+        cfg = smooth_config(params, n=16, mode=mode, **{key: Constant(1e308)})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{key} is too large: its mass on the grid"):
@@ -647,9 +644,10 @@ class TestRun:
         with pytest.raises(ValueError, match="^A0: field values must all be finite$"):
             run(smooth_config(params, n=16, A0=CsvData(str(path))))
 
-    def test_mollifier_undershoot_is_clipped_not_rejected(self, params):
-        # eps = 1e-6 smooths these compact bumps with a truncated heat kernel
-        # that undershoots to about -2e-8; the data itself is nonnegative
+    def test_mollified_compact_data_clip_only_roundoff(self, params):
+        # eps = 1e-6 smooths these compact bumps with the 3-point Laplacian's
+        # semigroup, a positive operator: the t = 0 state and the run clip
+        # no more than the transforms' roundoff on the zero sets
         cfg = smooth_config(
             params,
             rho0=PolyBump(-140.0, -0.5, 0.5, 3, 0, 3),
@@ -661,13 +659,15 @@ class TestRun:
         out = run(cfg)
         assert out.halt_reason is HaltReason.REACHED_T_END
         assert out.series[0].min_rho == 0.0 and out.series[0].min_A == 0.0
+        initial = out.initial_mass_A + out.initial_mass_rho
+        assert out.clipped_mass_A + out.clipped_mass_rho <= 1e-15 * initial
 
     def test_negative_data_rejected_before_mollifying(self, params):
-        # a negative bump is still negative after the delta shift
+        # the check reads the samples, not the smoothed data
         cfg = smooth_config(
             params,
             rho0=PolyBump(140.0, -0.5, 0.5, 3, 0, 3),
-            mode=RunMode("regularized", eps=1e-6, delta=0.01),
+            mode=RunMode("regularized", eps=1e-6),
         )
         with pytest.raises(ValueError, match="rho0 must be nonnegative"):
             run(cfg)
@@ -703,18 +703,21 @@ class TestRun:
         r2 = out_sqrt.final_state.rho.values
         assert np.max(np.abs(r1 - r2)) <= 1e-8 * np.max(np.abs(r1))
 
-    def test_regularized_mode_shifts_and_smooths_initial_data(self, params):
+    def test_regularized_mode_smooths_initial_data(self, params):
+        rho0 = PolyBump(-140.0, -0.5, 0.5, 3, 0, 3)
         cfg = smooth_config(
             params,
-            rho0=PolyBump(-140.0, -0.5, 0.5, 3, 0, 3),
+            rho0=rho0,
             A0=Constant(1.0),
-            mode=RunMode("regularized", eps=1e-3, delta=0.01),
+            mode=RunMode("regularized", eps=1e-3),
             t_end=1e-4,
         )
         out = run(cfg)
         assert out.halt_reason is HaltReason.REACHED_T_END
-        # the delta shift keeps the density strictly positive
-        assert all(rec.min_rho > 0.0 for rec in out.series)
+        # the t = 0 record reads the mollified data, not the samples
+        samples = rho0.sample(Grid(1.0, 64))
+        peak = float(mollify(samples, 1e-3).values.max())
+        assert out.series[0].max_rho == peak < float(samples.values.max())
 
     def test_records_agree_with_public_diagnostics(self, params):
         # the run's internal record assembly must match what the public
@@ -762,44 +765,42 @@ class TestRun:
         assert [c for c in calls if "fft" in c] == ["rfft"]
         assert calls.count("energy") == calls.count("second_derivative_at_center") == 1
 
-    def test_clip_budget_flags_numerical_fault(self, params):
-        # a severely under-resolved compact area bump clips far more mass than
-        # the budget allows and must be reported as a fault, not silently eaten.
-        # Both fluxes keep their zero sets (the area's face flux is nonnegative
-        # where A = 0), so the original form steps this bump to t_end without a
-        # clip; the mollified form smooths the data and the whole right side by
-        # the discrete heat multiplier, which is not a positive operator on 16
-        # nodes, and clips about 3.6% of the initial mass by its first step
-        cfg = smooth_config(
-            params,
-            rho0=Constant(1.0),
-            A0=PolyBump(-(10.0**9), -0.2, 0.2, 3, 2, 3),
-            n=16,
-            t_end=1.0,
-            mode=RunMode("regularized", eps=1e-3),
-        )
-        out = run(cfg)
+    def test_clip_budget_flags_numerical_fault(self, params, monkeypatch):
+        # a step that leaves more negative mass than the budget allows must be
+        # reported as a fault, not silently eaten.  Both fluxes keep their
+        # zero sets and the mollifier is a positive operator, so no natural
+        # data overrun the budget; a wrapped step leaves one negative entry,
+        # 1.25e-7 of mass against the budget of 1e-8 of about 4
+        import xdiff.integrator as integrator
+
+        rkc = integrator._rkc
+
+        def undershooting(u, dt, f, f_u, stages):
+            out = rkc(u, dt, f, f_u, stages)
+            out[0, 3] = -1e-6
+            return out
+
+        monkeypatch.setattr(integrator, "_rkc", undershooting)
+        out = run(smooth_config(params, n=16, t_end=1.0))
         assert out.halt_reason is HaltReason.NUMERICAL_FAULT
         assert "clipped mass" in out.fault_detail
+        assert out.steps == 1
 
-    def test_mollifier_undershoot_at_t0_is_counted(self):
-        # the t = 0 clip is charged like a step's: fig2-support's mollified
-        # data lose about 8e-9 of area and 8e-10 of density mass there, while
-        # its one RKC step clips no area and about 2e-11 of density mass
-        cfg = preset_with_overrides(
-            "fig2-support",
-            {
-                "grid.N": "256",
-                "mode.kind": "regularized",
-                "mode.eps": "1e-6",
-                "run.t_end": "1e-5",
-                "run.snapshot_times": "",
-            },
-        )
-        out = run(cfg)
+    def test_an_initial_dip_within_tolerance_is_clipped_and_charged(self, params):
+        # the t = 0 clip is charged like a step's: data that dip below zero
+        # within POSITIVITY_TOL are accepted, clipped to zero and counted, and
+        # the clip counts against the budget of the run's first step
+        dip, dx = 5e-13, 2.0 / 16
+        data = dict(n=16, rho0=Cosine(1e-6 - dip, 1e-6, 1), A0=Constant(0.0))  # min at x = -1
+        out = run(smooth_config(params, t_end=0.0, **data))
         assert out.halt_reason is HaltReason.REACHED_T_END
-        assert out.clipped_mass_A >= 7.9e-9
-        assert out.clipped_mass_rho >= 8.2e-10
+        assert out.series[0].min_rho == 0.0
+        assert out.clipped_mass_rho == pytest.approx(dip * dx, rel=1e-6)
+        # that clip alone is over 1e-8 of this small initial mass, about 2e-6
+        out = run(smooth_config(params, t_end=1e-3, **data))
+        assert out.halt_reason is HaltReason.NUMERICAL_FAULT
+        assert "clipped mass" in out.fault_detail
+        assert out.steps == 1
 
 
 # ---------------------------------------------------------------------------
@@ -883,7 +884,7 @@ def run_mode(draw):
     kind = draw(st.sampled_from(["original", "regularized", "sqrt"]))
     if kind != "regularized":
         return RunMode(kind)
-    return RunMode(kind, eps=draw(st.floats(0.0, 1e-2)), delta=draw(st.floats(0.0, 0.1)))
+    return RunMode(kind, eps=draw(st.floats(0.0, 1e-2)))
 
 
 class TestRunProperties:
@@ -954,13 +955,14 @@ class TestErrorState:
         # entries decide
         g = Grid(1.0, 32)
         big = np.full((2, 32), 1e307)
-        keep = lambda v, dt, f, f_v, stages: v.copy()
+        # the scheme ignores its first stage, and f(big) would overflow
+        keep, unused = lambda v, dt, f, f_v, stages: v.copy(), np.zeros_like(big)
         stepper = _Stepper(g, params, RunMode())
         with _unchecked():
             assert np.sum(big) == np.inf
-            u, clipped_a, clipped_rho = _step_arrays(stepper, keep, big, None, 1e-6, 4)
+            u, clipped_a, clipped_rho = _step_arrays(stepper, keep, big, unused, 1e-6, 4)
         assert u.tobytes() == big.tobytes()
         assert clipped_a == clipped_rho == 0.0
         big[1, 5] = np.inf
         with _unchecked(), pytest.raises(NumericalFault, match="^non-finite state after step$"):
-            _step_arrays(stepper, keep, big, None, 1e-6, 4)
+            _step_arrays(stepper, keep, big, unused, 1e-6, 4)

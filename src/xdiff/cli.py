@@ -12,6 +12,7 @@ import argparse
 import csv
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from operator import attrgetter
@@ -66,7 +67,7 @@ SERIES_ROW = ",".join("%.17g" for _ in SERIES_COLUMNS)
 
 
 def write_outputs(outcome: RunOutcome, config: RunConfig) -> None:
-    """Write series.csv, one snapshot_<k>.csv per snapshot, and outcome.txt."""
+    """Write series.csv, one snapshot_<k>.csv per snapshot (deleting any other), and outcome.txt."""
     out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
 
@@ -89,6 +90,10 @@ def write_outputs(outcome: RunOutcome, config: RunConfig) -> None:
         flat[2::3] = snap.rho.values.tolist()
         with open(os.path.join(out_dir, f"snapshot_{k}.csv"), "w", newline="\n") as fh:
             fh.write(file_format % tuple(flat))
+    written = {f"snapshot_{k}.csv" for k in range(len(snapshots))}
+    for name in os.listdir(out_dir):
+        if re.fullmatch(r"snapshot_\d+\.csv", name) and name not in written:
+            os.remove(os.path.join(out_dir, name))
 
     zero_set = [r.zero_set_max_rho for r in outcome.series if r.zero_set_max_rho is not None]
     summary = [

@@ -54,8 +54,7 @@ RISE_WINDOW = 0.04  # trailing time, in units of 1/y0, over which the curvature 
 
 RUN_MODES = ("original", "regularized", "sqrt")
 
-RK4_REAL_STABILITY = 2.7853  # RK4 is stable on [-2.7853, 0] of the real axis
-CFL_SAFETY = 0.25  # the forward-Euler unit's share of classical RK4's stability limit
+STABILITY_SHARE = 0.25 * math.pi**2 / 2.7853  # the Euler unit times the flux spectral radius bound
 S_CAP = 40  # most stages in one RKC step, bounding roundoff growth through them
 DAMPING = 2.0 / 13.0  # RKC's epsilon, in w0 = 1 + epsilon / s^2: keeps |R| off 1 away from z = 0
 DT_MAX = 1e-2  # longest step, the stability bound where the density vanishes
@@ -76,13 +75,10 @@ def _chebyshev(s: int, x: float) -> tuple[list[float], list[float], list[float]]
     return t, d1, d2
 
 
-@functools.cache
 def stability_interval(stages: int) -> float:
-    """Length beta(s) = (w0 + 1) T_s''(w0) / T_s'(w0) of the real interval on
-    which s-stage damped RKC is stable, with w0 = 1 + DAMPING / s^2."""
-    w0 = 1.0 + DAMPING / stages**2
-    _, d1, d2 = _chebyshev(stages, w0)
-    return (w0 + 1.0) * d2[stages] / d1[stages]
+    """Length beta(s) of the real interval on which s-stage damped RKC is
+    stable, the first entry of ``_rkc_table(s)``."""
+    return _rkc_table(stages)[0]
 
 
 class HaltReason(str, enum.Enum):
@@ -129,18 +125,17 @@ class RunOutcome:
 
 
 def _euler_unit(dx: float, rho_max: float) -> float:
-    """The forward-Euler diffusive unit: the share ``CFL_SAFETY * pi^2 /
-    RK4_REAL_STABILITY`` (0.886) of one over the flux's spectral radius bound
-    max(rho) k^2, k = ``flux_wavenumber(dx)`` = 2/dx.
+    """The forward-Euler diffusive unit: the share ``STABILITY_SHARE`` (0.886)
+    of one over the flux's spectral radius bound max(rho) k^2,
+    k = ``flux_wavenumber(dx)`` = 2/dx.
 
     The density bounds the diffusivity of both equations, its maximum
     ``rho_max`` floored to keep the pure-reaction regime at DT_MAX, and k
     bounds both rows' flux symbols, the density's capped multiplier and the
-    area's face flux.  The share is what ``CFL_SAFETY`` of classical RK4's
-    stability limit gave a flux differentiated exactly up to pi/dx."""
+    area's face flux."""
     k = flux_wavenumber(dx)
     spectral_radius = max(rho_max, DIFFUSIVITY_FLOOR) * k * k
-    return CFL_SAFETY * math.pi**2 / RK4_REAL_STABILITY / spectral_radius
+    return STABILITY_SHARE / spectral_radius
 
 
 def cfl_dt(dx: float, rho_max: float) -> float:
@@ -184,7 +179,8 @@ def _step_size(
     v: np.ndarray,
     f_v: np.ndarray,
     rho_max: float,
-    ys: list[float],
+    y0: float,
+    y: float,
     remaining: float,
     last: tuple[np.ndarray, np.ndarray, float] | None,
 ) -> tuple[float, int, bool]:
@@ -196,8 +192,8 @@ def _step_size(
     the step that ended at ``v``, dt_n clamp(0.8 err^(-1/3), 0.2, 10) with err
     from ``_error_ratio`` (``last`` is None on a run's first step, which takes
     the change rule alone).  dt = min(cfl_dt, the accuracy bound,
-    CURVATURE_FRACTION / y when the first and latest central curvatures y0
-    and y in ``ys`` are positive), floored at DT_MIN (``at_floor``: the
+    CURVATURE_FRACTION / y when the initial and latest central curvatures y0
+    and y are positive), floored at DT_MIN (``at_floor``: the
     underflow rule), then cut to the ``remaining`` time to the next snapshot
     or the end.  ``stages`` is the fewest in [2, S_CAP] stable at dt.
     """
@@ -213,8 +209,8 @@ def _step_size(
         factor = 10.0 if err == 0.0 else min(10.0, max(0.2, 0.8 * err ** (-1.0 / 3.0)))
         accuracy = max(accuracy, last[2] * factor)
     bound = min(cfl_dt(dx, rho_max), accuracy)
-    if ys[0] > 0.0 and ys[-1] > 0.0:
-        bound = min(bound, CURVATURE_FRACTION / ys[-1])
+    if y0 > 0.0 and y > 0.0:
+        bound = min(bound, CURVATURE_FRACTION / y)
     floored = max(bound, DT_MIN)
     dt = min(floored, remaining)
     unit = _euler_unit(dx, rho_max)
@@ -253,13 +249,14 @@ def _rk4(u: np.ndarray, dt: float, f: _Rhs, k1: np.ndarray, stages: int = 4) -> 
 
 
 @functools.cache
-def _rkc_table(s: int) -> tuple[float, tuple[tuple[float, float, float, float], ...]]:
-    """``mu~_1`` and the rows ``(mu_j, nu_j, mu~_j, gamma~_j)``, j = 2..s, of damped RKC.
+def _rkc_table(s: int) -> tuple[float, float, tuple[tuple[float, float, float, float], ...]]:
+    """beta(s), mu~_1 and the rows (mu_j, nu_j, mu~_j, gamma~_j), j = 2..s, of damped RKC.
 
     With w0 = 1 + DAMPING / s^2, w1 = T_s'(w0) / T_s''(w0),
     b_j = T_j''(w0) / T_j'(w0)^2 for j >= 2 and b_0 = b_1 = b_2, the
     stability polynomial is a_s + b_s T_s(w0 + w1 z) for the Chebyshev
-    polynomial T_s and a_j = 1 - b_j T_j(w0).
+    polynomial T_s and a_j = 1 - b_j T_j(w0).  It is stable on
+    [-beta(s), 0] of the real axis, beta(s) = (w0 + 1) T_s''(w0) / T_s'(w0).
     """
     w0 = 1.0 + DAMPING / s**2
     t, d1, d2 = _chebyshev(s, w0)
@@ -271,7 +268,7 @@ def _rkc_table(s: int) -> tuple[float, tuple[tuple[float, float, float, float], 
         mu_t = 2.0 * b[j] * w1 / b[j - 1]
         gamma_t = -(1.0 - b[j - 1] * t[j - 1]) * mu_t
         rows.append((2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2], mu_t, gamma_t))
-    return b[1] * w1, tuple(rows)
+    return (w0 + 1.0) * d2[s] / d1[s], b[1] * w1, tuple(rows)
 
 
 def _rkc(u: np.ndarray, dt: float, f: _Rhs, f_u: np.ndarray, stages: int) -> np.ndarray:
@@ -289,7 +286,7 @@ def _rkc(u: np.ndarray, dt: float, f: _Rhs, f_u: np.ndarray, stages: int) -> np.
     and the product buffer are separate, so an f that returns its argument
     or a view of it still gives the plain expressions' result.
     """
-    mu1, rows = _rkc_table(stages)
+    _, mu1, rows = _rkc_table(stages)
     g = dt * f_u
     d, d_old, y, term = (np.empty_like(u) for _ in range(4))
     np.multiply(mu1, g, out=d)
@@ -392,58 +389,48 @@ def _record(
 
     One rfft of the stacked (rho, A, sqrt(rho)) serves both the energies and
     the central curvature, so a record makes 1 FFT call.  A huge but finite
-    state may overflow in a sum; the record holds its own error state, so such
-    values come out non-finite without a warning, and the run faults on a
-    non-finite curvature.
+    state may overflow in a sum; inside a run's error state such values come
+    out non-finite without a warning, and the run faults on a non-finite
+    curvature.
     """
-    with _unchecked():
-        spectra = _energy_spectra(a, r)
-        report = energy(grid, a, r, spectra)
-        zero_max = float(r[zero_nodes].max()) if zero_nodes.size else None
-        return DiagnosticRecord(
-            t=t,
-            max_rho=float(r.max()),
-            min_rho=float(r.min()),
-            min_A=float(a.min()),
-            rho_xx_at_0=second_derivative_at_center(grid, r, spectra[0]),
-            supp_rho=tuple(support(grid, r)),
-            supp_A=tuple(support(grid, a)),
-            mass_rho=float(r.sum() * grid.dx),
-            mass_A=float(a.sum() * grid.dx),
-            e_tilde=report.e_tilde,
-            e_sqrt=report.e_sqrt,
-            symmetry_defect_rho=symmetry_defect(r),
-            zero_set_max_rho=zero_max,
-        )
+    spectra = _energy_spectra(a, r)
+    report = energy(grid, a, r, spectra)
+    zero_max = float(r[zero_nodes].max()) if zero_nodes.size else None
+    return DiagnosticRecord(
+        t=t,
+        max_rho=float(r.max()),
+        min_rho=float(r.min()),
+        min_A=float(a.min()),
+        rho_xx_at_0=second_derivative_at_center(grid, r, spectra[0]),
+        supp_rho=tuple(support(grid, r)),
+        supp_A=tuple(support(grid, a)),
+        mass_rho=float(r.sum() * grid.dx),
+        mass_A=float(a.sum() * grid.dx),
+        e_tilde=report.e_tilde,
+        e_sqrt=report.e_sqrt,
+        symmetry_defect_rho=symmetry_defect(r),
+        zero_set_max_rho=zero_max,
+    )
 
 
-def _blowup_detected(ts: list[float], ys: list[float]) -> bool:
-    """Two-signal detector on the central curvature ``ys`` at the times ``ts``.
+def _blowup_detected(t: float, y: float, y0: float, last_dip: float) -> bool:
+    """Two-signal detector on the central curvature ``y`` at time ``t``.
 
     A run feeds it the curvature after every step, whatever its record
-    cadence.  The hard cap fires for any data.  The growth signal is armed
-    only for data with positive initial central curvature y0 (the blow-up
-    mechanism presupposes it).  It fires once the curvature exceeds
-    ``CURVATURE_GROWTH * y0`` and has risen at every entry since the last one
-    at least ``RISE_WINDOW / y0`` back; the window counts only once the
-    entries span it.  ``1 / y0`` is the time scale of the comparison ODE
+    cadence, with the initial curvature ``y0`` and ``last_dip``, the latest
+    step time at which the curvature did not rise (-inf before any).  The
+    hard cap fires for any data.  The growth signal is armed only for data
+    with positive y0 (the blow-up mechanism presupposes it).  It fires once
+    the curvature exceeds ``CURVATURE_GROWTH * y0`` and has risen at every
+    step of the trailing window ``RISE_WINDOW / y0``, which must also fit
+    after t = 0.  ``1 / y0`` is the time scale of the comparison ODE
     y' = y^2, so the window does not depend on the step size.
     """
-    latest = ys[-1]
-    if latest > BLOWUP_CAP:
+    if y > BLOWUP_CAP:
         return True
-    y0 = ys[0]
-    if y0 <= 0.0 or latest <= CURVATURE_GROWTH * y0:
+    if y0 <= 0.0 or y <= CURVATURE_GROWTH * y0:
         return False
-    start = ts[-1] - RISE_WINDOW / y0
-    if ts[0] > start:
-        return False
-    i = len(ts) - 1
-    while ts[i] > start:
-        if ys[i - 1] >= ys[i]:
-            return False
-        i -= 1
-    return True
+    return t - RISE_WINDOW / y0 >= max(0.0, last_dip)
 
 
 def _interior_zero_nodes(r0: np.ndarray) -> np.ndarray:
@@ -507,35 +494,35 @@ def run(config) -> RunOutcome:
     fault_detail = ""
     # the stepped state, its right side and the size of the last step, for its error estimate
     last: tuple[np.ndarray, np.ndarray, float] | None = None
-    series = [_record(grid, t, u[0], u[1], zero_nodes)]
-    initial_mass = series[0].mass_rho + series[0].mass_A
-    # the central curvature after every step, for the blow-up detector
-    times, curvatures = [t], [series[0].rho_xx_at_0]
     snapshots: list[State] = []
     pending_snaps = list(config.snapshot_times)
-    while True:
-        while pending_snaps and t >= pending_snaps[0]:
-            snapshots.append(State(t=t, A=Field(grid, u[0]), rho=Field(grid, u[1])))
-            pending_snaps.pop(0)
-        if steps and _blowup_detected(times, curvatures):
-            reason = HaltReason.BLOWUP_DETECTED
-            break
-        if t >= config.t_end:
-            reason = HaltReason.REACHED_T_END
-            break
+    # one error state per run: evaluations, steps and diagnostics check finiteness
+    with _unchecked():
+        series = [_record(grid, t, u[0], u[1], zero_nodes)]
+        initial_mass = series[0].mass_rho + series[0].mass_A
+        # the detector's state: curvatures y0 and y, and the last time y did not rise
+        y0 = y = series[0].rho_xx_at_0
+        last_dip = -math.inf
+        while True:
+            while pending_snaps and t >= pending_snaps[0]:
+                snapshots.append(State(t=t, A=Field(grid, u[0]), rho=Field(grid, u[1])))
+                pending_snaps.pop(0)
+            if steps and _blowup_detected(t, y, y0, last_dip):
+                reason = HaltReason.BLOWUP_DETECTED
+                break
+            if t >= config.t_end:
+                reason = HaltReason.REACHED_T_END
+                break
 
-        # the step ends exactly on the next snapshot time or the end time
-        target = pending_snaps[0] if pending_snaps else config.t_end
-        try:
-            # one error state per step: the evaluations, the step and its
-            # diagnostics check finiteness
-            with _unchecked():
+            # the step ends exactly on the next snapshot time or the end time
+            target = pending_snaps[0] if pending_snaps else config.t_end
+            try:
                 # RKC's first stage f(v) does not depend on dt, so it serves the
                 # step rule too, and the error estimate of the step before
                 v = stepper.stepped(u)
                 f_v = stepper.f(v)
                 rho_max = float(u[1].max())
-                dt, stages, at_floor = _step_size(dx, v, f_v, rho_max, curvatures, target - t, last)
+                dt, stages, at_floor = _step_size(dx, v, f_v, rho_max, y0, y, target - t, last)
                 consecutive_dt_min = consecutive_dt_min + 1 if at_floor else 0
                 if consecutive_dt_min >= 2:
                     reason = HaltReason.DT_UNDERFLOW
@@ -556,14 +543,15 @@ def run(config) -> RunOutcome:
                     curvature = second_derivative_at_center(grid, u[1])
                 if not math.isfinite(curvature):
                     raise NumericalFault("non-finite central curvature after step")
-        except NumericalFault as fault:
-            reason, fault_detail = HaltReason.NUMERICAL_FAULT, str(fault)
-            break
-        times.append(t)
-        curvatures.append(curvature)
+            except NumericalFault as fault:
+                reason, fault_detail = HaltReason.NUMERICAL_FAULT, str(fault)
+                break
+            if curvature <= y:
+                last_dip = t
+            y = curvature
 
-    if series[-1].t < t:
-        series.append(_record(grid, t, u[0], u[1], zero_nodes))
+        if series[-1].t < t:
+            series.append(_record(grid, t, u[0], u[1], zero_nodes))
     return RunOutcome(
         halt_reason=reason,
         final_state=State(t=t, A=Field(grid, u[0]), rho=Field(grid, u[1])),

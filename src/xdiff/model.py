@@ -214,8 +214,8 @@ def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
     which are written into the work arrays of ``ws``; beside the transforms,
     only the returned array is new.
 
-    The caller holds numpy's error state at ``_unchecked()``, once per run step
-    or public call rather than once here: an overflow surfaces as a
+    The caller holds numpy's error state at ``_unchecked()``, once per run or
+    public call rather than once here: an overflow surfaces as a
     non-finite output, which this function reports by term.
     """
     p = ws.p

@@ -42,6 +42,7 @@ AREA_EDGE_ADVANCE = 0.05  # measured 0.0703 at N = 1024, 0.0693 at N = 2048
 # 2/2048 on each side: measured with the patch of ``rk4_run_loop`` below
 # (1,290 steps, about 1.2 s on 2 shared vCPUs), too slow to rerun in the suite
 RK4_AREA_EDGE_ADVANCE_2048 = 0.0693359375
+RK4_REAL_STABILITY = 2.7853  # classical RK4 is stable on [-2.7853, 0] of the real axis
 # clipped area mass allowed, relative to the initial mass: the area's face
 # flux is nonnegative where the area vanishes, so the runs clip none
 AREA_CLIP_FRACTION = 1e-12
@@ -133,7 +134,7 @@ def rk4_run_loop(monkeypatch):
 
     monkeypatch.setattr(integrator, "_rkc", integrator._rk4)
     # the stability bound in forward-Euler units becomes RK4's real interval
-    monkeypatch.setattr(integrator, "stability_interval", lambda s: integrator.RK4_REAL_STABILITY)
+    monkeypatch.setattr(integrator, "stability_interval", lambda s: RK4_REAL_STABILITY)
 
 
 def test_rk4_run_loop_is_pinned(rk4_run_loop):
@@ -220,12 +221,14 @@ def test_criterion_1_halt_across_record_cadences(monkeypatch):
     ladder = ((512, 0.1, (1, 10, 100)), (512, 0.25, (1, 10, 100)), (1024, 0.25, (1, 100)))
     with criterion(1, "blow-up halt across record cadences"):
         for n, safety, cadences in ladder:
-            monkeypatch.setattr(integrator, "CFL_SAFETY", safety)
+            # the unit's share of RK4's stability limit
+            share = safety * math.pi**2 / RK4_REAL_STABILITY
+            monkeypatch.setattr(integrator, "STABILITY_SHARE", share)
             halts = []
             for every in cadences:
                 overrides = {"grid.N": str(n), "run.record_every": str(every)}
                 out = xdiff.run(preset_with_overrides("fig1-blowup", overrides))
-                case = f"N = {n}, CFL_SAFETY = {safety}, record_every = {every}"
+                case = f"N = {n}, RK4 share = {safety}, record_every = {every}"
                 halted = out.halt_reason is xdiff.HaltReason.BLOWUP_DETECTED
                 assert halted, (case, out.fault_detail)
                 t_halt = out.final_state.t

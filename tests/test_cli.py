@@ -54,6 +54,24 @@ class TestRunCommand:
         assert len(rows) == 17  # header + one row per node
         assert all(row.split(",")[1] == "1" for row in rows[1:])
 
+    def test_a_rerun_into_one_directory_keeps_only_its_own_snapshots(self, tmp_path):
+        # four snapshots, then one: the second run's directory holds one
+        # snapshot file, and files of other names stay
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "notes.txt").write_text("kept")
+        (tmp_path / "out" / "snapshot_a.csv").write_text("kept")
+        path, _ = write_config(tmp_path, t_end="0.001", snaps="0.0, 2.5e-4, 5e-4, 7.5e-4")
+        assert main(["run", str(path)]) == 0
+        snapshots = sorted(p.name for p in (tmp_path / "out").glob("snapshot_*.csv"))
+        assert snapshots == [f"snapshot_{k}.csv" for k in range(4)] + ["snapshot_a.csv"]
+        at_zero = (tmp_path / "out" / "snapshot_0.csv").read_bytes()
+        path, _ = write_config(tmp_path, t_end="0.001", snaps="5e-4")
+        assert main(["run", str(path)]) == 0
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        kept = ["notes.txt", "outcome.txt", "series.csv", "snapshot_0.csv", "snapshot_a.csv"]
+        assert names == kept
+        assert (tmp_path / "out" / "snapshot_0.csv").read_bytes() != at_zero
+
     def test_outcome_file_contains_halt_reason(self, tmp_path):
         path, out = write_config(tmp_path, t_end="0.001")
         assert main(["run", str(path)]) == 0

@@ -1,4 +1,6 @@
 import math
+import os
+import types
 import warnings
 
 import numpy as np
@@ -21,12 +23,15 @@ from xdiff.config import (
 )
 from xdiff.grid import Field, Grid, InvalidValue
 from xdiff.integrator import (
+    BLOWUP_CAP,
     CURVATURE_FRACTION,
+    CURVATURE_GROWTH,
     DAMPING,
     DT_MAX,
     DT_MIN,
-    RK4_REAL_STABILITY,
+    RISE_WINDOW,
     S_CAP,
+    STABILITY_SHARE,
     HaltReason,
     RunMode,
     _blowup_detected,
@@ -76,6 +81,8 @@ def smooth_config(params, n=64, t_end=1e-3, mode=RunMode(), **kw):
     return RunConfig(**defaults)
 
 
+RK4_REAL_STABILITY = 2.7853  # classical RK4 is stable on [-2.7853, 0] of the real axis
+
 # finite data with a finite mass on the grid, whose t = 0 record overflows in
 # the central curvature (N = 16) or meets inf - inf there (N = 64)
 HUGE_DATA = [(Cosine(1e307, 1e307, 1), 16), (Cosine(1e306, 1e306, 3), 64)]
@@ -107,6 +114,7 @@ class TestCflDt:
         dt = cfl_dt(g.dx, 1.0)
         assert stability_interval(S_CAP) / RK4_REAL_STABILITY == pytest.approx(375.10, abs=5e-3)
         k = 2.0 / g.dx
+        assert STABILITY_SHARE == 0.25 * np.pi**2 / RK4_REAL_STABILITY
         assert dt == 0.25 * np.pi**2 / RK4_REAL_STABILITY / (1.0 * k * k) * stability_interval(S_CAP)
         assert dt == pytest.approx(8.8264e-4, rel=1e-4)
 
@@ -147,9 +155,38 @@ class TestCflDt:
         g = Grid(1.0, 16)
         v, f_v = np.ones((2, 16)), np.zeros((2, 16))
         assert cfl_dt(g.dx, 1e15) < DT_MIN
-        dt, stages, at_floor = _step_size(g.dx, v, f_v, 1e15, [0.0], 1.0, None)
+        dt, stages, at_floor = _step_size(g.dx, v, f_v, 1e15, 0.0, 0.0, 1.0, None)
         assert (dt, at_floor) == (DT_MIN, True)
         assert stages == S_CAP
+
+
+def names_read(code):
+    """The global and attribute names a code object reads, nested code included."""
+    nested = (names_read(c) for c in code.co_consts if isinstance(c, types.CodeType))
+    return set(code.co_names).union(*nested)
+
+
+class TestStepRuleConstants:
+    def test_the_readme_table_lists_every_constant_the_rule_reads(self):
+        # the "Time stepping" constants table names exactly the module
+        # constants that the step rule's functions read
+        import xdiff.integrator as integrator
+
+        rule = (_step_size, cfl_dt, _euler_unit, _error_ratio, _rkc_table.__wrapped__)
+        read = {
+            name
+            for fn in rule
+            for name in names_read(fn.__code__)
+            if name.isupper() and hasattr(integrator, name)
+        }
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        section = text[text.index("### Time stepping\n") :]
+        section = section[: section.index("\n#")]
+        table = section[section.index("| constant ") :].split("\n\n")[0]
+        documented = {row.split("|")[1].strip().strip("`") for row in table.splitlines()[2:]}
+        assert read == documented
 
 
 class TestStep:
@@ -313,7 +350,7 @@ class TestRkc:
         u, dt = np.array([1.0, 0.5, 2.0, 5e-324]), 1e-2
         u_before = u.copy()
         g = dt * f(u)
-        mu1, rows = _rkc_table(S_CAP)
+        _, mu1, rows = _rkc_table(S_CAP)
         d_old, d = 0.0, mu1 * g
         for mu, nu, mu_t, gamma_t in rows:
             d_old, d = d, mu * d + nu * d_old + mu_t * dt * f(u + d) + gamma_t * g
@@ -386,11 +423,11 @@ class TestErrorEstimate:
         # without a previous step the rule is the change rule alone; with one,
         # the step is at least that, at most ten times the previous one or
         # that, and within every cap
-        dx, rho_max, ys = 2.0 / 16, float(v[1].max()), [62.5, y]
+        dx, rho_max, y0 = 2.0 / 16, float(v[1].max()), 62.5
         with _unchecked():
-            base, _, _ = _step_size(dx, v, f_v, rho_max, ys, remaining, None)
+            base, _, _ = _step_size(dx, v, f_v, rho_max, y0, y, remaining, None)
             last = (v_last, f_last, dt_last)
-            dt, _, _ = _step_size(dx, v, f_v, rho_max, ys, remaining, last)
+            dt, _, _ = _step_size(dx, v, f_v, rho_max, y0, y, remaining, last)
         assert base <= dt <= max(base, 10.0 * dt_last)
         assert dt <= min(cfl_dt(dx, rho_max), remaining)
         if y > 0.0:
@@ -809,14 +846,75 @@ class TestRun:
 
 
 def first_halt(ts, ys):
-    """Index of the first entry at which the detector fires, fed as a run feeds it."""
-    seen_t, seen_y = [], []
-    for i, (t, y) in enumerate(zip(ts, ys)):
-        seen_t.append(float(t))
-        seen_y.append(float(y))
-        if _blowup_detected(seen_t, seen_y):
+    """Index of the first entry after t = 0 at which the detector fires, fed as a run feeds it."""
+    y0 = y = float(ys[0])
+    last_dip = -math.inf
+    for i in range(1, len(ts)):
+        t, curvature = float(ts[i]), float(ys[i])
+        if curvature <= y:
+            last_dip = t
+        y = curvature
+        if _blowup_detected(t, y, y0, last_dip):
             return i
     return None
+
+
+def history_detector(ts, ys):
+    """The detector as a backward scan of the whole history, the oracle of ``_blowup_detected``:
+    the curvature has risen at every entry since the last one at least RISE_WINDOW/y0 back,
+    and the entries span that window."""
+    latest = ys[-1]
+    if latest > BLOWUP_CAP:
+        return True
+    y0 = ys[0]
+    if y0 <= 0.0 or latest <= CURVATURE_GROWTH * y0:
+        return False
+    start = ts[-1] - RISE_WINDOW / y0
+    if ts[0] > start:
+        return False
+    i = len(ts) - 1
+    while ts[i] > start:
+        if ys[i - 1] >= ys[i]:
+            return False
+        i -= 1
+    return True
+
+
+def first_halt_of_history(ts, ys):
+    """``first_halt`` through the oracle, fed each prefix of the history."""
+    return next((i for i in range(1, len(ts)) if history_detector(ts[: i + 1], ys[: i + 1])), None)
+
+
+@st.composite
+def curvature_history(draw):
+    """Times and central curvatures from t = 0: initial curvatures of both signs,
+    steps that are tiny, exact fractions of the window or anything up to it, and
+    rises, plateaus, dips, landings on the growth threshold and jumps over the cap."""
+    y0 = draw(st.one_of(st.floats(1e-3, 1e4), st.just(0.0), st.floats(-1e4, -1e-3)))
+    window = RISE_WINDOW / abs(y0) if y0 else RISE_WINDOW
+    scale = max(abs(y0), 1.0)
+    ts, ys = [0.0], [y0]
+    for _ in range(draw(st.integers(1, 60))):
+        kind = draw(st.sampled_from(["tiny", "fraction", "any"]))
+        if kind == "tiny":
+            dt = draw(st.floats(0.0, 1e-12)) * window
+        elif kind == "fraction":
+            dt = window / draw(st.integers(1, 8))
+        else:
+            dt = draw(st.floats(0.0, 1.0)) * window
+        move = draw(st.sampled_from(["rise", "plateau", "dip", "threshold", "jump"]))
+        y = ys[-1]
+        if move == "rise":
+            y += draw(st.floats(0.0, 5.0, exclude_min=True)) * scale
+        elif move == "dip":
+            y -= draw(st.floats(0.0, 5.0)) * scale
+        elif move == "threshold":
+            y = CURVATURE_GROWTH * y0
+        elif move == "jump":
+            y = draw(st.floats(BLOWUP_CAP, 2.0 * BLOWUP_CAP))
+        ts.append(ts[-1] + dt)
+        ys.append(y)
+    return ts, ys
 
 
 def comparison_history(y0, cadence):
@@ -827,6 +925,14 @@ def comparison_history(y0, cadence):
 
 
 CADENCES = [1e-4, 1e-2]  # record intervals in units of 1/y0, 100x apart
+
+
+def quarter_steps(ys):
+    """``ys`` at steps of a quarter window of y0 = ys[0], summed as a run sums them."""
+    ts = [0.0]
+    for _ in ys[1:]:
+        ts.append(ts[-1] + RISE_WINDOW / ys[0] / 4)
+    return ts, ys
 
 
 class TestBlowupDetector:
@@ -862,6 +968,18 @@ class TestBlowupDetector:
     def test_cap_fires_for_any_initial_curvature(self, y0):
         assert first_halt([0.0, 1e-9], [y0, 1.0000001e6]) == 1
         assert first_halt([0.0, 1e-9], [y0, 1e6]) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(history=curvature_history())
+    # the window's start lands on t = 0 exactly at the fourth step; with a
+    # plateau at the first step, it passes that step only at the sixth
+    @example(history=quarter_steps([62.5, 63.0, 700.0, 800.0, 900.0, 1e3, 1.1e3]))
+    @example(history=quarter_steps([62.5, 62.5, 700.0, 800.0, 900.0, 1e3, 1.1e3]))
+    def test_the_latest_dip_decides_as_the_history_scan_does(self, history):
+        # the run keeps only y0, the latest curvature and the latest dip time;
+        # a scan back through every entry fires at the same index
+        ts, ys = history
+        assert first_halt(ts, ys) == first_halt_of_history(ts, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -917,19 +1035,17 @@ class TestRunProperties:
 
 class TestErrorState:
     @pytest.mark.parametrize("kind", ["original", "regularized", "sqrt"])
-    def test_a_run_enters_one_error_state_per_step_beyond_its_records(
-        self, params, kind, monkeypatch
-    ):
-        # entering np.errstate costs microseconds, so a run holds one scope per
-        # step around all its evaluations; only the record path adds its own
+    def test_a_run_enters_one_error_state_beyond_its_records(self, params, kind, monkeypatch):
+        # entering np.errstate costs microseconds, so a run holds one scope
+        # from its first record to its last; only the energies add their own
         import xdiff.integrator as integrator
 
-        entered = {"record": 0, "step": 0}
+        entered = {"record": 0, "run": 0}
         in_record = []
         errstate, record = np.errstate, integrator._record
 
         def counted_errstate(*args, **kwargs):
-            entered["record" if in_record else "step"] += 1
+            entered["record" if in_record else "run"] += 1
             return errstate(*args, **kwargs)
 
         def counted_record(*args):
@@ -946,9 +1062,9 @@ class TestErrorState:
         out = run(smooth_config(params, mode=mode, snapshot_times=(2.5e-4, 5e-4, 7.5e-4)))
         assert out.halt_reason is HaltReason.REACHED_T_END
         assert out.rhs_evals > out.steps >= 4
-        assert entered["step"] == out.steps
-        # the record's own scope and the energies'
-        assert entered["record"] == 2 * len(out.series)
+        assert entered["run"] == 1
+        # the energies' own scope
+        assert entered["record"] == len(out.series)
 
     def test_a_stepped_state_whose_sum_overflows_is_not_a_fault(self, params):
         # one reduction checks the stepped state; when its sum overflows, the

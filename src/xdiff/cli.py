@@ -14,7 +14,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from operator import attrgetter
 
 from .config import ConfigError, RunConfig, parse_config, preset_with_overrides
@@ -146,11 +145,20 @@ def _sweep_workers(n_configs: int) -> int:
     return min(n_configs, cpus)
 
 
+def _process_pool(max_workers: int):
+    """The sweep's process pool.  Only ``sweep`` imports it, so no other
+    command, and no caller of ``write_outputs``, loads ``multiprocessing``."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def _sweep_one(path: str) -> int:
-    """One sweep entry; a bad file is reported against its path and stops no other run."""
+    """One sweep entry; a bad file, or one whose arrays cannot be allocated,
+    is reported against its path and stops no other run."""
     try:
         return _run_config_file(path)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"{path}: error: {exc}", file=sys.stderr)
         return 1
 
@@ -311,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         # sweep
-        with ProcessPoolExecutor(max_workers=_sweep_workers(len(args.configs))) as pool:
+        with _process_pool(_sweep_workers(len(args.configs))) as pool:
             codes = list(pool.map(_sweep_one, args.configs))
         bad = [c for c in codes if c not in (0, 3)]
         return max(bad) if bad else 0
@@ -321,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"memory error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,10 +1,12 @@
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from xdiff import cli
+from xdiff import cli, config
 from xdiff.cli import SERIES_HEADER, check_series, main
 from xdiff.config import parse_config
 
@@ -35,6 +37,33 @@ def write_config(tmp_path, name="run.cfg", t_end="0.0", snaps="0.0", out=None):
     path = tmp_path / name
     path.write_text(TINY_CONFIG.format(t_end=t_end, snaps=snaps, out=out))
     return path, out
+
+
+HUGE_N = 1099511627776  # 2**40 nodes: 8 TiB per float64 array
+REFUSAL = f"Unable to allocate 8.00 TiB for an array with shape ({HUGE_N},)"
+
+
+@pytest.fixture
+def unallocatable_grid(monkeypatch):
+    """Refuse a grid of HUGE_N nodes the way numpy refuses an 8 TiB array.
+
+    The test never asks for the memory: with overcommit on, numpy may accept
+    such a request and the process would fault later instead.
+    """
+    real_grid = config.Grid
+
+    def grid(L, N):
+        if N == HUGE_N:
+            raise MemoryError(REFUSAL)
+        return real_grid(L, N)
+
+    monkeypatch.setattr(config, "Grid", grid)
+
+
+def write_huge_config(tmp_path, name="huge.cfg"):
+    path, _ = write_config(tmp_path, name, out=str(tmp_path / "huge"))
+    path.write_text(path.read_text().replace("grid.N = 16", f"grid.N = {HUGE_N}"))
+    return path
 
 
 class TestRunCommand:
@@ -94,6 +123,12 @@ class TestRunCommand:
         path = tmp_path / "bad.cfg"
         path.write_text("grid.N = 15\n")
         assert main(["run", str(path)]) == 1
+
+    def test_unallocatable_grid_is_one_line_error(self, tmp_path, unallocatable_grid, capfd):
+        path = write_huge_config(tmp_path)
+        assert main(["run", str(path)]) == 1
+        assert capfd.readouterr().err == f"memory error: {REFUSAL}\n"
+        assert not (tmp_path / "huge").exists()
 
     def test_numerical_fault_exits_two(self, tmp_path):
         path, out = write_config(tmp_path, t_end="1.0")
@@ -314,6 +349,50 @@ class TestSweepCommand:
         assert f"{bad}: error: line 3: grid.N must be even, got 15" in capfd.readouterr().err
         assert (tmp_path / "o2" / "series.csv").exists()
 
+    def test_sweep_isolates_an_unallocatable_grid(
+        self, tmp_path, unallocatable_grid, monkeypatch, capfd
+    ):
+        # the pool runs its entries in this process, where the refusal is patched in
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(cli, "_process_pool", InProcessPool)
+        huge = write_huge_config(tmp_path)
+        good, _ = write_config(tmp_path, "good.cfg", t_end="0.0005", out=str(tmp_path / "o1"))
+        assert main(["sweep", str(huge), str(good)]) == 1
+        assert capfd.readouterr().err == f"{huge}: error: {REFUSAL}\n"
+        assert (tmp_path / "o1" / "series.csv").exists()
+
+    def test_only_sweep_loads_the_process_pool(self, tmp_path):
+        # a fresh interpreter, as the benchmark and every non-sweep command use the module
+        path, _ = write_config(tmp_path, t_end="0.0005")
+        script = (
+            "import sys\n"
+            "from xdiff import cli, config, run\n"
+            f"cfg = config.parse_config(open({str(path)!r}).read())\n"
+            "cli.write_outputs(run(cfg), cfg)\n"
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+            " if m in sys.modules))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "[]\n"
+        assert (tmp_path / "out" / "series.csv").exists()
+
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
@@ -333,7 +412,7 @@ class TestSweepCommand:
             def map(self, fn, items):
                 return [0 for _ in items]
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_process_pool", RecordingPool)
         return sizes
 
     @pytest.mark.parametrize("cpus, expected", [(8, 2), (2, 2), (1, 1)])

@@ -435,12 +435,12 @@ class TestSweepCommand:
         assert pool_sizes == [expected]
 
 
-# seed-0 series.csv SHA-256 of the benchmark's runs, beside their exact
-# counts (steps, right-side evaluations, records).  Byte-identical output is
-# part of every change's contract; a change that alters these bytes updates
-# the pin and says so.  Other numpy builds may round differently, so only the
-# counts are checked there: a re-pinned hash with the same counts is a
-# rounding change, not a change to the step rule.
+# seed-0 series.csv SHA-256 of the benchmark's runs and of the mollified
+# form, beside their exact counts (steps, right-side evaluations, records).
+# Byte-identical output is part of every change's contract; a change that
+# alters these bytes updates the pin and says so.  Other numpy builds may
+# round differently, so only the counts are checked there: a re-pinned hash
+# with the same counts is a rounding change, not a change to the step rule.
 SERIES_PINS = [
     (
         "fig1-blowup",
@@ -466,13 +466,25 @@ SERIES_PINS = [
         "f0239208b94770122d237affec572775ee38d21e5de4129ade9f109b00011e4b",
         (9, 115, 10),
     ),
+    (
+        "fig2-support",
+        {"mode.kind": "regularized", "mode.eps": "1e-6"},
+        "991d5b687ebe22f13b7a9c6ccb6d522c6866bd250df128044dfc600a12b2b11f",
+        (8, 106, 2),
+    ),
 ]
 
 
 @pytest.fixture(
     scope="module",
     params=SERIES_PINS,
-    ids=["fig1-blowup", "fig2-support", "fig2-support-N2048", "fig2-support-sqrt-record1"],
+    ids=[
+        "fig1-blowup",
+        "fig2-support",
+        "fig2-support-N2048",
+        "fig2-support-sqrt-record1",
+        "fig2-support-mollified",
+    ],
 )
 def pinned_run(request, tmp_path_factory):
     """(outcome, series.csv bytes, pinned SHA-256, pinned counts) of one pinned run."""

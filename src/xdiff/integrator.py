@@ -28,15 +28,14 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import DiagnosticRecord, second_derivative_at_center, support, symmetry_defect
-from .grid import Field, Grid, InvalidValue
-from .kernel import heat_multiplier, mollify
+from .grid import Field, Grid, InvalidValue, all_finite
+from .kernel import heat_multiplier, smooth
 from .model import (
     ModelParams,
     NumericalFault,
     State,
     Workspace,
     energy,
-    _all_finite,
     _energy_spectra,
     _rhs_core,
     _rhs_regularized_core,
@@ -193,9 +192,10 @@ def _step_size(
     from ``_error_ratio`` (``last`` is None on a run's first step, which takes
     the change rule alone).  dt = min(cfl_dt, the accuracy bound,
     CURVATURE_FRACTION / y when the initial and latest central curvatures y0
-    and y are positive), floored at DT_MIN (``at_floor``: the
-    underflow rule), then cut to the ``remaining`` time to the next snapshot
-    or the end.  ``stages`` is the fewest in [2, S_CAP] stable at dt.
+    and y are positive), floored at DT_MIN (``at_floor``: the underflow rule),
+    then cut to the ``remaining`` time to the next snapshot or the end, exactly
+    when the bound covers it up to a relative 1e-9: the caller lands when
+    dt == remaining.  ``stages`` is the fewest in [2, S_CAP] stable at dt.
     """
     # every stepped state is clipped nonnegative; a row whose maximum is -0.0
     # holds only zeros, so its rate is 0 and it drops out of the ratios
@@ -212,7 +212,9 @@ def _step_size(
     if y0 > 0.0 and y > 0.0:
         bound = min(bound, CURVATURE_FRACTION / y)
     floored = max(bound, DT_MIN)
-    dt = min(floored, remaining)
+    # a bound a rounding error short would leave a sliver step of about 1e-18,
+    # whose roundoff change of the curvature the blow-up detector reads as a dip
+    dt = remaining if floored >= remaining * (1.0 - 1e-9) else floored
     unit = _euler_unit(dx, rho_max)
     stages = next((s for s in range(2, S_CAP) if unit * stability_interval(s) >= dt), S_CAP)
     return dt, stages, floored == DT_MIN
@@ -349,7 +351,7 @@ def _step_arrays(
     u = scheme(v, dt, stepper.f, f_v, stages)
     if stepper.sqrt:
         u[1] *= u[1]
-    if not _all_finite(u):
+    if not all_finite(u):
         raise NumericalFault("non-finite state after step")
     return _apply_positivity(u, stepper.grid.dx)
 
@@ -479,12 +481,12 @@ def run(config) -> RunOutcome:
         if name == "rho0" and not math.isfinite(total * float(grid.k2[-1]) * 2 * grid.n_points):
             raise ValueError("rho0 is too large: its central curvature on the grid overflows")
         initial.append(values)
-    rho0, a0 = initial
-    if mode.kind == "regularized":
-        # checked before smoothing, a positive operator; a dip within the
-        # tolerance is clipped and counted below like a step's
-        rho0, a0 = (mollify(Field(grid, v), mode.eps).values for v in (rho0, a0))
-    u, clipped_a, clipped_rho = _apply_positivity(np.stack((a0, rho0)), dx)
+    u = np.stack(initial[::-1])  # (A, rho)
+    if mode.eps:
+        # the mollified form's data, checked before smoothing, a positive
+        # operator; a dip within the tolerance is clipped below like a step's
+        u = smooth(u, heat_multiplier(grid, mode.eps))
+    u, clipped_a, clipped_rho = _apply_positivity(u, dx)
     t = 0.0
 
     stepper = _Stepper(grid, config.params, mode)

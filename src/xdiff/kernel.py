@@ -91,16 +91,22 @@ def heat_multiplier(grid: Grid, eps: float) -> np.ndarray:
     return np.exp(-eps * (2.0 / grid.dx * np.sin(grid.k * grid.dx / 2.0)) ** 2)
 
 
+def smooth(values: np.ndarray, damp: np.ndarray) -> np.ndarray:
+    """Node arrays of any leading shape, each mode along the last axis times
+    ``damp``: the package's one spectral smoothing.  Rows are transformed
+    independently, so a stack smooths bit for bit as its rows one by one."""
+    spectrum = np.fft.rfft(values)
+    spectrum *= damp
+    return np.fft.irfft(spectrum, n=values.shape[-1])
+
+
 def mollify(f: Field, eps: float) -> Field:
-    """Heat-semigroup smoothing: multiply each mode by ``heat_multiplier``.
+    """Heat-semigroup smoothing: ``smooth`` by ``heat_multiplier``.
 
     eps = 0 returns the field unchanged.  The mean is preserved exactly, and
     nonnegative data stay nonnegative up to the transforms' roundoff.
     """
-    damp = heat_multiplier(f.grid, eps)
-    if eps == 0:
-        return Field(f.grid, f.values)
-    return Field(f.grid, np.fft.irfft(np.fft.rfft(f.values) * damp, n=f.grid.n_points))
+    return Field(f.grid, smooth(f.values, heat_multiplier(f.grid, eps)) if eps else f.values)
 
 
 def load_sampled_kernel(path: str, grid: Grid) -> SampledKernel:

@@ -11,13 +11,12 @@ assembly here, on the stacked arrays; ``xdiff.integrator`` owns the forms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, InvalidValue
-from .kernel import KernelSpec
+from .grid import Field, Grid, InvalidValue, all_finite
+from .kernel import KernelSpec, smooth
 
 
 class NumericalFault(RuntimeError):
@@ -161,13 +160,6 @@ class Workspace:
         self.density_area, self.growth, self.transport, self.scratch = np.empty((4, n))
 
 
-def _all_finite(x: np.ndarray) -> bool:
-    """Whether every entry of ``x`` is finite, in one reduction when so: a
-    finite sum has only finite terms, and a sum that overflows leaves the
-    decision to the entries."""
-    return math.isfinite(x.sum()) or bool(np.isfinite(x).all())
-
-
 def _unchecked() -> np.errstate:
     """numpy's error state around evaluations and steps: overflow and invalid
     operations pass silently, because their results are checked for
@@ -270,9 +262,9 @@ def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
     np.add(area_reaction, area_flux, out=out[0])
     np.add(w_reaction, w_transport, out=out[1])
 
-    if not _all_finite(out):
+    if not all_finite(out):
         terms = zip((area_reaction, area_flux, w_reaction, w_transport), _TERM_NAMES[sqrt])
-        bad = (name for term, name in terms if not np.all(np.isfinite(term)))
+        bad = (name for term, name in terms if not all_finite(term))
         # finite terms whose sum overflows name no single term
         raise NumericalFault(f"non-finite values in {next(bad, 'right-hand side sum')}")
     return out
@@ -289,20 +281,12 @@ def _rhs_sqrt_core(ws: Workspace, u: np.ndarray) -> np.ndarray:
 
 
 def _rhs_regularized_core(ws: Workspace, u: np.ndarray, damp: np.ndarray) -> np.ndarray:
-    """Mollified right side: smooth the stacked (A, rho) by the heat multiplier
-    ``damp``, assemble, smooth the result.
-
-    Callers pass ``damp`` as complex, the values numpy would otherwise cast
-    it to on each product."""
-    n = ws.grid.n_points
-    uh = np.fft.rfft(u)
-    uh *= damp
-    smoothed = np.fft.irfft(uh, n=n)
-    uh = np.fft.rfft(_assemble(ws, smoothed, sqrt=False))
-    uh *= damp
-    out = np.fft.irfft(uh, n=n)
+    """Mollified right side: ``smooth`` the stacked (A, rho) by the heat
+    multiplier ``damp``, assemble, ``smooth`` the result.  Callers pass
+    ``damp`` as complex, the values numpy would cast it to on each product."""
+    out = smooth(_assemble(ws, smooth(u, damp), sqrt=False), damp)
     # a finite assembled side may still overflow in the transform
-    if not _all_finite(out):
+    if not all_finite(out):
         raise NumericalFault("non-finite values in smoothed right-hand side")
     return out
 

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xdiff
@@ -193,6 +193,71 @@ def test_mollified_blowup_at_n512():
     overrides = {"grid.N": "512", "mode.kind": "regularized", "mode.eps": "1e-6"}
     out = xdiff.run(preset_with_overrides("fig1-blowup", overrides))
     assert out.halt_reason is xdiff.HaltReason.BLOWUP_DETECTED, out.fault_detail
+
+
+def law_blowup_time(cfg):
+    """ln(1 + g0/(3 y0))/g0, the blow-up time of y' = 3y^2 + g0 y from the
+    central curvature y0 of the initial density, with its growth rate
+    g0 = beta - mu alpha (Gamma * rho)(0) at x = 0 frozen at t = 0."""
+    grid = Grid(cfg.grid_L, cfg.grid_N)
+    rho = cfg.rho0.sample(grid).values
+    p = cfg.params
+    average = np.fft.irfft(np.fft.rfft(rho) * p.kernel.symbol(grid), n=grid.n_points)
+    g0 = p.beta - p.mu * p.alpha * average[grid.n_points // 2]
+    y0 = derivative(grid, rho, grid.d2)[grid.n_points // 2]
+    return math.log1p(g0 / (3.0 * y0)) / g0
+
+
+def inverse_curvature_fit(out):
+    """(t_b, slope): the zero and the slope of a line fitted to 1/y over the
+    detector's trailing window, y the central curvature of every record."""
+    from xdiff.integrator import RISE_WINDOW
+
+    t = np.array([rec.t for rec in out.series])
+    y = np.array([rec.rho_xx_at_0 for rec in out.series])
+    window = t >= t[-1] - RISE_WINDOW / y[0]
+    slope, intercept = np.polyfit(t[window], 1.0 / y[window], 1)
+    return -intercept / slope, slope
+
+
+def test_blowup_time_approaches_the_law_under_refinement():
+    # at x = 0 the density and its slope vanish, so the central curvature y
+    # obeys y' = 3y^2 + g0 y (README, "Blow-up law"); the blow-up time fitted
+    # to 1/y nears the law's under refinement: +5.0%, +1.5% and +0.34% at
+    # N = 512, 1024 and 2048
+    errors = []
+    for n in (512, 1024, 2048):
+        cfg = preset_with_overrides("fig1-blowup", {"grid.N": str(n)})
+        out = xdiff.run(cfg)
+        assert out.halt_reason is xdiff.HaltReason.BLOWUP_DETECTED, out.fault_detail
+        law = law_blowup_time(cfg)
+        assert law == pytest.approx(0.0053227, rel=1e-4)
+        fitted, _ = inverse_curvature_fit(out)
+        errors.append(abs(fitted / law - 1.0))
+    assert errors[0] > errors[1] > errors[2]
+    assert errors[2] < 0.01
+
+
+@settings(max_examples=4, deadline=None)
+@given(scale=st.floats(0.1, 4.0))
+@example(scale=0.1)
+@example(scale=4.0)
+def test_the_blowup_law_holds_across_amplitudes(scale):
+    # y' = 3y^2 + g0 y blows up at about 1/(3 y0), and the detector fires
+    # once y passes 10 y0, at 0.9 of that time: measured 0.888 to 0.902 over
+    # these amplitudes at N = 2048 (the law with g0 frozen gives 0.880 at
+    # scale 0.1), with a fitted slope of 1/y of -2.96 to -2.98 against the
+    # law's -3; the margins are 0.03 and 0.1
+    base = preset("fig1-blowup")
+    rho0 = dataclasses.replace(base.rho0, amp=scale * base.rho0.amp)
+    y0 = scale * CURVATURE_AT_CENTER
+    t_end = 2.0 * t_star(y0, blowup_threshold(base.params))
+    cfg = dataclasses.replace(base, grid_N=2048, rho0=rho0, t_end=t_end, snapshot_times=())
+    out = xdiff.run(cfg)
+    assert out.halt_reason is xdiff.HaltReason.BLOWUP_DETECTED, out.fault_detail
+    assert out.final_state.t * 3.0 * y0 == pytest.approx(0.9, abs=0.03)
+    _, slope = inverse_curvature_fit(out)
+    assert slope == pytest.approx(-3.0, abs=0.1)
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from xdiff.diagnostics import symmetry_defect
-from xdiff.grid import Field, Grid, InvalidValue, mirror
+from xdiff.grid import Field, Grid, InvalidValue, all_finite, mirror
 from xdiff.kernel import EVENNESS_TOL, SampledKernel
 
 from spectral import derivative
@@ -72,6 +73,19 @@ class TestField:
         bad[3] = np.nan
         with pytest.raises(ValueError):
             Field(g, bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 2), st.integers(1, 64)),
+            elements=st.one_of(st.floats(allow_nan=True), st.sampled_from([1e308, -1e308, 1e155])),
+        )
+    )
+    def test_all_finite_is_the_entrywise_test(self, values):
+        # huge finite entries overflow the one-product fast path and are
+        # decided entry by entry, with no floating-point warning
+        assert all_finite(values) == bool(np.isfinite(values).all())
 
     def test_values_are_locked_copies(self):
         g = Grid(1.0, 16)

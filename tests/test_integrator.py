@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import types
@@ -607,6 +608,38 @@ class TestRun:
             cfg = preset_with_overrides(name, {"grid.N": str(n)})
             out = run(cfg)
             assert [s.t for s in out.snapshots] == list(cfg.snapshot_times), (name, n)
+
+    @pytest.mark.parametrize("dt_max", [5e-5, 3e-5])
+    def test_a_bound_a_rounding_error_short_of_a_snapshot_lands_on_it(self, dt_max, monkeypatch):
+        # under these caps the bound falls a few ulps short of the time left to
+        # the snapshot at 0.0045; stopping there would leave a sliver step of
+        # about 1e-18, whose roundoff change of the curvature the detector
+        # reads as a dip, moving the halt 6% later
+        import xdiff.integrator as integrator
+
+        monkeypatch.setattr(integrator, "DT_MAX", dt_max)
+        out = run(preset("fig1-blowup"))
+        assert out.halt_reason is HaltReason.BLOWUP_DETECTED
+        # the preset records every step
+        times = [rec.t for rec in out.series]
+        assert len(times) == out.steps + 1
+        assert min(np.diff(times)) >= DT_MIN
+        assert out.final_state.t == pytest.approx(0.0048626, rel=0.01)
+
+    def test_steps_summing_a_rounding_error_short_of_a_snapshot_land_on_it(self):
+        # ten steps of DT_MAX = 0.01 sum to 0.09999999999999999; the tenth
+        # lands on the snapshot instead of leaving a sliver step to it
+        cfg = dataclasses.replace(
+            preset("fig2-support"),
+            rho0=Constant(0.0),
+            grid_N=64,
+            t_end=1.0,
+            snapshot_times=(0.1,),
+        )
+        out = run(cfg)
+        assert out.halt_reason is HaltReason.REACHED_T_END
+        assert not [rec.t for rec in out.series if 0.0999 < rec.t < 0.1]
+        assert [s.t for s in out.snapshots] == [0.1]
 
     def test_negative_initial_data_rejected(self, params):
         cfg = smooth_config(params, rho0=Constant(-1.0))

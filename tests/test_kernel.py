@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xdiff.grid import Field, Grid, GridMismatchError
-from xdiff.kernel import BoxKernel, SampledKernel, load_sampled_kernel, mollify
+from xdiff.kernel import (
+    BoxKernel,
+    SampledKernel,
+    heat_multiplier,
+    load_sampled_kernel,
+    mollify,
+    smooth,
+)
 
 from spectral import derivative
 
@@ -136,6 +143,28 @@ class TestSampledKernel:
         path.write_text("x,gamma\n0.0,1.0\n")
         with pytest.raises(ValueError):
             load_sampled_kernel(str(path), grid)
+
+
+class TestSmooth:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([16, 64, 1024, 2048]),
+        rows=st.integers(1, 3),
+        eps=st.one_of(st.just(0.0), st.floats(1e-12, 1e-2)),
+        scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_stack_smooths_as_its_rows_and_keeps_each_mean(self, n, rows, eps, scale, seed):
+        # a run smooths the mollified form's stacked (A, rho) in one call,
+        # bit for bit as the rows one by one
+        g = Grid(1.0, n)
+        u = 10.0**scale * np.random.default_rng(seed).random((rows, n))
+        damp = heat_multiplier(g, eps)
+        out = smooth(u, damp)
+        assert out.shape == u.shape
+        for row, got in zip(u, out):
+            assert got.tobytes() == smooth(row, damp).tobytes()
+            assert got.mean() == pytest.approx(row.mean(), rel=1e-13)
 
 
 class TestMollify:

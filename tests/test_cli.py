@@ -436,56 +436,54 @@ class TestSweepCommand:
 
 
 # seed-0 series.csv SHA-256 of the benchmark's runs and of the mollified
-# form, beside their exact counts (steps, right-side evaluations, records).
+# form at two widths, beside their exact counts (steps, right-side evaluations, records).
 # Byte-identical output is part of every change's contract; a change that
 # alters these bytes updates the pin and says so.  Other numpy builds may
 # round differently, so only the counts are checked there: a re-pinned hash
 # with the same counts is a rounding change, not a change to the step rule.
-SERIES_PINS = [
-    (
+SERIES_PINS = {
+    "fig1-blowup": (
         "fig1-blowup",
         {},
         "0db4800dfea291e45f040c363da3827805aa1c1842a9fad753b0a7840df5c109",
         (58, 620, 59),
     ),
-    (
+    "fig2-support": (
         "fig2-support",
         {},
         "4eca2fd862874663fbb17ba3a7587aec8c1fbba9b780fd4b902960dc6b5c8468",
         (9, 115, 2),
     ),
-    (
+    "fig2-support-N2048": (
         "fig2-support",
         {"grid.N": "2048"},
         "67417deec0088d50ff74446a8d981545a31a0d09e69e5108db2ac4efbdb7dcda",
         (10, 238, 2),
     ),
-    (
+    "fig2-support-sqrt-record1": (
         "fig2-support",
         {"mode.kind": "sqrt", "run.record_every": "1"},
         "f0239208b94770122d237affec572775ee38d21e5de4129ade9f109b00011e4b",
         (9, 115, 10),
     ),
-    (
+    "fig2-support-mollified": (
         "fig2-support",
         {"mode.kind": "regularized", "mode.eps": "1e-6"},
         "991d5b687ebe22f13b7a9c6ccb6d522c6866bd250df128044dfc600a12b2b11f",
         (8, 106, 2),
     ),
-]
-
-
-@pytest.fixture(
-    scope="module",
-    params=SERIES_PINS,
-    ids=[
-        "fig1-blowup",
+    # the mollified form at eps = 0 is the original form: its hash and counts
+    "fig2-support-mollified-eps0": (
         "fig2-support",
-        "fig2-support-N2048",
-        "fig2-support-sqrt-record1",
-        "fig2-support-mollified",
-    ],
-)
+        {"mode.kind": "regularized", "mode.eps": "0"},
+        "4eca2fd862874663fbb17ba3a7587aec8c1fbba9b780fd4b902960dc6b5c8468",
+        (9, 115, 2),
+    ),
+}
+
+
+# a pin's test id is its key, so entries and ids cannot drift apart
+@pytest.fixture(scope="module", params=list(SERIES_PINS.values()), ids=list(SERIES_PINS))
 def pinned_run(request, tmp_path_factory):
     """(outcome, series.csv bytes, pinned SHA-256, pinned counts) of one pinned run."""
     from xdiff.config import preset_with_overrides

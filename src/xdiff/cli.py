@@ -28,41 +28,30 @@ EXIT_CODE = {
 CHECK_FAILED = 5
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
+# the one number format of the output files and the printed halt time: 17
+# significant digits read back as the same float
+NUMBER = "%.17g"
 
-
-def _hull_edge(support: str, side: int):
-    """Getter of one end of a record's support hull: the left end of the first
-    interval (side 0) or the right end of the last (side -1); nan when empty."""
-
-    def edge(rec) -> float:
-        intervals = getattr(rec, support)
-        return intervals[side][side] if intervals else math.nan
-
-    return edge
-
-
-# series.csv columns in file order: (column name, value of a DiagnosticRecord)
+# series.csv columns in file order: (column name, DiagnosticRecord field)
 SERIES_COLUMNS = (
-    ("t", attrgetter("t")),
-    ("max_rho", attrgetter("max_rho")),
-    ("min_rho", attrgetter("min_rho")),
-    ("min_A", attrgetter("min_A")),
-    ("rho_xx_0", attrgetter("rho_xx_at_0")),
-    ("supp_rho_lo", _hull_edge("supp_rho", 0)),
-    ("supp_rho_hi", _hull_edge("supp_rho", -1)),
-    ("supp_A_lo", _hull_edge("supp_A", 0)),
-    ("supp_A_hi", _hull_edge("supp_A", -1)),
-    ("mass_rho", attrgetter("mass_rho")),
-    ("mass_A", attrgetter("mass_A")),
-    ("e_tilde", attrgetter("e_tilde")),
-    ("e_sqrt", attrgetter("e_sqrt")),
-    ("sym_defect", attrgetter("symmetry_defect_rho")),
+    ("t", "t"),
+    ("max_rho", "max_rho"),
+    ("min_rho", "min_rho"),
+    ("min_A", "min_A"),
+    ("rho_xx_0", "rho_xx_at_0"),
+    ("supp_rho_lo", "supp_rho_lo"),
+    ("supp_rho_hi", "supp_rho_hi"),
+    ("supp_A_lo", "supp_A_lo"),
+    ("supp_A_hi", "supp_A_hi"),
+    ("mass_rho", "mass_rho"),
+    ("mass_A", "mass_A"),
+    ("e_tilde", "e_tilde"),
+    ("e_sqrt", "e_sqrt"),
+    ("sym_defect", "symmetry_defect_rho"),
 )
 SERIES_HEADER = ",".join(name for name, _ in SERIES_COLUMNS)
-# "%.17g" renders a Python float exactly as _fmt does, so a row is one format
-SERIES_ROW = ",".join("%.17g" for _ in SERIES_COLUMNS)
+SERIES_ROW = ",".join(NUMBER for _ in SERIES_COLUMNS)
+_series_values = attrgetter(*(field for _, field in SERIES_COLUMNS))
 
 
 def write_outputs(outcome: RunOutcome, config: RunConfig) -> None:
@@ -72,7 +61,7 @@ def write_outputs(outcome: RunOutcome, config: RunConfig) -> None:
 
     lines = [SERIES_HEADER]
     for rec in outcome.series:
-        lines.append(SERIES_ROW % tuple(value(rec) for _, value in SERIES_COLUMNS))
+        lines.append(SERIES_ROW % _series_values(rec))
     with open(os.path.join(out_dir, "series.csv"), "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -81,9 +70,9 @@ def write_outputs(outcome: RunOutcome, config: RunConfig) -> None:
     snapshots = outcome.snapshots
     if snapshots:
         n = snapshots[0].grid.n_points
-        file_format = "x,A,rho\n" + "%s,%.17g,%.17g\n" * n
+        file_format = "x,A,rho\n" + f"%s,{NUMBER},{NUMBER}\n" * n
         flat: list = [None] * (3 * n)
-        flat[0::3] = ["%.17g" % x for x in snapshots[0].grid.x.tolist()]
+        flat[0::3] = [NUMBER % x for x in snapshots[0].grid.x.tolist()]
     for k, snap in enumerate(snapshots):
         flat[1::3] = snap.A.values.tolist()
         flat[2::3] = snap.rho.values.tolist()
@@ -97,15 +86,15 @@ def write_outputs(outcome: RunOutcome, config: RunConfig) -> None:
     zero_set = [r.zero_set_max_rho for r in outcome.series if r.zero_set_max_rho is not None]
     summary = [
         ("halt_reason", outcome.halt_reason.value),
-        ("final_t", _fmt(outcome.final_state.t)),
+        ("final_t", NUMBER % outcome.final_state.t),
         ("steps", str(outcome.steps)),
         ("rhs_evals", str(outcome.rhs_evals)),
         ("records", str(len(outcome.series))),
-        ("initial_mass_rho", _fmt(outcome.initial_mass_rho)),
-        ("initial_mass_A", _fmt(outcome.initial_mass_A)),
-        ("clipped_mass_rho", _fmt(outcome.clipped_mass_rho)),
-        ("clipped_mass_A", _fmt(outcome.clipped_mass_A)),
-        ("max_rho_on_initial_zero_set", _fmt(max(zero_set)) if zero_set else "nan"),
+        ("initial_mass_rho", NUMBER % outcome.initial_mass_rho),
+        ("initial_mass_A", NUMBER % outcome.initial_mass_A),
+        ("clipped_mass_rho", NUMBER % outcome.clipped_mass_rho),
+        ("clipped_mass_A", NUMBER % outcome.clipped_mass_A),
+        ("max_rho_on_initial_zero_set", NUMBER % max(zero_set) if zero_set else "nan"),
     ]
     if outcome.fault_detail:
         summary.append(("fault_detail", outcome.fault_detail))
@@ -126,7 +115,7 @@ def _run_config_file(path: str) -> int:
         text = fh.read()
     config = parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
     code, outcome = execute(config)
-    print(f"{path}: {outcome.halt_reason.value} at t = {_fmt(outcome.final_state.t)}")
+    print(f"{path}: {outcome.halt_reason.value} at t = {NUMBER % outcome.final_state.t}")
     return code
 
 
@@ -205,11 +194,7 @@ def check_series(path: str, rho_linf_bound: float | None = None) -> list[str]:
     ts = [row[col["t"]] for row in rows]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         problems.append("timestamps are not strictly increasing")
-    finite_only = [
-        name
-        for name in col
-        if name not in ("e_tilde", "e_sqrt") and not name.startswith("supp_")
-    ]
+    finite_only = [name for name in col if not name.startswith(("e_", "supp_"))]
     if any(not math.isfinite(row[col[name]]) for row in rows for name in finite_only):
         problems.append("non-finite value outside the energy and support columns")
     if any(row[col["min_rho"]] < 0 for row in rows):
@@ -305,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
             code, outcome = execute(config)
             print(
                 f"{args.name}: {outcome.halt_reason.value} at t = "
-                f"{_fmt(outcome.final_state.t)} ({outcome.steps} steps) -> {config.output_dir}"
+                f"{NUMBER % outcome.final_state.t} ({outcome.steps} steps) -> {config.output_dir}"
             )
             return code
 

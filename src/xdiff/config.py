@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .grid import Field, Grid, InvalidValue, read_node_csv
+from .grid import Field, Grid, InvalidValue, is_integer, read_node_csv
 from .integrator import RunMode
 from .kernel import BoxKernel, SampledKernel, load_sampled_kernel
 from .model import ModelParams
@@ -57,7 +57,7 @@ class PolyBump:
             raise InvalidValue("b", f"must exceed a = {self.a}, got {self.b}")
         for name in ("p", "q", "r"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, np.integer)) and v >= 0):
+            if not (is_integer(v) and v >= 0):
                 raise InvalidValue(name, f"must be a nonnegative integer, got {v!r}")
 
     def sample(self, grid: Grid) -> Field:
@@ -91,7 +91,7 @@ class Cosine:
         # |mean| + |amp| bounds the samples; a Python float overflows to inf silently
         if not math.isfinite(abs(self.mean) + abs(self.amp)):
             raise InvalidValue("amp", f"must keep |mean| + |amp| finite, got {self.amp}")
-        if not (isinstance(self.mode, (int, np.integer)) and self.mode >= 0):
+        if not (is_integer(self.mode) and self.mode >= 0):
             raise InvalidValue("mode", f"must be a nonnegative integer, got {self.mode!r}")
 
     def sample(self, grid: Grid) -> Field:
@@ -135,9 +135,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.t_end) and self.t_end >= 0):
             raise InvalidValue("t_end", f"must be a nonnegative finite time, got {self.t_end}")
-        if not (isinstance(self.record_every, (int, np.integer)) and self.record_every >= 1):
+        if not (is_integer(self.record_every) and self.record_every >= 1):
             raise InvalidValue(
-                "record_every", f"must be a positive integer, got {self.record_every}"
+                "record_every", f"must be a positive integer, got {self.record_every!r}"
             )
         for ts in self.snapshot_times:
             if not (0.0 <= ts <= self.t_end):

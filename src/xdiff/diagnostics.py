@@ -18,12 +18,14 @@ Interval = tuple[float, float]
 
 @dataclass(frozen=True)
 class DiagnosticRecord:
-    """One recorded instant of a run.
+    """One recorded instant of a run: the values of a ``series.csv`` row, in
+    column order, and the zero-set maximum that ``outcome.txt`` reports.
 
-    Supports are interval lists in physical coordinates.  Energies may be
-    +inf; everything else is finite.  ``zero_set_max_rho`` is the largest
-    density value over the nodes where the initial density vanished, one
-    boundary cell excluded on each side.
+    A support is held as its hull edges (``hull``) in physical coordinates,
+    both nan when the support is empty.  Energies may be +inf; everything
+    else is finite.  ``zero_set_max_rho`` is the largest density value over
+    the nodes where the initial density vanished, one boundary cell excluded
+    on each side.
     """
 
     t: float
@@ -31,8 +33,10 @@ class DiagnosticRecord:
     min_rho: float
     min_A: float
     rho_xx_at_0: float
-    supp_rho: tuple[Interval, ...]
-    supp_A: tuple[Interval, ...]
+    supp_rho_lo: float
+    supp_rho_hi: float
+    supp_A_lo: float
+    supp_A_hi: float
     mass_rho: float
     mass_A: float
     e_tilde: float
@@ -88,6 +92,11 @@ def support(grid: Grid, values: np.ndarray, threshold: Optional[float] = None) -
     lo[0] = max(lo[0], -L)
     hi[-1] = L if edges[0] == 0 and edges[-1] == n else min(hi[-1], L)
     return list(zip(lo, hi))
+
+
+def hull(intervals: list[Interval]) -> Interval:
+    """The outer ends of ``support``'s intervals; (nan, nan) when there are none."""
+    return (intervals[0][0], intervals[-1][1]) if intervals else (math.nan, math.nan)
 
 
 def symmetry_defect(values: np.ndarray) -> float:

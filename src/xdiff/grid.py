@@ -29,6 +29,12 @@ class InvalidValue(ValueError):
         self.problem = problem
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer and not a bool: ``True``
+    would render as text that no integer key parses back."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform mesh of ``n_points`` nodes on the periodic interval [-L, L].
@@ -48,7 +54,7 @@ class Grid:
 
     def __post_init__(self) -> None:
         L, n = self.half_length, self.n_points
-        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool)):
+        if not is_integer(n):
             raise InvalidValue("n_points", f"must be an integer, got {n!r}")
         if n % 2 != 0:
             raise InvalidValue("n_points", f"must be even, got {n}")

@@ -27,7 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import DiagnosticRecord, second_derivative_at_center, support, symmetry_defect
+from .diagnostics import (
+    DiagnosticRecord, hull, second_derivative_at_center, support, symmetry_defect
+)
 from .grid import Field, Grid, InvalidValue, all_finite
 from .kernel import heat_multiplier, smooth
 from .model import (
@@ -311,18 +313,22 @@ class _Stepper:
     lives exactly as long as that call; the right sides are looked up at
     call time, so a wrapper installed on this module's names sees every
     stage, and ``evals`` counts them.  The sqrt form steps
-    (A, eta) with eta = sqrt(rho) and squares eta back afterwards.
+    (A, eta) with eta = sqrt(rho) and squares eta back afterwards.  The
+    mollified form is chosen by ``mode.eps``, as in ``mollify``, so
+    ``regularized`` at eps = 0 is the original form.  Its heat multiplier
+    ``damp`` (None for the other forms) is built once, complex, for the
+    stages and for ``run``'s initial data: numpy would cast a real one on
+    every product.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, mode: RunMode):
         ws = Workspace(grid, p)
         self.grid, self.sqrt, self.evals = grid, mode.kind == "sqrt", 0
+        self.damp = heat_multiplier(grid, mode.eps).astype(complex) if mode.eps else None
         if self.sqrt:
             self._rhs = lambda w: _rhs_sqrt_core(ws, w)
-        elif mode.kind == "regularized":
-            # complex once: numpy would cast the real multiplier on every product
-            damp = heat_multiplier(grid, mode.eps).astype(complex)
-            self._rhs = lambda w: _rhs_regularized_core(ws, w, damp)
+        elif self.damp is not None:
+            self._rhs = lambda w: _rhs_regularized_core(ws, w, self.damp)
         else:
             self._rhs = lambda w: _rhs_core(ws, w)
 
@@ -396,7 +402,9 @@ def _record(
     curvature.
     """
     spectra = _energy_spectra(a, r)
-    report = energy(grid, a, r, spectra)
+    e_tilde, e_sqrt = energy(grid, a, r, spectra)
+    supp_rho_lo, supp_rho_hi = hull(support(grid, r))
+    supp_A_lo, supp_A_hi = hull(support(grid, a))
     zero_max = float(r[zero_nodes].max()) if zero_nodes.size else None
     return DiagnosticRecord(
         t=t,
@@ -404,12 +412,14 @@ def _record(
         min_rho=float(r.min()),
         min_A=float(a.min()),
         rho_xx_at_0=second_derivative_at_center(grid, r, spectra[0]),
-        supp_rho=tuple(support(grid, r)),
-        supp_A=tuple(support(grid, a)),
+        supp_rho_lo=supp_rho_lo,
+        supp_rho_hi=supp_rho_hi,
+        supp_A_lo=supp_A_lo,
+        supp_A_hi=supp_A_hi,
         mass_rho=float(r.sum() * grid.dx),
         mass_A=float(a.sum() * grid.dx),
-        e_tilde=report.e_tilde,
-        e_sqrt=report.e_sqrt,
+        e_tilde=e_tilde,
+        e_sqrt=e_sqrt,
         symmetry_defect_rho=symmetry_defect(r),
         zero_set_max_rho=zero_max,
     )
@@ -461,7 +471,6 @@ def run(config) -> RunOutcome:
     """
     grid = Grid(config.grid_L, config.grid_N)
     dx = grid.dx
-    mode: RunMode = config.mode
 
     initial = []
     for name, spec in (("rho0", config.rho0), ("A0", config.A0)):
@@ -482,14 +491,13 @@ def run(config) -> RunOutcome:
             raise ValueError("rho0 is too large: its central curvature on the grid overflows")
         initial.append(values)
     u = np.stack(initial[::-1])  # (A, rho)
-    if mode.eps:
+    stepper = _Stepper(grid, config.params, config.mode)
+    if stepper.damp is not None:
         # the mollified form's data, checked before smoothing, a positive
         # operator; a dip within the tolerance is clipped below like a step's
-        u = smooth(u, heat_multiplier(grid, mode.eps))
+        u = smooth(u, stepper.damp)
     u, clipped_a, clipped_rho = _apply_positivity(u, dx)
     t = 0.0
-
-    stepper = _Stepper(grid, config.params, mode)
     zero_nodes = _interior_zero_nodes(u[1])
 
     steps = consecutive_dt_min = 0

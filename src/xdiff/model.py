@@ -80,14 +80,6 @@ class State:
         return self.A.grid
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    """Sobolev-type energies of a state; +inf when a steep state overflows."""
-
-    e_tilde: float
-    e_sqrt: float
-
-
 # ---------------------------------------------------------------------------
 # right-hand sides (array level on the stacked state)
 # ---------------------------------------------------------------------------
@@ -310,8 +302,9 @@ def _energy_spectra(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def energy(
     grid: Grid, a: np.ndarray, rho: np.ndarray, spectra: np.ndarray | None = None
-) -> EnergyReport:
-    """Sobolev energies of the node values ``a`` and ``rho`` (density derivative order 3).
+) -> tuple[float, float]:
+    """Sobolev energies ``(e_tilde, e_sqrt)`` of the node values ``a`` and
+    ``rho`` (density derivative order 3); +inf when a steep state overflows.
 
     By Parseval, from the rfft X of the stacked (rho, A, sqrt(rho)) alone: a
     row's node sum of f^2 + (d f)^2 is N times the sum over modes of
@@ -328,9 +321,7 @@ def energy(
         power *= grid.energy_weights
         rho_m, a_m, root_m = power.sum(axis=1)
         length = grid.n_points * grid.dx
-        e_tilde = 1.0 + float(rho_m * length + a_m * length)
-        e_sqrt = 1.0 + float(root_m * length)
-    return EnergyReport(e_tilde=e_tilde, e_sqrt=e_sqrt)
+        return 1.0 + float(rho_m * length + a_m * length), 1.0 + float(root_m * length)
 
 
 def blowup_threshold(p: ModelParams) -> float:

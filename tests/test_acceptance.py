@@ -113,13 +113,9 @@ def area_edge_motion(s):
 
 
 def run_hulls(out):
-    """The outer support edges of a run's records, keyed like the series columns."""
-    return {
-        "supp_A_lo": np.array([rec.supp_A[0][0] for rec in out.series]),
-        "supp_A_hi": np.array([rec.supp_A[-1][1] for rec in out.series]),
-        "supp_rho_lo": np.array([rec.supp_rho[0][0] for rec in out.series]),
-        "supp_rho_hi": np.array([rec.supp_rho[-1][1] for rec in out.series]),
-    }
+    """The support hull edges of a run's records, the fields named like the series columns."""
+    names = ("supp_A_lo", "supp_A_hi", "supp_rho_lo", "supp_rho_hi")
+    return {name: np.array([getattr(rec, name) for rec in out.series]) for name in names}
 
 
 def reference_params():
@@ -442,13 +438,7 @@ def test_criterion_4_expansion_under_refinement(fig2):
         fine = xdiff.run(preset_with_overrides("fig2-support", {"grid.N": str(2 * cfg.grid_N)}))
         assert fine.halt_reason is xdiff.HaltReason.REACHED_T_END
 
-        hulls = {
-            "supp_A_lo": [rec.supp_A[0][0] for rec in fine.series],
-            "supp_A_hi": [rec.supp_A[-1][1] for rec in fine.series],
-            "supp_rho_lo": [rec.supp_rho[0][0] for rec in fine.series],
-            "supp_rho_hi": [rec.supp_rho[-1][1] for rec in fine.series],
-        }
-        fine_advance, fine_gap = area_edge_motion(hulls)
+        fine_advance, fine_gap = area_edge_motion(run_hulls(fine))
         advance, gap = area_edge_motion(fig2["series"])
         # the gap left at t_end is a physical distance, not a number of cells
         assert np.all(np.abs(fine_advance - advance) <= dx), (fine_advance, advance)

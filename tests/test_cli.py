@@ -75,6 +75,16 @@ class TestRunCommand:
         assert len(lines) == 2
         assert lines[1].startswith("0,")
 
+    def test_an_empty_support_writes_nan_hull_edges(self, tmp_path):
+        path, out = write_config(tmp_path)
+        path.write_text(path.read_text().replace("A0.c = 1.0", "A0.c = 0.0"))
+        assert main(["run", str(path)]) == 0
+        series = tmp_path / "out" / "series.csv"
+        row = dict(zip(SERIES_HEADER.split(","), series.read_text().splitlines()[1].split(",")))
+        assert (row["supp_A_lo"], row["supp_A_hi"]) == ("nan", "nan")
+        assert (row["supp_rho_lo"], row["supp_rho_hi"]) == ("-1", "1")
+        assert check_series(str(series)) == []
+
     def test_snapshot_of_constant_state(self, tmp_path):
         path, out = write_config(tmp_path)
         main(["run", str(path)])
@@ -166,22 +176,37 @@ class TestSampledKernelRun:
 
 
     @pytest.mark.parametrize(
-        "section, key",
+        "section, key, row, problem",
         [
-            ("rho0.kind = constant\nrho0.c = 1.0", "rho0.kind = csv\nrho0.path = data.csv"),
+            (
+                "rho0.kind = constant\nrho0.c = 1.0",
+                "rho0.kind = csv\nrho0.path = data.csv",
+                "-0.875,abc",
+                "could not convert string to float: 'abc'",
+            ),
             (
                 "params.kernel.kind = box\nparams.kernel.half_width = 0.05",
                 "params.kernel.kind = sampled\nparams.kernel.csv = data.csv",
+                "-0.875,abc",
+                "could not convert string to float: 'abc'",
+            ),
+            (
+                "rho0.kind = constant\nrho0.c = 1.0",
+                "rho0.kind = csv\nrho0.path = data.csv",
+                "-0.875,0.5,1",
+                "expected two columns 'x,value', got ['-0.875', '0.5', '1']",
             ),
         ],
-        ids=["initial-data", "kernel"],
+        ids=["initial-data", "kernel", "initial-data-three-columns"],
     )
-    def test_a_bad_csv_cell_is_reported_with_file_and_line(self, tmp_path, capsys, section, key):
-        (tmp_path / "data.csv").write_text("x,value\n-1.0,0.5\n-0.875,abc\n")
+    def test_a_bad_csv_cell_is_reported_with_file_and_line(
+        self, tmp_path, capsys, section, key, row, problem
+    ):
+        (tmp_path / "data.csv").write_text(f"x,value\n-1.0,0.5\n{row}\n")
         path, out = write_config(tmp_path, t_end="0.001")
         path.write_text(path.read_text().replace(section, key))
         assert main(["run", str(path)]) == 1
-        where = f"{tmp_path / 'data.csv'}: line 3: could not convert string to float: 'abc'"
+        where = f"{tmp_path / 'data.csv'}: line 3: {problem}"
         err = capsys.readouterr().err
         if key.startswith("rho0"):
             assert err == f"error: rho0: {where}\n"
@@ -218,18 +243,41 @@ class TestPresetCommand:
         assert main(["preset", "fig2-support", "--override", "oops"]) == 1
 
 
+# a healthy series row, by column
+HEALTHY_ROW = dict(
+    zip(SERIES_HEADER.split(","), (0.0, 1.0, 0.0, 0.0, 0.0, -0.5, 0.5, -0.3, 0.3,
+                                   1.0, 1.0, 5.0, 3.0, 0.0))
+)
+
+# series that break one invariant: the cells that differ from a healthy row,
+# one dict per row at t = 0, 1, ..., and the one problem reported
+BROKEN_SERIES = {
+    "no-records": ([], "series has no records"),
+    "negative-area": ([{}, {"min_A": -1e-3}], "min_A drops below zero"),
+    "e_tilde-below-1": ([{}, {"e_tilde": 0.5}], "an energy drops below its floor of 1"),
+    "e_sqrt-below-1": ([{}, {"e_sqrt": 0.5}], "an energy drops below its floor of 1"),
+    "one-nan-density-edge": ([{}, {"supp_rho_lo": "nan"}], "supp_rho endpoints are inconsistent"),
+    "crossed-density-edges": ([{}, {"supp_rho_lo": 0.6}], "supp_rho endpoints are inconsistent"),
+    "one-nan-area-edge": ([{}, {"supp_A_hi": "nan"}], "supp_A endpoints are inconsistent"),
+}
+
+
 class TestCheckCommand:
     def _series(self, tmp_path, rows):
         path = tmp_path / "series.csv"
-        path.write_text(SERIES_HEADER + "\n" + "\n".join(rows) + "\n")
+        path.write_text("".join(f"{line}\n" for line in [SERIES_HEADER, *rows]))
         return str(path)
 
-    def _row(self, t, max_rho=1.0, min_rho=0.0, min_a=0.0):
-        return ",".join(
-            str(v)
-            for v in (t, max_rho, min_rho, min_a, 0.0, -0.5, 0.5, -0.3, 0.3,
-                      1.0, 1.0, 5.0, 3.0, 0.0)
-        )
+    def _row(self, t, **cells):
+        """A healthy row at time t with the given cells, keyed by column."""
+        row = dict(HEALTHY_ROW, t=t, **cells)
+        return ",".join(str(row[name]) for name in HEALTHY_ROW)
+
+    @pytest.mark.parametrize("case", list(BROKEN_SERIES))
+    def test_a_failing_invariant_is_named(self, tmp_path, case):
+        rows, problem = BROKEN_SERIES[case]
+        path = self._series(tmp_path, [self._row(k, **cells) for k, cells in enumerate(rows)])
+        assert check_series(path) == [problem]
 
     def test_usage_error_and_failing_series_exit_apart(self, tmp_path, capsys):
         # argparse exits 2 on a bad command line; a failing series has its own 5
@@ -315,12 +363,7 @@ class TestCheckCommand:
         assert any("non-finite" in p for p in check_series(path))
 
     def test_infinite_energy_is_allowed(self, tmp_path):
-        row = ",".join(
-            str(v)
-            for v in (0.0, 1.0, 0.0, 0.0, 0.0, -0.5, 0.5, -0.3, 0.3,
-                      1.0, 1.0, "inf", 3.0, 0.0)
-        )
-        path = self._series(tmp_path, [row])
+        path = self._series(tmp_path, [self._row(0.0, e_tilde="inf")])
         assert check_series(path) == []
 
 

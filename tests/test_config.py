@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import warnings
@@ -19,9 +20,9 @@ from xdiff.config import (
     preset_with_overrides,
     render_config,
 )
-from xdiff.grid import Grid, InvalidValue
+from xdiff.grid import Field, Grid, InvalidValue
 from xdiff.integrator import RunMode
-from xdiff.kernel import BoxKernel, load_sampled_kernel
+from xdiff.kernel import BoxKernel, SampledKernel, load_sampled_kernel
 from xdiff.model import ModelParams
 
 MINIMAL = """
@@ -127,6 +128,24 @@ class TestParse:
     def test_snapshot_times_validated_against_t_end(self):
         with pytest.raises(ConfigError, match="snapshot time"):
             parse_config(MINIMAL + "run.snapshot_times = 0.5\n")
+
+    @pytest.mark.parametrize(
+        "key, text, message",
+        [
+            ("run.t_end", "-1", "line 27: run.t_end must be a nonnegative finite time, got -1.0"),
+            (
+                "rho0.kind",
+                "nope",
+                "line 11: rho0.kind must be one of poly_bump, constant, cosine, csv, got 'nope'",
+            ),
+        ],
+    )
+    def test_a_rendered_preset_rejects_a_bad_value_at_its_line(self, key, text, message):
+        lines = render_config(preset("fig2-support")).splitlines()
+        lines = [f"{key} = {text}" if line.startswith(f"{key} = ") else line for line in lines]
+        with pytest.raises(ConfigError) as exc:
+            parse_config("\n".join(lines) + "\n")
+        assert str(exc.value) == message
 
     def test_record_every_must_be_positive(self):
         with pytest.raises(ConfigError, match="record_every"):
@@ -264,6 +283,40 @@ class TestInitialDataSpecs:
         assert exc.value.field == field
 
 
+# each integer field, and an object built with the value under test in it
+INTEGER_FIELDS = {
+    "n_points": lambda v: Grid(1.0, v),
+    "p": lambda v: PolyBump(1.0, -0.5, 0.5, v, 0, 3),
+    "q": lambda v: PolyBump(1.0, -0.5, 0.5, 3, v, 3),
+    "r": lambda v: PolyBump(1.0, -0.5, 0.5, 3, 0, v),
+    "mode": lambda v: Cosine(1.0, 0.1, v),
+    "record_every": lambda v: dataclasses.replace(preset("fig2-support"), record_every=v),
+}
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("field", list(INTEGER_FIELDS))
+    def test_a_bool_is_rejected_by_its_field_name(self, field):
+        # True would render as "True", which no integer key parses back
+        with pytest.raises(InvalidValue, match=rf"^{field} must be .*integer, got True$") as exc:
+            INTEGER_FIELDS[field](True)
+        assert exc.value.field == field
+
+    def test_a_config_built_in_python_renders_and_parses_back_equal(self):
+        # numpy integers render as their digits; the parsed config holds ints
+        n = np.int64
+        cfg = dataclasses.replace(
+            preset("fig1-blowup"),
+            grid_N=n(256),
+            rho0=PolyBump(-2000.0, -0.5, 0.5, n(3), n(2), n(3)),
+            A0=Cosine(1.0, 0.1, n(2)),
+            record_every=n(7),
+        )
+        text = render_config(cfg)
+        assert "rho0.p = 3\n" in text and "run.record_every = 7\n" in text
+        assert parse_config(text) == cfg
+
+
 class TestPresets:
     def test_blowup_preset_center_values(self):
         cfg = preset("fig1-blowup")
@@ -304,6 +357,14 @@ class TestRoundTrip:
     def test_minimal_round_trips(self):
         cfg = parse_config(MINIMAL)
         assert parse_config(render_config(cfg)) == cfg
+
+    def test_a_sampled_kernel_without_its_file_cannot_be_rendered(self):
+        cfg = preset("fig2-support")
+        grid = Grid(cfg.grid_L, cfg.grid_N)
+        kernel = SampledKernel(Field(grid, np.exp(-(grid.x**2) / 0.01)))
+        cfg = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, kernel=kernel))
+        with pytest.raises(ValueError, match="^sampled kernel without a source path cannot be"):
+            render_config(cfg)
 
     def test_overrides_applied_through_config_format(self):
         cfg = preset_with_overrides(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from xdiff.diagnostics import (
     SUPPORT_THRESHOLD_SCALE,
+    hull,
     second_derivative_at_center,
     support,
     symmetry_defect,
@@ -87,6 +88,15 @@ class TestSupport:
         intervals = support(g, vals)
         assert len(intervals) == 2
         assert intervals[0][1] < intervals[1][0]
+
+    def test_hull_spans_the_outer_ends_and_is_nan_when_empty(self):
+        g = Grid(1.0, 256)
+        vals = np.zeros(256)
+        vals[(g.x > -0.8) & (g.x < -0.6)] = 1.0
+        vals[(g.x > 0.2) & (g.x < 0.5)] = 1.0
+        (lo, _), (_, hi) = support(g, vals)
+        assert hull(support(g, vals)) == (lo, hi)
+        assert all(math.isnan(edge) for edge in hull(support(g, np.zeros(256))))
 
     def test_seam_crossing_support_reports_clamped_pieces(self):
         g = Grid(1.0, 256)

@@ -44,6 +44,8 @@ class TestMakeGrid:
             Grid(0.0, 16)
         with pytest.raises(ValueError):
             Grid(-2.0, 16)
+        with pytest.raises(InvalidValue, match=r"^n_points must be an integer, got 16\.0$"):
+            Grid(1.0, 16.0)
 
     @pytest.mark.parametrize("half_length", [1e308, 1e-310])
     def test_rejects_a_half_length_that_overflows_the_layout(self, half_length):

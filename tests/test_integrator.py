@@ -789,10 +789,26 @@ class TestRun:
         peak = float(mollify(samples, 1e-3).values.max())
         assert out.series[0].max_rho == peak < float(samples.values.max())
 
+    @pytest.mark.parametrize("eps, built", [(1e-3, [1e-3]), (0.0, [])])
+    def test_a_mollified_run_builds_its_heat_multiplier_once(self, params, monkeypatch, eps, built):
+        # one multiplier serves the stages and the initial data; at eps = 0
+        # there is none, and the run is the original form's bit for bit
+        import xdiff.integrator as integrator
+
+        calls, real = [], integrator.heat_multiplier
+        monkeypatch.setattr(
+            integrator, "heat_multiplier", lambda grid, e: calls.append(e) or real(grid, e)
+        )
+        out = run(smooth_config(params, mode=RunMode("regularized", eps=eps), t_end=1e-4))
+        assert out.halt_reason is HaltReason.REACHED_T_END and out.steps > 0
+        assert calls == built
+        if not eps:
+            assert out.series == run(smooth_config(params, t_end=1e-4)).series
+
     def test_records_agree_with_public_diagnostics(self, params):
         # the run's internal record assembly must match what the public
         # operators compute on the final state
-        from xdiff.diagnostics import second_derivative_at_center, support, symmetry_defect
+        from xdiff.diagnostics import hull, second_derivative_at_center, support, symmetry_defect
         from xdiff.model import energy
 
         out = run(smooth_config(params, record_every=1))
@@ -800,13 +816,11 @@ class TestRun:
         st = out.final_state
         assert last.t == st.t
         assert last.rho_xx_at_0 == second_derivative_at_center(st.grid, st.rho.values)
-        assert last.supp_rho == tuple(support(st.grid, st.rho.values))
-        assert last.supp_A == tuple(support(st.grid, st.A.values))
+        assert (last.supp_rho_lo, last.supp_rho_hi) == hull(support(st.grid, st.rho.values))
+        assert (last.supp_A_lo, last.supp_A_hi) == hull(support(st.grid, st.A.values))
         assert last.mass_rho == float(np.sum(st.rho.values) * st.grid.dx)
         assert last.symmetry_defect_rho == symmetry_defect(st.rho.values)
-        report = energy(st.grid, st.A.values, st.rho.values)
-        assert last.e_tilde == report.e_tilde
-        assert last.e_sqrt == report.e_sqrt
+        assert (last.e_tilde, last.e_sqrt) == energy(st.grid, st.A.values, st.rho.values)
 
     def test_a_record_makes_one_fft_call(self, params, monkeypatch):
         # one rfft of the stacked (rho, A, sqrt(rho)) feeds both the energies,

@@ -324,11 +324,11 @@ class _Stepper:
     def __init__(self, grid: Grid, p: ModelParams, mode: RunMode):
         ws = Workspace(grid, p)
         self.grid, self.sqrt, self.evals = grid, mode.kind == "sqrt", 0
-        self.damp = heat_multiplier(grid, mode.eps).astype(complex) if mode.eps else None
+        self.damp = damp = heat_multiplier(grid, mode.eps).astype(complex) if mode.eps else None
         if self.sqrt:
             self._rhs = lambda w: _rhs_sqrt_core(ws, w)
-        elif self.damp is not None:
-            self._rhs = lambda w: _rhs_regularized_core(ws, w, self.damp)
+        elif damp is not None:
+            self._rhs = lambda w: _rhs_regularized_core(ws, w, damp)
         else:
             self._rhs = lambda w: _rhs_core(ws, w)
 

@@ -69,7 +69,7 @@ def write_outputs(outcome: RunOutcome, config: RunConfig) -> None:
     # are built once; each file is one % over the flat (x, A, rho, ...) rows
     snapshots = outcome.snapshots
     if snapshots:
-        n = snapshots[0].grid.n_points
+        n = snapshots[0].grid.N
         file_format = "x,A,rho\n" + f"%s,{NUMBER},{NUMBER}\n" * n
         flat: list = [None] * (3 * n)
         flat[0::3] = [NUMBER % x for x in snapshots[0].grid.x.tolist()]

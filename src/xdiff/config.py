@@ -62,7 +62,7 @@ class PolyBump:
 
     def sample(self, grid: Grid) -> Field:
         inside = (grid.x >= self.a) & (grid.x <= self.b)
-        x, values = grid.x[inside], np.zeros(grid.n_points)
+        x, values = grid.x[inside], np.zeros(grid.N)
         values[inside] = self.amp * (x - self.a) ** self.p * x**self.q * (x - self.b) ** self.r
         return Field(grid, values)
 
@@ -75,7 +75,7 @@ class Constant:
         _require_finite(self, "c")
 
     def sample(self, grid: Grid) -> Field:
-        return Field(grid, np.full(grid.n_points, self.c))
+        return Field(grid, np.full(grid.N, self.c))
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class Cosine:
     def sample(self, grid: Grid) -> Field:
         return Field(
             grid,
-            self.mean + self.amp * np.cos(self.mode * np.pi * grid.x / grid.half_length),
+            self.mean + self.amp * np.cos(self.mode * np.pi * grid.x / grid.L),
         )
 
 
@@ -121,8 +121,10 @@ InitialDataSpec = Union[PolyBump, Constant, Cosine, CsvData]
 
 @dataclass(frozen=True)
 class RunConfig:
-    grid_L: float
-    grid_N: int
+    """One run: the mesh, the model, the initial data and the evolution form are
+    sections (``grid.``, ``params.``, ...); the run's own scalars are ``run.`` keys."""
+
+    grid: Grid
     params: ModelParams
     rho0: InitialDataSpec
     A0: InitialDataSpec
@@ -161,14 +163,15 @@ _KIND_NAMES = {
     CsvData: "csv",
 }
 
-# scalar field type -> (parse, render, what the text must be)
+# scalar field type -> (parse, render, what the text must be); a float renders through
+# float(), so a numpy float or a bool renders as a number that parses back
 _SCALARS = {
-    float: (float, repr, "a number"),
+    float: (float, lambda v: repr(float(v)), "a number"),
     int: (int, str, "an integer"),
     str: (str, str, "text"),
     tuple[float, ...]: (
         lambda text: tuple(float(part) for part in text.split(",")) if text else (),
-        lambda ts: ", ".join(repr(t) for t in ts),
+        lambda ts: ", ".join(repr(float(t)) for t in ts),
         "a comma-separated list of numbers",
     ),
 }
@@ -180,8 +183,9 @@ def _key_table(cls: type) -> tuple[tuple[str, str, object, object], ...]:
 
     Keys are relative to the section the object sits in.  A dataclass field
     opens a section named after its key; a Union field adds a ``kind`` key
-    that picks the class.  RunConfig's own scalars sit under ``run.``, except
-    ``grid.L`` and ``grid.N``.  A field without a default is a required key.
+    that picks the class, so the mesh's keys ``grid.L`` and ``grid.N`` are
+    Grid's fields.  RunConfig's own scalars sit under ``run.``.  A field
+    without a default is a required key.
     """
     if cls is SampledKernel:  # the one special key: samples come from the file it names
         return (("source_path", "csv", str, dataclasses.MISSING),)
@@ -190,7 +194,7 @@ def _key_table(cls: type) -> tuple[tuple[str, str, object, object], ...]:
     for f in dataclasses.fields(cls):
         key, typ = f.name, hints[f.name]
         if cls is RunConfig and typ in _SCALARS:
-            key = key.replace("grid_", "grid.") if key.startswith("grid_") else f"run.{key}"
+            key = f"run.{key}"
         rows.append((f.name, key, typ, f.default))
     return tuple(rows)
 
@@ -213,16 +217,18 @@ def _split_entries(text: str) -> dict[str, tuple[str, int]]:
 class _Reader:
     """Builds configuration objects from raw ``key -> (text, line)`` entries.
 
-    Entries are consumed as the key table reads them, so whatever is left once
-    every object is built is an unknown key.  Line 0 marks an entry with no
-    source line.
+    Entries are consumed as the key table reads them, and each object is
+    built once its keys are read, so the mesh, the first section, is checked
+    before any key after it, and whatever is left once every object is built
+    is an unknown key.  The reader keeps the mesh it has read to load a
+    sampled kernel on.  Line 0 marks an entry with no source line.
     """
 
     def __init__(self, entries: dict[str, tuple[str, int]], base_dir: str):
         self.entries = dict(entries)
         self.lines = {key: line for key, (_, line) in entries.items()}
         self.base_dir = base_dir
-        self.values: dict[str, object] = {}
+        self.grid: Grid | None = None
 
     def error(self, key: str, problem: str) -> ConfigError:
         line = self.lines.get(key, 0)
@@ -234,10 +240,9 @@ class _Reader:
         text, _ = self.entries.pop(key)
         parse, _, what = _SCALARS[typ]
         try:
-            self.values[key] = parse(text)
+            return parse(text)
         except ValueError:
             raise self.error(key, f"must be {what}, got {text!r}") from None
-        return self.values[key]
 
     def kind(self, key: str, union) -> type:
         kinds = {_KIND_NAMES[cls]: cls for cls in typing.get_args(union)}
@@ -250,14 +255,6 @@ class _Reader:
         """Resolve a relative file path against the config file's directory."""
         return path if os.path.isabs(path) else os.path.normpath(os.path.join(self.base_dir, path))
 
-    def grid(self) -> Grid:
-        """The run's mesh; Grid owns its checks, reported here against grid.L/grid.N."""
-        try:
-            return Grid(self.values["grid.L"], self.values["grid.N"])
-        except InvalidValue as exc:
-            key = {"half_length": "grid.L", "n_points": "grid.N"}[exc.field]
-            raise self.error(key, exc.problem) from None
-
     def read(self, cls: type, prefix: str = ""):
         """Build ``cls`` from the keys of its table under ``prefix``."""
         rows = _key_table(cls)
@@ -266,24 +263,23 @@ class _Reader:
             key = prefix + key
             if dataclasses.is_dataclass(typ):
                 kwargs[field] = self.read(typ, f"{key}.")
+                if typ is Grid:  # the mesh a sampled kernel is loaded on
+                    self.grid = kwargs[field]
             elif typing.get_origin(typ) is Union:
                 kwargs[field] = self.read(self.kind(key, typ), f"{key}.")
             elif key in self.entries or default is dataclasses.MISSING:
                 kwargs[field] = self.take(key, typ)
 
         if cls is SampledKernel:
-            grid = self.grid()
             try:
-                return load_sampled_kernel(self.path(kwargs["source_path"]), grid)
+                return load_sampled_kernel(self.path(kwargs["source_path"]), self.grid)
             except (ValueError, OSError) as exc:
                 raise self.error(f"{prefix}csv", f"cannot be loaded: {exc}") from None
         if cls is CsvData:
             kwargs["path"] = self.path(kwargs["path"])
-        if cls is RunConfig:
-            self.grid()
-            if self.entries:
-                key = min(self.entries, key=lambda k: self.lines[k])
-                raise ConfigError(f"line {self.lines[key]}: unknown key {key!r}")
+        if cls is RunConfig and self.entries:
+            key = min(self.entries, key=lambda k: self.lines[k])
+            raise ConfigError(f"line {self.lines[key]}: unknown key {key!r}")
         try:
             return cls(**kwargs)
         except InvalidValue as exc:
@@ -315,11 +311,16 @@ def _render(obj, prefix: str = "") -> list[tuple[str, str]]:
 
 
 def render_config(config: RunConfig) -> str:
-    """Serialize a configuration to the flat format (parse round-trips exactly)."""
+    """Serialize a configuration to the flat format (parse round-trips exactly);
+    text with a '#', a line break or surrounding whitespace is refused by key."""
     kernel = config.params.kernel
     if isinstance(kernel, SampledKernel) and not kernel.source_path:
         raise ValueError("sampled kernel without a source path cannot be rendered")
-    return "".join(f"{key} = {text}\n" for key, text in _render(config))
+    pairs = _render(config)
+    for key, text in pairs:
+        if "#" in text or len(text.splitlines()) > 1 or text != text.strip():
+            raise ValueError(f"{key} = {text!r} cannot be rendered: it would not parse back")
+    return "".join(f"{key} = {text}\n" for key, text in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +360,7 @@ def preset(name: str) -> RunConfig:
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r} (available: {', '.join(_PRESETS)})")
     return RunConfig(
-        grid_L=1.0,
-        grid_N=1024,
+        grid=Grid(1.0, 1024),
         params=ModelParams(alpha=1.0, mu=0.5, beta=0.75, beta_tilde=0.5, K=1.0, K_tilde=0.5,
                            kernel=BoxKernel(0.05)),
         mode=RunMode(),

@@ -58,7 +58,7 @@ def second_derivative_at_center(
     if rho_hat is None:
         rho_hat = np.fft.rfft(rho)
     terms = grid.d2_phase * rho_hat.real
-    return float((2.0 * np.sum(terms) - terms[0] - terms[-1]) / grid.n_points)
+    return float((2.0 * np.sum(terms) - terms[0] - terms[-1]) / grid.N)
 
 
 def support(grid: Grid, values: np.ndarray, threshold: Optional[float] = None) -> list[Interval]:
@@ -83,7 +83,7 @@ def support(grid: Grid, values: np.ndarray, threshold: Optional[float] = None) -
     edges = (above[1:] != above[:-1]).nonzero()[0]
     if edges.size == 0:
         return []
-    half, L = 0.5 * grid.dx, grid.half_length
+    half, L = 0.5 * grid.dx, grid.L
     lo = (grid.x[edges[0::2]] - half).tolist()
     hi = (grid.x[edges[1::2] - 1] + half).tolist()
     # nodes increase from x_0 = -L to x_{N-1} = L - dx, so only a run from

@@ -37,47 +37,49 @@ def is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform mesh of ``n_points`` nodes on the periodic interval [-L, L].
+    """Uniform mesh of ``N`` nodes on the periodic interval [-L, L].
 
-    Nodes are x_j = -L + j*dx with dx = 2L/n_points; the right endpoint x = L
-    is identified with x = -L.  So x = 0 is node N/2, where rfft mode m carries
+    The fields ``L`` and ``N`` are the config keys ``grid.L`` and ``grid.N``,
+    and a bad value raises ``InvalidValue("L" or "N", ...)``.  Nodes are
+    x_j = -L + j*dx with dx = 2L/N; the right endpoint x = L is identified
+    with x = -L.  So x = 0 is node N/2, where rfft mode m carries
     ``phase[m] = (-1)^m``, and the mirror x -> -x pairs node j with node
-    (N - j) mod N (:func:`mirror`).  The read-only real-FFT multipliers are built once per
-    grid: ``ik`` (the Nyquist-zeroed D), ``k2``, ``d2`` and ``d3`` (the
-    derivatives of order 2 and 3), ``d2_phase`` (``d2`` times ``phase``) and
-    ``energy_weights`` (the energies' Parseval weights, see
+    (N - j) mod N (:func:`mirror`).  The read-only real-FFT multipliers are
+    built once per grid: ``ik`` (the Nyquist-zeroed D), ``k2``, ``d2`` and
+    ``d3`` (the derivatives of order 2 and 3), ``d2_phase`` (``d2`` times
+    ``phase``) and ``energy_weights`` (the energies' Parseval weights, see
     :func:`xdiff.model.energy`).
     """
 
-    half_length: float
-    n_points: int
+    L: float
+    N: int
 
     def __post_init__(self) -> None:
-        L, n = self.half_length, self.n_points
+        L, n = self.L, self.N
         if not is_integer(n):
-            raise InvalidValue("n_points", f"must be an integer, got {n!r}")
+            raise InvalidValue("N", f"must be an integer, got {n!r}")
         if n % 2 != 0:
-            raise InvalidValue("n_points", f"must be even, got {n}")
+            raise InvalidValue("N", f"must be even, got {n}")
         if n < MIN_POINTS:
-            raise InvalidValue("n_points", f"must be >= {MIN_POINTS}, got {n}")
+            raise InvalidValue("N", f"must be >= {MIN_POINTS}, got {n}")
         if not (np.isfinite(L) and L > 0):
-            raise InvalidValue("half_length", f"must be positive and finite, got {L}")
-        object.__setattr__(self, "half_length", float(L))
-        object.__setattr__(self, "n_points", int(n))
+            raise InvalidValue("L", f"must be positive and finite, got {L}")
+        object.__setattr__(self, "L", float(L))
+        object.__setattr__(self, "N", int(n))
 
-        dx = 2.0 * self.half_length / self.n_points
-        k_top = np.pi / self.half_length * (self.n_points // 2)  # the largest wavenumber
+        dx = 2.0 * self.L / self.N
+        k_top = np.pi / self.L * (self.N // 2)  # the largest wavenumber
         # a finite L can still overflow the spacing (L near the float maximum), or
         # the energy weights, twice the wavenumbers' sixth power (a tiny L);
         # Python floats overflow to inf without a warning
         k_cube = k_top * k_top * k_top
         if not (np.isfinite(dx) and np.isfinite(2.0 * (1.0 + k_cube * k_cube))):
             raise InvalidValue(
-                "half_length", f"gives a non-finite spacing or wavenumbers on {n} points, got {L}"
+                "L", f"gives a non-finite spacing or wavenumbers on {n} points, got {L}"
             )
-        x = -self.half_length + dx * np.arange(self.n_points, dtype=np.float64)
+        x = -self.L + dx * np.arange(self.N, dtype=np.float64)
         # Angular wavenumbers pi*m/L for the rfft modes m = 0..N/2.
-        k = (np.pi / self.half_length) * np.arange(self.n_points // 2 + 1, dtype=np.float64)
+        k = (np.pi / self.L) * np.arange(self.N // 2 + 1, dtype=np.float64)
         ik = 1j * k
         ik[-1] = 0.0  # Nyquist mode dropped for odd-order derivatives on even N
         k2 = k**2
@@ -124,10 +126,8 @@ class Field:
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
-        if vals.size != self.grid.n_points:
-            raise ValueError(
-                f"field has {vals.size} samples but grid has {self.grid.n_points} nodes"
-            )
+        if vals.size != self.grid.N:
+            raise ValueError(f"field has {vals.size} samples but grid has {self.grid.N} nodes")
         if not all_finite(vals):
             raise ValueError("field values must all be finite")
         vals.setflags(write=False)
@@ -153,8 +153,6 @@ def read_node_csv(path: str, grid: Grid) -> np.ndarray:
                 vs.append(float(row[1]))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    if len(xs) != grid.n_points or not np.allclose(
-        xs, grid.x, rtol=0.0, atol=1e-9 * grid.half_length
-    ):
-        raise ValueError(f"{path}: x column does not match the {grid.n_points}-node grid")
+    if len(xs) != grid.N or not np.allclose(xs, grid.x, rtol=0.0, atol=1e-9 * grid.L):
+        raise ValueError(f"{path}: x column does not match the {grid.N}-node grid")
     return np.asarray(vs)

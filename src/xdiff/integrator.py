@@ -469,7 +469,7 @@ def run(config) -> RunOutcome:
     bit-identical series on one platform: the loop is sequential and every
     reduction is a fixed-order numpy reduction.
     """
-    grid = Grid(config.grid_L, config.grid_N)
+    grid = config.grid
     dx = grid.dx
 
     initial = []
@@ -487,7 +487,7 @@ def run(config) -> RunOutcome:
             raise ValueError(f"{name} is too large: its mass on the grid overflows")
         # every rfft mode is at most the node sum, so the central curvature's
         # N/2 + 1 terms k^2 |rho_hat|, doubled, stay below this bound
-        if name == "rho0" and not math.isfinite(total * float(grid.k2[-1]) * 2 * grid.n_points):
+        if name == "rho0" and not math.isfinite(total * float(grid.k2[-1]) * 2 * grid.N):
             raise ValueError("rho0 is too large: its central curvature on the grid overflows")
         initial.append(values)
     u = np.stack(initial[::-1])  # (A, rho)

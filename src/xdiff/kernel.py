@@ -32,10 +32,10 @@ class BoxKernel:
         return 2.0 * self.half_width
 
     def symbol(self, grid: Grid) -> np.ndarray:
-        if self.half_width >= grid.half_length:
+        if self.half_width >= grid.L:
             raise ValueError(
                 f"box kernel half_width {self.half_width} must be smaller than the "
-                f"domain half length {grid.half_length}"
+                f"domain half length {grid.L}"
             )
         # 2*eps*sinc(k*eps/pi) = 2*sin(k*eps)/k with the k=0 limit built in
         return 2.0 * self.half_width * np.sinc(grid.k * self.half_width / np.pi)

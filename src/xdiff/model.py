@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, InvalidValue, all_finite
+from .grid import Field, Grid, GridMismatchError, InvalidValue, all_finite
 from .kernel import KernelSpec, smooth
 
 
@@ -73,7 +73,7 @@ class State:
 
     def __post_init__(self) -> None:
         if self.A.grid != self.rho.grid:
-            raise ValueError("A and rho must share one grid")
+            raise GridMismatchError("A and rho must share one grid")
 
     @property
     def grid(self) -> Grid:
@@ -114,15 +114,14 @@ def flux_wavenumber(dx: float) -> float:
 class Workspace:
     """Constants and work arrays of the right-side evaluations of one run.
 
-    The constants are the grid, the reaction rates folded for the regrouped
+    The constants are the reaction rates folded for the regrouped
     reactions, the area face flux's factor 1/(2 dx^2), the density flux's
     derivative multiplier ``ik``, D = i min(k, 2/dx) (``flux_wavenumber``)
     with the Nyquist mode zeroed, and ``ik2``, D*D, and the pressure's
     symbol alpha*(1 - mu) + mu*alpha*Gamma^ from the kernel's symbol on the
     grid, which turns the density into the pressure P.  D is exact on the
     modes with k <= 2/dx, the lower 64%, and caps the rest, so the density
-    row is no stiffer than the area's face flux; the grid's exact ``ik``
-    serves the diagnostics.  The work arrays hold
+    row is no stiffer than the area's face flux.  The work arrays hold
     the sqrt form's stacked (eta, rho), the spectra of the second row's
     derivatives and of the pressure, and the pointwise terms, sized for the
     sqrt form's extra density row, so one workspace serves every form; the
@@ -133,8 +132,8 @@ class Workspace:
     """
 
     def __init__(self, grid: Grid, p: ModelParams):
-        n, m = grid.n_points, grid.k.size
-        self.grid, self.p, self.n = grid, p, n
+        n, m = grid.N, grid.k.size
+        self.p, self.n = p, n
         self.area_crowding, self.density_crowding = p.beta_tilde / p.K_tilde, p.beta / p.K
         self.face_scale = 0.5 / (grid.dx * grid.dx)
         ik = 1j * np.minimum(grid.k, flux_wavenumber(grid.dx))
@@ -316,11 +315,11 @@ def energy(
     with np.errstate(over="ignore"):  # energies may legitimately reach +inf
         spectra = _energy_spectra(a, rho) if spectra is None else spectra
         # on the real and imaginary parts: a complex product of inf would meet a 0
-        power = spectra.view(np.float64) / grid.n_points
+        power = spectra.view(np.float64) / grid.N
         np.square(power, out=power)
         power *= grid.energy_weights
         rho_m, a_m, root_m = power.sum(axis=1)
-        length = grid.n_points * grid.dx
+        length = grid.N * grid.dx
         return 1.0 + float(rho_m * length + a_m * length), 1.0 + float(root_m * length)
 
 

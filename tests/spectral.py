@@ -5,4 +5,4 @@ import numpy as np
 
 def derivative(grid, values, row):
     """``irfft(rfft(values) * row)``, with ``row`` one of ``grid.ik``, ``d2``, ``d3``."""
-    return np.fft.irfft(np.fft.rfft(values) * row, n=grid.n_points)
+    return np.fft.irfft(np.fft.rfft(values) * row, n=grid.N)

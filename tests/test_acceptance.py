@@ -195,12 +195,12 @@ def law_blowup_time(cfg):
     """ln(1 + g0/(3 y0))/g0, the blow-up time of y' = 3y^2 + g0 y from the
     central curvature y0 of the initial density, with its growth rate
     g0 = beta - mu alpha (Gamma * rho)(0) at x = 0 frozen at t = 0."""
-    grid = Grid(cfg.grid_L, cfg.grid_N)
+    grid = cfg.grid
     rho = cfg.rho0.sample(grid).values
     p = cfg.params
-    average = np.fft.irfft(np.fft.rfft(rho) * p.kernel.symbol(grid), n=grid.n_points)
-    g0 = p.beta - p.mu * p.alpha * average[grid.n_points // 2]
-    y0 = derivative(grid, rho, grid.d2)[grid.n_points // 2]
+    average = np.fft.irfft(np.fft.rfft(rho) * p.kernel.symbol(grid), n=grid.N)
+    g0 = p.beta - p.mu * p.alpha * average[grid.N // 2]
+    y0 = derivative(grid, rho, grid.d2)[grid.N // 2]
     return math.log1p(g0 / (3.0 * y0)) / g0
 
 
@@ -248,7 +248,7 @@ def test_the_blowup_law_holds_across_amplitudes(scale):
     rho0 = dataclasses.replace(base.rho0, amp=scale * base.rho0.amp)
     y0 = scale * CURVATURE_AT_CENTER
     t_end = 2.0 * t_star(y0, blowup_threshold(base.params))
-    cfg = dataclasses.replace(base, grid_N=2048, rho0=rho0, t_end=t_end, snapshot_times=())
+    cfg = dataclasses.replace(base, grid=Grid(1.0, 2048), rho0=rho0, t_end=t_end, snapshot_times=())
     out = xdiff.run(cfg)
     assert out.halt_reason is xdiff.HaltReason.BLOWUP_DETECTED, out.fault_detail
     assert out.final_state.t * 3.0 * y0 == pytest.approx(0.9, abs=0.03)
@@ -321,7 +321,7 @@ def test_criterion_2_threshold_consistency():
 
 def test_criterion_3_density_support_invariance(fig2):
     with criterion(3, "density support invariance"):
-        dx = 2.0 * fig2["config"].grid_L / fig2["config"].grid_N
+        dx = 2.0 * fig2["config"].grid.L / fig2["config"].grid.N
         s = fig2["series"]
         drift_lo = np.max(np.abs(s["supp_rho_lo"] - s["supp_rho_lo"][0]))
         drift_hi = np.max(np.abs(s["supp_rho_hi"] - s["supp_rho_hi"][0]))
@@ -397,7 +397,7 @@ def test_fig1_density_support_at_every_snapshot(fig1):
     # last snapshot before blow-up: no spurious intervals on the zero set
     with criterion(3, "fig1 density support at every snapshot"):
         cfg = fig1["config"]
-        grid = Grid(cfg.grid_L, cfg.grid_N)
+        grid = cfg.grid
         snaps = sorted(fig1["out_dir"].glob("snapshot_*.csv"))
         assert len(snaps) == len(cfg.snapshot_times)
         for path in snaps:
@@ -410,7 +410,7 @@ def test_fig1_density_support_at_every_snapshot(fig1):
 
 def test_criterion_4_area_support_expansion(fig2):
     with criterion(4, "area support expansion"):
-        dx = 2.0 * fig2["config"].grid_L / fig2["config"].grid_N
+        dx = 2.0 * fig2["config"].grid.L / fig2["config"].grid.N
         s = fig2["series"]
 
         assert abs(s["supp_A_lo"][0] - (-0.3)) <= 2 * dx
@@ -434,8 +434,8 @@ def test_criterion_4_area_support_expansion(fig2):
 def test_criterion_4_expansion_under_refinement(fig2):
     with criterion(4, "area support expansion under refinement"):
         cfg = fig2["config"]
-        dx = 2.0 * cfg.grid_L / cfg.grid_N
-        fine = xdiff.run(preset_with_overrides("fig2-support", {"grid.N": str(2 * cfg.grid_N)}))
+        dx = 2.0 * cfg.grid.L / cfg.grid.N
+        fine = xdiff.run(preset_with_overrides("fig2-support", {"grid.N": str(2 * cfg.grid.N)}))
         assert fine.halt_reason is xdiff.HaltReason.REACHED_T_END
 
         fine_advance, fine_gap = area_edge_motion(run_hulls(fine))
@@ -449,7 +449,7 @@ def test_criteria_3_and_4_agree_between_steppers(fig2, rk4_run_loop):
     # RK4 at the same N gives the same advance and zero set
     with criterion(4, "area support expansion, RK4 against RKC"):
         cfg = fig2["config"]
-        dx = 2.0 * cfg.grid_L / cfg.grid_N
+        dx = 2.0 * cfg.grid.L / cfg.grid.N
         rk4 = xdiff.run(preset("fig2-support"))
         assert rk4.halt_reason is xdiff.HaltReason.REACHED_T_END
         rk4_advance, _ = area_edge_motion(run_hulls(rk4))
@@ -468,7 +468,7 @@ def test_area_advance_agrees_with_rk4_at_n2048():
     # the N = 1024 comparison above, one grid finer, against the pinned RK4 value
     out = xdiff.run(preset_with_overrides("fig2-support", {"grid.N": "2048"}))
     assert out.halt_reason is xdiff.HaltReason.REACHED_T_END
-    dx = 2.0 * out.final_state.grid.half_length / 2048
+    dx = 2.0 * out.final_state.grid.L / 2048
     advance, _ = area_edge_motion(run_hulls(out))
     assert np.all(np.abs(advance - RK4_AREA_EDGE_ADVANCE_2048) <= dx), advance
 
@@ -519,7 +519,7 @@ def test_criterion_7_consistency_suite():
     with criterion(7, "evolution-form consistency"):
         p = reference_params()
         g = Grid(1.0, 128)
-        ones = Field(g, np.ones(g.n_points))
+        ones = Field(g, np.ones(g.N))
 
         s = State(t=0.0, A=ones, rho=Field(g, 1.0 + 0.1 * np.cos(np.pi * g.x)))
         da0, dr0 = rhs(s, p)
@@ -583,11 +583,11 @@ def test_sqrt_form_gap_closes_inside_the_uniqueness_class(tmp_path):
     # it: -1.37% at N = 1024, -0.06% at N = 2048
     def gap(n, delta):
         cfg = preset("fig1-blowup")
-        grid = Grid(cfg.grid_L, n)
+        grid = Grid(cfg.grid.L, n)
         path = tmp_path / f"rho0-{n}.csv"
         values = cfg.rho0.sample(grid).values + delta
         path.write_text("".join(f"{x!r},{v!r}\n" for x, v in zip(grid.x.tolist(), values.tolist())))
-        shifted = dataclasses.replace(cfg, grid_N=n, rho0=CsvData(str(path)), snapshot_times=())
+        shifted = dataclasses.replace(cfg, grid=grid, rho0=CsvData(str(path)), snapshot_times=())
         halts = []
         for kind in ("original", "sqrt"):
             out = xdiff.run(dataclasses.replace(shifted, mode=RunMode(kind)))
@@ -627,7 +627,7 @@ def test_criterion_8_numerical_quality():
 
         # heat-semigroup composition law
         rng = np.random.default_rng(5)
-        h = Field(g, rng.normal(size=g.n_points))
+        h = Field(g, rng.normal(size=g.N))
         left = mollify(mollify(h, 0.02), 0.03).values
         right = mollify(h, 0.05).values
         assert np.max(np.abs(left - right)) <= 1e-10

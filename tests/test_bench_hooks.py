@@ -40,6 +40,7 @@ FFTS_PER_RHS = {"original": 2, "regularized": 6, "sqrt": 2}
 
 def traced_run(tracer, run_id, mode, t_end):
     from xdiff.config import Constant, Cosine, RunConfig
+    from xdiff.grid import Grid
     from xdiff.integrator import run
     from xdiff.kernel import BoxKernel
     from xdiff.model import ModelParams
@@ -48,8 +49,7 @@ def traced_run(tracer, run_id, mode, t_end):
         alpha=1.0, mu=0.5, beta=0.75, beta_tilde=0.5, K=1.0, K_tilde=0.5, kernel=BoxKernel(0.05)
     )
     cfg = RunConfig(
-        grid_L=1.0,
-        grid_N=32,
+        grid=Grid(1.0, 32),
         params=params,
         rho0=Cosine(1.0, 0.1, 1),
         A0=Constant(1.0),

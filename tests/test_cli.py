@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from xdiff import cli, config
+from xdiff import cli
 from xdiff.cli import SERIES_HEADER, check_series, main
 from xdiff.config import parse_config
+from xdiff.grid import Grid
 
 TINY_CONFIG = """
 grid.L = 1.0
@@ -45,19 +46,20 @@ REFUSAL = f"Unable to allocate 8.00 TiB for an array with shape ({HUGE_N},)"
 
 @pytest.fixture
 def unallocatable_grid(monkeypatch):
-    """Refuse a grid of HUGE_N nodes the way numpy refuses an 8 TiB array.
+    """Refuse a grid of HUGE_N nodes the way numpy refuses an 8 TiB array,
+    wherever the grid is built.
 
     The test never asks for the memory: with overcommit on, numpy may accept
     such a request and the process would fault later instead.
     """
-    real_grid = config.Grid
+    real_post_init = Grid.__post_init__
 
-    def grid(L, N):
-        if N == HUGE_N:
+    def post_init(grid):
+        if grid.N == HUGE_N:
             raise MemoryError(REFUSAL)
-        return real_grid(L, N)
+        real_post_init(grid)
 
-    monkeypatch.setattr(config, "Grid", grid)
+    monkeypatch.setattr(Grid, "__post_init__", post_init)
 
 
 def write_huge_config(tmp_path, name="huge.cfg"):

@@ -47,7 +47,7 @@ run.t_end = 0.001
 class TestParse:
     def test_minimal_config(self):
         cfg = parse_config(MINIMAL)
-        assert cfg.grid_N == 64
+        assert cfg.grid.N == 64
         assert cfg.params.kernel == BoxKernel(0.05)
         assert cfg.mode.kind == "original"
         assert cfg.record_every == 10
@@ -147,6 +147,15 @@ class TestParse:
             parse_config("\n".join(lines) + "\n")
         assert str(exc.value) == message
 
+    def test_an_error_names_the_first_bad_key_in_key_order(self):
+        # the mesh is read, and checked, before the parameters that follow it
+        text = render_config(preset("fig2-support"))
+        text = text.replace("grid.N = 1024\n", "grid.N = 15\n")
+        text = text.replace("params.mu = 0.5\n", "params.mu = 1.0\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == "line 2: grid.N must be even, got 15"
+
     def test_record_every_must_be_positive(self):
         with pytest.raises(ConfigError, match="record_every"):
             parse_config(MINIMAL + "run.record_every = 0\n")
@@ -197,7 +206,7 @@ class TestParse:
         cfg = parse_config(text)
         g = Grid(1.0, 64)
         sampled = cfg.rho0.sample(g)
-        assert sampled.values[g.n_points // 2] == pytest.approx(1.1)
+        assert sampled.values[g.N // 2] == pytest.approx(1.1)
 
     def test_csv_initial_data_resolved_and_loaded(self, tmp_path):
         g = Grid(1.0, 64)
@@ -210,7 +219,7 @@ class TestParse:
         cfg = parse_config(text, base_dir=str(tmp_path))
         assert cfg.rho0.path == str(tmp_path / "rho.csv")
         sampled = cfg.rho0.sample(g)
-        assert sampled.values[g.n_points // 2] == pytest.approx(1.1)
+        assert sampled.values[g.N // 2] == pytest.approx(1.1)
 
     def test_csv_node_mismatch_rejected(self, tmp_path):
         (tmp_path / "rho.csv").write_text("x,value\n0.0,1.0\n")
@@ -285,7 +294,7 @@ class TestInitialDataSpecs:
 
 # each integer field, and an object built with the value under test in it
 INTEGER_FIELDS = {
-    "n_points": lambda v: Grid(1.0, v),
+    "N": lambda v: Grid(1.0, v),
     "p": lambda v: PolyBump(1.0, -0.5, 0.5, v, 0, 3),
     "q": lambda v: PolyBump(1.0, -0.5, 0.5, 3, v, 3),
     "r": lambda v: PolyBump(1.0, -0.5, 0.5, 3, 0, v),
@@ -303,40 +312,52 @@ class TestIntegerFields:
         assert exc.value.field == field
 
     def test_a_config_built_in_python_renders_and_parses_back_equal(self):
-        # numpy integers render as their digits; the parsed config holds ints
-        n = np.int64
+        # numpy integers render as their digits and numpy floats as Python
+        # floats; the parsed config holds ints and floats
+        n, f = np.int64, np.float64
+        base = preset("fig1-blowup")
         cfg = dataclasses.replace(
-            preset("fig1-blowup"),
-            grid_N=n(256),
+            base,
+            grid=Grid(1.0, n(256)),
+            params=dataclasses.replace(base.params, alpha=f(1.5)),
             rho0=PolyBump(-2000.0, -0.5, 0.5, n(3), n(2), n(3)),
             A0=Cosine(1.0, 0.1, n(2)),
+            t_end=f(0.05),
+            snapshot_times=(f(0.0), f(0.003)),
             record_every=n(7),
         )
         text = render_config(cfg)
         assert "rho0.p = 3\n" in text and "run.record_every = 7\n" in text
+        assert "params.alpha = 1.5\n" in text and "run.t_end = 0.05\n" in text
+        assert "run.snapshot_times = 0.0, 0.003\n" in text
+        assert parse_config(text) == cfg
+        # a bool in a float field renders as the number it equals
+        cfg = dataclasses.replace(base, t_end=True, snapshot_times=(False, True))
+        text = render_config(cfg)
+        assert "run.t_end = 1.0\n" in text and "run.snapshot_times = 0.0, 1.0\n" in text
         assert parse_config(text) == cfg
 
 
 class TestPresets:
     def test_blowup_preset_center_values(self):
         cfg = preset("fig1-blowup")
-        g = Grid(cfg.grid_L, cfg.grid_N)
+        g = cfg.grid
         rho0 = cfg.rho0.sample(g)
-        assert rho0.values[g.n_points // 2] == 0.0
-        assert cfg.grid_N == 1024
+        assert rho0.values[g.N // 2] == 0.0
+        assert cfg.grid.N == 1024
         assert cfg.params.mu == 0.5
 
     def test_support_preset_center_value(self):
         cfg = preset("fig2-support")
-        g = Grid(cfg.grid_L, cfg.grid_N)
+        g = cfg.grid
         rho0 = cfg.rho0.sample(g)
-        assert rho0.values[g.n_points // 2] == pytest.approx(2.1875, abs=1e-12)
+        assert rho0.values[g.N // 2] == pytest.approx(2.1875, abs=1e-12)
 
     def test_support_preset_area_sits_inside_density(self):
         from xdiff.diagnostics import support
 
         cfg = preset("fig2-support")
-        g = Grid(cfg.grid_L, cfg.grid_N)
+        g = cfg.grid
         a0 = support(g, cfg.A0.sample(g).values)
         r0 = support(g, cfg.rho0.sample(g).values)
         assert len(a0) == 1 and len(r0) == 1
@@ -360,10 +381,25 @@ class TestRoundTrip:
 
     def test_a_sampled_kernel_without_its_file_cannot_be_rendered(self):
         cfg = preset("fig2-support")
-        grid = Grid(cfg.grid_L, cfg.grid_N)
+        grid = cfg.grid
         kernel = SampledKernel(Field(grid, np.exp(-(grid.x**2) / 0.01)))
         cfg = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, kernel=kernel))
         with pytest.raises(ValueError, match="^sampled kernel without a source path cannot be"):
+            render_config(cfg)
+
+    @pytest.mark.parametrize("out", ["runs/#1", " out ", "out ", "runs/a\nb", "runs/a\rb"])
+    def test_text_that_parsing_would_change_cannot_be_rendered(self, out):
+        # '#' opens a comment, a line break ends the entry, and parsing strips
+        # surrounding whitespace: each would send the run's outputs elsewhere
+        cfg = dataclasses.replace(preset("fig2-support"), output_dir=out)
+        with pytest.raises(ValueError, match=r"^run\.output_dir = .* cannot be rendered"):
+            render_config(cfg)
+        # overrides do not go through the text, so they keep such a value
+        assert preset_with_overrides("fig2-support", {"run.output_dir": out}).output_dir == out
+
+    def test_a_csv_path_that_parsing_would_change_cannot_be_rendered(self):
+        cfg = dataclasses.replace(preset("fig2-support"), rho0=CsvData("/data/#2/rho.csv"))
+        with pytest.raises(ValueError, match=r"^rho0\.path = '/data/#2/rho\.csv' cannot be"):
             render_config(cfg)
 
     def test_overrides_applied_through_config_format(self):
@@ -372,7 +408,7 @@ class TestRoundTrip:
             {"run.t_end": "0.0001", "grid.N": "256", "run.snapshot_times": "0.0, 5e-5"},
         )
         assert cfg.t_end == 0.0001
-        assert cfg.grid_N == 256
+        assert cfg.grid.N == 256
         assert cfg.snapshot_times == (0.0, 5e-5)
 
     def test_override_must_respect_validation(self):
@@ -423,7 +459,7 @@ MODES = st.one_of(
 
 def write_kernel_csv(directory, grid, width):
     """A Gaussian sampled kernel for ``grid``, as a file the config can name."""
-    path = os.path.join(directory, f"kernel-{grid.n_points}-{grid.half_length!r}-{width!r}.csv")
+    path = os.path.join(directory, f"kernel-{grid.N}-{grid.L!r}-{width!r}.csv")
     rows = [f"{float(x)!r},{float(np.exp(-(x**2) / width))!r}" for x in grid.x]
     with open(path, "w") as fh:
         fh.write("x,gamma\n" + "\n".join(rows) + "\n")
@@ -451,8 +487,7 @@ def run_configs(draw, kernel_dir=None, initial=INITIAL_DATA):
     )
     t_end = draw(finite(0.0, 10.0))
     return RunConfig(
-        grid_L=grid.half_length,
-        grid_N=grid.n_points,
+        grid=grid,
         params=params,
         rho0=draw(initial),
         A0=draw(initial),

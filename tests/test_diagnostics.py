@@ -31,7 +31,7 @@ class TestSecondDerivativeAtCenter:
         # (2L/pi)^2 sin^2(pi x / 2L) equals x^2 + O(x^4) at the center and is
         # exactly periodic, so the spectral curvature there is exactly 2
         g = Grid(1.0, 64)
-        b = np.pi / (2 * g.half_length)
+        b = np.pi / (2 * g.L)
         rho = (np.sin(b * g.x) / b) ** 2
         assert second_derivative_at_center(g, rho) == pytest.approx(2.0, abs=1e-6)
 
@@ -59,7 +59,7 @@ class TestSecondDerivativeAtCenter:
         assert calls == ["rfft"]
         monkeypatch.undo()
         full = derivative(g, rho, g.d2)
-        assert value == pytest.approx(full[g.n_points // 2], abs=1e-14 * np.max(np.abs(full)))
+        assert value == pytest.approx(full[g.N // 2], abs=1e-14 * np.max(np.abs(full)))
 
 
 class TestSupport:
@@ -128,7 +128,7 @@ def reference_support(grid, values, threshold=None):
     """``support`` as a per-node scan: walk the nodes and close a run at its last node."""
     if threshold is None:
         threshold = SUPPORT_THRESHOLD_SCALE * max(max(values), 1.0)
-    n, L, half = len(values), grid.half_length, 0.5 * grid.dx
+    n, L, half = len(values), grid.L, 0.5 * grid.dx
     above = [v > threshold for v in values]
     if not any(above):
         return []

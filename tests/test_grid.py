@@ -13,10 +13,10 @@ from spectral import derivative
 
 def band_limited(grid, rng, n_modes=6, offset=0.0):
     """Random smooth periodic field with a few low modes."""
-    vals = np.full(grid.n_points, offset)
+    vals = np.full(grid.N, offset)
     for m in range(1, n_modes + 1):
-        vals += rng.normal() * np.cos(m * np.pi * grid.x / grid.half_length)
-        vals += rng.normal() * np.sin(m * np.pi * grid.x / grid.half_length)
+        vals += rng.normal() * np.cos(m * np.pi * grid.x / grid.L)
+        vals += rng.normal() * np.sin(m * np.pi * grid.x / grid.L)
     return Field(grid, vals)
 
 
@@ -26,12 +26,12 @@ class TestMakeGrid:
         assert g.dx == 0.125
         assert g.x[0] == -1.0
         assert np.all(np.diff(g.x) > 0)
-        assert g.x[g.n_points // 2] == 0.0
+        assert g.x[g.N // 2] == 0.0
 
     def test_large_grid_spacing(self):
         g = Grid(1.0, 1024)
         assert g.dx == pytest.approx(1.953125e-3, rel=0, abs=0)
-        assert g.dx * g.n_points == pytest.approx(2.0, rel=1e-15)
+        assert g.dx * g.N == pytest.approx(2.0, rel=1e-15)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -44,7 +44,7 @@ class TestMakeGrid:
             Grid(0.0, 16)
         with pytest.raises(ValueError):
             Grid(-2.0, 16)
-        with pytest.raises(InvalidValue, match=r"^n_points must be an integer, got 16\.0$"):
+        with pytest.raises(InvalidValue, match=r"^N must be an integer, got 16\.0$"):
             Grid(1.0, 16.0)
 
     @pytest.mark.parametrize("half_length", [1e308, 1e-310])
@@ -53,7 +53,7 @@ class TestMakeGrid:
         # nan at 1e-310
         with pytest.raises(InvalidValue) as exc:
             Grid(half_length, 16)
-        assert exc.value.field == "half_length"
+        assert exc.value.field == "L"
         assert exc.value.problem == (
             f"gives a non-finite spacing or wavenumbers on 16 points, got {half_length}"
         )
@@ -145,7 +145,7 @@ class TestDeriv:
         vals = np.zeros(128)
         for m in range(1, 9):
             vals += rng.normal() * np.cos(m * np.pi * g.x)
-        refl = lambda v: v[(-np.arange(g.n_points)) % g.n_points]
+        refl = lambda v: v[(-np.arange(g.N)) % g.N]
         d1 = derivative(g, vals, g.ik)
         d2 = derivative(g, vals, g.d2)
         assert np.max(np.abs(d1 + refl(d1))) <= 1e-10  # odd
@@ -206,7 +206,7 @@ class TestLayoutProperties:
     @given(grids())
     @settings(max_examples=200, deadline=None)
     def test_node_half_n_sits_at_x_zero(self, g):
-        assert abs(g.x[g.n_points // 2]) <= 2 * np.spacing(g.half_length)
+        assert abs(g.x[g.N // 2]) <= 2 * np.spacing(g.L)
 
     @given(grids())
     @settings(max_examples=50, deadline=None)
@@ -248,7 +248,7 @@ class TestLayoutProperties:
     @given(grids(), st.integers(0, 2**32 - 1), st.floats(-17.0, -9.0))
     @settings(max_examples=50, deadline=None)
     def test_sampled_kernel_reports_the_reflection_defect(self, g, seed, log_scale):
-        n = g.n_points
+        n = g.N
         rng = np.random.default_rng(seed)
         base = rng.uniform(0.5, 1.5, n)
         vals = base + base[(-np.arange(n)) % n] + 10.0**log_scale * rng.uniform(0.0, 1.0, n)

@@ -67,8 +67,7 @@ def state_of(grid, a, r, t=0.0):
 
 def smooth_config(params, n=64, t_end=1e-3, mode=RunMode(), **kw):
     defaults = dict(
-        grid_L=1.0,
-        grid_N=n,
+        grid=Grid(1.0, n),
         params=params,
         rho0=Cosine(1.0, 0.1, 1),
         A0=Constant(1.0),
@@ -127,7 +126,7 @@ class TestCflDt:
         # magnitude stays within the design share 0.25 pi^2 / 2.7853 = 0.886,
         # and reaches most of it, so the bound is the wall that binds
         cfg = preset_with_overrides(name, {"grid.N": "512", "mode.kind": kind})
-        grid = Grid(cfg.grid_L, cfg.grid_N)
+        grid = cfg.grid
         u = np.stack((cfg.A0.sample(grid).values, cfg.rho0.sample(grid).values))
         stepper = _Stepper(grid, cfg.params, cfg.mode)
         v = stepper.stepped(u)
@@ -632,7 +631,7 @@ class TestRun:
         cfg = dataclasses.replace(
             preset("fig2-support"),
             rho0=Constant(0.0),
-            grid_N=64,
+            grid=Grid(1.0, 64),
             t_end=1.0,
             snapshot_times=(0.1,),
         )

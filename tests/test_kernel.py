@@ -18,7 +18,7 @@ from spectral import derivative
 
 def convolve(k, f):
     """Periodic convolution k * f through the kernel's Fourier symbol, as the model takes it."""
-    return np.fft.irfft(np.fft.rfft(f.values) * k.symbol(f.grid), n=f.grid.n_points)
+    return np.fft.irfft(np.fft.rfft(f.values) * k.symbol(f.grid), n=f.grid.N)
 
 
 def l2(grid, v):
@@ -62,7 +62,7 @@ class TestBoxKernel:
         assert np.max(np.abs(BoxKernel(eps).symbol(g) - quad)) <= 1e-12 * 2 * eps
 
     def test_constant_scales_by_kernel_mass(self, grid):
-        f = Field(grid, np.full(grid.n_points, 3.0))
+        f = Field(grid, np.full(grid.N, 3.0))
         out = convolve(BoxKernel(0.05), f)
         assert np.max(np.abs(out - 0.3)) < 1e-13
 
@@ -74,23 +74,23 @@ class TestBoxKernel:
         assert np.max(np.abs(out - expected)) < 1e-13
 
     def test_zero_field_maps_to_zero(self, grid):
-        out = convolve(BoxKernel(0.05), Field(grid, np.zeros(grid.n_points)))
+        out = convolve(BoxKernel(0.05), Field(grid, np.zeros(grid.N)))
         assert np.max(np.abs(out)) == 0.0
 
     def test_half_width_must_fit_in_domain(self, grid):
         with pytest.raises(ValueError):
-            convolve(BoxKernel(1.5), Field(grid, np.ones(grid.n_points)))
+            convolve(BoxKernel(1.5), Field(grid, np.ones(grid.N)))
 
     def test_preserves_evenness(self, grid):
         rng = np.random.default_rng(2)
         vals = sum(rng.normal() * np.cos(m * np.pi * grid.x) for m in range(1, 10))
         out = convolve(BoxKernel(0.05), Field(grid, vals))
-        refl = out[(-np.arange(grid.n_points)) % grid.n_points]
+        refl = out[(-np.arange(grid.N)) % grid.N]
         assert np.max(np.abs(out - refl)) <= 1e-10
 
     def test_sup_bound_by_kernel_mass(self, grid):
         rng = np.random.default_rng(9)
-        f = Field(grid, rng.normal(size=grid.n_points))
+        f = Field(grid, rng.normal(size=grid.N))
         out = convolve(BoxKernel(0.3), f)
         bound = BoxKernel(0.3).l1_norm() * np.max(np.abs(f.values))
         assert np.max(np.abs(out)) <= bound + 1e-12
@@ -98,17 +98,17 @@ class TestBoxKernel:
 
 class TestSampledKernel:
     def test_zero_kernel_has_zero_mass(self, grid):
-        k = SampledKernel(Field(grid, np.zeros(grid.n_points)))
+        k = SampledKernel(Field(grid, np.zeros(grid.N)))
         assert k.l1_norm() == 0.0
 
     def test_rejects_negative_values(self, grid):
-        vals = np.zeros(grid.n_points)
+        vals = np.zeros(grid.N)
         vals[5] = -1.0
         with pytest.raises(ValueError):
             SampledKernel(Field(grid, vals))
 
     def test_rejects_asymmetric_values(self, grid):
-        vals = np.zeros(grid.n_points)
+        vals = np.zeros(grid.N)
         vals[5] = 1.0  # no matching value at the reflected node
         with pytest.raises(ValueError):
             SampledKernel(Field(grid, vals))
@@ -116,7 +116,7 @@ class TestSampledKernel:
     def test_constant_input_scales_by_mass(self, grid):
         gauss = np.exp(-(grid.x**2) / 0.01)
         k = SampledKernel(Field(grid, gauss))
-        f = Field(grid, np.full(grid.n_points, 2.0))
+        f = Field(grid, np.full(grid.N, 2.0))
         out = convolve(k, f)
         assert np.max(np.abs(out - 2.0 * k.l1_norm())) < 1e-12
 
@@ -129,12 +129,12 @@ class TestSampledKernel:
     def test_csv_roundtrip_and_symmetrization(self, grid, tmp_path):
         rng = np.random.default_rng(4)
         base = np.exp(-(grid.x**2) / 0.02)
-        noisy = base * (1.0 + 1e-13 * rng.normal(size=grid.n_points))  # asymmetric rounding
+        noisy = base * (1.0 + 1e-13 * rng.normal(size=grid.N))  # asymmetric rounding
         path = tmp_path / "kernel.csv"
         lines = ["x,gamma"] + [f"{float(x)!r},{float(v)!r}" for x, v in zip(grid.x, noisy)]
         path.write_text("\n".join(lines) + "\n")
         k = load_sampled_kernel(str(path), grid)
-        refl = k.samples.values[(-np.arange(grid.n_points)) % grid.n_points]
+        refl = k.samples.values[(-np.arange(grid.N)) % grid.N]
         assert np.max(np.abs(k.samples.values - refl)) == 0.0
         assert k.l1_norm() == pytest.approx(np.sum(base) * grid.dx, rel=1e-10)
 
@@ -169,7 +169,7 @@ class TestSmooth:
 
 class TestMollify:
     def test_constant_unchanged(self, grid):
-        f = Field(grid, np.full(grid.n_points, 4.2))
+        f = Field(grid, np.full(grid.N, 4.2))
         out = mollify(f, 0.37)
         assert np.max(np.abs(out.values - 4.2)) < 1e-13
 
@@ -186,23 +186,23 @@ class TestMollify:
         assert np.exp(-0.003 * symbol) == pytest.approx(np.exp(-0.003 * k**2), rel=5e-3)
 
     def test_zero_width_is_exact_identity(self, grid):
-        f = Field(grid, np.random.default_rng(1).normal(size=grid.n_points))
+        f = Field(grid, np.random.default_rng(1).normal(size=grid.N))
         assert np.array_equal(mollify(f, 0.0).values, f.values)
 
     def test_negative_width_rejected(self, grid):
         with pytest.raises(ValueError):
-            mollify(Field(grid, np.ones(grid.n_points)), -1e-3)
+            mollify(Field(grid, np.ones(grid.N)), -1e-3)
 
     def test_semigroup_identity(self, grid):
         rng = np.random.default_rng(6)
-        f = Field(grid, rng.normal(size=grid.n_points))
+        f = Field(grid, rng.normal(size=grid.N))
         for a, b in [(0.01, 0.02), (0.05, 0.1), (0.003, 0.0007)]:
             left = mollify(mollify(f, a), b).values
             right = mollify(f, a + b).values
             assert np.max(np.abs(left - right)) <= 1e-10
 
     def test_mean_preserved(self, grid):
-        f = Field(grid, np.random.default_rng(8).normal(size=grid.n_points))
+        f = Field(grid, np.random.default_rng(8).normal(size=grid.N))
         mass = np.sum(mollify(f, 0.02).values) * grid.dx
         assert mass == pytest.approx(np.sum(f.values) * grid.dx, abs=1e-12)
 
@@ -210,7 +210,7 @@ class TestMollify:
         # dense O(1) nonnegative data at a resolved width undershoot by no
         # more than an absolute roundoff
         rng = np.random.default_rng(12)
-        f = Field(grid, np.abs(rng.normal(size=grid.n_points)))
+        f = Field(grid, np.abs(rng.normal(size=grid.N)))
         assert np.min(mollify(f, 0.01).values) >= -1e-15
 
     @settings(max_examples=200, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdiff.grid import Field, Grid, mirror
+from xdiff.grid import Field, Grid, GridMismatchError, mirror
 from xdiff.integrator import RunMode, _apply_positivity, rhs, step
 from xdiff.kernel import BoxKernel, heat_multiplier, mollify
 from xdiff.model import (
@@ -41,8 +41,8 @@ def grid():
 def constant_state(grid, a=1.0, r=1.0):
     return State(
         t=0.0,
-        A=Field(grid, np.full(grid.n_points, a)),
-        rho=Field(grid, np.full(grid.n_points, r)),
+        A=Field(grid, np.full(grid.N, a)),
+        rho=Field(grid, np.full(grid.N, r)),
     )
 
 
@@ -69,7 +69,7 @@ def reflect(values):
 
 def convolve(kernel, grid, values):
     """Periodic convolution of node values with the kernel, through its symbol."""
-    return np.fft.irfft(np.fft.rfft(values) * kernel.symbol(grid), n=grid.n_points)
+    return np.fft.irfft(np.fft.rfft(values) * kernel.symbol(grid), n=grid.N)
 
 
 def area_reaction(p, a, r, avg):
@@ -82,7 +82,7 @@ def area_reaction(p, a, r, avg):
 class TestState:
     def test_fields_on_two_grids_are_rejected(self):
         a, b = Grid(1.0, 16), Grid(2.0, 16)
-        with pytest.raises(ValueError, match="^A and rho must share one grid$"):
+        with pytest.raises(GridMismatchError, match="^A and rho must share one grid$"):
             State(t=0.0, A=Field(a, np.ones(16)), rho=Field(b, np.ones(16)))
 
 
@@ -131,7 +131,7 @@ class TestRhs:
         s = State(
             t=0.0,
             A=Field(grid, 0.5 + 0.3 * np.cos(np.pi * grid.x)),
-            rho=Field(grid, np.zeros(grid.n_points)),
+            rho=Field(grid, np.zeros(grid.N)),
         )
         _, dr = rhs(s, params)
         assert np.all(dr.values == 0.0)
@@ -171,8 +171,8 @@ class TestRhsRegularized:
         rng = np.random.default_rng(42)
         rough = State(
             t=0.0,
-            A=Field(grid, np.abs(rng.normal(1.0, 0.4, grid.n_points))),
-            rho=Field(grid, np.abs(rng.normal(1.0, 0.4, grid.n_points))),
+            A=Field(grid, np.abs(rng.normal(1.0, 0.4, grid.N))),
+            rho=Field(grid, np.abs(rng.normal(1.0, 0.4, grid.N))),
         )
         eps = 0.01
         _, dr_reg = rhs(rough, params, RunMode("regularized", eps=eps))
@@ -189,13 +189,13 @@ class TestRhsRegularized:
 
 class TestRhsSqrt:
     def test_zero_state_is_equilibrium(self, grid, params):
-        zero = Field(grid, np.zeros(grid.n_points))
+        zero = Field(grid, np.zeros(grid.N))
         da, de = rhs(State(t=0.0, A=zero, rho=zero), params, RunMode("sqrt"))
         assert np.all(da.values == 0.0)
         assert np.all(de.values == 0.0)
 
     def test_constant_state_hand_values(self, grid, params):
-        ones = Field(grid, np.ones(grid.n_points))
+        ones = Field(grid, np.ones(grid.N))
         da, de = rhs(State(t=0.0, A=ones, rho=ones), params, RunMode("sqrt"))
         assert np.max(np.abs(da.values - 0.05)) <= 1e-12
         assert np.max(np.abs(de.values + 0.275)) <= 1e-12
@@ -210,7 +210,7 @@ class TestRhsSqrt:
 
     def test_chain_rule_consistency_with_original(self, grid, params):
         rho = Field(grid, 1.0 + 0.1 * np.cos(np.pi * grid.x))
-        a = Field(grid, np.ones(grid.n_points))
+        a = Field(grid, np.ones(grid.N))
         eta = Field(grid, np.sqrt(rho.values))
         _, dr = rhs(State(t=0.0, A=a, rho=rho), params)
         da_s, de = rhs(State(t=0.0, A=a, rho=Field(grid, eta.values**2)), params, RunMode("sqrt"))
@@ -407,7 +407,7 @@ def oracle_transforms(grid, u, avg_sym, sqrt):
     rfft of w (of w and rho in the sqrt form) and one irfft, with avg the
     inverse transform of rho's spectrum times ``avg_sym``.  The derivatives
     take the flux's multiplier D = i min(k, 2/dx), Nyquist zeroed."""
-    n = grid.n_points
+    n = grid.N
     ik = 1j * np.minimum(grid.k, 2.0 / grid.dx)
     ik[-1] = 0.0
     a, w = u
@@ -461,7 +461,7 @@ def oracle_assemble(grid, u, p, conv_sym, sqrt):
 
 
 def oracle_regularized(grid, u, p, conv_sym, damp):
-    n = grid.n_points
+    n = grid.N
     smoothed = np.fft.irfft(np.fft.rfft(u) * damp, n=n)
     return np.fft.irfft(np.fft.rfft(oracle_assemble(grid, smoothed, p, conv_sym, False)) * damp, n=n)
 
@@ -499,7 +499,7 @@ def reaction_magnitudes(grid, u, p, conv_sym, sqrt):
     roundoff is measured."""
     a, w = u
     rho = w * w if sqrt else w
-    avg = np.fft.irfft(np.fft.rfft(rho) * conv_sym, n=grid.n_points)
+    avg = np.fft.irfft(np.fft.rfft(rho) * conv_sym, n=grid.N)
     na, nw, nr, navg = (np.max(np.abs(x)) for x in (a, w, rho, avg))
     coupling = p.alpha * nr + p.mu * p.alpha * (nr + navg)
     area = na * coupling + p.beta_tilde * na * (1.0 + nr * na / p.K_tilde)
@@ -555,7 +555,7 @@ class TestAssemblyOracle:
         grid, u = data
         conv_sym = PARAMS.kernel.symbol(grid)
         if form == "regularized":  # the assembly sees the smoothed state
-            u = np.fft.irfft(np.fft.rfft(u) * heat_multiplier(grid, eps), n=grid.n_points)
+            u = np.fft.irfft(np.fft.rfft(u) * heat_multiplier(grid, eps), n=grid.N)
         sqrt = form == "sqrt"
         regrouped = oracle_terms(grid, u, PARAMS, conv_sym, sqrt)
         plain = oracle_terms(grid, u, PARAMS, conv_sym, sqrt, regrouped=False)
@@ -614,7 +614,7 @@ class TestAreaFaceFlux:
         # entry's difference and product and of the sum
         grid, u = data
         flux = assembled_area_flux(grid, u, sqrt)
-        assert abs(np.sum(flux)) <= (grid.n_points + 2) * ULP * np.sum(np.abs(flux))
+        assert abs(np.sum(flux)) <= (grid.N + 2) * ULP * np.sum(np.abs(flux))
 
     @pytest.mark.parametrize("sqrt", [False, True])
     @settings(max_examples=60, deadline=None)
@@ -645,7 +645,7 @@ class TestAreaFaceFlux:
 def assembled_density_flux(grid, rho):
     """The density flux that one original-form evaluation of (1, rho) assembles."""
     ws = Workspace(grid, PARAMS)
-    _rhs_core(ws, np.stack((np.ones(grid.n_points), rho)))
+    _rhs_core(ws, np.stack((np.ones(grid.N), rho)))
     return ws.w_flux.copy()
 
 
@@ -659,7 +659,7 @@ class TestDensityFlux:
         grid, u = data
         rho = u[1]
         flux = assembled_density_flux(grid, rho)
-        d = np.fft.irfft(np.fft.rfft(rho) * (1j * np.minimum(grid.k, 2.0 / grid.dx)), n=grid.n_points)
+        d = np.fft.irfft(np.fft.rfft(rho) * (1j * np.minimum(grid.k, 2.0 / grid.dx)), n=grid.N)
         scale = np.sum(d * d) + np.sum(np.abs(flux))
         assert abs(np.sum(flux)) <= 1e-14 * scale
         assert np.all(flux[rho == 0.0] >= 0.0)

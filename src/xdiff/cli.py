@@ -284,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "preset":
             overrides = _parse_overrides(args.override)
-            if args.out:
+            if args.out is not None:
                 overrides["run.output_dir"] = args.out
             config = preset_with_overrides(args.name, overrides)
             code, outcome = execute(config)

@@ -46,7 +46,6 @@ from .model import (
     flux_wavenumber,
 )
 
-DIFFUSIVITY_FLOOR = 1e-12
 POSITIVITY_TOL = 1e-12  # initial data may dip this far below zero
 CLIP_BUDGET_FRACTION = 1e-8  # clipped mass allowed per run, relative to initial mass
 BLOWUP_CAP = 1e6  # central curvature that halts any run
@@ -130,18 +129,18 @@ def _euler_unit(dx: float, rho_max: float) -> float:
     of one over the flux's spectral radius bound max(rho) k^2,
     k = ``flux_wavenumber(dx)`` = 2/dx.
 
-    The density bounds the diffusivity of both equations, its maximum
-    ``rho_max`` floored to keep the pure-reaction regime at DT_MAX, and k
-    bounds both rows' flux symbols, the density's capped multiplier and the
-    area's face flux."""
+    The density maximum ``rho_max`` bounds the diffusivity of both equations,
+    and k bounds both rows' flux symbols, the density's capped multiplier and
+    the area's face flux.  A density that vanishes everywhere (a zero or -0.0
+    maximum) couples no node to another, and the unit is inf."""
     k = flux_wavenumber(dx)
-    spectral_radius = max(rho_max, DIFFUSIVITY_FLOOR) * k * k
-    return STABILITY_SHARE / spectral_radius
+    spectral_radius = rho_max * k * k
+    return STABILITY_SHARE / spectral_radius if spectral_radius > 0.0 else math.inf
 
 
 def cfl_dt(dx: float, rho_max: float) -> float:
     """RKC stability bound, the ``S_CAP``-stage interval in forward-Euler units,
-    capped at DT_MAX."""
+    capped at DT_MAX, which is the bound for a density that vanishes everywhere."""
     return min(_euler_unit(dx, rho_max) * stability_interval(S_CAP), DT_MAX)
 
 
@@ -316,15 +315,14 @@ class _Stepper:
     (A, eta) with eta = sqrt(rho) and squares eta back afterwards.  The
     mollified form is chosen by ``mode.eps``, as in ``mollify``, so
     ``regularized`` at eps = 0 is the original form.  Its heat multiplier
-    ``damp`` (None for the other forms) is built once, complex, for the
-    stages and for ``run``'s initial data: numpy would cast a real one on
-    every product.
+    ``damp`` (None for the other forms) is built once, for the stages and
+    for ``run``'s initial data.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, mode: RunMode):
         ws = Workspace(grid, p)
         self.grid, self.sqrt, self.evals = grid, mode.kind == "sqrt", 0
-        self.damp = damp = heat_multiplier(grid, mode.eps).astype(complex) if mode.eps else None
+        self.damp = damp = heat_multiplier(grid, mode.eps) if mode.eps else None
         if self.sqrt:
             self._rhs = lambda w: _rhs_sqrt_core(ws, w)
         elif damp is not None:

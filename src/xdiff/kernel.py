@@ -81,14 +81,15 @@ KernelSpec = Union[BoxKernel, SampledKernel]
 
 def heat_multiplier(grid: Grid, eps: float) -> np.ndarray:
     """Fourier multiplier exp(-eps*(2/dx*sin(k*dx/2))^2) of the 3-point Laplacian's
-    heat semigroup at time eps.
+    heat semigroup at time eps, as complex: the values numpy would cast a real
+    multiplier to on every product with a spectrum.
 
     That generator has nonnegative off-diagonal entries and zero row sums, so
     the semigroup is a positive operator and keeps the mass, for every eps.
     """
     if eps < 0:
         raise ValueError(f"mollifier width eps must be nonnegative, got {eps}")
-    return np.exp(-eps * (2.0 / grid.dx * np.sin(grid.k * grid.dx / 2.0)) ** 2)
+    return np.exp(-eps * (2.0 / grid.dx * np.sin(grid.k * grid.dx / 2.0)) ** 2).astype(complex)
 
 
 def smooth(values: np.ndarray, damp: np.ndarray) -> np.ndarray:

@@ -31,8 +31,8 @@ class ModelParams:
     mu          effective elastic coupling, dimensionless, in [0, 1)
     beta        density logistic rate (> 0)
     beta_tilde  area logistic rate (>= 0)
-    K           density carrying capacity (> 0)
-    K_tilde     area carrying capacity (> 0)
+    K           density carrying capacity (> 0, with a finite crowding rate beta/K)
+    K_tilde     area carrying capacity (> 0, with a finite beta_tilde/K_tilde)
     kernel      even interaction kernel for the nonlocal density average
     """
 
@@ -49,8 +49,9 @@ class ModelParams:
             ("alpha", self.alpha, self.alpha > 0),
             ("beta", self.beta, self.beta > 0),
             ("beta_tilde", self.beta_tilde, self.beta_tilde >= 0),
-            ("K", self.K, self.K > 0),
-            ("K_tilde", self.K_tilde, self.K_tilde > 0),
+            ("K", self.K, self.K > 0 and np.isfinite(float(self.beta) / float(self.K))),
+            ("K_tilde", self.K_tilde, self.K_tilde > 0
+             and np.isfinite(float(self.beta_tilde) / float(self.K_tilde))),
         )
         for name, value, ok in checks:
             if not (np.isfinite(value) and ok):
@@ -273,8 +274,7 @@ def _rhs_sqrt_core(ws: Workspace, u: np.ndarray) -> np.ndarray:
 
 def _rhs_regularized_core(ws: Workspace, u: np.ndarray, damp: np.ndarray) -> np.ndarray:
     """Mollified right side: ``smooth`` the stacked (A, rho) by the heat
-    multiplier ``damp``, assemble, ``smooth`` the result.  Callers pass
-    ``damp`` as complex, the values numpy would cast it to on each product."""
+    multiplier ``damp``, assemble, ``smooth`` the result."""
     out = smooth(_assemble(ws, smooth(u, damp), sqrt=False), damp)
     # a finite assembled side may still overflow in the transform
     if not all_finite(out):

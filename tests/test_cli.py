@@ -241,6 +241,18 @@ class TestPresetCommand:
         assert code == 0
         assert os.path.exists(os.path.join(out, "series.csv"))
 
+    def test_an_empty_out_fails_as_the_empty_output_dir_override_does(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # both spellings ask for the output directory "", which cannot be made
+        monkeypatch.chdir(tmp_path)
+        small = ["--override", "grid.N=64"]
+        assert main(["preset", "fig2-support", "--override", "run.output_dir=", *small]) == 1
+        expected = capsys.readouterr().err
+        assert main(["preset", "fig2-support", "--out", "", *small]) == 1
+        assert capsys.readouterr().err == expected
+        assert os.listdir(tmp_path) == []
+
     def test_bad_override_syntax(self, tmp_path):
         assert main(["preset", "fig2-support", "--override", "oops"]) == 1
 

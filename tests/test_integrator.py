@@ -139,8 +139,16 @@ class TestCflDt:
         assert 0.85 <= share <= 0.886
 
     def test_zero_density_uses_dt_max(self, params):
-        g = Grid(1.0, 1024)
-        assert cfl_dt(g.dx, 0.0) == DT_MAX
+        # a density that vanishes everywhere couples no node to another, so
+        # its forward-Euler unit is inf on any mesh, and a step of DT_MAX
+        # takes 2 stages; -0.0 is the maximum of a row of -0.0
+        for g in (Grid(1.0, 1024), Grid(1e-4, 2048)):
+            v, f_v = np.ones((2, g.N)), np.zeros((2, g.N))
+            for rho_max in (0.0, -0.0):
+                assert _euler_unit(g.dx, rho_max) == math.inf
+                assert cfl_dt(g.dx, rho_max) == DT_MAX
+                step_rule = _step_size(g.dx, v, f_v, rho_max, 0.0, 0.0, 1.0, None)
+                assert step_rule == (DT_MAX, 2, False)
 
     def test_reference_peak_density(self, params):
         # the steepest reference experiment peak; the resulting step sits
@@ -167,15 +175,19 @@ def names_read(code):
 
 
 class TestStepRuleConstants:
-    def test_the_readme_table_lists_every_constant_the_rule_reads(self):
+    def test_the_readme_table_lists_every_constant_a_run_reads(self):
         # the "Time stepping" constants table names exactly the module
-        # constants that the step rule's functions read
+        # constants that the step rule's functions, the run loop and the
+        # blow-up detector read
         import xdiff.integrator as integrator
 
-        rule = (_step_size, cfl_dt, _euler_unit, _error_ratio, _rkc_table.__wrapped__)
+        readers = (
+            _step_size, cfl_dt, _euler_unit, _error_ratio, _rkc_table.__wrapped__, run,
+            _blowup_detected,
+        )
         read = {
             name
-            for fn in rule
+            for fn in readers
             for name in names_read(fn.__code__)
             if name.isupper() and hasattr(integrator, name)
         }
@@ -558,6 +570,38 @@ class TestRun:
         out = run(cfg)
         assert out.halt_reason is HaltReason.NUMERICAL_FAULT
         assert out.fault_detail == f"non-finite values in {term}"
+
+    def test_a_run_without_density_does_not_depend_on_the_mesh(self, params):
+        # with no density there is no spatial coupling: every step is DT_MAX
+        # at 2 stages, and the area grows by its reaction alone, bit for bit
+        # the same on a fine and a coarse mesh
+        outs = [
+            run(smooth_config(
+                dataclasses.replace(params, kernel=BoxKernel(width)),
+                grid=grid, rho0=Constant(0.0), t_end=0.05,
+            ))
+            for grid, width in ((Grid(1e-4, 2048), 5e-6), (Grid(1.0, 1024), 0.05))
+        ]
+        for out in outs:
+            assert out.halt_reason is HaltReason.REACHED_T_END
+            assert (out.steps, out.rhs_evals) == (5, 10)
+        fine, coarse = (set(out.final_state.A.values.tolist()) for out in outs)
+        assert fine == coarse and len(fine) == 1
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="no guard tells an unstable step from a blow-up; the curvature cap halts it",
+    )
+    @pytest.mark.parametrize("kind", ["original", "sqrt"])
+    def test_an_unstable_step_is_a_numerical_fault(self, kind, monkeypatch):
+        # a share above RKC's stability interval grows grid noise; fig2's
+        # curvature is negative at t = 0, so only a fault names this halt truly
+        import xdiff.integrator as integrator
+
+        monkeypatch.setattr(integrator, "STABILITY_SHARE", 1.1)
+        out = run(preset_with_overrides("fig2-support", {"grid.N": "2048", "mode.kind": kind}))
+        assert out.halt_reason is HaltReason.NUMERICAL_FAULT
 
     def test_snapshots_taken_at_crossing_times(self, params):
         cfg = smooth_config(params, snapshot_times=(0.0, 5e-4, 1e-3))

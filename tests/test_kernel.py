@@ -166,6 +166,15 @@ class TestSmooth:
             assert got.tobytes() == smooth(row, damp).tobytes()
             assert got.mean() == pytest.approx(row.mean(), rel=1e-13)
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3])
+    def test_the_heat_multiplier_is_complex_as_numpy_would_cast_it(self, grid, eps):
+        # a spectrum is complex, so numpy casts a real multiplier to exactly
+        # these values on every product, and the smoothing keeps its bytes
+        damp = heat_multiplier(grid, eps)
+        assert damp.dtype == complex and not damp.imag.any()
+        u = np.random.default_rng(0).random((2, grid.N))
+        assert smooth(u, damp).tobytes() == smooth(u, damp.real.copy()).tobytes()
+
 
 class TestMollify:
     def test_constant_unchanged(self, grid):

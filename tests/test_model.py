@@ -781,7 +781,7 @@ class TestFiniteness:
         grid = Grid(1.0, 64)
         u = np.stack((np.ones(64), 1.0 + 0.1 * np.cos(np.pi * grid.x)))
         ws = Workspace(grid, PARAMS)
-        damp = heat_multiplier(grid, 1e-3).astype(complex)
+        damp = heat_multiplier(grid, 1e-3)
         _rhs_core(ws, u)
         _rhs_sqrt_core(ws, u)
         _rhs_regularized_core(ws, u, damp)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,14 @@ class InvalidValue(ValueError):
 
 
 def is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer and not a bool: ``True``
-    would render as text that no integer key parses back."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """Whether ``value`` is a Python or numpy integer, not a bool, that a float
+    can hold: ``True`` would render as text that no integer key parses back,
+    and every integer key meets float arithmetic (the mesh, a power, a mode)."""
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and -sys.float_info.max <= value <= sys.float_info.max
+    )
 
 
 @dataclass(frozen=True)
@@ -44,10 +50,10 @@ class Grid:
     x_j = -L + j*dx with dx = 2L/N; the right endpoint x = L is identified
     with x = -L.  So x = 0 is node N/2, where rfft mode m carries
     ``phase[m] = (-1)^m``, and the mirror x -> -x pairs node j with node
-    (N - j) mod N (:func:`mirror`).  The read-only real-FFT multipliers are
-    built once per grid: ``ik`` (the Nyquist-zeroed D), ``k2``, ``d2`` and
-    ``d3`` (the derivatives of order 2 and 3), ``d2_phase`` (``d2`` times
-    ``phase``) and ``energy_weights`` (the energies' Parseval weights, see
+    (N - j) mod N (:func:`mirror`).  The read-only arrays are built once per
+    grid: the nodes ``x``, the wavenumbers ``k``, ``phase``, ``d2_phase``
+    (the x = 0 node's weights of the second derivative, -k^2 times ``phase``)
+    and ``energy_weights`` (the energies' Parseval weights, see
     :func:`xdiff.model.energy`).
     """
 
@@ -80,21 +86,19 @@ class Grid:
         x = -self.L + dx * np.arange(self.N, dtype=np.float64)
         # Angular wavenumbers pi*m/L for the rfft modes m = 0..N/2.
         k = (np.pi / self.L) * np.arange(self.N // 2 + 1, dtype=np.float64)
-        ik = 1j * k
-        ik[-1] = 0.0  # Nyquist mode dropped for odd-order derivatives on even N
-        k2 = k**2
-        arrays = dict(x=x, k=k, k2=k2, phase=(-1.0) ** np.arange(k.size))
-        # multipliers of D and of the derivatives of order 2 and 3
-        arrays.update(ik=ik, d2=-k2, d3=-ik * k2)
+        k2 = k * k
+        # |D^3|^2 = (k^3)^2 with the Nyquist mode dropped, as for an odd order
+        k3 = k * k2
+        k3[-1] = 0.0
         # the real-FFT weights w_m, 1 at m = 0 and at Nyquist and 2 elsewhere
         w = np.full(k.size, 2.0)
         w[[0, -1]] = 1.0
-        # the x = 0 node's weights of d2 (the per-row product bit for bit), and
-        # w_m (1 + |d_m|^2) for the energies' rows with d = d3, d2, d2, once for
-        # a mode's real and once for its imaginary part
-        rows = w * (1.0 + np.stack((np.abs(arrays["d3"]) ** 2, k2 * k2, k2 * k2)))
-        arrays.update(
-            d2_phase=arrays["d2"] * arrays["phase"], energy_weights=np.repeat(rows, 2, axis=1)
+        # w_m (1 + |d_m|^2) for the energies' rows with d of order 3, 2, 2, once
+        # for a mode's real and once for its imaginary part
+        rows = w * (1.0 + np.stack((k3 * k3, k2 * k2, k2 * k2)))
+        phase = (-1.0) ** np.arange(k.size)
+        arrays = dict(
+            x=x, k=k, phase=phase, d2_phase=-k2 * phase, energy_weights=np.repeat(rows, 2, axis=1)
         )
         for name, arr in arrays.items():
             arr.setflags(write=False)

@@ -312,9 +312,9 @@ class _Stepper:
     lives exactly as long as that call; the right sides are looked up at
     call time, so a wrapper installed on this module's names sees every
     stage, and ``evals`` counts them.  The sqrt form steps
-    (A, eta) with eta = sqrt(rho) and squares eta back afterwards.  The
-    mollified form is chosen by ``mode.eps``, as in ``mollify``, so
-    ``regularized`` at eps = 0 is the original form.  Its heat multiplier
+    (A, eta) with eta = sqrt(rho) and squares eta back afterwards.  Whether
+    to smooth is decided here alone, by ``mode.eps``, so ``regularized`` at
+    eps = 0 is the original form.  The mollified form's heat multiplier
     ``damp`` (None for the other forms) is built once, for the stages and
     for ``run``'s initial data.
     """
@@ -485,7 +485,7 @@ def run(config) -> RunOutcome:
             raise ValueError(f"{name} is too large: its mass on the grid overflows")
         # every rfft mode is at most the node sum, so the central curvature's
         # N/2 + 1 terms k^2 |rho_hat|, doubled, stay below this bound
-        if name == "rho0" and not math.isfinite(total * float(grid.k2[-1]) * 2 * grid.N):
+        if name == "rho0" and not math.isfinite(total * float(grid.k[-1]) ** 2 * 2 * grid.N):
             raise ValueError("rho0 is too large: its central curvature on the grid overflows")
         initial.append(values)
     u = np.stack(initial[::-1])  # (A, rho)

@@ -82,13 +82,11 @@ KernelSpec = Union[BoxKernel, SampledKernel]
 def heat_multiplier(grid: Grid, eps: float) -> np.ndarray:
     """Fourier multiplier exp(-eps*(2/dx*sin(k*dx/2))^2) of the 3-point Laplacian's
     heat semigroup at time eps, as complex: the values numpy would cast a real
-    multiplier to on every product with a spectrum.
+    multiplier to on every product with a spectrum.  ``RunMode`` checks eps.
 
     That generator has nonnegative off-diagonal entries and zero row sums, so
-    the semigroup is a positive operator and keeps the mass, for every eps.
+    the semigroup is a positive operator and keeps the mass, for every eps >= 0.
     """
-    if eps < 0:
-        raise ValueError(f"mollifier width eps must be nonnegative, got {eps}")
     return np.exp(-eps * (2.0 / grid.dx * np.sin(grid.k * grid.dx / 2.0)) ** 2).astype(complex)
 
 
@@ -99,15 +97,6 @@ def smooth(values: np.ndarray, damp: np.ndarray) -> np.ndarray:
     spectrum = np.fft.rfft(values)
     spectrum *= damp
     return np.fft.irfft(spectrum, n=values.shape[-1])
-
-
-def mollify(f: Field, eps: float) -> Field:
-    """Heat-semigroup smoothing: ``smooth`` by ``heat_multiplier``.
-
-    eps = 0 returns the field unchanged.  The mean is preserved exactly, and
-    nonnegative data stay nonnegative up to the transforms' roundoff.
-    """
-    return Field(f.grid, smooth(f.values, heat_multiplier(f.grid, eps)) if eps else f.values)
 
 
 def load_sampled_kernel(path: str, grid: Grid) -> SampledKernel:

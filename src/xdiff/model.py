@@ -138,7 +138,7 @@ class Workspace:
         self.area_crowding, self.density_crowding = p.beta_tilde / p.K_tilde, p.beta / p.K
         self.face_scale = 0.5 / (grid.dx * grid.dx)
         ik = 1j * np.minimum(grid.k, flux_wavenumber(grid.dx))
-        ik[-1] = 0.0  # Nyquist mode dropped, as in the grid's exact D
+        ik[-1] = 0.0  # Nyquist mode dropped, as for any odd order on even N
         self.ik, self.ik2 = ik, ik * ik
         # P = irfft(rho_hat*pressure_sym) is alpha*rho - mu*alpha*(rho - Gamma*rho); stored
         # complex: numpy would cast the real symbol to these values on every product

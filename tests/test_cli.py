@@ -41,6 +41,7 @@ def write_config(tmp_path, name="run.cfg", t_end="0.0", snaps="0.0", out=None):
 
 
 HUGE_N = 1099511627776  # 2**40 nodes: 8 TiB per float64 array
+TOO_BIG = 10**400  # an integer no float can hold
 REFUSAL = f"Unable to allocate 8.00 TiB for an array with shape ({HUGE_N},)"
 
 
@@ -86,6 +87,13 @@ class TestRunCommand:
         assert (row["supp_A_lo"], row["supp_A_hi"]) == ("nan", "nan")
         assert (row["supp_rho_lo"], row["supp_rho_hi"]) == ("-1", "1")
         assert check_series(str(series)) == []
+
+    def test_an_integer_no_float_can_hold_is_reported_at_its_line(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        path.write_text(path.read_text().replace("grid.N = 16", f"grid.N = {TOO_BIG}"))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: line 3: grid.N must be an integer, got {TOO_BIG}\n"
 
     def test_snapshot_of_constant_state(self, tmp_path):
         path, out = write_config(tmp_path)
@@ -404,6 +412,16 @@ class TestSweepCommand:
         under.write_text(text.replace("rho0.c = 1.0", "rho0.c = 1e15"))
         assert main(["sweep", str(bad), str(under)]) == 4  # worst code: dt_underflow
         assert f"{bad}: error: line 3: grid.N must be even, got 15" in capfd.readouterr().err
+        assert (tmp_path / "o2" / "series.csv").exists()
+
+    def test_sweep_isolates_an_integer_no_float_can_hold(self, tmp_path, capfd):
+        # the bad file comes first: its error must not stop the run after it
+        bad, _ = write_config(tmp_path, "bad.cfg", out=str(tmp_path / "o1"))
+        bad.write_text(bad.read_text().replace("grid.N = 16", f"grid.N = {TOO_BIG}"))
+        good, _ = write_config(tmp_path, "good.cfg", t_end="0.0005", out=str(tmp_path / "o2"))
+        assert main(["sweep", str(bad), str(good)]) == 1
+        err = capfd.readouterr().err
+        assert err == f"{bad}: error: line 3: grid.N must be an integer, got {TOO_BIG}\n"
         assert (tmp_path / "o2" / "series.csv").exists()
 
     def test_sweep_isolates_an_unallocatable_grid(

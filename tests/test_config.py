@@ -306,6 +306,11 @@ INTEGER_FIELDS = {
 }
 
 
+# an integer no float can hold: every integer key meets float arithmetic
+# (the mesh, a power, a mode), which would raise OverflowError on it
+BIG = 10**400
+
+
 class TestIntegerFields:
     @pytest.mark.parametrize("field", list(INTEGER_FIELDS))
     def test_a_bool_is_rejected_by_its_field_name(self, field):
@@ -313,6 +318,27 @@ class TestIntegerFields:
         with pytest.raises(InvalidValue, match=rf"^{field} must be .*integer, got True$") as exc:
             INTEGER_FIELDS[field](True)
         assert exc.value.field == field
+
+    @pytest.mark.parametrize("field", list(INTEGER_FIELDS))
+    def test_an_integer_no_float_can_hold_is_rejected_by_its_field_name(self, field):
+        with pytest.raises(InvalidValue, match=rf"^{field} must be .*integer, got {BIG}$") as exc:
+            INTEGER_FIELDS[field](BIG)
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize(
+        "key", ["grid.N", "rho0.p", "rho0.q", "rho0.r", "rho0.mode", "run.record_every"]
+    )
+    def test_an_integer_no_float_can_hold_is_reported_at_its_line(self, key):
+        cfg = preset("fig2-support")
+        if key == "rho0.mode":
+            cfg = dataclasses.replace(cfg, rho0=Cosine(1.0, 0.1, 2))
+        lines = render_config(cfg).splitlines()
+        line = next(n for n, text in enumerate(lines, 1) if text.startswith(f"{key} = "))
+        lines[line - 1] = f"{key} = {BIG}"
+        with pytest.raises(ConfigError) as exc:
+            parse_config("\n".join(lines) + "\n")
+        message = rf"line {line}: {re.escape(key)} must be .*integer, got {BIG}"
+        assert re.fullmatch(message, str(exc.value))
 
     def test_a_config_built_in_python_renders_and_parses_back_equal(self):
         # numpy integers render as their digits and numpy floats as Python

@@ -58,7 +58,7 @@ class TestSecondDerivativeAtCenter:
         value = second_derivative_at_center(g, rho)
         assert calls == ["rfft"]
         monkeypatch.undo()
-        full = derivative(g, rho, g.d2)
+        full = derivative(g, rho, 2)
         assert value == pytest.approx(full[g.N // 2], abs=1e-14 * np.max(np.abs(full)))
 
 

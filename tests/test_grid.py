@@ -102,17 +102,17 @@ class TestField:
 class TestDeriv:
     def test_constant_derivative_is_zero(self):
         g = Grid(1.0, 64)
-        d = derivative(g, np.full(64, 3.7), g.ik)
+        d = derivative(g, np.full(64, 3.7), 1)
         assert np.max(np.abs(d)) < 1e-14
 
     def test_first_derivative_of_resolved_mode(self):
         g = Grid(1.0, 64)
-        d = derivative(g, np.sin(np.pi * g.x), g.ik)
+        d = derivative(g, np.sin(np.pi * g.x), 1)
         assert np.max(np.abs(d - np.pi * np.cos(np.pi * g.x))) <= 1e-10
 
     def test_second_derivative_of_mode_three(self):
         g = Grid(1.0, 128)
-        d = derivative(g, np.sin(3 * np.pi * g.x), g.d2)
+        d = derivative(g, np.sin(3 * np.pi * g.x), 2)
         expected = -((3 * np.pi) ** 2) * np.sin(3 * np.pi * g.x)
         assert np.max(np.abs(d - expected)) <= 1e-10
 
@@ -121,15 +121,15 @@ class TestDeriv:
         rng = np.random.default_rng(7)
         f, h = band_limited(g, rng), band_limited(g, rng)
         a, b = 2.5, -1.25
-        lhs = derivative(g, a * f.values + b * h.values, g.ik)
-        rhs = a * derivative(g, f.values, g.ik) + b * derivative(g, h.values, g.ik)
+        lhs = derivative(g, a * f.values + b * h.values, 1)
+        rhs = a * derivative(g, f.values, 1) + b * derivative(g, h.values, 1)
         assert np.max(np.abs(lhs - rhs)) < 1e-11
 
     def test_composition_matches_second_order(self):
         g = Grid(1.0, 128)
         f = band_limited(g, np.random.default_rng(11))
-        twice = derivative(g, derivative(g, f.values, g.ik), g.ik)
-        second = derivative(g, f.values, g.d2)
+        twice = derivative(g, derivative(g, f.values, 1), 1)
+        second = derivative(g, f.values, 2)
         scale = np.max(np.abs(second))
         assert np.max(np.abs(twice - second)) <= 1e-8 * scale
 
@@ -137,7 +137,7 @@ class TestDeriv:
         g = Grid(1.0, 128)
         rng = np.random.default_rng(3)
         f = rng.normal(size=128)  # arbitrary rough field
-        assert abs(np.sum(derivative(g, f, g.ik)) * g.dx) <= 1e-10
+        assert abs(np.sum(derivative(g, f, 1)) * g.dx) <= 1e-10
 
     def test_even_field_maps_to_odd_then_even(self):
         g = Grid(1.0, 128)
@@ -146,8 +146,8 @@ class TestDeriv:
         for m in range(1, 9):
             vals += rng.normal() * np.cos(m * np.pi * g.x)
         refl = lambda v: v[(-np.arange(g.N)) % g.N]
-        d1 = derivative(g, vals, g.ik)
-        d2 = derivative(g, vals, g.d2)
+        d1 = derivative(g, vals, 1)
+        d2 = derivative(g, vals, 2)
         assert np.max(np.abs(d1 + refl(d1))) <= 1e-10  # odd
         assert np.max(np.abs(d2 - refl(d2))) <= 1e-10  # even
 
@@ -189,7 +189,7 @@ class TestIntegrateAndNorms:
 
 
 
-LAYOUT_ARRAYS = ("x", "k", "k2", "phase", "ik", "d2", "d3", "d2_phase", "energy_weights")
+LAYOUT_ARRAYS = ("x", "k", "phase", "d2_phase", "energy_weights")
 
 
 @st.composite
@@ -212,29 +212,30 @@ class TestLayoutProperties:
     @settings(max_examples=50, deadline=None)
     def test_multipliers_equal_the_per_call_expressions_bit_for_bit(self, g):
         k = g.k
-        ik = 1j * k
-        ik[-1] = 0.0
-        expected = {
-            "ik": ik,
-            "k2": k**2,
-            "d2": -k**2,
-            "d3": -ik * k**2,
-            "phase": (-1.0) ** np.arange(k.size),
-        }
-        for name, want in expected.items():
+        phase = (-1.0) ** np.arange(k.size)
+        for name, want in {"phase": phase, "d2_phase": -(k**2) * phase}.items():
             got = getattr(g, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
     @given(grids())
     @settings(max_examples=50, deadline=None)
     def test_energy_weights_are_the_parseval_weights(self, g):
-        # w_m (1 + |d_m|^2) for d = d3, d2, d2, each repeated for a mode's real
-        # and imaginary part; at least 1, so no overflowing square meets a 0
-        w = np.where((g.k == 0) | (g.k == g.k[-1]), 1.0, 2.0)
-        rows = [w * (1.0 + np.abs(d) ** 2) for d in (g.d3, g.d2, g.d2)]
-        assert np.allclose(g.energy_weights[:, 0::2], rows, rtol=1e-15, atol=0.0)
-        assert g.energy_weights[:, 0::2].tobytes() == g.energy_weights[:, 1::2].tobytes()
+        # w_m (1 + |d_m|^2) for the multipliers d of order 3, 2, 2, the odd one
+        # with its Nyquist mode dropped, each repeated for a mode's real and
+        # imaginary part; at least 1, so no overflowing square meets a 0
+        k = g.k
+        ik = 1j * k
+        ik[-1] = 0.0
+        w = np.where((k == 0) | (k == k[-1]), 1.0, 2.0)
+        rows = np.stack([w * (1.0 + np.abs(d) ** 2) for d in (-ik * k**2, -(k**2), -(k**2))])
+        assert g.energy_weights.tobytes() == np.repeat(rows, 2, axis=1).tobytes()
         assert np.all(g.energy_weights >= 1.0)
+
+    def test_the_layout_arrays_are_all_the_arrays_a_grid_holds(self):
+        # a row added to the grid must be named in LAYOUT_ARRAYS, and so checked
+        grid = Grid(1.0, 16)
+        held = {name for name, value in vars(grid).items() if isinstance(value, np.ndarray)}
+        assert held == set(LAYOUT_ARRAYS)
 
     @given(grids())
     @settings(max_examples=20, deadline=None)

@@ -61,20 +61,18 @@ def second_derivative_at_center(
     return float((2.0 * np.sum(terms) - terms[0] - terms[-1]) / grid.N)
 
 
-def support(grid: Grid, values: np.ndarray, threshold: Optional[float] = None) -> list[Interval]:
-    """Maximal runs of nodes above ``threshold`` as closed intervals.
+def support(grid: Grid, values: np.ndarray) -> list[Interval]:
+    """Maximal runs of nodes above the threshold
+    ``SUPPORT_THRESHOLD_SCALE * max(max(values), 1)`` as closed intervals.
 
-    Each run of consecutive nodes with values > threshold becomes the interval
-    [x_first - dx/2, x_last + dx/2], clamped to the periodic cell.  The
-    default threshold is relative because spectral representations of
-    compactly supported data carry roundoff-level ripples outside the true
-    support.  A run crossing the periodic seam is reported as its two pieces
-    inside [-L, L]; a field above threshold everywhere yields [-L, L].
+    Each run of consecutive nodes with values above the threshold becomes the
+    interval [x_first - dx/2, x_last + dx/2], clamped to the periodic cell.
+    The threshold is relative because spectral representations of compactly
+    supported data carry roundoff-level ripples outside the true support.  A
+    run crossing the periodic seam is reported as its two pieces inside
+    [-L, L]; a field above the threshold everywhere yields [-L, L].
     """
-    if threshold is None:
-        threshold = SUPPORT_THRESHOLD_SCALE * max(float(values.max()), 1.0)
-    if threshold <= 0:
-        raise ValueError(f"support threshold must be positive, got {threshold}")
+    threshold = SUPPORT_THRESHOLD_SCALE * max(float(values.max()), 1.0)
     # the run edges in one scan: with a node below threshold padded on each
     # side, run k covers the nodes edges[2k] to edges[2k + 1] - 1
     n = values.size

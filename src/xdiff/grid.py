@@ -68,6 +68,10 @@ class Grid:
             raise InvalidValue("N", f"must be even, got {n}")
         if n < MIN_POINTS:
             raise InvalidValue("N", f"must be >= {MIN_POINTS}, got {n}")
+        # numpy sizes no array of more bytes than its index type holds; the
+        # largest here, the energy weights, holds 3 rows of N + 2 floats
+        if 24 * (int(n) + 2) > np.iinfo(np.intp).max:
+            raise InvalidValue("N", f"is too large for an array, got {n}")
         if not (np.isfinite(L) and L > 0):
             raise InvalidValue("L", f"must be positive and finite, got {L}")
         object.__setattr__(self, "L", float(L))

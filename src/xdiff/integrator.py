@@ -10,11 +10,9 @@ stages, and then the fewest stages that are stable at that size.  The
 diffusive unit is dx^2 / (4 max(rho)): the density weights the flux of both
 equations, and both rows' flux symbols are at most (2/dx)^2, the area's on
 its faces and the density's under its capped spectral derivative.
-``_Stepper`` maps each form to its right side, for runs and for the public
-``rhs`` and ``step``; ``step`` is classical RK4, the fourth-order reference
-for fixed-step convergence checks.  Runs halt on reaching the end time, on
-the two-signal blow-up detector, on step-size underflow, or on loss of
-finiteness.
+``_Stepper`` maps each form to its right side.  Runs halt on reaching the
+end time, on the two-signal blow-up detector, on step-size underflow, or on
+loss of finiteness.
 """
 
 from __future__ import annotations
@@ -236,21 +234,6 @@ def _apply_positivity(u: np.ndarray, dx: float) -> tuple[np.ndarray, float, floa
     return u, clipped[0], clipped[1]
 
 
-_Rhs = Callable[[np.ndarray], np.ndarray]
-_Scheme = Callable[[np.ndarray, float, _Rhs, np.ndarray, int], np.ndarray]
-
-
-def _rk4(u: np.ndarray, dt: float, f: _Rhs, k1: np.ndarray, stages: int = 4) -> np.ndarray:
-    """Classical RK4 from the first stage ``k1 = f(u)``.
-
-    ``stages`` is always 4; it only matches RKC's signature.
-    """
-    k2 = f(u + 0.5 * dt * k1)
-    k3 = f(u + 0.5 * dt * k2)
-    k4 = f(u + dt * k3)
-    return u + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-
-
 @functools.cache
 def _rkc_table(s: int) -> tuple[float, float, tuple[tuple[float, float, float, float], ...]]:
     """beta(s), mu~_1 and the rows (mu_j, nu_j, mu~_j, gamma~_j), j = 2..s, of damped RKC.
@@ -274,7 +257,9 @@ def _rkc_table(s: int) -> tuple[float, float, tuple[tuple[float, float, float, f
     return (w0 + 1.0) * d2[s] / d1[s], b[1] * w1, tuple(rows)
 
 
-def _rkc(u: np.ndarray, dt: float, f: _Rhs, f_u: np.ndarray, stages: int) -> np.ndarray:
+def _rkc(
+    u: np.ndarray, dt: float, f: Callable[[np.ndarray], np.ndarray], f_u: np.ndarray, stages: int
+) -> np.ndarray:
     """One damped RKC step of ``stages`` stages in increment form: d_j = Y_j - u, returning u + d_s.
 
     The first stage ``f_u = f(u)`` does not depend on dt, so the caller,
@@ -308,15 +293,14 @@ def _rkc(u: np.ndarray, dt: float, f: _Rhs, f_u: np.ndarray, stages: int) -> np.
 class _Stepper:
     """The right side of one evolution form of the stacked (A, rho).
 
-    Built once per run or public ``rhs`` or ``step`` call, so the workspace
-    lives exactly as long as that call; the right sides are looked up at
-    call time, so a wrapper installed on this module's names sees every
-    stage, and ``evals`` counts them.  The sqrt form steps
-    (A, eta) with eta = sqrt(rho) and squares eta back afterwards.  Whether
-    to smooth is decided here alone, by ``mode.eps``, so ``regularized`` at
-    eps = 0 is the original form.  The mollified form's heat multiplier
-    ``damp`` (None for the other forms) is built once, for the stages and
-    for ``run``'s initial data.
+    Built once per run, so the workspace lives exactly as long as the run;
+    the right sides are looked up at call time, so a wrapper installed on
+    this module's names sees every stage, and ``evals`` counts them.  The
+    sqrt form steps (A, eta) with eta = sqrt(rho) and squares eta back
+    afterwards.  Whether to smooth is decided here alone, by ``mode.eps``,
+    so ``regularized`` at eps = 0 is the original form.  The mollified
+    form's heat multiplier ``damp`` (None for the other forms) is built
+    once, for the stages and for ``run``'s initial data.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, mode: RunMode):
@@ -342,44 +326,17 @@ class _Stepper:
 
 
 def _step_arrays(
-    stepper: _Stepper,
-    scheme: _Scheme,
-    v: np.ndarray,
-    f_v: np.ndarray,
-    dt: float,
-    stages: int,
+    stepper: _Stepper, v: np.ndarray, f_v: np.ndarray, dt: float, stages: int
 ) -> tuple[np.ndarray, float, float]:
-    """One ``scheme`` step of ``stages`` stages from the stepped state ``v`` and
-    its right side ``f_v``, plus positivity; returns (u, clipped_A,
-    clipped_rho) of the stacked (A, rho)."""
-    u = scheme(v, dt, stepper.f, f_v, stages)
+    """One RKC step of ``stages`` stages from the stepped state ``v`` and its
+    right side ``f_v``, plus positivity; returns (u, clipped_A, clipped_rho)
+    of the stacked (A, rho)."""
+    u = _rkc(v, dt, stepper.f, f_v, stages)
     if stepper.sqrt:
         u[1] *= u[1]
     if not all_finite(u):
         raise NumericalFault("non-finite state after step")
     return _apply_positivity(u, stepper.grid.dx)
-
-
-def rhs(s: State, p: ModelParams, mode: RunMode = RunMode()) -> tuple[Field, Field]:
-    """Time derivatives (dA/dt, drho/dt) of the selected evolution form at ``s``; in the
-    sqrt form (dA/dt, deta/dt) at eta = sqrt(max(rho, 0)), the state a sqrt run steps."""
-    grid = s.grid
-    stepper = _Stepper(grid, p, mode)
-    with _unchecked():
-        d = stepper.f(stepper.stepped(np.stack((s.A.values, s.rho.values))))
-    return Field(grid, d[0]), Field(grid, d[1])
-
-
-def step(s: State, p: ModelParams, dt: float, mode: RunMode = RunMode()) -> State:
-    """Advance one classical RK4 step of the selected evolution form."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    grid = s.grid
-    stepper = _Stepper(grid, p, mode)
-    v = stepper.stepped(np.stack((s.A.values, s.rho.values)))
-    with _unchecked():
-        u, _, _ = _step_arrays(stepper, _rk4, v, stepper.f(v), dt, 4)
-    return State(t=s.t + dt, A=Field(grid, u[0]), rho=Field(grid, u[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +352,12 @@ def _record(
 
     One rfft of the stacked (rho, A, sqrt(rho)) serves both the energies and
     the central curvature, so a record makes 1 FFT call.  A huge but finite
-    state may overflow in a sum; inside a run's error state such values come
-    out non-finite without a warning, and the run faults on a non-finite
-    curvature.
+    state may overflow in a sum; the run's error state, which the energies
+    share, lets such values come out non-finite without a warning, and the
+    run faults on a non-finite curvature.
     """
     spectra = _energy_spectra(a, r)
-    e_tilde, e_sqrt = energy(grid, a, r, spectra)
+    e_tilde, e_sqrt = energy(grid, spectra)
     supp_rho_lo, supp_rho_hi = hull(support(grid, r))
     supp_A_lo, supp_A_hi = hull(support(grid, a))
     zero_max = float(r[zero_nodes].max()) if zero_nodes.size else None
@@ -535,7 +492,7 @@ def run(config) -> RunOutcome:
                 if consecutive_dt_min >= 2:
                     reason = HaltReason.DT_UNDERFLOW
                     break
-                u, ca, cr = _step_arrays(stepper, _rkc, v, f_v, dt, stages)
+                u, ca, cr = _step_arrays(stepper, v, f_v, dt, stages)
                 last = (v, f_v, dt)
                 t = target if dt == target - t else t + dt
                 steps += 1

@@ -127,9 +127,9 @@ class Workspace:
     derivatives and of the pressure, and the pointwise terms, sized for the
     sqrt form's extra density row, so one workspace serves every form; the
     views into them are cut once here.  The transforms return fresh arrays,
-    because the ``out=`` argument of ``np.fft`` needs numpy 2.  A run or public
-    call builds one and drops it at its end: evaluations overwrite the work
-    arrays, so a workspace is never shared between runs or threads.
+    because the ``out=`` argument of ``np.fft`` needs numpy 2.  A run builds
+    one and drops it at its end: evaluations overwrite the work arrays, so a
+    workspace is never shared between runs or threads.
     """
 
     def __init__(self, grid: Grid, p: ModelParams):
@@ -153,9 +153,10 @@ class Workspace:
 
 
 def _unchecked() -> np.errstate:
-    """numpy's error state around evaluations and steps: overflow and invalid
-    operations pass silently, because their results are checked for
-    finiteness and reported by name."""
+    """numpy's error state around a run's evaluations, steps and records:
+    overflow and invalid operations pass silently, because their results are
+    checked for finiteness and reported by name, or are energies that may
+    legitimately reach +inf."""
     return np.errstate(over="ignore", invalid="ignore")
 
 
@@ -198,9 +199,9 @@ def _assemble(ws: Workspace, u: np.ndarray, sqrt: bool) -> np.ndarray:
     which are written into the work arrays of ``ws``; beside the transforms,
     only the returned array is new.
 
-    The caller holds numpy's error state at ``_unchecked()``, once per run or
-    public call rather than once here: an overflow surfaces as a
-    non-finite output, which this function reports by term.
+    The caller holds numpy's error state at ``_unchecked()``, once per run
+    rather than once here: an overflow surfaces as a non-finite output, which
+    this function reports by term.
     """
     p = ws.p
     a, w = u[0], u[1]  # indexing: unpacking an array iterates it, which is slower
@@ -299,28 +300,25 @@ def _energy_spectra(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.fft.rfft(fields)
 
 
-def energy(
-    grid: Grid, a: np.ndarray, rho: np.ndarray, spectra: np.ndarray | None = None
-) -> tuple[float, float]:
-    """Sobolev energies ``(e_tilde, e_sqrt)`` of the node values ``a`` and
-    ``rho`` (density derivative order 3); +inf when a steep state overflows.
+def energy(grid: Grid, spectra: np.ndarray) -> tuple[float, float]:
+    """Sobolev energies ``(e_tilde, e_sqrt)`` of the node values a and rho
+    (density derivative order 3) from ``spectra = _energy_spectra(a, rho)``;
+    +inf when a steep state overflows.
 
     By Parseval, from the rfft X of the stacked (rho, A, sqrt(rho)) alone: a
     row's node sum of f^2 + (d f)^2 is N times the sum over modes of
     w_m (1 + |d_m|^2) |X_m / N|^2, ``grid.energy_weights``.  Scaled before
     squaring, a square overflows no earlier than in node space, and with every
-    weight at least 1 an overflow gives +inf, never nan.  A caller that holds
-    ``_energy_spectra(a, rho)`` already passes it as ``spectra``.
+    weight at least 1 an overflow gives +inf, never nan.  The caller holds the
+    error state at ``_unchecked()``, so an overflow passes without a warning.
     """
-    with np.errstate(over="ignore"):  # energies may legitimately reach +inf
-        spectra = _energy_spectra(a, rho) if spectra is None else spectra
-        # on the real and imaginary parts: a complex product of inf would meet a 0
-        power = spectra.view(np.float64) / grid.N
-        np.square(power, out=power)
-        power *= grid.energy_weights
-        rho_m, a_m, root_m = power.sum(axis=1)
-        length = grid.N * grid.dx
-        return 1.0 + float(rho_m * length + a_m * length), 1.0 + float(root_m * length)
+    # on the real and imaginary parts: a complex product of inf would meet a 0
+    power = spectra.view(np.float64) / grid.N
+    np.square(power, out=power)
+    power *= grid.energy_weights
+    rho_m, a_m, root_m = power.sum(axis=1)
+    length = grid.N * grid.dx
+    return 1.0 + float(rho_m * length + a_m * length), 1.0 + float(root_m * length)
 
 
 def blowup_threshold(p: ModelParams) -> float:

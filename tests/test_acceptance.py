@@ -28,10 +28,11 @@ from xdiff.cli import SERIES_HEADER, main
 from xdiff.config import CsvData, parse_config, preset, preset_with_overrides, render_config
 from xdiff.diagnostics import support, t_star
 from xdiff.grid import Field, Grid
-from xdiff.integrator import RunMode, rhs, step
+from xdiff.integrator import RunMode
 from xdiff.kernel import heat_multiplier, smooth
-from xdiff.model import ModelParams, State, blowup_threshold
+from xdiff.model import State, blowup_threshold
 
+from reference import rhs, rk4, step
 from spectral import derivative
 
 RHO_SUP_BOUND = 1.5  # beta / (alpha (1 - mu)) for the reference parameters
@@ -128,7 +129,7 @@ def rk4_run_loop(monkeypatch):
     replaced, as a reference for the RKC results."""
     import xdiff.integrator as integrator
 
-    monkeypatch.setattr(integrator, "_rkc", integrator._rk4)
+    monkeypatch.setattr(integrator, "_rkc", rk4)
     # the stability bound in forward-Euler units becomes RK4's real interval
     monkeypatch.setattr(integrator, "stability_interval", lambda s: RK4_REAL_STABILITY)
 

@@ -95,6 +95,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == f"error: line 3: grid.N must be an integer, got {TOO_BIG}\n"
 
+    @pytest.mark.parametrize("n", [2**64, 2**62])
+    def test_a_mesh_numpy_cannot_size_is_reported_at_its_line(self, tmp_path, capsys, n):
+        # neither size fits numpy's index type, so the grid refuses both
+        # before allocating; a size numpy would try to allocate is the
+        # unallocatable_grid fixture's MemoryError
+        path, _ = write_config(tmp_path)
+        path.write_text(path.read_text().replace("grid.N = 16", f"grid.N = {n}"))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: line 3: grid.N is too large for an array, got {n}\n"
+
     def test_snapshot_of_constant_state(self, tmp_path):
         path, out = write_config(tmp_path)
         main(["run", str(path)])

@@ -133,6 +133,17 @@ class TestParse:
         "key, text, message",
         [
             ("run.t_end", "-1", "line 27: run.t_end must be a nonnegative finite time, got -1.0"),
+            # meshes numpy cannot size, refused before anything is allocated
+            (
+                "grid.N",
+                str(2**64),
+                f"line 2: grid.N is too large for an array, got {2**64}",
+            ),
+            (
+                "grid.N",
+                str(2**62),
+                f"line 2: grid.N is too large for an array, got {2**62}",
+            ),
             # beta / K and beta_tilde / K_tilde would overflow in every evaluation
             ("params.K", "1e-320", "line 7: params.K is out of range, got 1e-320"),
             ("params.K_tilde", "1e-320", "line 8: params.K_tilde is out of range, got 1e-320"),

@@ -114,20 +114,10 @@ class TestSupport:
         intervals = support(g, vals)
         assert len(intervals) == 1
 
-    def test_explicit_threshold(self):
-        g = Grid(1.0, 64)
-        vals = np.zeros(64)
-        vals[10] = 1.0
-        vals[40] = 0.5
-        assert len(support(g, vals, threshold=0.75)) == 1
-        with pytest.raises(ValueError):
-            support(g, vals, threshold=0.0)
 
-
-def reference_support(grid, values, threshold=None):
+def reference_support(grid, values):
     """``support`` as a per-node scan: walk the nodes and close a run at its last node."""
-    if threshold is None:
-        threshold = SUPPORT_THRESHOLD_SCALE * max(max(values), 1.0)
+    threshold = SUPPORT_THRESHOLD_SCALE * max(max(values), 1.0)
     n, L, half = len(values), grid.L, 0.5 * grid.dx
     above = [v > threshold for v in values]
     if not any(above):
@@ -150,6 +140,8 @@ def reference_support(grid, values, threshold=None):
     return intervals
 
 
+# 2e-9 straddles the relative cut: above 1e-9 max(max, 1) at a maximum of 1,
+# below it at a maximum of 3
 LEVELS = [0.0, 1e-12, 2e-9, 0.25, 1.0, 3.0]
 
 
@@ -159,19 +151,18 @@ class TestSupportScan:
         values=st.sampled_from([16, 18, 64, 256]).flatmap(
             lambda n: st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n)
         ),
-        threshold=st.one_of(st.none(), st.sampled_from(LEVELS[1:]), st.floats(1e-12, 4.0)),
     )
-    @example(values=[1.0, 1.0] + [0.0] * 13 + [1.0], threshold=None)  # seam wrap
-    @example(values=[1.0] * 16, threshold=None)  # all nodes above
-    @example(values=[0.0] * 16, threshold=None)  # none above
-    @example(values=[1.0] + [0.0] * 15, threshold=None)  # single node 0
-    @example(values=[0.0] * 15 + [1.0], threshold=None)  # single node N - 1
-    @example(values=[1.0] + [0.0] * 14 + [1.0], threshold=0.5)  # both, explicit threshold
-    @example(values=[0.25 * (j % 5) for j in range(16)], threshold=0.5)
-    def test_matches_a_per_node_scan(self, values, threshold):
+    @example(values=[1.0, 1.0] + [0.0] * 13 + [1.0])  # seam wrap
+    @example(values=[1.0] * 16)  # all nodes above
+    @example(values=[0.0] * 16)  # none above
+    @example(values=[1.0] + [0.0] * 15)  # single node 0
+    @example(values=[0.0] * 15 + [1.0])  # single node N - 1
+    @example(values=[1.0] + [0.0] * 14 + [1.0])  # both ends, one run through the seam
+    @example(values=[2e-9] * 4 + [1.0] + [0.0] * 11)  # 2e-9 above the cut at a maximum of 1
+    @example(values=[2e-9] * 4 + [3.0] + [0.0] * 11)  # and below it at a maximum of 3
+    def test_matches_a_per_node_scan(self, values):
         grid = Grid(1.0, len(values))
-        expected = reference_support(grid, values, threshold)
-        assert support(grid, np.array(values), threshold) == expected
+        assert support(grid, np.array(values)) == reference_support(grid, values)
 
 
 class TestSymmetryDefect:

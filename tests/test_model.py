@@ -7,20 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xdiff.grid import Field, Grid, GridMismatchError, mirror
-from xdiff.integrator import RunMode, _apply_positivity, rhs, step
+from xdiff.integrator import RunMode, _apply_positivity
 from xdiff.kernel import BoxKernel, heat_multiplier, smooth
 from xdiff.model import (
     ModelParams,
     NumericalFault,
     State,
     Workspace,
+    _energy_spectra,
     _rhs_core,
     _rhs_regularized_core,
     _rhs_sqrt_core,
+    _unchecked,
     blowup_threshold,
     energy,
 )
 
+from reference import rhs, step
 from spectral import derivative
 
 # parameters shared by the reference experiments: the nonlocal average of
@@ -225,7 +228,7 @@ class TestEnergy:
     def test_constant_state_values(self):
         g = Grid(1.0, 64)
         s = constant_state(g)
-        e_tilde, e_sqrt = energy(g, s.A.values, s.rho.values)
+        e_tilde, e_sqrt = energy(g, _energy_spectra(s.A.values, s.rho.values))
         assert e_tilde == pytest.approx(5.0, abs=1e-12)
         assert e_sqrt == pytest.approx(3.0, abs=1e-12)
 
@@ -237,7 +240,7 @@ class TestEnergy:
             monkeypatch.setattr(np.fft, name, counting(calls, name, getattr(np.fft, name)))
         s = even_state(grid)
         a, r = s.A.values, s.rho.values
-        energies = energy(grid, a, r)
+        energies = energy(grid, _energy_spectra(a, r))
         assert calls == ["rfft"]
         monkeypatch.undo()
 
@@ -251,12 +254,13 @@ class TestEnergy:
     def test_an_overflowing_square_makes_the_energy_infinite(self):
         # the squares of rho = 1e160 overflow, those of sqrt(rho) = 1e80 do
         # not; scaled before squaring and weighted by at least 1, the sums give
-        # +inf and the finite value the node sums give, with no warning
+        # +inf and the finite value the node sums give, with no warning inside
+        # a run's error state
         grid = Grid(1.0, 16)
         s = constant_state(grid, r=1e160)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), _unchecked():
             warnings.simplefilter("error")
-            e_tilde, e_sqrt = energy(grid, s.A.values, s.rho.values)
+            e_tilde, e_sqrt = energy(grid, _energy_spectra(s.A.values, s.rho.values))
         assert e_tilde == np.inf
         assert e_sqrt == pytest.approx(2e160, rel=1e-15)
 
@@ -537,7 +541,7 @@ class TestAssemblyOracle:
             assert same_bits(got, oracle_assemble(grid, u, PARAMS, conv_sym, True))
             got = _rhs_regularized_core(ws, u, damp)
             assert same_bits(got, oracle_regularized(grid, u, PARAMS, conv_sym, damp))
-        # so does the public entry of every form; the sqrt form steps eta = sqrt(rho)
+        # so does each form through a run's stepper; the sqrt form steps eta = sqrt(rho)
         s = State(t=0.0, A=Field(grid, u[0]), rho=Field(grid, u[1]))
         v = np.stack((u[0], np.sqrt(u[1])))
         expected = {
@@ -702,8 +706,8 @@ class TestDensityFlux:
 
 
 # ---------------------------------------------------------------------------
-# finiteness: the public entries own numpy's error state, and one reduction
-# decides only when the output's sum is finite
+# finiteness: a caller such as a run owns numpy's error state, and one
+# reduction decides only when the output's sum is finite
 # ---------------------------------------------------------------------------
 
 
@@ -746,10 +750,10 @@ OVERFLOWING_ENTRIES = {
 
 class TestFiniteness:
     @pytest.mark.parametrize("entry", list(OVERFLOWING_ENTRIES))
-    def test_every_public_entry_fails_by_name_on_overflow(self, entry):
-        # no evaluation enters an error state of its own, so each public entry
-        # holds one: an overflow must surface as the named fault, never as a
-        # RuntimeWarning
+    def test_every_entry_fails_by_name_on_overflow(self, entry):
+        # no evaluation enters an error state of its own; in the one a run,
+        # or the reference rhs and step, holds, an overflow must surface as
+        # the named fault, never as a RuntimeWarning
         call, term = OVERFLOWING_ENTRIES[entry]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

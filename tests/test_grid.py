@@ -47,6 +47,15 @@ class TestMakeGrid:
         with pytest.raises(InvalidValue, match=r"^N must be an integer, got 16\.0$"):
             Grid(1.0, 16.0)
 
+    # 384307168202282324 is the least even N whose energy weights, 24(N + 2)
+    # bytes, exceed numpy's int64 index type; N - 2 would fit
+    @pytest.mark.parametrize("n", [384307168202282324, 2**62, 2**64])
+    def test_rejects_an_n_numpy_cannot_size_before_allocating(self, n):
+        with pytest.raises(InvalidValue) as exc:
+            Grid(1.0, n)
+        assert exc.value.field == "N"
+        assert exc.value.problem == f"is too large for an array, got {n}"
+
     @pytest.mark.parametrize("half_length", [1e308, 1e-310])
     def test_rejects_a_half_length_that_overflows_the_layout(self, half_length):
         # finite and positive, but 2L/N is inf at 1e308 and pi*m/L is inf or
